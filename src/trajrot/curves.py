@@ -319,6 +319,18 @@ def resample(c: Curve, n: int) -> Curve:
     return Curve(ts, xs, closed=c.closed)
 
 
+def _decimated(points: np.ndarray) -> np.ndarray:
+    """Every other sample, always keeping the last one.
+
+    Comparing a polyline quantity with its value on the decimated samples
+    estimates how far the polyline sits from the curve it samples.
+    """
+    idx = np.arange(0, len(points), 2)
+    if idx[-1] != len(points) - 1:
+        idx = np.append(idx, len(points) - 1)
+    return points[idx]
+
+
 def spherical_blowup(c: Curve, center, guard: float | None = None) -> SphericalCurve:
     """Map each sample to ``(x - center)/|x - center|``, keeping timestamps.
 

@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from .curves import (AffineSubspace, Curve, MAX_SEGMENT_ANGLE, RotationResult,
-                     project_to_complement, safe_norms, safe_unit_rows,
-                     subtended_angles)
+                     _decimated, project_to_complement, safe_norms,
+                     safe_unit_rows, subtended_angles)
 from .errors import CodimensionError, DimensionMismatch, DistanceTooSmall
 
 
@@ -79,13 +79,6 @@ def _angle_refined(points, x0, guard):
     return p
 
 
-def _decimated(points):
-    idx = np.arange(0, len(points), 2)
-    if idx[-1] != len(points) - 1:
-        idx = np.append(idx, len(points) - 1)
-    return points[idx]
-
-
 def _blowup_length(points, x0, guard):
     coarse = _angle_refined(points, x0, guard)
     fine = _subdivide(coarse, np.full(len(coarse) - 1, 2, dtype=np.int64))
@@ -141,8 +134,7 @@ def signed_winding_plane(c: Curve, x0, guard: float | None = None) -> RotationRe
         return float(np.sum(inc)) / (2.0 * math.pi)
 
     value = wind(d)
-    dec = d[::2] if len(d) % 2 == 1 else np.concatenate([d[::2], d[-1:]], axis=0)
-    err = abs(value - wind(dec)) + 1e-15 * len(d)
+    err = abs(value - wind(_decimated(d))) + 1e-15 * len(d)
     return RotationResult(value, err, "signed_turns")
 
 

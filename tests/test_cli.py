@@ -125,6 +125,21 @@ def test_link_overlapping_exit2(tmp_path, capsys):
     assert "CurvesTooClose" in err
 
 
+def test_link_pair_budget_exit3(tmp_path, capsys):
+    # two cheap 40001-sample lines: 1.6e9 segment pairs, over the budget
+    t = np.linspace(0.0, 1.0, 40_001)
+    paths = []
+    for k in range(2):
+        path = tmp_path / f"line{k}.csv"
+        np.savetxt(path, np.stack([t, t, 0 * t + k, 0 * t], axis=1),
+                   delimiter=",", header="t,x1,x2,x3", comments="")
+        paths.append(str(path))
+    code, _, err = run_cli(capsys, "link", "--curve1", paths[0],
+                           "--curve2", paths[1], "--mode", "signed")
+    assert code == 3
+    assert "SampleBudgetExceeded" in err
+
+
 def test_crofton_constants_command(capsys):
     code, out, _ = run_cli(capsys, "crofton", "--n", "3")
     assert code == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import dblquad
 
 import trajrot as tr
 
@@ -200,3 +202,155 @@ def test_crosscheck_planar_curve_no_winding():
     gauss, proj = tr.line_rotation_crosscheck(c, Z_AXIS, "signed", M=150.0)
     assert abs(gauss.value) < 5e-3
     assert abs(proj.value) < 0.3  # less than a third of a turn either
+
+
+# ---------------------------------------------------------------------------
+# exact kernel against independent quadrature and closed forms
+
+
+def segment_integral(p1, q1, p2, q2):
+    """The pair's Gauss double integral (times 4 pi) by adaptive
+    quadrature; its numerator <d1 x d2, x1 - x2> is constant."""
+    p1, q1, p2, q2 = (np.asarray(v, dtype=float) for v in (p1, q1, p2, q2))
+    d1, d2 = q1 - p1, q2 - p2
+    numer = float(np.dot(np.cross(d1, d2), p1 - p2))
+
+    def kernel(t, s):
+        r = p1 + s * d1 - p2 - t * d2
+        return numer / float(np.dot(r, r)) ** 1.5
+
+    return dblquad(kernel, 0.0, 1.0, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12)[0]
+
+
+def polyline(points):
+    return tr.Curve(np.arange(len(points), dtype=float), points)
+
+
+_coord = st.floats(-1.0, 1.0)
+_below = st.tuples(_coord, _coord, st.floats(-1.0, -0.1))
+_above = st.tuples(_coord, _coord, st.floats(0.1, 1.0))
+
+
+@given(st.tuples(_below, _below), st.tuples(_above, _above))
+@settings(max_examples=30, deadline=None)
+def test_segment_pair_matches_dblquad(seg1, seg2):
+    want = segment_integral(*seg1, *seg2) / (4 * math.pi)
+    c1, c2 = polyline(seg1), polyline(seg2)
+    signed = tr.gauss_rotation_pair(c1, c2, "signed")
+    absolute = tr.gauss_rotation_pair(c1, c2, "absolute")
+    assert abs(signed.value - want) < 1e-12
+    assert abs(absolute.value - abs(want)) < 1e-12
+    assert abs(signed.value - want) <= signed.error_estimate
+
+
+@given(st.lists(_below, min_size=3, max_size=4),
+       st.lists(_above, min_size=2, max_size=4))
+@settings(max_examples=15, deadline=None)
+def test_polyline_pair_matches_sum_of_dblquads(pts1, pts2):
+    pair = [segment_integral(pts1[i], pts1[i + 1], pts2[j], pts2[j + 1])
+            for i in range(len(pts1) - 1) for j in range(len(pts2) - 1)]
+    c1, c2 = polyline(pts1), polyline(pts2)
+    signed = tr.gauss_rotation_pair(c1, c2, "signed").value
+    absolute = tr.gauss_rotation_pair(c1, c2, "absolute").value
+    assert abs(signed - math.fsum(pair) / (4 * math.pi)) < 1e-11
+    assert abs(absolute - math.fsum(map(abs, pair)) / (4 * math.pi)) < 1e-11
+
+
+@pytest.mark.parametrize("h", [1.0, 1e-2, 1e-4, 1e-6])
+def test_near_touching_perpendicular_pair_closed_form(h):
+    # relative positions sweep a 2 x 2 square at distance h from the
+    # origin; its solid angle is 4 atan(1 / (h sqrt(2 + h^2)))
+    a = polyline([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    b = polyline([[0.0, -1.0, h], [0.0, 1.0, h]])
+    want = -math.atan(1.0 / (h * math.sqrt(2.0 + h * h))) / math.pi
+    got = tr.gauss_rotation_pair(a, b, "signed")
+    # roundoff grows like length / distance and the estimate says so
+    assert abs(got.value - want) <= got.error_estimate
+    assert got.error_estimate < 1e-12 + 1e-14 / h
+
+
+def test_coplanar_disjoint_pairs_exactly_zero():
+    a = polyline([[0.0, 0.0, 0.0], [1.0, 0.3, 0.0], [2.0, -0.5, 0.0]])
+    b = polyline([[0.0, 1.0, 0.0], [1.5, 2.0, 0.0], [3.0, 1.0, 0.0],
+                  [4.0, -3.0, 0.0]])
+    for mode in ("signed", "absolute"):
+        assert tr.gauss_rotation_pair(a, b, mode).value == 0.0
+
+
+def test_collinear_and_parallel_pairs_zero():
+    on_axis = polyline([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    ahead = polyline([[2.0, 0.0, 0.0], [3.5, 0.0, 0.0]])
+    assert tr.gauss_rotation_pair(on_axis, ahead, "absolute").value == 0.0
+    parallel = polyline([[0.2, 0.7, -0.4], [2.2, 0.7, -0.4]])
+    for mode in ("signed", "absolute"):
+        assert abs(tr.gauss_rotation_pair(on_axis, parallel, mode).value) \
+            < 1e-15
+
+
+def test_zero_length_segments_contribute_nothing():
+    c1 = circle3d(n=201)
+    c2 = tr.translate(helix_curve(turns=1.0, n=101), [0.0, 0.0, 0.3])
+    x = np.insert(c2.x, 50, c2.x[50], axis=0)  # one repeated vertex
+    padded = tr.Curve(np.arange(len(x), dtype=float), x)
+    for mode in ("signed", "absolute"):
+        base = tr.gauss_rotation_pair(c1, c2, mode).value
+        assert abs(tr.gauss_rotation_pair(c1, padded, mode).value - base) \
+            < 1e-13
+    point = polyline([[0.5, 0.5, 2.0], [0.5, 0.5, 2.0]])
+    assert tr.gauss_rotation_pair(c1, point, "absolute").value == 0.0
+
+
+def test_crossing_segments_far_vertices_too_close():
+    a = polyline([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    b = polyline([[0.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(tr.CurvesTooClose):
+        tr.gauss_rotation_pair(a, b, "signed")
+    near_miss = tr.translate(b, [0.3, 0.0, 1e-9])
+    with pytest.raises(tr.CurvesTooClose):
+        tr.gauss_rotation_pair(a, near_miss, "absolute")
+    clear = tr.translate(b, [0.3, 0.0, 1e-3])
+    assert abs(tr.gauss_rotation_pair(a, clear, "signed").value) > 0.2
+
+
+def closed_polygon(n, center=(0.0, 0.0, 0.0), plane="xy", phase=0.0):
+    """Regular n-gon on the unit circle whose last vertex repeats the
+    first bit for bit."""
+    th = 2 * math.pi * np.arange(n) / n + phase
+    z = np.zeros_like(th)
+    ring = {"xy": np.stack([np.cos(th), np.sin(th), z], axis=1),
+            "xz": np.stack([np.cos(th), z, np.sin(th)], axis=1)}[plane]
+    pts = np.asarray(center) + np.concatenate([ring, ring[:1]])
+    return tr.Curve(np.arange(n + 1, dtype=float), pts, closed=True)
+
+
+@pytest.mark.parametrize("n", [7, 64, 800])
+def test_closed_polygon_hopf_exact_integer(n):
+    c1 = closed_polygon(n)
+    c2 = closed_polygon(n, center=(1.0, 0.0, 0.0), plane="xz", phase=0.37)
+    lk = tr.linking_coefficient(c1, c2)
+    assert abs(lk.nearest_integer) == 1
+    assert lk.residual < 1e-9
+    assert tr.topological_linking_planar(c1, c2) == lk.nearest_integer
+
+
+def test_circle_line_error_covers_exact_value():
+    circle = circle3d(n=1501)
+    line = tr.truncated_line_curve(Z_AXIS, 100.0, -3.0, 3.0, 0.05)
+    rr = tr.gauss_rotation_pair(circle, line, "signed")
+    exact = 100.0 / math.sqrt(10001.0)  # truncated at M = 100
+    assert abs(rr.value - exact) <= rr.error_estimate
+    assert abs(rr.value - exact) < 1e-9
+
+
+def test_pair_budget_raises_before_work():
+    t = np.linspace(0.0, 1.0, 40_001)
+    a = tr.Curve(t, np.stack([t, 0 * t, 0 * t], axis=1))
+    b = tr.translate(a, [0.0, 1.0, 0.0])
+    with pytest.raises(tr.SampleBudgetExceeded):
+        tr.gauss_rotation_pair(a, b, "signed")
+
+
+def test_crosscheck_requires_M_beyond_curve():
+    helix = helix_curve(turns=3.0, n=200)
+    with pytest.raises(ValueError):
+        tr.line_rotation_crosscheck(helix, Z_AXIS, "signed", M=2.0)
