@@ -24,8 +24,8 @@ from .flow import IntegratorConfig, integrate_trajectory
 from .gausslink import gauss_rotation_pair
 from .rotation import absolute_rotation_point, rotation_around_subspace
 
-THEOREM_IDS = ("prop3_1", "prop3_2", "thm3_4", "thm3_8", "thm3_9",
-               "cor3_10", "thm3_10_log")
+THEOREM_IDS = ("prop3_1", "prop3_2", "thm3_4", "thm3_8", "cor3_10",
+               "thm3_10_log")
 
 # Sampled Lipschitz estimates are lower bounds; bound verification
 # multiplies them by this documented safety factor.
@@ -156,11 +156,9 @@ def check_invariant_subspace_bound(f: FieldSpec, sub: AffineSubspace,
                    {"rotation": rr.error_estimate})
 
 
-def check_any_point_bound(trajectory: Curve, x0, window=None,
-                          K: float = None, guard=None) -> BoundReport:
+def check_any_point_bound(trajectory: Curve, x0, window=None, *, K: float,
+                          guard=None) -> BoundReport:
     """Rotation around an arbitrary point is at most 4 + K * elapsed time."""
-    if K is None:
-        raise ValueError("K is required (use lipschitz_for)")
     x0 = np.asarray(x0, dtype=np.float64)
     c, ta, tb = _window(trajectory, window)
     rr = absolute_rotation_point(c, x0, guard=guard)
@@ -169,12 +167,10 @@ def check_any_point_bound(trajectory: Curve, x0, window=None,
                    {"rotation": rr.error_estimate})
 
 
-def check_pair_bound(traj1: Curve, traj2: Curve, windows=None,
-                     K: float = None, guard=None) -> BoundReport:
+def check_pair_bound(traj1: Curve, traj2: Curve, windows=None, *, K: float,
+                     guard=None) -> BoundReport:
     """Mutual absolute rotation of two trajectories of one K-Lipschitz
     field is at most (K/pi) min(T1,T2) + (1/4pi) K^2 T1 T2 (turns)."""
-    if K is None:
-        raise ValueError("K is required (use lipschitz_for)")
     w1, w2 = windows if windows is not None else (None, None)
     c1, a1, b1 = _window(traj1, w1)
     c2, a2, b2 = _window(traj2, w2)
@@ -204,14 +200,12 @@ def _max_point_rotation(c: Curve, grid_points, K, T, guard):
     return best, err, fallbacks
 
 
-def check_pair_bound_refined(traj1: Curve, traj2: Curve, windows=None,
-                             K: float = None, grid: int = 64,
+def check_pair_bound_refined(traj1: Curve, traj2: Curve, windows=None, *,
+                             K: float, grid: int = 64,
                              guard=None) -> BoundReport:
     """Refined mutual-rotation bound (K/4pi) min(R1 T2, R2 T1), where R_i
     is the largest rotation of trajectory i around sampled points of the
     other one (with the 4 + K*T_i fallback at too-close grid points)."""
-    if K is None:
-        raise ValueError("K is required (use lipschitz_for)")
     w1, w2 = windows if windows is not None else (None, None)
     c1, a1, b1 = _window(traj1, w1)
     c2, a2, b2 = _window(traj2, w2)

@@ -288,7 +288,7 @@ def _scenario_reports(name, theorems, seed):
         for th in theorems:
             if th == "thm3_8":
                 reports.append(bounds_mod.check_pair_bound(t1, t2, K=k))
-            elif th in ("thm3_9", "cor3_10"):
+            elif th == "cor3_10":
                 reports.append(bounds_mod.check_pair_bound_refined(
                     t1, t2, K=k))
             else:
@@ -404,10 +404,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--config", default=None,
-                        help="flat key=value defaults file")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
+
+    def seeded(sp):
+        sp.add_argument("--seed", type=int, default=42)
+        common(sp)
 
     sp = sub.add_parser("integrate", help="integrate a trajectory to CSV")
     sp.add_argument("--field", required=True)
@@ -420,6 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-samples", dest="max_samples", type=int, default=None)
     sp.add_argument("--chord-tol", dest="chord_tol", type=float, default=None)
     sp.add_argument("--obs-center", dest="obs_center", action="append")
+    sp.add_argument("--config", default=None,
+                    help="flat key=value defaults file")
     common(sp)
     sp.set_defaults(func=_cmd_integrate)
 
@@ -450,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-m", type=int, default=10_000)
     sp.add_argument("--n", type=int, default=None,
                     help="emit the dimensional constants for this n instead")
-    common(sp)
+    seeded(sp)
     sp.set_defaults(func=_cmd_crofton)
 
     sp = sub.add_parser("witness", help="oscillation witness search")
@@ -459,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     default="equator")
     sp.add_argument("--theta", type=float, required=True)
     sp.add_argument("--trials", type=int, default=200)
-    common(sp)
+    seeded(sp)
     sp.set_defaults(func=_cmd_witness)
 
     sp = sub.add_parser("verify", help="run a bound-verification scenario")
@@ -467,14 +470,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=["spiral-point", "sink-line", "twist-line",
                              "sink-pair", "sink-log"])
     sp.add_argument("--theorem", action="append", required=True)
-    common(sp)
+    seeded(sp)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("paper-repro",
                         help="emit the canonical example artifacts")
     sp.add_argument("--out", default="repro-out")
-    sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--config", default=None)
     sp.set_defaults(func=_cmd_paper_repro)
     return p
 

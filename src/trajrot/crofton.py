@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, SphericalCurve, curve_length
+from .curves import (Curve, SphericalCurve, curve_length,
+                     planar_angle_increments)
 from .errors import PreconditionLength, WitnessNotFound
 from .fields import enclosing_ball
 
@@ -137,13 +138,6 @@ class EquatorWitness:
         return min(abs(self.v_proj_1), abs(self.v_proj_2))
 
 
-def _angle_increments(a, b):
-    """Signed angle steps of the planar path (a_i, b_i), each in (-pi, pi]."""
-    cross = a[:-1] * b[1:] - b[:-1] * a[1:]
-    dot = a[:-1] * a[1:] + b[:-1] * b[1:]
-    return np.arctan2(cross, dot)
-
-
 def _centered_rate(values, t):
     """d(values)/dt by centered differences, one-sided at the endpoints."""
     v = np.empty_like(values, dtype=np.float64)
@@ -222,7 +216,7 @@ def find_circle_witness(c: Curve, theta: float) -> EquatorWitness:
     radius = float(np.mean(radii))
     if radius <= 0 or np.max(np.abs(radii - radius)) > 1e-6 * radius:
         raise ValueError("samples do not lie on a circle about the origin")
-    inc = _angle_increments(x64[:, 0], x64[:, 1])
+    inc = planar_angle_increments(x64)
     s_len = radius * float(np.sum(np.abs(inc)))
     if s_len <= 2 * math.pi * radius * theta:
         raise PreconditionLength(
@@ -300,7 +294,8 @@ def find_equator_witness(s: SphericalCurve, theta: float, trials: int = 64,
         rho = np.hypot(a, b)
         if np.min(rho) < 1e-9:
             continue  # curve hits the poles of this plane
-        proj_len = float(np.sum(np.abs(_angle_increments(a, b))))
+        proj_len = float(np.sum(np.abs(planar_angle_increments(
+            np.stack([a, b], 1)))))
         best_proj = max(best_proj, proj_len)
         if proj_len < 0.99 * s_len:
             continue

@@ -194,7 +194,6 @@ class AffineSubspace:
             a = np.concatenate([self.basis.T, np.eye(n)], axis=1)
             q, r = np.linalg.qr(a)
             # canonicalize column signs so the result is deterministic
-            diag = np.diag(r[: q.shape[1], : q.shape[1]]) if r.shape[0] >= q.shape[1] else None
             q = q.copy()
             for j in range(q.shape[1]):
                 jj = min(j, r.shape[1] - 1)
@@ -334,20 +333,11 @@ def _decimated(points: np.ndarray) -> np.ndarray:
 def spherical_blowup(c: Curve, center, guard: float | None = None) -> SphericalCurve:
     """Map each sample to ``(x - center)/|x - center|``, keeping timestamps.
 
-    Raises :class:`DistanceTooSmall` if any sample is within ``guard`` of
-    the center (default: 1e-7 of the curve diameter).
+    Raises :class:`DistanceTooSmall` if the polyline comes within
+    ``guard`` of the center (default: 1e-7 of the curve diameter).
     """
-    ctr = np.asarray(center)
-    if ctr.shape != (c.dim,):
-        raise DimensionMismatch("center must match the curve dimension")
-    g = c.default_guard() if guard is None else float(guard)
-    d = c.x - ctr
-    r = safe_norms(d)
-    if not np.min(r) > g:
-        raise DistanceTooSmall(
-            f"curve comes within {float(np.min(r)):.3g} of the blow-up center "
-            f"(guard {g:.3g})")
-    pts = safe_unit_rows(d).astype(np.float64, copy=False)
+    pts = safe_unit_rows(center_offsets(c, center, guard)).astype(
+        np.float64, copy=False)
     nrm = np.linalg.norm(pts, axis=1)
     pts = pts / nrm[:, None]
     return SphericalCurve(Curve(c.t, pts, closed=c.closed))
@@ -398,6 +388,58 @@ def subtended_angles(points: np.ndarray, center) -> np.ndarray:
     s = safe_unit_rows(d)
     half = 0.5 * safe_norms(s[1:] - s[:-1])
     return 2.0 * np.arcsin(np.minimum(half, 1.0))
+
+
+def _rowdot(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+def point_segment_distances(q, p, d) -> np.ndarray:
+    """Distances from points ``q`` to segments ``p + s d``, s in [0, 1],
+    row by row.
+
+    Each row is scaled by its largest coordinate before squaring, so
+    longdouble coordinates far below the float64 range (twist curves reach
+    exp(-1/x1^2)) keep meaningful distances.
+    """
+    rel = q - p
+    m = np.maximum(np.max(np.abs(rel), axis=1), np.max(np.abs(d), axis=1))
+    m = np.where(m > 0, m, 1.0)
+    rel = rel / m[:, None]
+    d = d / m[:, None]
+    dd = _rowdot(d, d)
+    s = np.clip(_rowdot(rel, d) / np.where(dd > 0, dd, 1.0), 0.0, 1.0)
+    r = rel - s[:, None] * d
+    return m * np.sqrt(_rowdot(r, r))
+
+
+def center_offsets(c: Curve, center, guard: float | None = None) -> np.ndarray:
+    """``c.x - center``, once the polyline is known to stay farther than
+    ``guard`` from ``center`` (default: 1e-7 of the curve diameter).
+
+    The guard sees the exact distance to every segment, not only to the
+    samples.  Raises :class:`DimensionMismatch` or
+    :class:`DistanceTooSmall`.
+    """
+    center = np.asarray(center)
+    if center.shape != (c.dim,):
+        raise DimensionMismatch("center must match the curve dimension")
+    g = c.default_guard() if guard is None else float(guard)
+    d = c.x - center.astype(c.x.dtype)
+    rmin = np.min(point_segment_distances(0.0, d[:-1], np.diff(d, axis=0)))
+    if not rmin > g:
+        raise DistanceTooSmall(
+            f"curve comes within {float(rmin):.3g} of the center (guard {g:.3g})")
+    return d
+
+
+def planar_angle_increments(d: np.ndarray) -> np.ndarray:
+    """Signed angle steps ``atan2(cross, dot)`` between consecutive rows
+    of an (m, 2) array, each in [-pi, pi]."""
+    u, w = d[:-1], d[1:]
+    cross = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+    dot = u[:, 0] * w[:, 0] + u[:, 1] * w[:, 1]
+    return np.arctan2(cross, dot)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (AffineSubspace, Curve, GUARD_DIAMETER_FACTOR,
-                     RotationResult, _decimated)
+                     RotationResult, _decimated, _rowdot,
+                     planar_angle_increments, point_segment_distances)
 from .errors import (CurvesTooClose, DimensionMismatch, DistanceTooSmall,
                      NonTransversal, NotClosed, NotPlanar,
                      QuadratureInconclusive, SampleBudgetExceeded)
@@ -58,18 +59,6 @@ class LinkingResult:
             raise ValueError("residual cannot exceed 0.5")
 
 
-def _rowdot(a, b):
-    return np.einsum("ij,ij->i", a, b)
-
-
-def _point_segment_distances(q, p, d):
-    """Distances from points ``q`` to segments ``p + s d``, s in [0, 1]."""
-    rel = q - p
-    dd = _rowdot(d, d)
-    s = np.clip(_rowdot(rel, d) / np.where(dd > 0, dd, 1.0), 0.0, 1.0)
-    return np.linalg.norm(rel - s[:, None] * d, axis=1)
-
-
 def _segment_distances(p1, d1, p2, d2):
     """Exact distances between segments ``p1 + s d1`` and ``p2 + t d2``
     (s, t in [0, 1]), row by row.
@@ -78,10 +67,10 @@ def _segment_distances(p1, d1, p2, d2):
     interior critical point of the two carrier lines.
     """
     best = np.minimum.reduce([
-        _point_segment_distances(p1, p2, d2),
-        _point_segment_distances(p1 + d1, p2, d2),
-        _point_segment_distances(p2, p1, d1),
-        _point_segment_distances(p2 + d2, p1, d1)])
+        point_segment_distances(p1, p2, d2),
+        point_segment_distances(p1 + d1, p2, d2),
+        point_segment_distances(p2, p1, d1),
+        point_segment_distances(p2 + d2, p1, d1)])
     r = p1 - p2
     a, b, e = _rowdot(d1, d1), _rowdot(d1, d2), _rowdot(d2, d2)
     c, f = _rowdot(d1, r), _rowdot(d2, r)
@@ -226,13 +215,6 @@ def linking_coefficient(c1: Curve, c2: Curve,
 # topological cross-check: crossings through a flat spanning disk
 
 
-def _polygon_winding(poly, point) -> float:
-    d = poly - point
-    cross = d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0]
-    dot = d[:-1, 0] * d[1:, 0] + d[:-1, 1] * d[1:, 1]
-    return float(np.sum(np.arctan2(cross, dot))) / (2 * math.pi)
-
-
 def _segments_intersect_2d(poly) -> bool:
     """Any non-adjacent segment pair of the closed polygon intersecting?"""
     a = poly[:-1]
@@ -301,7 +283,8 @@ def topological_linking_planar(c1: Curve, c2: Curve) -> int:
         tau = h[i] / (h[i] - h[i + 1])
         p = x2[i] + tau * (x2[i + 1] - x2[i])
         pu = np.array([float((p - centroid) @ e1), float((p - centroid) @ e2)])
-        if round(abs(_polygon_winding(poly, pu))) != 0:
+        turns = float(np.sum(planar_angle_increments(poly - pu))) / (2 * math.pi)
+        if round(abs(turns)) != 0:
             total += 1 if h[i + 1] > 0 else -1
     return total
 
@@ -369,13 +352,12 @@ def line_rotation_crosscheck(c2: Curve, line: AffineSubspace,
         raise DimensionMismatch("curve must live in 3-space")
     direction = line.basis[0]
     x2 = c2.x.astype(np.float64, copy=False)
-    rel = x2 - line.base_point
-    sproj = rel @ direction
-    eta = np.linalg.norm(rel - sproj[:, None] * direction, axis=1)
-    eta_min = float(np.min(eta))
+    off = line.offsets(x2)
+    eta_min = float(np.min(point_segment_distances(0.0, off[:-1],
+                                                   np.diff(off, axis=0))))
     if eta_min <= 0:
         raise DistanceTooSmall("curve touches the line")
-    if M <= float(np.max(np.abs(sproj))):
+    if M <= float(np.max(np.abs((x2 - line.base_point) @ direction))):
         raise ValueError("M must exceed the curve's extent along the line")
     # the exact pair integral is additive along a straight segment, so
     # the truncated line needs only its two endpoints

@@ -14,19 +14,9 @@ import math
 import numpy as np
 
 from .curves import (AffineSubspace, Curve, MAX_SEGMENT_ANGLE, RotationResult,
-                     _decimated, project_to_complement, safe_norms,
-                     safe_unit_rows, subtended_angles)
-from .errors import CodimensionError, DimensionMismatch, DistanceTooSmall
-
-
-def _check_guard(c: Curve, center, guard):
-    g = c.default_guard() if guard is None else float(guard)
-    d = c.x - np.asarray(center, dtype=c.x.dtype)
-    rmin = np.min(safe_norms(d))  # keep native dtype: may underflow float64
-    if not rmin > g:
-        raise DistanceTooSmall(
-            f"curve comes within {float(rmin):.3g} of the center (guard {g:.3g})")
-    return d
+                     _decimated, center_offsets, planar_angle_increments,
+                     project_to_complement, safe_unit_rows, subtended_angles)
+from .errors import CodimensionError, DimensionMismatch
 
 
 def _subdivide(points, counts):
@@ -54,23 +44,16 @@ _REFINE_PASSES = 48
 _REFINE_POINT_CAP = 2_000_000
 
 
-def _angle_refined(points, x0, guard):
+def _angle_refined(points, x0):
     """Subdivide polyline chords until no segment subtends more than
     ``MAX_SEGMENT_ANGLE`` at ``x0``.
 
     Splitting is iterated because a single equal split leaves the
     sub-segment containing the closest approach under-resolved (a near
     flyby concentrates almost pi of angle in a tiny parameter range).
-    The chord vertices converging toward ``x0`` also make the guard
-    check sharp: it sees the distance to the polyline, not just to the
-    original samples.
     """
     p = points
     for _ in range(_REFINE_PASSES):
-        d = p - np.asarray(x0, dtype=p.dtype)
-        if not np.min(safe_norms(d)) > guard:
-            raise DistanceTooSmall(
-                f"curve passes within the guard {guard:.3g} of the center")
         theta = subtended_angles(p, x0).astype(np.float64, copy=False)
         if np.all(theta <= MAX_SEGMENT_ANGLE) or len(p) > _REFINE_POINT_CAP:
             break
@@ -79,8 +62,8 @@ def _angle_refined(points, x0, guard):
     return p
 
 
-def _blowup_length(points, x0, guard):
-    coarse = _angle_refined(points, x0, guard)
+def _blowup_length(points, x0):
+    coarse = _angle_refined(points, x0)
     fine = _subdivide(coarse, np.full(len(coarse) - 1, 2, dtype=np.int64))
     a1 = _spherical_chord_sum(coarse, x0)
     a2 = _spherical_chord_sum(fine, x0)
@@ -96,17 +79,20 @@ def absolute_rotation_point(c: Curve, x0, guard: float | None = None) -> Rotatio
     resolutions then give a Richardson-extrapolated value and error bar.
     The error bar also carries a decimation-based term estimating how far
     the polyline itself may sit from the curve it samples, so monotone
-    resampling stays within the combined estimates.
+    resampling stays within the combined estimates.  ``guard`` is checked
+    against the exact distance from ``x0`` to the polyline and to its
+    decimated copy.
     """
-    x0 = np.asarray(x0)
-    if x0.shape != (c.dim,):
-        raise DimensionMismatch("x0 must match the curve dimension")
     g = c.default_guard() if guard is None else float(guard)
-    _check_guard(c, x0, g)
-    value, quad_err, n_fine = _blowup_length(c.x, x0, g)
+    center_offsets(c, x0, g)
+    value, quad_err, n_fine = _blowup_length(c.x, x0)
     sampling_err = 0.0
     if c.n_samples >= 5:
-        v_dec, _, _ = _blowup_length(_decimated(c.x), x0, g)
+        # decimated chords leave the polyline, and their subdivision
+        # points may land on x0: they need the guard too
+        dec = Curve(_decimated(c.t), _decimated(c.x))
+        center_offsets(dec, x0, g)
+        v_dec, _, _ = _blowup_length(dec.x, x0)
         sampling_err = abs(value - v_dec)
     err = quad_err + sampling_err + 1e-15 * (1.0 + n_fine)
     return RotationResult(max(value, 0.0), err, "absolute_radians")
@@ -122,15 +108,10 @@ def signed_winding_plane(c: Curve, x0, guard: float | None = None) -> RotationRe
     """
     if c.dim != 2:
         raise DimensionMismatch("signed winding requires a planar curve")
-    x0 = np.asarray(x0)
-    d = _check_guard(c, x0, guard)
+    d = center_offsets(c, x0, guard)
 
     def wind(v):
-        s = safe_unit_rows(v)
-        u, w = s[:-1], s[1:]
-        cross = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
-        dot = u[:, 0] * w[:, 0] + u[:, 1] * w[:, 1]
-        inc = np.arctan2(cross, dot)
+        inc = planar_angle_increments(safe_unit_rows(v))
         return float(np.sum(inc)) / (2.0 * math.pi)
 
     value = wind(d)

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 import trajrot as tr
 from trajrot.cli import main, to_json
@@ -206,6 +207,19 @@ def test_verify_unknown_theorem_exit2(capsys):
     code, _, err = run_cli(capsys, "verify", "--scenario", "sink-pair",
                            "--theorem", "thm9_99")
     assert code == 2
+    # no check emits thm3_9
+    code, _, err = run_cli(capsys, "verify", "--scenario", "sink-pair",
+                           "--theorem", "thm3_9")
+    assert code == 2
+    assert "unknown theorem id 'thm3_9'" in err
+
+
+def test_paper_repro_rejects_seed(tmp_path, capsys):
+    # paper-repro has no stochastic step, so it takes no --seed
+    with pytest.raises(SystemExit) as exc:
+        main(["paper-repro", "--out", str(tmp_path), "--seed", "1"])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_rerun_byte_identical(tmp_path, capsys):

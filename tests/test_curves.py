@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trajrot as tr
+from trajrot.curves import point_segment_distances
 
 from conftest import circle2d, helix_curve, Z_AXIS
 
@@ -179,6 +180,31 @@ def test_resample_rotation_invariance(spiral_traj):
     half = tr.resample(c, c.n_samples // 2)
     rot2 = tr.absolute_rotation_point(half, np.zeros(2))
     assert abs(rot.value - rot2.value) < rot.error_estimate + rot2.error_estimate
+
+
+_coord = st.floats(-10.0, 10.0, allow_nan=False)
+_vec3 = st.tuples(_coord, _coord, _coord)
+
+
+@given(st.lists(st.tuples(_vec3, _vec3, _vec3), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_point_segment_distances_dense_sampling(rows):
+    q, p, d = (np.array([r[k] for r in rows]) for k in range(3))
+    dist = point_segment_distances(q, p, d)
+    n = 10_001
+    s = np.linspace(0.0, 1.0, n)
+    pts = p[:, None, :] + s[None, :, None] * d[:, None, :]
+    dense = np.min(np.linalg.norm(q[:, None, :] - pts, axis=2), axis=1)
+    # the closest sample lies within half a sample spacing of the minimizer
+    half_step = 0.5 * np.linalg.norm(d, axis=1) / (n - 1)
+    assert np.all(dist <= dense + 1e-12)
+    assert np.all(dense <= dist + half_step + 1e-12)
+    # far below the float64 range, unscaled squares would underflow to 0
+    scale = np.longdouble("1e-3000")
+    tiny = point_segment_distances(*(a.astype(np.longdouble) * scale
+                                     for a in (q, p, d)))
+    assert np.allclose((tiny / scale).astype(np.float64), dist,
+                       rtol=1e-12, atol=1e-12)
 
 
 def test_slice_and_reverse():

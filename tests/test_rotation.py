@@ -52,6 +52,53 @@ def test_distance_guard():
         tr.absolute_rotation_point(c, np.array([1.0, 0.0]))
 
 
+def _through_center(dim, offset):
+    """Polyline whose first segment passes ``offset`` from the origin (and
+    from the z-axis) while every sample stays at distance >= 1."""
+    x = np.zeros((3, dim))
+    x[:, 0] = [-1.0, 1.0, 1.0]
+    x[:, 1] = [offset, offset, 1.0]
+    if dim == 3:
+        x[:, 2] = [0.0, 0.0, 1.0]
+    return tr.Curve([0.0, 1.0, 2.0], x)
+
+
+GUARDED = {
+    "signed_winding_plane":
+        (2, lambda c: tr.signed_winding_plane(c, np.zeros(2))),
+    "absolute_rotation_point":
+        (2, lambda c: tr.absolute_rotation_point(c, np.zeros(2))),
+    "rotation_around_subspace":
+        (3, lambda c: tr.rotation_around_subspace(c, Z_AXIS, "signed")),
+    "spherical_blowup":
+        (3, lambda c: tr.spherical_blowup(c, np.zeros(3))),
+}
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-9])
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_guard_sees_segments_not_only_samples(name, offset):
+    dim, call = GUARDED[name]
+    with pytest.raises(tr.DistanceTooSmall):
+        call(_through_center(dim, offset))
+
+
+def test_guard_covers_decimated_chords():
+    # samples 0, 2 and 4 survive decimation; the chord from sample 0 to
+    # sample 2 runs through the origin, and its subdivision hits it exactly
+    x = [[-1.0, 0.0], [30.0, 5.0], [62.0, 0.0], [62.0, 5.0], [62.0, 10.0]]
+    c = tr.Curve(np.arange(5.0), x)
+    with pytest.raises(tr.DistanceTooSmall):
+        tr.absolute_rotation_point(c, np.zeros(2))
+
+
+def test_line_crosscheck_guard_between_samples():
+    c = tr.Curve([0.0, 1.0, 2.0], [[-1.0, 0.0, -0.5], [1.0, 0.0, 0.5],
+                                   [1.0, 1.0, 1.0]])
+    with pytest.raises(tr.DistanceTooSmall):
+        tr.line_rotation_crosscheck(c, Z_AXIS)
+
+
 def test_helix_around_axis():
     k = 3
     c = helix_curve(turns=k, n=1500)
@@ -62,10 +109,13 @@ def test_helix_around_axis():
 
 
 def test_twist_blowup_window():
-    c = tr.twist_invariant_curve(0.05, 0.2)
-    rr = tr.rotation_around_subspace(c, X_AXIS, "absolute", guard=0.0)
-    want = 1.0 / 0.05 - 1.0 / 0.2
-    assert abs(rr.value - want) / want < 0.01
+    # at a = 0.012 the winding radii reach exp(-1/a^2) ~ 1e-3016: only
+    # longdouble holds them, and the guard's distances must not underflow
+    for a in (0.05, 0.012):
+        c = tr.twist_invariant_curve(a, 0.2)
+        rr = tr.rotation_around_subspace(c, X_AXIS, "absolute", guard=0.0)
+        want = 1.0 / a - 1.0 / 0.2
+        assert abs(rr.value - want) / want < 0.01
 
 
 def test_sink_rotation_rate_around_axis():
