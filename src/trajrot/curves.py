@@ -338,8 +338,6 @@ def spherical_blowup(c: Curve, center, guard: float | None = None) -> SphericalC
     """
     pts = safe_unit_rows(center_offsets(c, center, guard)).astype(
         np.float64, copy=False)
-    nrm = np.linalg.norm(pts, axis=1)
-    pts = pts / nrm[:, None]
     return SphericalCurve(Curve(c.t, pts, closed=c.closed))
 
 
@@ -378,16 +376,22 @@ def safe_norms(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def subtended_angles(points: np.ndarray, center) -> np.ndarray:
-    """Angle subtended at ``center`` by each polyline segment.
+def segment_angles(a: np.ndarray, b: np.ndarray, center) -> np.ndarray:
+    """Angle subtended at ``center`` by each segment ``[a_i, b_i]``.
 
-    Uses normalized directions and the half-chord formula, which stays
-    accurate for tiny angles and tiny distances alike.
+    ``2 atan2(|u - v|, |u + v|)`` on the unit directions u, v of the two
+    endpoints, accurate from tiny angles up to pi.  A row with an endpoint
+    exactly at ``center`` has no direction and gives NaN.
     """
-    d = points - np.asarray(center, dtype=points.dtype)
-    s = safe_unit_rows(d)
-    half = 0.5 * safe_norms(s[1:] - s[:-1])
-    return 2.0 * np.arcsin(np.minimum(half, 1.0))
+    c = np.asarray(center, dtype=a.dtype)
+    u = safe_unit_rows(a - c)
+    v = safe_unit_rows(b - c)
+    return 2.0 * np.arctan2(safe_norms(u - v), safe_norms(u + v))
+
+
+def subtended_angles(points: np.ndarray, center) -> np.ndarray:
+    """Angle subtended at ``center`` by each polyline segment."""
+    return segment_angles(points[:-1], points[1:], center)
 
 
 def _rowdot(a, b):

@@ -151,6 +151,47 @@ def _twist_profile_derivatives(x1):
     return d1, d2
 
 
+def _spiral2d_values(p):
+    x, y = p[..., 0], p[..., 1]
+    r2m1 = x * x + y * y - 1.0
+    out = np.empty_like(p)
+    out[..., 0] = r2m1 * x - y
+    out[..., 1] = r2m1 * y + x
+    return out
+
+
+def _twist3d_values(p):
+    x1 = p[..., 0]
+    out = np.zeros_like(p)
+    out[..., 0] = 1.0
+    mask = x1 > TWIST_SMALL_X1
+    if np.any(mask):
+        d1, d2 = _twist_profile_derivatives(x1[mask])
+        out[mask, 1] = d1
+        out[mask, 2] = d2
+    return out
+
+
+def field_evaluator(f: FieldSpec):
+    """The field's formula as a function of a ``(..., dim)`` array.
+
+    Kind dispatch happens once, here; the returned function does no
+    validation, so hot loops build it once and call it directly.
+    """
+    if f.kind == "constant":
+        offset = f.offset
+        return lambda p: np.broadcast_to(offset, p.shape).copy()
+    if f.kind == "linear":
+        mt = f.matrix.T
+        return lambda p: p @ mt
+    if f.kind == "affine":
+        mt, offset = f.matrix.T, f.offset
+        return lambda p: p @ mt + offset
+    if f.kind == "spiral2d":
+        return _spiral2d_values
+    return _twist3d_values
+
+
 def field_values(f: FieldSpec, points) -> np.ndarray:
     """Evaluate the field on an (m, dim) batch of points."""
     pts = np.asarray(points, dtype=np.float64)
@@ -158,25 +199,7 @@ def field_values(f: FieldSpec, points) -> np.ndarray:
     pts = np.atleast_2d(pts)
     if pts.shape[1] != f.dim:
         raise DimensionMismatch(f"points have dim {pts.shape[1]}, field has {f.dim}")
-    if f.kind == "constant":
-        out = np.broadcast_to(f.offset, pts.shape).copy()
-    elif f.kind == "linear":
-        out = pts @ f.matrix.T
-    elif f.kind == "affine":
-        out = pts @ f.matrix.T + f.offset
-    elif f.kind == "spiral2d":
-        x, y = pts[:, 0], pts[:, 1]
-        r2m1 = x * x + y * y - 1.0
-        out = np.stack([r2m1 * x - y, r2m1 * y + x], axis=1)
-    else:  # twist3d
-        x1 = pts[:, 0]
-        out = np.zeros_like(pts)
-        out[:, 0] = 1.0
-        mask = x1 > TWIST_SMALL_X1
-        if np.any(mask):
-            d1, d2 = _twist_profile_derivatives(x1[mask])
-            out[mask, 1] = d1
-            out[mask, 2] = d2
+    out = field_evaluator(f)(pts)
     return out[0] if single else out
 
 

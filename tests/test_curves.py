@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trajrot as tr
-from trajrot.curves import point_segment_distances
+from trajrot.curves import point_segment_distances, segment_angles
 
 from conftest import circle2d, helix_curve, Z_AXIS
 
@@ -87,6 +87,27 @@ def test_spherical_blowup_guard():
     c = tr.Curve([0, 1, 2], [[1.0, 0.0], [1e-12, 0.0], [-1.0, 0.0]])
     with pytest.raises(tr.DistanceTooSmall):
         tr.spherical_blowup(c, np.zeros(2))
+
+
+def test_spherical_blowup_rows_unit_to_rounding():
+    c = tr.Curve([0, 1, 2], [[3.0, 4.0, 12.0], [1e-5, 2e-5, 0.0],
+                             [-7.0, 1e-3, 2.0]])
+    s = tr.spherical_blowup(c, np.zeros(3), guard=0.0)
+    norms = np.linalg.norm(s.curve.x, axis=1)
+    assert np.max(np.abs(norms - 1.0)) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("gap", [1e-12, 1e-6, 0.3, 2.0, math.pi - 1e-6,
+                                 math.pi - 1e-12])
+def test_segment_angles_closed_form(gap):
+    # endpoints at polar angles 0.4 and 0.4 + gap, at unequal radii
+    phi = np.array([0.4, 0.4 + gap])
+    r = np.array([[2.0], [0.5]])
+    pts = np.array([0.3, -0.2]) + r * np.stack([np.cos(phi), np.sin(phi)], 1)
+    theta = segment_angles(pts[:1], pts[1:], [0.3, -0.2])
+    assert theta.shape == (1,)
+    # the half-chord arcsin formula is 3e-8 off at pi - 1e-12
+    assert abs(float(theta[0]) - gap) <= 4 * np.finfo(float).eps * (1 + gap)
 
 
 def test_spiral_blowup_unit_speed(spiral_traj):

@@ -21,6 +21,25 @@ def test_spiral_formula_generic_point():
     assert np.allclose(v, [(r2 - 1) * x - y, (r2 - 1) * y + x])
 
 
+@pytest.mark.parametrize("f", [
+    tr.spiral2d(), tr.twist3d(), tr.constant([1.0, -2.0, 0.5]),
+    tr.linear([[0.0, 1.0], [-2.0, 0.3]]),
+    tr.affine([[0.0, 1.0], [-2.0, 0.3]], [0.5, 1.0])], ids=lambda f: f.kind)
+def test_field_evaluator_matches_field_values(f):
+    from trajrot.fields import field_evaluator
+
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.0, 1.0, (4, 6, f.dim))
+    pts[0, 0, 0] = 0.0       # twist3d: the identity branch
+    pts[0, 1, 0] = 1e-3      # and its edge
+    got = field_evaluator(f)(pts)
+    assert got.shape == pts.shape
+    assert np.array_equal(got.reshape(-1, f.dim),
+                          tr.field_values(f, pts.reshape(-1, f.dim)))
+    assert np.array_equal(field_evaluator(f)(pts[1, 2]),
+                          tr.eval_field(f, pts[1, 2]))
+
+
 def test_twist_identity_branch():
     assert np.array_equal(tr.eval_field(tr.twist3d(), [-1.0, 0.3, 0.4]),
                           [1.0, 0.0, 0.0])
