@@ -81,15 +81,13 @@ def _report(theorem_id, measured, bound, inputs, errors) -> BoundReport:
 
 def lipschitz_for(f: FieldSpec, points, extra_points=(), seed: int = 0,
                   n: int = 4096):
-    """The K policy: analytic operator norm when available, otherwise a
-    sampled estimate times ``SAMPLED_K_SAFETY``.  Returns (K, inputs)."""
-    if f.kind in ("linear", "affine"):
-        k = operator_norm(f.matrix)
-        return k, {"K": k, "K_method": "analytic", "K_safety": 1.0}
-    if f.kind == "constant":
-        return 0.0, {"K": 0.0, "K_method": "analytic", "K_safety": 1.0}
+    """The K policy: :func:`estimate_lipschitz` over a ball enclosing
+    ``points``, times ``SAMPLED_K_SAFETY`` when it is a sampled estimate
+    (analytic operator norms are exact).  Returns (K, inputs)."""
     ball = enclosing_ball(points, *[np.atleast_2d(p) for p in extra_points])
     est = estimate_lipschitz(f, ball, n=n, seed=seed)
+    if est.method != "sampled":
+        return est.K, {"K": est.K, "K_method": est.method, "K_safety": 1.0}
     k = SAMPLED_K_SAFETY * est.K
     return k, {"K": k, "K_method": "sampled", "K_safety": SAMPLED_K_SAFETY,
                "K_raw": est.K, "K_samples": est.sample_count,

@@ -128,7 +128,12 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
             fs.append(k[6].copy())
             t, y = t + h, y_new
             k[0] = k[6]
-        factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
+        if err > 0:
+            factor = 0.9 * (err ** -0.2)
+        elif err == 0:
+            factor = 5.0
+        else:  # NaN: the field overflowed on the step, which is rejected
+            factor = 0.2
         h *= min(5.0, max(0.2, factor))
     times, points = _dense_output(np.array(ts), np.array(hs), np.array(ys),
                                   np.array(fs), centers, chord_tol,

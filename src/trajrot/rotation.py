@@ -1,7 +1,11 @@
 """Rotation of a single curve around a point or an affine subspace.
 
-Absolute rotation is the length of the spherical blow-up, computed as
-polyline chord length with Richardson refinement for the error estimate.
+Absolute rotation is the length of the spherical blow-up.  Each polyline
+segment blows up to a great-circle arc of the angle it subtends, so its
+chord sums have a closed form (nodes at equal subtended angles, chords of
+``2 sin(phi/2)``); sums at two resolutions give a Richardson value and
+error estimate, with no subdivision and no cap.
+
 Signed planar winding sums atan2-based angle increments per segment; a
 straight segment never subtends an angle >= pi from a point off the
 segment, so the increment sum is branch-cut free.
@@ -19,81 +23,41 @@ from .curves import (AffineSubspace, Curve, MAX_SEGMENT_ANGLE, RotationResult,
 from .errors import CodimensionError, DimensionMismatch
 
 
-def _subdivide(points, counts):
-    """Insert ``counts[i] - 1`` evenly spaced points on each chord."""
-    counts = np.asarray(counts, dtype=np.int64)
-    a = points[:-1]
-    step = (points[1:] - a) / counts[:, None].astype(points.dtype)
-    total = int(counts.sum())
-    seg = np.repeat(np.arange(len(counts)), counts)
-    offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    out = np.empty((total + 1, points.shape[1]), dtype=points.dtype)
-    out[:-1] = a[seg] + step[seg] * offs[:, None].astype(points.dtype)
-    out[-1] = points[-1]
-    return out
+def _blowup_length(d):
+    """Chord-sum length of the spherical blow-up of offsets ``d``, with
+    its Richardson value, error term and fine node count.
 
-
-def _spherical_chord_sum(points, center):
-    d = points - np.asarray(center, dtype=points.dtype)
-    s = safe_unit_rows(d)
-    ch = np.diff(s, axis=0)
-    return float(np.sum(np.sqrt(np.sum(ch * ch, axis=1))))
-
-
-_REFINE_PASSES = 48
-_REFINE_POINT_CAP = 2_000_000
-
-
-def _angle_refined(points, x0):
-    """Subdivide polyline chords until no segment subtends more than
-    ``MAX_SEGMENT_ANGLE`` at ``x0``.
-
-    Splitting is iterated because a single equal split leaves the
-    sub-segment containing the closest approach under-resolved (a near
-    flyby concentrates almost pi of angle in a tiny parameter range).
+    A segment's blow-up is a great-circle arc of its subtended angle
+    theta.  It is cut into ``k = ceil(theta / MAX_SEGMENT_ANGLE)`` arcs of
+    equal angle, whose chords are ``2 sin(theta / 2k)`` in closed form,
+    and the sum is compared against the same sum on ``2k`` arcs.
     """
-    p = points
-    for _ in range(_REFINE_PASSES):
-        theta = subtended_angles(p, x0).astype(np.float64, copy=False)
-        if np.all(theta <= MAX_SEGMENT_ANGLE) or len(p) > _REFINE_POINT_CAP:
-            break
-        counts = np.clip(np.ceil(theta / MAX_SEGMENT_ANGLE), 1, 64)
-        p = _subdivide(p, counts.astype(np.int64))
-    return p
-
-
-def _blowup_length(points, x0):
-    coarse = _angle_refined(points, x0)
-    fine = _subdivide(coarse, np.full(len(coarse) - 1, 2, dtype=np.int64))
-    a1 = _spherical_chord_sum(coarse, x0)
-    a2 = _spherical_chord_sum(fine, x0)
-    return a2 + (a2 - a1) / 3.0, abs(a2 - a1), len(fine)
+    theta = subtended_angles(d, 0.0).astype(np.float64, copy=False)
+    k = np.maximum(np.ceil(theta / MAX_SEGMENT_ANGLE), 1.0)
+    a1 = float(np.sum(2.0 * k * np.sin(theta / (2.0 * k))))
+    a2 = float(np.sum(4.0 * k * np.sin(theta / (4.0 * k))))
+    return a2 + (a2 - a1) / 3.0, abs(a2 - a1), 2 * int(np.sum(k)) + 1
 
 
 def absolute_rotation_point(c: Curve, x0, guard: float | None = None) -> RotationResult:
     """Length (radians) of the spherical blow-up of ``c`` centered at ``x0``.
 
-    Chords are subdivided until each subtends at most
-    ``MAX_SEGMENT_ANGLE`` at ``x0`` (exact for the polyline, whose
-    blow-up consists of great-circle arcs); chord sums at two
-    resolutions then give a Richardson-extrapolated value and error bar.
-    The error bar also carries a decimation-based term estimating how far
-    the polyline itself may sit from the curve it samples, so monotone
-    resampling stays within the combined estimates.  ``guard`` is checked
-    against the exact distance from ``x0`` to the polyline and to its
-    decimated copy.
+    The blow-up of the polyline consists of great-circle arcs, one per
+    segment, of exactly the angle the segment subtends at ``x0``.  Chord
+    sums over equal-angle nodes at two resolutions (no arc wider than
+    ``MAX_SEGMENT_ANGLE``) give a Richardson-extrapolated value and error
+    bar.  The error bar also carries a decimation-based term estimating
+    how far the polyline itself may sit from the curve it samples, so
+    monotone resampling stays within the combined estimates.  ``guard``
+    is checked against the exact distance from ``x0`` to the polyline;
+    the decimated copy needs none, since a chord of it that passes
+    through ``x0`` only subtends pi and shows up in the decimation term.
     """
-    g = c.default_guard() if guard is None else float(guard)
-    center_offsets(c, x0, g)
-    value, quad_err, n_fine = _blowup_length(c.x, x0)
+    d = center_offsets(c, x0, guard)
+    value, quad_err, n_fine = _blowup_length(d)
     sampling_err = 0.0
     if c.n_samples >= 5:
-        # decimated chords leave the polyline, and their subdivision
-        # points may land on x0: they need the guard too
-        dec = Curve(_decimated(c.t), _decimated(c.x))
-        center_offsets(dec, x0, g)
-        v_dec, _, _ = _blowup_length(dec.x, x0)
-        sampling_err = abs(value - v_dec)
+        sampling_err = abs(value - _blowup_length(_decimated(d))[0])
     err = quad_err + sampling_err + 1e-15 * (1.0 + n_fine)
     return RotationResult(max(value, 0.0), err, "absolute_radians")
 

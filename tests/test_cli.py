@@ -58,6 +58,14 @@ def test_integrate_numerical_failure_exit3(capsys):
     assert "StepUnderflow" in err
 
 
+def test_integrate_field_overflow_exit3(capsys):
+    with np.errstate(all="ignore"):
+        code, _, err = run_cli(capsys, "integrate", "--field", "spiral2d",
+                               "--x0", "1e103,0", "--t1", "1")
+    assert code == 3
+    assert "StepUnderflow" in err
+
+
 def test_rotate_signed_circle(tmp_path, capsys):
     th = np.linspace(0, 2 * math.pi, 801)
     c = tr.Curve(np.linspace(0, 1, 801),

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -62,6 +63,15 @@ def test_validation_and_errors():
         cfg = tr.IntegratorConfig(rel_tol=1e-300, abs_tol=1e-300)
         tr.integrate_trajectory(tr.spiral2d(), np.array([0.5, 0.0]), 0.0, 1.0,
                                 cfg)
+
+
+def test_field_overflow_ends_in_step_underflow():
+    # the field overflows at the start point, so every error norm is NaN:
+    # each step must be rejected and shrunk until the step underflows
+    start = time.perf_counter()
+    with pytest.raises(tr.StepUnderflow), np.errstate(all="ignore"):
+        tr.integrate_trajectory(tr.spiral2d(), [1e103, 0.0], 0.0, 1.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_tolerance_halving_consistency():

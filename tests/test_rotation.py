@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from mpmath import mp
 
 import trajrot as tr
 
@@ -83,13 +85,64 @@ def test_guard_sees_segments_not_only_samples(name, offset):
         call(_through_center(dim, offset))
 
 
-def test_guard_covers_decimated_chords():
+def _angle_sum(x, center):
+    """Sum of the angles the polyline's segments subtend at ``center``,
+    in 40-digit arithmetic."""
+    with mp.workdps(40):
+        d = [[mp.mpf(float(a)) - mp.mpf(float(b)) for a, b in zip(p, center)]
+             for p in x]
+        total = mp.mpf(0)
+        for u, v in zip(d[:-1], d[1:]):
+            dot = mp.fsum(a * b for a, b in zip(u, v))
+            uu = mp.fsum(a * a for a in u)
+            vv = mp.fsum(b * b for b in v)
+            total += mp.atan2(mp.sqrt(max(uu * vv - dot * dot, 0)), dot)
+        return total
+
+
+def test_decimated_chord_through_center_enters_error_estimate():
     # samples 0, 2 and 4 survive decimation; the chord from sample 0 to
-    # sample 2 runs through the origin, and its subdivision hits it exactly
+    # sample 2 runs through the origin, while the polyline stays 0.159 away
     x = [[-1.0, 0.0], [30.0, 5.0], [62.0, 0.0], [62.0, 5.0], [62.0, 10.0]]
     c = tr.Curve(np.arange(5.0), x)
-    with pytest.raises(tr.DistanceTooSmall):
-        tr.absolute_rotation_point(c, np.zeros(2))
+    rr = tr.absolute_rotation_point(c, np.zeros(2))
+    assert abs(rr.value - float(_angle_sum(x, (0.0, 0.0)))) <= rr.error_estimate
+    # the decimated polyline subtends pi on that chord
+    decimated = math.pi + float(_angle_sum(x[2:], (0.0, 0.0)))
+    assert rr.error_estimate >= abs(rr.value - decimated)
+
+
+def test_zigzag_of_close_flybys():
+    # 40 000 segments, each passing 1e-3 from the center: every one
+    # subtends almost pi there
+    n = 40_001
+    x = np.zeros((n, 2))
+    x[:, 0] = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
+    x[:, 1] = 1e-3
+    rr = tr.absolute_rotation_point(tr.Curve(np.arange(float(n)), x),
+                                    np.zeros(2))
+    with mp.workdps(40):
+        want = float(40_000 * 2 * mp.atan(1000))
+    assert abs(rr.value - want) <= 1e-8 * want
+
+
+@st.composite
+def _polyline_and_center(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    point = st.tuples(*[st.floats(-1.0, 1.0)] * dim)
+    return draw(st.lists(point, min_size=2, max_size=30)), draw(point)
+
+
+@given(_polyline_and_center())
+@settings(max_examples=100, deadline=None)
+def test_absolute_rotation_matches_angle_sum(case):
+    x, center = case
+    c = tr.Curve(np.arange(float(len(x))), x)
+    try:
+        rr = tr.absolute_rotation_point(c, np.array(center))
+    except tr.DistanceTooSmall:
+        assume(False)
+    assert abs(rr.value - float(_angle_sum(x, center))) <= rr.error_estimate
 
 
 def test_line_crosscheck_guard_between_samples():
