@@ -449,10 +449,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_link)
 
     sp = sub.add_parser("crofton", help="Crofton constants / length estimate")
-    sp.add_argument("--curve", default=None, help="spherical curve CSV")
+    grp = sp.add_mutually_exclusive_group(required=True)
+    grp.add_argument("--curve", default=None, help="spherical curve CSV")
+    grp.add_argument("--n", type=int, default=None,
+                     help="emit the dimensional constants for this n")
     sp.add_argument("-m", type=int, default=10_000)
-    sp.add_argument("--n", type=int, default=None,
-                    help="emit the dimensional constants for this n instead")
     seeded(sp)
     sp.set_defaults(func=_cmd_crofton)
 
@@ -485,7 +486,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PreconditionError, ValueError) as exc:
+    except (PreconditionError, ValueError, OSError) as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 2
     except NumericalError as exc:

@@ -11,7 +11,7 @@ uniformly random great subsphere].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,15 +147,16 @@ def _centered_rate(values, t):
     return v
 
 
-def _best_matched_pair(position, velocity, coincide_ok, antipodal_ok, tol,
-                       modulus):
-    """Scan interior index pairs for matched positions and opposite motion.
+def _best_matched_pair(position, velocity, tol, modulus):
+    """Scan interior index pairs i < j for matched positions and opposite
+    motion.
 
-    ``position`` is compared modulo ``modulus`` (None for the straight
-    line case).  Returns (score, i, j, relation) of the best candidate or
-    None.  For antipodal matches the second velocity is compared after
-    projection to the first point's tangent direction, which flips its
-    sign.
+    A pair matches when its positions agree within ``tol`` (modulo
+    ``modulus``; None for the straight-line case) and ``v_i * v_j < 0``,
+    or, when a modulus is given, when they are antipodal within ``tol``
+    and ``v_i * v_j > 0`` (the antipode's tangent direction is reversed).
+    Returns (score, i, j) of the pair with the largest
+    ``min(|v_i|, |v_j|)``, ties to the smallest i and then j, or None.
     """
     m = len(position)
     best = None
@@ -167,19 +168,13 @@ def _best_matched_pair(position, velocity, coincide_ok, antipodal_ok, tol,
         pi = position[i0:i1, None]
         vi = velocity[i0:i1, None]
         diff = pi - position[None, :]
+        vv = vi * velocity[None, :]
         if modulus is None:
-            coin = np.abs(diff) <= tol
-            anti = np.zeros_like(coin)
+            cand = (np.abs(diff) <= tol) & (vv < 0)
         else:
             dd = np.mod(diff, modulus)
-            coin = np.minimum(dd, modulus - dd) <= tol
-            anti = np.abs(dd - 0.5 * modulus) <= tol
-        vv = vi * velocity[None, :]
-        cand = np.zeros(coin.shape, dtype=bool)
-        if coincide_ok:
-            cand |= coin & (vv < 0)
-        if antipodal_ok:
-            cand |= anti & (vv > 0)
+            cand = (np.minimum(dd, modulus - dd) <= tol) & (vv < 0)
+            cand |= (np.abs(dd - 0.5 * modulus) <= tol) & (vv > 0)
         cand &= interior[i0:i1, None] & interior[None, :]
         cand &= (idx[i0:i1, None] < idx[None, :])
         if not np.any(cand):
@@ -190,11 +185,35 @@ def _best_matched_pair(position, velocity, coincide_ok, antipodal_ok, tol,
         ii, jj = np.unravel_index(flat, score.shape)
         sc = float(score[ii, jj])
         if best is None or sc > best[0]:
-            rel = "coincide"
-            if antipodal_ok and not coin[ii, jj]:
-                rel = "antipodal"
-            best = (sc, i0 + int(ii), int(jj), rel)
+            best = (sc, i0 + int(ii), int(jj))
     return best
+
+
+def _matched_witness(plane, t, position, velocity, tol0, modulus, theta,
+                     threshold, s_len):
+    """The best matched pair as a witness, at tolerance ``tol0`` and then
+    once more at ``4*tol0``; None when neither reaches ``threshold``.
+
+    The relation follows the sign of ``v_i * v_j``: opposite motion at a
+    coinciding position, or equal motion at the antipode, whose projected
+    velocity is then reversed.
+    """
+    for tol in (tol0, 4 * tol0):
+        hit = _best_matched_pair(position, velocity, tol, modulus)
+        if hit is None:
+            continue
+        score, i, j = hit
+        if score < threshold - _WITNESS_SLACK * max(1.0, threshold):
+            continue
+        coincide = velocity[i] * velocity[j] < 0
+        return EquatorWitness(
+            plane=plane, tau1=float(t[i]), tau2=float(t[j]),
+            relation="coincide" if coincide else "antipodal",
+            v_proj_1=float(velocity[i]),
+            v_proj_2=float(velocity[j] if coincide else -velocity[j]),
+            theta=theta, threshold=threshold, curve_length=s_len,
+            window=(float(t[0]), float(t[-1])))
+    return None
 
 
 def find_circle_witness(c: Curve, theta: float) -> EquatorWitness:
@@ -231,23 +250,13 @@ def find_circle_witness(c: Curve, theta: float) -> EquatorWitness:
     v_tang = radius * _centered_rate(phi, c.t)
 
     tol0 = 2 * math.pi / math.sqrt(c.n_samples)
-    for tol in (tol0, 4 * tol0):
-        hit = _best_matched_pair(position, v_tang, True, True, tol,
-                                 2 * math.pi)
-        if hit is None:
-            continue
-        score, i, j, rel = hit
-        if score < threshold - _WITNESS_SLACK * max(1.0, threshold):
-            continue
-        v2 = v_tang[j] if rel == "coincide" else -v_tang[j]
-        return EquatorWitness(
-            plane=np.eye(2), tau1=float(c.t[i]), tau2=float(c.t[j]),
-            relation=rel, v_proj_1=float(v_tang[i]), v_proj_2=float(v2),
-            theta=theta, threshold=threshold, curve_length=s_len,
-            window=(float(c.t[0]), float(c.t[-1])))
-    raise WitnessNotFound(
-        "no matched pair reaches the required speed; the sampling may be "
-        "too coarse for the longitude tolerance")
+    w = _matched_witness(np.eye(2), c.t, position, v_tang, tol0, 2 * math.pi,
+                         theta, threshold, s_len)
+    if w is None:
+        raise WitnessNotFound(
+            "no matched pair reaches the required speed; the sampling may "
+            "be too coarse for the longitude tolerance")
+    return w
 
 
 def principal_plane(points: np.ndarray) -> np.ndarray:
@@ -305,11 +314,7 @@ def find_equator_witness(s: SphericalCurve, theta: float, trials: int = 64,
             w = find_circle_witness(projected, theta)
         except (WitnessNotFound, PreconditionLength):
             continue
-        return EquatorWitness(
-            plane=plane.copy(), tau1=w.tau1, tau2=w.tau2, relation=w.relation,
-            v_proj_1=w.v_proj_1, v_proj_2=w.v_proj_2, theta=theta,
-            threshold=w.threshold, curve_length=w.curve_length,
-            window=w.window)
+        return replace(w, plane=plane.copy())
     raise WitnessNotFound(
         f"no plane among {trials} trials yielded a witness (best projection "
         f"length {best_proj:.6g} vs curve length {s_len:.6g}); "
@@ -355,20 +360,10 @@ def find_euclidean_witness(c: Curve, theta: float, trials: int = 200,
 
     for u in directions():
         p = x @ u
-        v = _centered_rate(p, c.t)
         tol0 = (float(np.max(p)) - float(np.min(p))) / math.sqrt(c.n_samples)
-        for tol in (tol0, 4 * tol0):
-            hit = _best_matched_pair(p, v, True, False, tol, None)
-            if hit is None:
-                continue
-            score, i, j, _ = hit
-            if score < threshold - _WITNESS_SLACK * max(1.0, threshold):
-                continue
-            return EquatorWitness(
-                plane=u[None, :].copy(), tau1=float(c.t[i]),
-                tau2=float(c.t[j]), relation="coincide",
-                v_proj_1=float(v[i]), v_proj_2=float(v[j]), theta=theta,
-                threshold=threshold, curve_length=s_len,
-                window=(float(c.t[0]), float(c.t[-1])))
+        w = _matched_witness(u[None, :].copy(), c.t, p, _centered_rate(p, c.t),
+                             tol0, None, theta, threshold, s_len)
+        if w is not None:
+            return w
     raise WitnessNotFound(
         f"no line direction among {trials} trials yielded a witness")

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (AffineSubspace, Curve, GUARD_DIAMETER_FACTOR,
-                     RotationResult, _decimated, _rowdot,
-                     planar_angle_increments, point_segment_distances)
+from .curves import (AffineSubspace, Curve, RotationResult, _decimated,
+                     _rowdot, planar_angle_increments,
+                     point_segment_distances)
 from .errors import (CurvesTooClose, DimensionMismatch, DistanceTooSmall,
                      NonTransversal, NotClosed, NotPlanar,
                      QuadratureInconclusive, SampleBudgetExceeded)
@@ -162,7 +162,7 @@ def _pair_solid_angles(x1, x2, absolute, guard):
 def _pair_guard(c1: Curve, c2: Curve, guard) -> float:
     if guard is not None:
         return float(guard)
-    return GUARD_DIAMETER_FACTOR * max(c1.diameter_bound(), c2.diameter_bound())
+    return max(c1.default_guard(), c2.default_guard())
 
 
 def gauss_rotation_pair(c1: Curve, c2: Curve, mode: str = "signed",

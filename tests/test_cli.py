@@ -195,6 +195,41 @@ def test_witness_precondition_exit2(tmp_path, capsys):
     assert "PreconditionLength" in err
 
 
+def test_witness_coarse_loop_exit0(tmp_path, capsys):
+    # 12 samples over 4.6 turns: the best pair is antipodal and also within
+    # the coinciding-position tolerance
+    t = np.linspace(0, 4.6, 12)
+    phi = 2 * math.pi * t
+    c = tr.Curve(t, np.stack([np.cos(phi), np.sin(phi)], axis=1))
+    path = tmp_path / "coarse.csv"
+    tr.curve_to_csv(c, str(path))
+    code, out, err = run_cli(capsys, "witness", "--curve", str(path),
+                             "--kind", "circle", "--theta", "4.5")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["relation"] == "antipodal"
+    assert payload["v_proj_1"] * payload["v_proj_2"] < 0
+
+
+def test_missing_input_file_exit2(tmp_path, capsys):
+    missing = tmp_path / "absent.csv"
+    code, out, err = run_cli(capsys, "rotate", "--curve", str(missing),
+                             "--point", "0,0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("FileNotFoundError: ")
+
+
+def test_crofton_needs_exactly_one_of_curve_and_n(tmp_path, capsys):
+    path = tmp_path / "gc.csv"
+    write_circle_csv(path)
+    for argv in (["crofton"], ["crofton", "--curve", str(path), "--n", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_sink_pair(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scenario", "sink-pair",
                            "--theorem", "thm3_8")

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import trajrot as tr
-from trajrot.crofton import haar_orthogonal
+from trajrot.crofton import (_best_matched_pair, _matched_witness,
+                             haar_orthogonal)
 
 
 def mp_constants(n):
@@ -120,6 +121,23 @@ def test_circle_witness_uniform_loop():
     assert w.achieved >= 0.25 * w.curve_length - 0.1  # closed-curve bound, T=1
 
 
+def coarse_loop():
+    """Twelve samples of the unit circle at one turn per unit time, 4.6
+    turns in all: 2*pi/sqrt(12) >= pi/2, so a pair can be both coinciding
+    and antipodal within the longitude tolerance."""
+    t = np.linspace(0, 4.6, 12)
+    phi = 2 * math.pi * t
+    return tr.Curve(t, np.stack([np.cos(phi), np.sin(phi)], axis=1))
+
+
+def test_circle_witness_coarse_loop_relation_follows_velocity_signs():
+    # the best pair moves the same way and is admitted as antipodal; labelled
+    # by its position test it became "coincide" and failed construction
+    w = tr.find_circle_witness(coarse_loop(), 4.5)
+    assert w.relation == "antipodal"
+    assert w.v_proj_1 * w.v_proj_2 < 0
+
+
 def test_circle_witness_triangle_wave():
     w = tr.find_circle_witness(triangle_wave_curve(), 5.0)
     assert w.v_proj_1 * w.v_proj_2 < 0
@@ -215,3 +233,118 @@ def test_witness_invariants_hold_for_any_seed(seed):
     assert w.v_proj_1 * w.v_proj_2 < 0
     assert w.achieved >= w.threshold - 1e-9
     assert w.window[0] < w.tau1 < w.tau2 < w.window[1]
+
+
+# --- matched-pair scan oracle ----------------------------------------------
+
+
+# The O(m^2) scan as it stood with its two relation flags and a relation
+# read from the position test, kept verbatim as the reference.
+def oracle_matched_pair(position, velocity, coincide_ok, antipodal_ok, tol,
+                        modulus):
+    """Scan interior index pairs for matched positions and opposite motion.
+
+    ``position`` is compared modulo ``modulus`` (None for the straight
+    line case).  Returns (score, i, j, relation) of the best candidate or
+    None.  For antipodal matches the second velocity is compared after
+    projection to the first point's tangent direction, which flips its
+    sign.
+    """
+    m = len(position)
+    best = None
+    idx = np.arange(m)
+    interior = (idx > 0) & (idx < m - 1)
+    chunk = max(1, 2_000_000 // m)
+    for i0 in range(0, m, chunk):
+        i1 = min(i0 + chunk, m)
+        pi = position[i0:i1, None]
+        vi = velocity[i0:i1, None]
+        diff = pi - position[None, :]
+        if modulus is None:
+            coin = np.abs(diff) <= tol
+            anti = np.zeros_like(coin)
+        else:
+            dd = np.mod(diff, modulus)
+            coin = np.minimum(dd, modulus - dd) <= tol
+            anti = np.abs(dd - 0.5 * modulus) <= tol
+        vv = vi * velocity[None, :]
+        cand = np.zeros(coin.shape, dtype=bool)
+        if coincide_ok:
+            cand |= coin & (vv < 0)
+        if antipodal_ok:
+            cand |= anti & (vv > 0)
+        cand &= interior[i0:i1, None] & interior[None, :]
+        cand &= (idx[i0:i1, None] < idx[None, :])
+        if not np.any(cand):
+            continue
+        score = np.minimum(np.abs(vi), np.abs(velocity[None, :]))
+        score = np.where(cand, score, -np.inf)
+        flat = int(np.argmax(score))
+        ii, jj = np.unravel_index(flat, score.shape)
+        sc = float(score[ii, jj])
+        if best is None or sc > best[0]:
+            rel = "coincide"
+            if antipodal_ok and not coin[ii, jj]:
+                rel = "antipodal"
+            best = (sc, i0 + int(ii), int(jj), rel)
+    return best
+
+
+@st.composite
+def matched_pair_cases(draw):
+    """Positions and velocities rounded to 0-2 decimals, so that scores and
+    position matches tie often."""
+    m = draw(st.integers(3, 60))
+    decimals = draw(st.integers(0, 2))
+    modulus = draw(st.sampled_from([2 * math.pi, None]))
+    span = 2 * math.pi if modulus is not None else 5.0
+    pos = draw(st.lists(st.floats(-span, span), min_size=m, max_size=m))
+    vel = draw(st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m))
+    tol = draw(st.floats(0.01, 2.5))
+    return np.round(pos, decimals), np.round(vel, decimals), tol, modulus
+
+
+@given(matched_pair_cases())
+@settings(max_examples=300, deadline=None)
+def test_matched_pair_scan_matches_oracle(case):
+    position, velocity, tol, modulus = case
+    first = None
+    for scan_tol in (tol, 4 * tol):
+        ref = oracle_matched_pair(position, velocity, True,
+                                  modulus is not None, scan_tol, modulus)
+        hit = _best_matched_pair(position, velocity, scan_tol, modulus)
+        assert hit == (None if ref is None else ref[:3])
+        if first is None and ref is not None:
+            first = (scan_tol, ref)
+
+    t = np.arange(len(position), dtype=float)
+    w = _matched_witness(np.eye(2), t, position, velocity, tol, modulus,
+                         theta=5.0, threshold=0.0, s_len=1.0)
+    if first is None:
+        assert w is None
+        return
+    scan_tol, (_, i, j, label) = first
+    coincide = velocity[i] * velocity[j] < 0
+    assert (w.tau1, w.tau2) == (i, j)
+    assert w.relation == ("coincide" if coincide else "antipodal")
+    assert w.v_proj_1 == velocity[i]
+    assert w.v_proj_2 == (velocity[j] if coincide else -velocity[j])
+    if label != w.relation:
+        # the oracle reads the label from the position test, which a pair
+        # can pass both ways only when the tolerance reaches a quarter turn
+        assert modulus is not None and label == "coincide"
+        assert 2 * scan_tol >= 0.5 * modulus - 1e-12
+
+
+@pytest.mark.parametrize("modulus", [2 * math.pi, None])
+def test_matched_pair_ties_across_chunks(modulus):
+    # m = 2001 scans in chunks of 999 rows; unit speeds tie every score, so
+    # the first chunk's pair must survive the later chunks
+    rng = np.random.default_rng(5)
+    m = 2001
+    position = np.round(rng.uniform(0, 2 * math.pi, m), 2)
+    velocity = rng.choice([-1.0, 1.0], m)
+    ref = oracle_matched_pair(position, velocity, True, modulus is not None,
+                              0.05, modulus)
+    assert ref[1] < 999
+    assert _best_matched_pair(position, velocity, 0.05, modulus) == ref[:3]
