@@ -6,6 +6,13 @@ opposite tangential velocities; these witness searches certify that
 constructively.  ``crofton_length_estimate`` is the Monte-Carlo form of
 the spherical Crofton formula: length = pi * R * E[#crossings with a
 uniformly random great subsphere].
+
+The witness searches find their fastest matched pair of m samples in
+O(m log m) time and memory, with no pair matrix: each velocity-sign class
+is sorted by position, a sparse range-max table of speeds bounds each
+sample's best partner inside its tolerance windows, and the largest
+bounds are confirmed with the exact pair predicate (see
+``_best_matched_pair``).
 """
 
 from __future__ import annotations
@@ -108,7 +115,9 @@ class EquatorWitness:
     plane ((2, n); a single row for the straight-line variant).  The
     stored projected velocities satisfy ``sign(v_proj_1) ==
     -sign(v_proj_2)`` and ``min(|v_proj_i|) >= threshold`` up to slack;
-    this is re-checked at construction.
+    this is re-checked at construction.  ``match_tol`` is the position
+    tolerance at which the pair matched: the search's own tolerance, or
+    four times it when only the relaxed pass found a witness.
     """
 
     plane: np.ndarray
@@ -121,6 +130,7 @@ class EquatorWitness:
     threshold: float
     curve_length: float
     window: tuple[float, float]
+    match_tol: float
 
     def __post_init__(self):
         if self.relation not in ("coincide", "antipodal"):
@@ -147,9 +157,31 @@ def _centered_rate(values, t):
     return v
 
 
+def _range_max_table(a):
+    """Sparse table of ``a``: row k holds ``max(a[x:x + 2**k])`` for every x
+    where that slice is full, and -inf past it (Bender & Farach-Colton)."""
+    n = len(a)
+    table = np.full((max(n.bit_length(), 1), n), -np.inf)
+    table[0] = a
+    for k in range(1, len(table)):
+        w = 1 << (k - 1)
+        table[k, :n - 2 * w + 1] = np.maximum(table[k - 1, :n - 2 * w + 1],
+                                              table[k - 1, w:n - w + 1])
+    return table
+
+
+def _range_max(table, lo, hi):
+    """``max(a[lo:hi])`` per entry from a sparse table, -inf where empty."""
+    out = np.full(len(lo), -np.inf)
+    full = hi > lo
+    lo, hi = lo[full], hi[full]
+    k = np.frexp(hi - lo)[1] - 1          # floor(log2(hi - lo)), exactly
+    out[full] = np.maximum(table[k, lo], table[k, hi - (1 << k)])
+    return out
+
+
 def _best_matched_pair(position, velocity, tol, modulus):
-    """Scan interior index pairs i < j for matched positions and opposite
-    motion.
+    """Best interior pair i < j with matched positions and opposite motion.
 
     A pair matches when its positions agree within ``tol`` (modulo
     ``modulus``; None for the straight-line case) and ``v_i * v_j < 0``,
@@ -157,36 +189,110 @@ def _best_matched_pair(position, velocity, tol, modulus):
     and ``v_i * v_j > 0`` (the antipode's tangent direction is reversed).
     Returns (score, i, j) of the pair with the largest
     ``min(|v_i|, |v_j|)``, ties to the smallest i and then j, or None.
+    ``tol`` is finite; a point with a non-finite position never matches.
+
+    No pair matrix is formed.  The interior points are split by velocity
+    sign and each class is sorted by position (reduced modulo
+    ``modulus``); coincide partners lie in the other class and antipodal
+    partners in the same one.  For each point, ``searchsorted`` gives its
+    partner windows -- ``[q - tol, q + tol]`` shifted by 0 and
+    +-modulus, plus ``[q +- modulus/2 - tol, q +- modulus/2 + tol]`` --
+    widened by a few ulps so they contain every pair the exact predicate
+    admits, and a range-max table of ``|v|`` over each sorted class
+    bounds the point's best score by ``min(|v_i|, fastest partner)`` in
+    O(1) per window.  The antipodal range is split at the point's own
+    slot, since a large ``tol`` puts a point in its own window.  The
+    largest bounds are then confirmed with the exact predicate, evaluated
+    on ``(min index, max index)`` exactly as a full pair scan would, until
+    the largest remaining bound is a confirmed score S; the points whose
+    bound reaches S are visited in index order, and the first with an
+    exact partner ``j > i`` scoring S gives the pair.  Time and memory
+    are O(m log m) plus the windows of the few points confirmed.
     """
-    m = len(position)
-    best = None
-    idx = np.arange(m)
-    interior = (idx > 0) & (idx < m - 1)
-    chunk = max(1, 2_000_000 // m)
-    for i0 in range(0, m, chunk):
-        i1 = min(i0 + chunk, m)
-        pi = position[i0:i1, None]
-        vi = velocity[i0:i1, None]
-        diff = pi - position[None, :]
-        vv = vi * velocity[None, :]
+    inner = np.arange(1, len(position) - 1)
+    inner = inner[np.isfinite(position[inner])]
+    if modulus is None:
+        key = position[inner]
+        coincide, antipodal = (0.0,), ()
+    else:
+        key = np.mod(position[inner], modulus)
+        coincide = (-modulus, 0.0, modulus)
+        antipodal = (-0.5 * modulus, 0.5 * modulus)
+    top = float(np.max(np.abs(position[inner]), initial=0.0))
+    slack = 16 * np.finfo(np.float64).eps * (top + (modulus or 0.0) + tol)
+
+    # (indices, keys, range-max table); a zero or NaN velocity lies in
+    # neither class, as its products with other velocities have no sign
+    classes = []
+    for side in (velocity[inner] > 0, velocity[inner] < 0):
+        order = np.argsort(key[side], kind="stable")
+        members = inner[side][order]
+        classes.append((members, key[side][order],
+                        _range_max_table(np.abs(velocity[members]))))
+
+    def windows(c, q):
+        """(class, lo, hi) slot ranges holding every partner of keys q in
+        class c."""
+        for target, shifts in ((1 - c, coincide), (c, antipodal)):
+            keys = classes[target][1]
+            for shift in shifts:
+                yield (target,
+                       np.searchsorted(keys, q + shift - tol - slack, "left"),
+                       np.searchsorted(keys, q + shift + tol + slack, "right"))
+
+    bound = []
+    for c, (members, keys, _) in enumerate(classes):
+        slot = np.arange(len(members))
+        fastest = np.full(len(members), -np.inf)
+        for target, lo, hi in windows(c, keys):
+            table = classes[target][2]
+            if target == c:          # skip the point's own slot
+                fastest = np.maximum(fastest, _range_max(
+                    table, lo, np.minimum(hi, slot)))
+                lo = np.maximum(lo, slot + 1)
+            fastest = np.maximum(fastest, _range_max(table, lo, hi))
+        bound.append(np.minimum(np.abs(velocity[members]), fastest))
+    bound = np.concatenate(bound)
+    n0 = len(classes[0][0])
+    index = np.concatenate([classes[0][0], classes[1][0]])
+
+    def partners(r):
+        """(i, scores, j): point r's index and its exact matches."""
+        c = int(r >= n0)
+        i = index[r]
+        j = np.unique(np.concatenate(
+            [classes[t][0][lo:hi]
+             for t, lo, hi in windows(c, classes[c][1][r - c * n0])]))
+        j = j[j != i]
+        a, b = np.minimum(i, j), np.maximum(i, j)
+        diff = position[a] - position[b]
+        vv = velocity[a] * velocity[b]
         if modulus is None:
             cand = (np.abs(diff) <= tol) & (vv < 0)
         else:
             dd = np.mod(diff, modulus)
             cand = (np.minimum(dd, modulus - dd) <= tol) & (vv < 0)
             cand |= (np.abs(dd - 0.5 * modulus) <= tol) & (vv > 0)
-        cand &= interior[i0:i1, None] & interior[None, :]
-        cand &= (idx[i0:i1, None] < idx[None, :])
-        if not np.any(cand):
-            continue
-        score = np.minimum(np.abs(vi), np.abs(velocity[None, :]))
-        score = np.where(cand, score, -np.inf)
-        flat = int(np.argmax(score))
-        ii, jj = np.unravel_index(flat, score.shape)
-        sc = float(score[ii, jj])
-        if best is None or sc > best[0]:
-            best = (sc, i0 + int(ii), int(jj))
-    return best
+        score = np.minimum(np.abs(velocity[a]), np.abs(velocity[b]))
+        return i, score[cand], j[cand]
+
+    # lower the largest bounds to exact scores until one is confirmed
+    best = -np.inf
+    for r in np.argsort(-bound, kind="stable"):
+        if bound[r] <= best:
+            break
+        _, score, _ = partners(r)
+        bound[r] = float(np.max(score, initial=-np.inf))
+        best = max(best, bound[r])
+    if best == -np.inf:
+        return None
+    tied = np.flatnonzero(bound >= best)
+    for r in tied[np.argsort(index[tied])]:
+        i, score, j = partners(r)
+        j = j[(score == best) & (j > i)]
+        if len(j):
+            return float(best), int(i), int(np.min(j))
+    raise AssertionError("a confirmed score has a first tied pair")
 
 
 def _matched_witness(plane, t, position, velocity, tol0, modulus, theta,
@@ -212,7 +318,7 @@ def _matched_witness(plane, t, position, velocity, tol0, modulus, theta,
             v_proj_1=float(velocity[i]),
             v_proj_2=float(velocity[j] if coincide else -velocity[j]),
             theta=theta, threshold=threshold, curve_length=s_len,
-            window=(float(t[0]), float(t[-1])))
+            window=(float(t[0]), float(t[-1])), match_tol=float(tol))
     return None
 
 
@@ -282,6 +388,8 @@ def find_equator_witness(s: SphericalCurve, theta: float, trials: int = 64,
     """
     if theta <= 4:
         raise ValueError("theta must be > 4")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     s_len = curve_length(s.curve)
     if s_len <= 2 * math.pi * theta:
         raise PreconditionLength(
@@ -293,7 +401,7 @@ def find_equator_witness(s: SphericalCurve, theta: float, trials: int = 64,
 
     def candidate_planes():
         yield principal_plane(x)
-        for g in haar_orthogonal(rng, n, max(trials - 1, 0)):
+        for g in haar_orthogonal(rng, n, trials - 1):
             yield g[:, :2].T
 
     best_proj = 0.0
@@ -340,6 +448,8 @@ def find_euclidean_witness(c: Curve, theta: float, trials: int = 200,
     """
     if theta <= 8:
         raise ValueError("theta must be > 8")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     x = c.x.astype(np.float64, copy=False)
     ball = enclosing_ball(x)
     consts = crofton_constants(c.dim)
@@ -354,7 +464,7 @@ def find_euclidean_witness(c: Curve, theta: float, trials: int = 200,
 
     def directions():
         yield principal_direction(x)
-        for _ in range(max(trials - 1, 0)):
+        for _ in range(trials - 1):
             g = rng.standard_normal(c.dim)
             yield g / np.linalg.norm(g)
 

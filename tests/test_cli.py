@@ -211,6 +211,33 @@ def test_witness_coarse_loop_exit0(tmp_path, capsys):
     assert payload["v_proj_1"] * payload["v_proj_2"] < 0
 
 
+def test_witness_json_reports_match_tol(tmp_path, capsys):
+    t = np.linspace(0, 1, 3001)
+    phi = 10 * math.pi * t
+    c = tr.Curve(t, np.stack([np.cos(phi), np.sin(phi)], axis=1), closed=True)
+    path = tmp_path / "loop.csv"
+    tr.curve_to_csv(c, str(path))
+    code, out, _ = run_cli(capsys, "witness", "--curve", str(path),
+                           "--kind", "circle", "--theta", "4.5")
+    assert code == 0
+    assert json.loads(out)["match_tol"] == 2 * math.pi / math.sqrt(3001)
+
+
+def test_witness_zero_trials_exit2(tmp_path, capsys):
+    t = np.linspace(0, 1, 2001)
+    phi = 12 * math.pi * t
+    c = tr.Curve(t, np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)],
+                             axis=1), closed=True)
+    path = tmp_path / "equator.csv"
+    tr.curve_to_csv(c, str(path))
+    code, out, err = run_cli(capsys, "witness", "--curve", str(path),
+                             "--kind", "equator", "--theta", "4.5",
+                             "--trials", "0")
+    assert code == 2
+    assert out == ""
+    assert "ValueError" in err and "trials" in err
+
+
 def test_missing_input_file_exit2(tmp_path, capsys):
     missing = tmp_path / "absent.csv"
     code, out, err = run_cli(capsys, "rotate", "--curve", str(missing),

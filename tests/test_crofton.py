@@ -1,12 +1,14 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 import trajrot as tr
-from trajrot.crofton import (_best_matched_pair, _matched_witness,
+from trajrot.crofton import (_best_matched_pair, _centered_rate,
+                             _matched_witness, _range_max, _range_max_table,
                              haar_orthogonal)
 
 
@@ -326,6 +328,7 @@ def test_matched_pair_scan_matches_oracle(case):
     scan_tol, (_, i, j, label) = first
     coincide = velocity[i] * velocity[j] < 0
     assert (w.tau1, w.tau2) == (i, j)
+    assert w.match_tol == scan_tol
     assert w.relation == ("coincide" if coincide else "antipodal")
     assert w.v_proj_1 == velocity[i]
     assert w.v_proj_2 == (velocity[j] if coincide else -velocity[j])
@@ -348,3 +351,122 @@ def test_matched_pair_ties_across_chunks(modulus):
                               0.05, modulus)
     assert ref[1] < 999
     assert _best_matched_pair(position, velocity, 0.05, modulus) == ref[:3]
+
+
+@st.composite
+def boundary_matched_pair_cases(draw):
+    """Positions exactly at k*M/2 +- tol (M the modulus, or 0.5 on the line)
+    and nudged by 1e-17 or one ulp, so np.mod rounds to M and matches sit
+    on the tolerance edge; tolerances up to two turns, so the 4x pass
+    reaches tol >= M/2 and tol >= M; straight-line positions near 0, where
+    the rounded difference of mixed-sign positions decides the edge, or
+    near 1e6; and either one common speed, so every score ties, or rounded
+    random speeds."""
+    m = draw(st.integers(3, 24))
+    modulus = draw(st.sampled_from([2 * math.pi, None]))
+    tol = draw(st.one_of(st.floats(0.01, 4 * math.pi),
+                         st.integers(1, 125).map(lambda k: k / 10)))
+    ints = lambda lo, hi: np.array(draw(st.lists(
+        st.integers(lo, hi), min_size=m, max_size=m)), dtype=float)
+    if modulus is None:
+        origin, step = draw(st.sampled_from([0.0, 1e6, -1e6])), 0.5
+    else:
+        origin, step = 0.0, 0.5 * modulus
+    pos = origin + ints(-2, 4) * step + ints(-1, 1) * tol
+    pos = pos + ints(-1, 1) * 1e-17
+    pos = np.nextafter(pos, pos + ints(-1, 1))
+    signs = np.where(ints(0, 1) > 0, 1.0, -1.0)
+    if draw(st.booleans()):
+        vel = signs * draw(st.sampled_from([1.0, 0.5]))
+    else:
+        vel = np.round(signs * ints(1, 30) / 10, 1)
+    return pos, vel, tol, modulus
+
+
+# found by search: each pair matches only through a rounded difference,
+# 1e-17 past the unwidened window
+@given(boundary_matched_pair_cases())
+@example((np.array([-3.3, -4.3, 1e-17, -0.5]), np.array([1.0, -1, 1, 1]),
+          4.3, None))
+@example((np.array([1.1, 2.041592653589793, 1e-17, 13.666370614359172]),
+          np.array([-1.0, 1, 1, 1]), 1.1, 2 * math.pi))
+@settings(max_examples=300, deadline=None)
+def test_matched_pair_boundary_cases_match_oracle(case):
+    position, velocity, tol, modulus = case
+    for scan_tol in (tol, 4 * tol):
+        ref = oracle_matched_pair(position, velocity, True,
+                                  modulus is not None, scan_tol, modulus)
+        hit = _best_matched_pair(position, velocity, scan_tol, modulus)
+        assert hit == (None if ref is None else ref[:3])
+
+
+def test_range_max_matches_slices():
+    # an overestimate would only slow the search, so check it directly
+    rng = np.random.default_rng(3)
+    for n in range(18):
+        a = np.round(rng.uniform(0, 5, n), 1)
+        lo, hi = np.divmod(np.arange((n + 1) ** 2), n + 1)
+        got = _range_max(_range_max_table(a), lo, hi)
+        want = [a[x:y].max() if y > x else -np.inf for x, y in zip(lo, hi)]
+        assert got.tolist() == want
+
+
+def test_matched_pair_constant_speed_loop_at_scale():
+    # every score ties at 1, so the scan's pair is row 1's first match
+    m, modulus = 200_001, 2 * math.pi
+    position = np.mod(np.linspace(0, 100 * math.pi, m), modulus)
+    velocity = np.ones(m)
+    tol = modulus / math.sqrt(m)
+    start = time.perf_counter()
+    hit = _best_matched_pair(position, velocity, tol, modulus)
+    elapsed = time.perf_counter() - start
+    j = np.arange(2, m - 1)
+    dd = np.mod(position[1] - position[j], modulus)
+    vv = velocity[1] * velocity[j]
+    cand = (np.minimum(dd, modulus - dd) <= tol) & (vv < 0)
+    cand |= (np.abs(dd - 0.5 * modulus) <= tol) & (vv > 0)
+    assert hit == (1.0, 1, int(j[cand][0]))
+    assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("modulus", [2 * math.pi, None])
+def test_matched_pair_random_speed_loop_matches_oracle(modulus):
+    rng = np.random.default_rng(11)
+    m = 8001
+    t = np.linspace(0, 1, m)
+    phi = np.cumsum(rng.uniform(-0.05, 0.2, m))
+    if modulus is None:
+        position, tol = np.cos(phi), 2.0 / math.sqrt(m)
+    else:
+        position, tol = np.mod(phi, modulus), modulus / math.sqrt(m)
+    velocity = _centered_rate(phi if modulus else position, t)
+    ref = oracle_matched_pair(position, velocity, True, modulus is not None,
+                              tol, modulus)
+    assert _best_matched_pair(position, velocity, tol, modulus) == ref[:3]
+
+
+def test_witness_reports_relaxed_tolerance():
+    # the only opposite-motion pair is 0.3 apart: no match at 0.1, one at 0.4
+    position = np.array([0.0, 0.0, 0.3, 0.0])
+    velocity = np.array([1.0, 1.0, -1.0, 1.0])
+    t = np.arange(4.0)
+    assert _best_matched_pair(position, velocity, 0.1, None) is None
+    w = _matched_witness(np.eye(2), t, position, velocity, 0.1, None,
+                         theta=9.0, threshold=0.5, s_len=1.0)
+    assert w.match_tol == 4 * 0.1
+    assert (w.tau1, w.tau2) == (1.0, 2.0)
+    assert tr.find_circle_witness(uniform_loop(), 4.5).match_tol == \
+        2 * math.pi / math.sqrt(4001)
+
+
+def test_witness_rejects_fewer_than_one_trial():
+    t = np.linspace(0, 1, 2001)
+    phi = 12 * math.pi * t
+    eq = tr.SphericalCurve(tr.Curve(
+        t, np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1),
+        closed=True))
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials"):
+            tr.find_equator_witness(eq, 4.5, trials=trials)
+        with pytest.raises(ValueError, match="trials"):
+            tr.find_euclidean_witness(zigzag_curve(), 9.0, trials=trials)
