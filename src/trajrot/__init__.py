@@ -8,9 +8,10 @@ given a seed), so concurrent use needs no synchronization.
 
 from .bounds import (BoundReport, LOG_SINK_REFERENCE_C, THEOREM_IDS,
                      check_any_point_bound, check_invariant_subspace_bound,
-                     check_log_sink_bound, check_pair_bound,
-                     check_pair_bound_refined, check_stationary_point_bound,
-                     lipschitz_for, pair_bound_fallback_identity)
+                     check_log_sink_bound, check_log_sink_shells,
+                     check_pair_bound, check_pair_bound_refined,
+                     check_stationary_point_bound, lipschitz_for,
+                     pair_bound_fallback_identity)
 from .crofton import (CroftonConstants, CroftonEstimate, EquatorWitness,
                       crofton_constants, crofton_length_estimate,
                       find_circle_witness, find_equator_witness,

@@ -142,7 +142,7 @@ def check_invariant_subspace_bound(f: FieldSpec, sub: AffineSubspace,
     vals = field_values(f, probe)
     ortho = vals - (vals @ sub.basis.T) @ sub.basis if sub.dim else vals
     worst = float(np.max(np.linalg.norm(ortho, axis=1)))
-    if worst >= _INVARIANT_TOL:
+    if not worst < _INVARIANT_TOL:  # a NaN residual (overflow) fails too
         raise NotInvariant(
             f"field has orthogonal component {worst:.3g} on the subspace "
             f"(tolerance {_INVARIANT_TOL})")
@@ -253,21 +253,27 @@ def _clip_to_shell(c: Curve, r: float, R: float) -> Curve:
     return slice_time(c, t_in, t_out)
 
 
-def check_log_sink_bound(L_matrix, x0_pair, R: float, r: float,
-                         cfg: IntegratorConfig | None = None,
-                         reference_C: float = LOG_SINK_REFERENCE_C,
-                         guard=None) -> BoundReport:
-    """Mutual rotation of two sink trajectories across the shell
-    r <= |x| <= R, compared with C * |L| * log^2(R/r) / |ell|.
+class ShellReports(tuple):
+    """One :class:`BoundReport` per shell, ``satisfied`` when all are."""
 
-    ``ell`` is the largest eigenvalue real part (must be negative).  The
-    reference constant is calibrated once (see module docstring); the
-    report also carries the constant implied by the measurement so its
-    stability can be regression-checked across shells.
+    @property
+    def satisfied(self) -> bool:
+        return all(rep.satisfied for rep in self)
+
+
+def check_log_sink_shells(L_matrix, x0_pair, R: float, radii) -> ShellReports:
+    """Mutual rotation of two sink trajectories across each shell
+    r <= |x| <= R, r in ``radii``, compared with
+    LOG_SINK_REFERENCE_C * |L| * log^2(R/r) / |ell|; one report per radius,
+    in the order given.  ``ell`` is the largest eigenvalue real part (must
+    be negative).  Each start point is integrated once, to the horizon of
+    the smallest r.  The reports carry the constant implied by each
+    measurement so its stability can be regression-checked across shells.
     """
     L = np.asarray(L_matrix, dtype=np.float64)
-    if not (R > r > 0):
-        raise ValueError("need R > r > 0")
+    radii = tuple(radii)
+    if not radii or not all(R > r > 0 for r in radii):
+        raise ValueError("need at least one radius, each with R > r > 0")
     eig = np.linalg.eigvals(L)
     ell = float(np.max(eig.real))
     if ell >= 0:
@@ -275,26 +281,32 @@ def check_log_sink_bound(L_matrix, x0_pair, R: float, r: float,
             f"all eigenvalues need negative real part, got max {ell:.3g}")
     f = linear(L)
     norm_l = operator_norm(L)
-    horizon = (math.log(max(np.linalg.norm(np.asarray(x, dtype=float)) for x in x0_pair) / r)
-               + 4.0) / abs(ell)
-    cfg = cfg or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12,
-                                  max_step=min(0.02 / max(norm_l, 1e-6), horizon / 50),
-                                  chord_tol=1e-6)
-    clipped = []
-    for x0 in x0_pair:
-        traj = integrate_trajectory(f, np.asarray(x0, dtype=np.float64),
-                                    0.0, horizon, cfg)
-        clipped.append(_clip_to_shell(traj, r, R))
-    rr = gauss_rotation_pair(clipped[0], clipped[1], "absolute", guard=guard)
-    log_ratio = math.log(R / r)
-    bound = reference_C * norm_l * log_ratio ** 2 / abs(ell)
-    implied = rr.value * abs(ell) / (norm_l * log_ratio ** 2)
-    inputs = {"norm_L": norm_l, "ell": ell, "R": R, "r": r,
-              "log_ratio": log_ratio,
-              "T1": clipped[0].duration, "T2": clipped[1].duration,
-              "implied_C": implied, "reference_C": reference_C}
-    return _report("thm3_10_log", rr.value, bound, inputs,
-                   {"rotation": rr.error_estimate})
+    start = max(np.linalg.norm(np.asarray(x, dtype=float)) for x in x0_pair)
+    horizon = (math.log(start / min(radii)) + 4.0) / abs(ell)
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12,
+                           max_step=min(0.02 / max(norm_l, 1e-6), horizon / 50),
+                           chord_tol=1e-6)
+    trajs = [integrate_trajectory(f, np.asarray(x0, dtype=np.float64),
+                                  0.0, horizon, cfg) for x0 in x0_pair]
+    reports = []
+    for r in radii:
+        c1, c2 = (_clip_to_shell(traj, r, R) for traj in trajs)
+        rr = gauss_rotation_pair(c1, c2, "absolute")
+        log_ratio = math.log(R / r)
+        bound = LOG_SINK_REFERENCE_C * norm_l * log_ratio ** 2 / abs(ell)
+        implied = rr.value * abs(ell) / (norm_l * log_ratio ** 2)
+        inputs = {"norm_L": norm_l, "ell": ell, "R": R, "r": r,
+                  "log_ratio": log_ratio,
+                  "T1": c1.duration, "T2": c2.duration,
+                  "implied_C": implied, "reference_C": LOG_SINK_REFERENCE_C}
+        reports.append(_report("thm3_10_log", rr.value, bound, inputs,
+                               {"rotation": rr.error_estimate}))
+    return ShellReports(reports)
+
+
+def check_log_sink_bound(L_matrix, x0_pair, R: float, r: float) -> BoundReport:
+    """:func:`check_log_sink_shells` for the one shell r <= |x| <= R."""
+    return check_log_sink_shells(L_matrix, x0_pair, R, (r,))[0]
 
 
 def pair_bound_fallback_identity(K: float, T1: float, T2: float) -> tuple[float, float]:

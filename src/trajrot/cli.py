@@ -22,9 +22,11 @@ from .crofton import (crofton_constants, crofton_length_estimate,
 from .curves import (AffineSubspace, Curve, SphericalCurve, curve_from_csv,
                      curve_to_csv)
 from .errors import NumericalError, PreconditionError
-from .fields import linear, parse_field_spec, twist_invariant_curve
+from .fields import (linear, parse_field_spec, spiral2d, twist3d,
+                     twist_invariant_curve)
 from .flow import IntegratorConfig, integrate_trajectory
-from .gausslink import gauss_rotation_pair, linking_coefficient
+from .gausslink import (gauss_rotation_pair, linking_coefficient,
+                        truncated_line_curve)
 from .rotation import (absolute_rotation_point, rotation_around_subspace,
                        signed_winding_plane)
 
@@ -104,23 +106,25 @@ def _load_config(path: str | None) -> dict:
     return conf
 
 
-def _cfg_from(args, conf) -> IntegratorConfig:
-    def pick(flag, key, cast, default):
-        v = getattr(args, flag, None)
-        if v is not None:
-            return v
-        if key in conf:
-            return cast(conf[key])
-        return default
+# The keys a config file may set, each also an ``integrate`` flag of the
+# same name; unset ones keep the IntegratorConfig defaults.
+_CONFIG_KEYS = {"rel_tol": float, "abs_tol": float, "max_step": float,
+                "max_samples": int, "chord_tol": float}
 
-    chord = pick("chord_tol", "chord_tol", float, None)
-    return IntegratorConfig(
-        rel_tol=pick("rel_tol", "rel_tol", float, 1e-9),
-        abs_tol=pick("abs_tol", "abs_tol", float, 1e-9),
-        max_step=pick("max_step", "max_step", float, math.inf),
-        max_samples=int(pick("max_samples", "max_samples", int, 500_000)),
-        chord_tol=chord,
-    )
+
+def _cfg_from(args, conf) -> IntegratorConfig:
+    for key in conf:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}; known keys: "
+                             f"{', '.join(_CONFIG_KEYS)}")
+    kw = {}
+    for key, cast in _CONFIG_KEYS.items():
+        v = getattr(args, key)
+        if v is None and key in conf:
+            v = cast(conf[key])
+        if v is not None:
+            kw[key] = v
+    return IntegratorConfig(**kw)
 
 
 def _parse_subspace(args) -> AffineSubspace:
@@ -154,10 +158,7 @@ def _cmd_integrate(args) -> int:
     centers = [np.array(_floats(c)) for c in (args.obs_center or [])]
     curve = integrate_trajectory(f, x0, args.t0, args.t1, cfg,
                                  obs_centers=centers)
-    if args.out:
-        curve_to_csv(curve, args.out)
-    else:
-        curve_to_csv(curve, sys.stdout)
+    curve_to_csv(curve, args.out or sys.stdout)
     return 0
 
 
@@ -232,20 +233,31 @@ def _cmd_witness(args) -> int:
 SINK_MATRIX = np.array([[-1.0, 0.0, 0.0],
                         [0.0, -1.0, -2.0],
                         [0.0, 2.0, -1.0]])
+# the two start points of every sink-pair scenario and artifact
+SINK_START_PAIR = ((1.0, 1.0, 0.0), (1.0, -1.0, 0.0))
+
+# the theorems each verify scenario covers
+SCENARIO_THEOREMS = {
+    "spiral-point": ("prop3_1", "thm3_4"),
+    "sink-line": ("prop3_2",),
+    "twist-line": ("prop3_2",),
+    "sink-pair": ("thm3_8", "cor3_10"),
+    "sink-log": ("thm3_10_log",),
+}
 
 
 def _sink_pair_curves(T=3.0):
     f = linear(SINK_MATRIX)
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=0.01,
                            chord_tol=1e-5)
-    t1 = integrate_trajectory(f, np.array([1.0, 1.0, 0.0]), 0.0, T, cfg)
-    t2 = integrate_trajectory(f, np.array([1.0, -1.0, 0.0]), 0.0, T, cfg)
+    t1, t2 = (integrate_trajectory(f, x0, 0.0, T, cfg)
+              for x0 in SINK_START_PAIR)
     return f, t1, t2
 
 
 def _scenario_reports(name, theorems, seed):
-    from .fields import spiral2d, twist3d
-
+    """The reports of ``theorems``, all covered by scenario ``name``."""
+    x_axis = AffineSubspace(np.zeros(3), [np.array([1.0, 0.0, 0.0])])
     reports = []
     if name == "spiral-point":
         f = spiral2d()
@@ -256,53 +268,32 @@ def _scenario_reports(name, theorems, seed):
             if th == "prop3_1":
                 reports.append(bounds_mod.check_stationary_point_bound(
                     f, np.zeros(2), traj, seed=seed))
-            elif th == "thm3_4":
+            else:
                 k, _ = bounds_mod.lipschitz_for(f, traj.x, [np.zeros(2)],
                                                 seed=seed)
                 reports.append(bounds_mod.check_any_point_bound(
                     traj, np.zeros(2), K=k))
-            else:
-                raise ValueError(f"scenario {name} does not cover {th}")
     elif name == "sink-line":
         f, t1, _ = _sink_pair_curves()
-        axis = AffineSubspace(np.zeros(3), [np.array([1.0, 0.0, 0.0])])
-        for th in theorems:
-            if th != "prop3_2":
-                raise ValueError(f"scenario {name} does not cover {th}")
-            reports.append(bounds_mod.check_invariant_subspace_bound(
-                f, axis, t1, seed=seed))
+        reports = [bounds_mod.check_invariant_subspace_bound(
+            f, x_axis, t1, seed=seed) for _ in theorems]
     elif name == "twist-line":
         f = twist3d()
         cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, chord_tol=1e-6)
         traj = integrate_trajectory(f, np.array([0.1, 0.5, 0.0]), 0.0, 0.4,
                                     cfg)
-        axis = AffineSubspace(np.zeros(3), [np.array([1.0, 0.0, 0.0])])
-        for th in theorems:
-            if th != "prop3_2":
-                raise ValueError(f"scenario {name} does not cover {th}")
-            reports.append(bounds_mod.check_invariant_subspace_bound(
-                f, axis, traj, seed=seed))
+        reports = [bounds_mod.check_invariant_subspace_bound(
+            f, x_axis, traj, seed=seed) for _ in theorems]
     elif name == "sink-pair":
         f, t1, t2 = _sink_pair_curves()
         k, _ = bounds_mod.lipschitz_for(f, t1.x, seed=seed)
-        for th in theorems:
-            if th == "thm3_8":
-                reports.append(bounds_mod.check_pair_bound(t1, t2, K=k))
-            elif th == "cor3_10":
-                reports.append(bounds_mod.check_pair_bound_refined(
-                    t1, t2, K=k))
-            else:
-                raise ValueError(f"scenario {name} does not cover {th}")
+        check = {"thm3_8": bounds_mod.check_pair_bound,
+                 "cor3_10": bounds_mod.check_pair_bound_refined}
+        reports = [check[th](t1, t2, K=k) for th in theorems]
     elif name == "sink-log":
-        for th in theorems:
-            if th != "thm3_10_log":
-                raise ValueError(f"scenario {name} does not cover {th}")
-            reports.append(bounds_mod.check_log_sink_bound(
-                SINK_MATRIX,
-                (np.array([1.0, 1.0, 0.0]), np.array([1.0, -1.0, 0.0])),
-                R=1.0, r=1.0 / math.e))
-    else:
-        raise ValueError(f"unknown scenario {name!r}")
+        reports = [bounds_mod.check_log_sink_bound(
+            SINK_MATRIX, SINK_START_PAIR, R=1.0, r=1.0 / math.e)
+            for _ in theorems]
     return reports
 
 
@@ -311,6 +302,9 @@ def _cmd_verify(args) -> int:
     for th in theorems:
         if th not in bounds_mod.THEOREM_IDS:
             raise ValueError(f"unknown theorem id {th!r}")
+    for th in theorems:
+        if th not in SCENARIO_THEOREMS[args.scenario]:
+            raise ValueError(f"scenario {args.scenario} does not cover {th}")
     reports = _scenario_reports(args.scenario, theorems, args.seed)
     payload = [r.to_dict() for r in reports]
     _emit(payload if len(payload) != 1 else payload[0], args.out)
@@ -327,14 +321,12 @@ def _cmd_paper_repro(args) -> int:
     circle = Curve(th, np.stack([np.cos(th), np.sin(th), np.zeros_like(th)],
                                 axis=1), closed=True)
     zaxis = AffineSubspace(np.zeros(3), [np.array([0.0, 0.0, 1.0])])
-    from .gausslink import truncated_line_curve
     line_curve = truncated_line_curve(zaxis, 100.0, -3.0, 3.0, 0.05)
     rr = gauss_rotation_pair(circle, line_curve, "signed")
     summary["circle_line_linking_turns"] = {
         "value": rr.value, "error_estimate": rr.error_estimate}
 
     # 2. planar spiral: rotation grows at unit rate around the sink
-    from .fields import spiral2d
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, chord_tol=1e-5)
     rows = []
     for T in (2.0, 5.0, 10.0):
@@ -362,7 +354,6 @@ def _cmd_paper_repro(args) -> int:
     summary["twist_blowup_rows"] = rows
 
     # 4. zero mutual rotation of two off-axis trajectories of the same field
-    from .fields import twist3d
     cfg2 = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, chord_tol=1e-6)
     w1 = integrate_trajectory(twist3d(), np.array([0.05, 0.5, 0.0]), 0.0,
                               0.15, cfg2)
@@ -374,21 +365,16 @@ def _cmd_paper_repro(args) -> int:
     }
 
     # 5. log^2 growth of mutual rotation across shrinking shells
-    rows = []
-    for k in (1, 2, 3, 4):
-        rep = bounds_mod.check_log_sink_bound(
-            SINK_MATRIX,
-            (np.array([1.0, 1.0, 0.0]), np.array([1.0, -1.0, 0.0])),
-            R=1.0, r=math.exp(-k))
-        rows.append({"k": k, "measured_turns": rep.measured,
-                     "bound": rep.bound,
-                     "implied_C": rep.inputs["implied_C"],
-                     "satisfied": rep.satisfied})
-    summary["sink_log_growth_rows"] = rows
+    ks = (1, 2, 3, 4)
+    reps = bounds_mod.check_log_sink_shells(
+        SINK_MATRIX, SINK_START_PAIR, R=1.0, radii=[math.exp(-k) for k in ks])
+    summary["sink_log_growth_rows"] = [
+        {"k": k, "measured_turns": rep.measured, "bound": rep.bound,
+         "implied_C": rep.inputs["implied_C"], "satisfied": rep.satisfied}
+        for k, rep in zip(ks, reps)]
 
     for name, payload in summary.items():
-        with open(os.path.join(outdir, f"{name}.json"), "w") as fh:
-            fh.write(to_json(payload) + "\n")
+        _emit(payload, os.path.join(outdir, f"{name}.json"))
     _emit(summary, os.path.join(outdir, "summary.json"))
     sys.stdout.write(f"wrote {len(summary) + 1} artifacts to {outdir}\n")
     return 0
@@ -468,8 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a bound-verification scenario")
     sp.add_argument("--scenario", required=True,
-                    choices=["spiral-point", "sink-line", "twist-line",
-                             "sink-pair", "sink-log"])
+                    choices=list(SCENARIO_THEOREMS))
     sp.add_argument("--theorem", action="append", required=True)
     seeded(sp)
     sp.set_defaults(func=_cmd_verify)
@@ -486,12 +471,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PreconditionError, ValueError, OSError) as exc:
+    except (PreconditionError, ValueError, OSError, NumericalError) as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return 2
-    except NumericalError as exc:
-        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return 3
+        return 3 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

@@ -161,6 +161,8 @@ class AffineSubspace:
             b = b.reshape(len(b), -1).copy()
         if b.shape[1] != base.shape[0]:
             raise ValueError("basis vectors must match base_point dimension")
+        if not (np.isfinite(base).all() and np.isfinite(b).all()):
+            raise ValueError("base_point and basis must be finite")
         if b.shape[0] > 0:
             gram = b @ b.T
             if np.max(np.abs(gram - np.eye(b.shape[0]))) > 1e-12:

@@ -49,6 +49,18 @@ def test_invariant_subspace_constant_field():
     assert rep.measured < 1e-9 and rep.satisfied
 
 
+def test_overflowing_field_not_invariant():
+    # v2 = 1e308 * x1 is far from zero on the x1-axis, but overflows to a
+    # NaN residual at the probes with |x1| > 1.8; NaN must not pass
+    f = tr.linear([[1e308, 0.0, 0.0], [1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    x1 = np.linspace(-2.5, 2.5, 11)
+    c = tr.Curve(np.linspace(0.0, 1.0, 11),
+                 np.stack([x1, np.ones(11), np.zeros(11)], axis=1))
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(tr.NotInvariant, match="nan"):
+        tr.check_invariant_subspace_bound(f, X_AXIS, c)
+
+
 def test_twist_axis_not_invariant():
     cfg = tr.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, chord_tol=1e-6)
     c = tr.integrate_trajectory(tr.twist3d(), np.array([0.1, 0.5, 0.0]),
@@ -163,6 +175,40 @@ def test_log_sink_thin_shell_small_rotation():
     wide = tr.check_log_sink_bound(SINK_MATRIX, x0s, R=1.0, r=math.exp(-1))
     thin = tr.check_log_sink_bound(SINK_MATRIX, x0s, R=1.0, r=0.9)
     assert thin.measured < 0.25 * wide.measured
+
+
+SINK_X0S = (np.array([1.0, 1.0, 0.0]), np.array([1.0, -1.0, 0.0]))
+
+
+def test_log_sink_shells_match_single_shells():
+    single = {k: tr.check_log_sink_bound(SINK_MATRIX, SINK_X0S, R=1.0,
+                                         r=math.exp(-k)).to_dict()
+              for k in (1, 2, 3, 4)}
+    for ks in ((1, 2, 3, 4), (3, 1, 3, 2)):
+        reps = tr.check_log_sink_shells(SINK_MATRIX, SINK_X0S, 1.0,
+                                        [math.exp(-k) for k in ks])
+        assert [rep.to_dict() for rep in reps] == [single[k] for k in ks]
+        assert reps.satisfied
+
+
+def test_log_sink_shells_integrate_each_start_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(args[1])
+        return tr.integrate_trajectory(*args, **kw)
+
+    monkeypatch.setattr(tr.bounds, "integrate_trajectory", counting)
+    reps = tr.check_log_sink_shells(SINK_MATRIX, SINK_X0S, 1.0,
+                                    [math.exp(-k) for k in (1, 2, 3, 4)])
+    assert len(reps) == 4 and len(calls) == 2
+
+
+@pytest.mark.parametrize("radii", [[], [1.0], [1.5], [0.0], [-0.1],
+                                   [0.5, 1.0], [0.5, math.nan]])
+def test_log_sink_shells_reject_bad_radii(radii):
+    with pytest.raises(ValueError):
+        tr.check_log_sink_shells(SINK_MATRIX, SINK_X0S, 1.0, radii)
 
 
 def test_log_sink_eigenvalue_guard():

@@ -284,6 +284,13 @@ def test_verify_unknown_theorem_exit2(capsys):
     assert "unknown theorem id 'thm3_9'" in err
 
 
+def test_verify_uncovered_theorem_exit2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--scenario", "spiral-point",
+                             "--theorem", "thm3_8")
+    assert code == 2 and out == ""
+    assert err == "ValueError: scenario spiral-point does not cover thm3_8\n"
+
+
 def test_paper_repro_rejects_seed(tmp_path, capsys):
     # paper-repro has no stochastic step, so it takes no --seed
     with pytest.raises(SystemExit) as exc:
@@ -347,6 +354,28 @@ def test_flags_override_config(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("line", ["reltol=1e-3", "max-step=0.5"])
+def test_config_unknown_key_exit2(tmp_path, capsys, line):
+    conf = tmp_path / "conf.txt"
+    conf.write_text(f"rel_tol=1e-10\n{line}\n")
+    out = tmp_path / "c.csv"
+    code, _, err = run_cli(capsys, "integrate", "--field", "spiral2d",
+                           "--x0", "0.5,0", "--t1", "1", "--config", str(conf),
+                           "--out", str(out))
+    assert code == 2
+    assert repr(line.partition("=")[0]) in err
+    assert not out.exists()
+
+
+def test_rotate_non_finite_line_exit2(tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    write_circle_csv(path)
+    code, out, err = run_cli(capsys, "rotate", "--curve", str(path),
+                             "--line", "0,0,0,nan,0,0")
+    assert code == 2 and out == ""
+    assert "must be finite" in err
+
+
 def test_rotate_subspace_flag(tmp_path, capsys):
     t = np.linspace(0.0, 6 * math.pi, 800)
     helix = tr.Curve(t, np.stack([np.cos(t), np.sin(t), 0.15 * t], axis=1))
@@ -381,3 +410,15 @@ def test_paper_repro_artifacts(tmp_path, capsys):
     assert abs(summary["twist_pair_mutual_turns"]["signed"]["value"]) < 1e-4
     growth = [r["measured_turns"] for r in summary["sink_log_growth_rows"]]
     assert growth == sorted(growth)
+
+
+def test_paper_repro_rerun_byte_identical(tmp_path, capsys):
+    outputs = []
+    for name in ("a", "b"):
+        code, out, err = run_cli(capsys, "paper-repro", "--out",
+                                 str(tmp_path / name))
+        assert code == 0, err
+        files = sorted(p.name for p in (tmp_path / name).iterdir())
+        outputs.append((out.replace(str(tmp_path / name), "OUT"), files,
+                        [(tmp_path / name / f).read_bytes() for f in files]))
+    assert outputs[0] == outputs[1]

@@ -169,6 +169,17 @@ def test_affine_subspace_validation():
         tr.AffineSubspace(np.zeros(3), [np.array([1.0, 1.0, 0.0])])
 
 
+@pytest.mark.parametrize("base, basis", [
+    (np.zeros(3), [[math.nan, math.nan, math.nan]]),
+    (np.zeros(3), [[math.nan, 0.0, 0.0]]),
+    (np.array([math.inf, 0.0, 0.0]), [[1.0, 0.0, 0.0]]),
+    (np.array([0.0, math.nan, 0.0]), []),
+])
+def test_affine_subspace_rejects_non_finite(base, basis):
+    with pytest.raises(ValueError, match="finite"):
+        tr.AffineSubspace(base, basis)
+
+
 def test_resample_segment():
     c = tr.Curve([0, 1], [[0.0, 0.0], [1.0, 2.0]])
     r = tr.resample(c, 5)
