@@ -106,7 +106,7 @@ def check_stationary_point_bound(f: FieldSpec, x0, trajectory: Curve,
     """Rotation around a stationary point is at most K * elapsed time."""
     x0 = np.asarray(x0, dtype=np.float64)
     speed = float(np.linalg.norm(eval_field(f, x0)))
-    if speed >= _STATIONARY_TOL:
+    if not speed < _STATIONARY_TOL:  # a NaN speed is not stationary
         raise NotStationary(f"|v(x0)| = {speed:.3g} >= {_STATIONARY_TOL}")
     c, ta, tb = _window(trajectory, window)
     k, inputs = lipschitz_for(f, c.x, [x0], seed=seed)

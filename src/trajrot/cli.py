@@ -127,23 +127,24 @@ def _cfg_from(args, conf) -> IntegratorConfig:
     return IntegratorConfig(**kw)
 
 
+def _unit(d) -> np.ndarray:
+    nrm = np.linalg.norm(d)
+    if nrm == 0:
+        raise ValueError("direction must be nonzero")
+    return d / nrm
+
+
 def _parse_subspace(args) -> AffineSubspace:
     if args.line is not None:
         vals = _floats(args.line)
         if len(vals) % 2 or len(vals) < 4:
             raise ValueError("--line needs base and direction: b1,..,bn,d1,..,dn")
         n = len(vals) // 2
-        base = np.array(vals[:n])
-        d = np.array(vals[n:])
-        nrm = np.linalg.norm(d)
-        if nrm == 0:
-            raise ValueError("line direction must be nonzero")
-        return AffineSubspace(base, [d / nrm])
-    vals_groups = [_floats(g) for g in args.subspace.split(";")]
-    base = np.array(vals_groups[0])
-    dirs = [np.array(g) for g in vals_groups[1:]]
-    dirs = [d / np.linalg.norm(d) for d in dirs]
-    return AffineSubspace(base, dirs)
+        groups = [vals[:n], vals[n:]]
+    else:
+        groups = [_floats(g) for g in args.subspace.split(";")]
+    dirs = [_unit(np.array(g)) for g in groups[1:]]
+    return AffineSubspace(np.array(groups[0]), dirs)
 
 
 # ---------------------------------------------------------------------------

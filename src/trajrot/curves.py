@@ -3,6 +3,10 @@
 A curve is an immutable time-stamped polyline.  All downstream integrals
 (rotation, linking, length) are evaluated segment-wise on the polyline;
 accuracy is controlled by sampling density, not smoothing.
+
+Angles seen from a point take one path: :func:`center_directions` guards
+the point and normalizes each sample's offset once, and
+:func:`unit_angles` gives the angle between two rows of unit directions.
 """
 
 from __future__ import annotations
@@ -295,6 +299,8 @@ def resample(c: Curve, n: int) -> Curve:
 
     The result is a monotone reparametrization of the polyline, so all
     rotation quantities change by at most the quadrature error estimates.
+    Points are interpolated in the curve's own dtype, so longdouble
+    coordinates below the float64 range survive.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -305,11 +311,10 @@ def resample(c: Curve, n: int) -> Curve:
         raise ValueError("cannot arc-length resample a zero-length curve")
     targets = np.linspace(0.0, total, n)
     ts = np.interp(targets, s, c.t)
-    xs = np.empty((n, c.dim), dtype=c.x.dtype)
-    for j in range(c.dim):
-        xs[:, j] = np.interp(targets, s, c.x[:, j].astype(np.float64, copy=False))
-    if c.x.dtype == np.longdouble:
-        xs = xs.astype(np.longdouble)
+    i = np.minimum(np.searchsorted(s, targets, side="right") - 1, len(seg) - 1)
+    ds = s[i + 1] - s[i]
+    w = np.divide(targets - s[i], ds, out=np.zeros(n), where=ds > 0)
+    xs = c.x[i] + w.astype(c.x.dtype)[:, None] * (c.x[i + 1] - c.x[i])
     # duplicate interior points (zero-length segments) can produce tied
     # times; nudge them apart monotonically
     for i in range(1, n):
@@ -338,8 +343,7 @@ def spherical_blowup(c: Curve, center, guard: float | None = None) -> SphericalC
     Raises :class:`DistanceTooSmall` if the polyline comes within
     ``guard`` of the center (default: 1e-7 of the curve diameter).
     """
-    pts = safe_unit_rows(center_offsets(c, center, guard)).astype(
-        np.float64, copy=False)
+    pts = center_directions(c, center, guard).astype(np.float64, copy=False)
     return SphericalCurve(Curve(c.t, pts, closed=c.closed))
 
 
@@ -378,22 +382,21 @@ def safe_norms(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def segment_angles(a: np.ndarray, b: np.ndarray, center) -> np.ndarray:
-    """Angle subtended at ``center`` by each segment ``[a_i, b_i]``.
+def unit_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Angle between unit rows ``u_i`` and ``v_i``.
 
-    ``2 atan2(|u - v|, |u + v|)`` on the unit directions u, v of the two
-    endpoints, accurate from tiny angles up to pi.  A row with an endpoint
-    exactly at ``center`` has no direction and gives NaN.
+    ``2 atan2(|u - v|, |u + v|)``, accurate from tiny angles up to pi.
     """
-    c = np.asarray(center, dtype=a.dtype)
-    u = safe_unit_rows(a - c)
-    v = safe_unit_rows(b - c)
     return 2.0 * np.arctan2(safe_norms(u - v), safe_norms(u + v))
 
 
-def subtended_angles(points: np.ndarray, center) -> np.ndarray:
-    """Angle subtended at ``center`` by each polyline segment."""
-    return segment_angles(points[:-1], points[1:], center)
+def segment_angles(a: np.ndarray, b: np.ndarray, center) -> np.ndarray:
+    """Angle subtended at ``center`` by each segment ``[a_i, b_i]``: the
+    :func:`unit_angles` of the unit directions of its endpoints.  A row
+    with an endpoint exactly at ``center`` has no direction and gives NaN.
+    """
+    c = np.asarray(center, dtype=a.dtype)
+    return unit_angles(safe_unit_rows(a - c), safe_unit_rows(b - c))
 
 
 def _rowdot(a, b):
@@ -419,9 +422,10 @@ def point_segment_distances(q, p, d) -> np.ndarray:
     return m * np.sqrt(_rowdot(r, r))
 
 
-def center_offsets(c: Curve, center, guard: float | None = None) -> np.ndarray:
-    """``c.x - center``, once the polyline is known to stay farther than
-    ``guard`` from ``center`` (default: 1e-7 of the curve diameter).
+def center_directions(c: Curve, center, guard: float | None = None) -> np.ndarray:
+    """Unit directions ``(c.x - center) / |c.x - center|``, once the
+    polyline is known to stay farther than ``guard`` from ``center``
+    (default: 1e-7 of the curve diameter).
 
     The guard sees the exact distance to every segment, not only to the
     samples.  Raises :class:`DimensionMismatch` or
@@ -436,7 +440,7 @@ def center_offsets(c: Curve, center, guard: float | None = None) -> np.ndarray:
     if not rmin > g:
         raise DistanceTooSmall(
             f"curve comes within {float(rmin):.3g} of the center (guard {g:.3g})")
-    return d
+    return safe_unit_rows(d)
 
 
 def planar_angle_increments(d: np.ndarray) -> np.ndarray:

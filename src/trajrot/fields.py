@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NumericalError
 
 # Below this x1 the twist profile amplitude exp(-1/x1^2) < 1e-300000...,
 # i.e. far beyond any float underflow; the field is numerically (1, 0, 0).
@@ -291,7 +291,9 @@ def estimate_lipschitz(f: FieldSpec, region: Ball, n: int = 4096,
     pass ``method="sampled"`` to force pair sampling for them too.
     The sampled estimate is the max difference quotient over ``n`` random
     point pairs, deterministic given ``seed`` -- a lower bound of the
-    true constant that works for non-differentiable fields too.
+    true constant that works for non-differentiable fields too.  Raises
+    :class:`NumericalError` when no pair is usable or the largest
+    quotient is not finite: such a K would measure nothing.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -310,8 +312,12 @@ def estimate_lipschitz(f: FieldSpec, region: Ball, n: int = 4096,
     ys = sample_ball(rng, region, n)
     sep = np.linalg.norm(xs - ys, axis=1)
     ok = sep > 1e-12 * region.radius
+    if not np.any(ok):
+        raise NumericalError("no usable sample pair for the Lipschitz estimate")
     dv = np.linalg.norm(field_values(f, xs[ok]) - field_values(f, ys[ok]), axis=1)
-    k = float(np.max(dv / sep[ok])) if np.any(ok) else 0.0
+    k = float(np.max(dv / sep[ok]))
+    if not np.isfinite(k):
+        raise NumericalError(f"sampled Lipschitz quotient is {k}")
     return LipschitzEstimate(k, region, "sampled", int(np.sum(ok)))
 
 

@@ -27,12 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (AffineSubspace, Curve, RotationResult, _decimated,
-                     _rowdot, planar_angle_increments,
-                     point_segment_distances)
+                     _rowdot, point_segment_distances)
 from .errors import (CurvesTooClose, DimensionMismatch, DistanceTooSmall,
                      NonTransversal, NotClosed, NotPlanar,
                      QuadratureInconclusive, SampleBudgetExceeded)
-from .rotation import rotation_around_subspace
+from .rotation import rotation_around_subspace, signed_winding_plane
 
 # Segment pairs per row chunk of the vertex grid; keeps the chunk's
 # temporaries cache-sized.
@@ -212,45 +211,21 @@ def linking_coefficient(c1: Curve, c2: Curve,
 
 
 # ---------------------------------------------------------------------------
-# topological cross-check: crossings through a flat spanning disk
-
-
-def _segments_intersect_2d(poly) -> bool:
-    """Any non-adjacent segment pair of the closed polygon intersecting?"""
-    a = poly[:-1]
-    b = poly[1:]
-    n = len(a)
-
-    def orient(p, q, r):
-        return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) \
-            - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0])
-
-    for i in range(n - 2):
-        j0 = i + 2
-        j1 = n - 1 if i == 0 else n  # skip the wrap-adjacent pair for i=0
-        if j0 >= j1:
-            continue
-        p, q = a[i], b[i]
-        rs = a[j0:j1]
-        ss = b[j0:j1]
-        d1 = orient(p[None, :], q[None, :], rs)
-        d2 = orient(p[None, :], q[None, :], ss)
-        d3 = orient(rs, ss, p[None, :].repeat(len(rs), axis=0))
-        d4 = orient(rs, ss, q[None, :].repeat(len(rs), axis=0))
-        hit = (d1 * d2 < 0) & (d3 * d4 < 0)
-        if np.any(hit):
-            return True
-    return False
+# topological cross-check: crossings through c1's plane, weighted by winding
 
 
 def topological_linking_planar(c1: Curve, c2: Curve) -> int:
-    """Signed count of crossings of ``c2`` through the flat interior of the
-    planar simple closed curve ``c1``.
+    """Linking number of ``c2`` with a closed curve ``c1`` that lies in a
+    plane, counted as an intersection number.
 
-    Crossing signs follow the curve orientations: passing through the disk
-    in the direction that makes a right-handed screw with ``c1``'s
-    (counterclockwise) orientation counts +1, matching the sign of the
-    Gauss integral for a circle/line pair.
+    Each crossing of ``c2`` through the plane of ``c1`` counts the winding
+    number of ``c1`` around the crossing point, signed by the direction
+    of the crossing (Rolfsen, Knots and Links, 1976, 5.D).  Both are
+    measured against the same normal, so the count needs no spanning
+    disk: ``c1`` may cross itself, and its orientation sets the sign the
+    same way it does for the Gauss integral.  A crossing closer to ``c1``
+    than the default guard of its plane curve has no trusted winding
+    number and raises :class:`DistanceTooSmall`.
     """
     if c1.dim != 3 or c2.dim != 3:
         raise DimensionMismatch("planar linking check requires 3-space curves")
@@ -258,34 +233,25 @@ def topological_linking_planar(c1: Curve, c2: Curve) -> int:
         raise NotClosed("c1 must be closed")
     x1 = c1.x.astype(np.float64, copy=False)
     centroid = x1[:-1].mean(axis=0)
-    u, s, vt = np.linalg.svd(x1 - centroid, full_matrices=False)
+    _, _, vt = np.linalg.svd(x1 - centroid, full_matrices=False)
     scale = max(c1.diameter_bound(), 1e-30)
     dev = float(np.max(np.abs((x1 - centroid) @ vt[2])))
     if dev > 1e-9 * scale:
         raise NotPlanar(f"c1 deviates {dev:.3g} from its best plane")
-    e1, e2 = vt[0], vt[1]
-    normal = np.cross(e1, e2)
-    poly = (x1 - centroid) @ np.stack([e1, e2], axis=1)
-    if _segments_intersect_2d(poly):
-        raise NotPlanar("c1 is not simple (self-intersecting)")
-    # orient the normal so that c1 runs counterclockwise around it
-    area2 = float(np.sum(poly[:-1, 0] * poly[1:, 1] - poly[1:, 0] * poly[:-1, 1]))
-    if area2 < 0:
-        normal = -normal
+    frame = vt[:2].T
+    normal = np.cross(vt[0], vt[1])
+    plane = Curve(c1.t, (x1 - centroid) @ frame, closed=True)
 
-    h = (c2.x.astype(np.float64, copy=False) - centroid) @ normal
+    x2 = c2.x.astype(np.float64, copy=False) - centroid
+    h = x2 @ normal
     if np.any(h == 0.0):
         raise NonTransversal("a sample of c2 lies exactly on the plane of c1")
     total = 0
-    x2 = c2.x.astype(np.float64, copy=False)
-    flips = np.nonzero(h[:-1] * h[1:] < 0)[0]
-    for i in flips:
+    for i in np.nonzero(h[:-1] * h[1:] < 0)[0]:
         tau = h[i] / (h[i] - h[i + 1])
-        p = x2[i] + tau * (x2[i + 1] - x2[i])
-        pu = np.array([float((p - centroid) @ e1), float((p - centroid) @ e2)])
-        turns = float(np.sum(planar_angle_increments(poly - pu))) / (2 * math.pi)
-        if round(abs(turns)) != 0:
-            total += 1 if h[i + 1] > 0 else -1
+        p = (x2[i] + tau * (x2[i + 1] - x2[i])) @ frame
+        turns = round(signed_winding_plane(plane, p).value)
+        total += turns if h[i + 1] > 0 else -turns
     return total
 
 

@@ -1,14 +1,19 @@
 """Rotation of a single curve around a point or an affine subspace.
 
+Both kernels start from the unit directions of
+:func:`~trajrot.curves.center_directions`, normalized once per sample.
+
 Absolute rotation is the length of the spherical blow-up.  Each polyline
-segment blows up to a great-circle arc of the angle it subtends, so its
-chord sums have a closed form (nodes at equal subtended angles, chords of
+segment blows up to a great-circle arc of the angle it subtends
+(:func:`~trajrot.curves.unit_angles` of its two directions), so its chord
+sums have a closed form (nodes at equal subtended angles, chords of
 ``2 sin(phi/2)``); sums at two resolutions give a Richardson value and
 error estimate, with no subdivision and no cap.
 
 Signed planar winding sums atan2-based angle increments per segment; a
 straight segment never subtends an angle >= pi from a point off the
-segment, so the increment sum is branch-cut free.
+segment, so the increment sum is branch-cut free.  It is the one place
+that sums a planar winding number around a point.
 """
 
 from __future__ import annotations
@@ -18,21 +23,21 @@ import math
 import numpy as np
 
 from .curves import (AffineSubspace, Curve, MAX_SEGMENT_ANGLE, RotationResult,
-                     _decimated, center_offsets, planar_angle_increments,
-                     project_to_complement, safe_unit_rows, subtended_angles)
+                     _decimated, center_directions, planar_angle_increments,
+                     project_to_complement, unit_angles)
 from .errors import CodimensionError, DimensionMismatch
 
 
-def _blowup_length(d):
-    """Chord-sum length of the spherical blow-up of offsets ``d``, with
-    its Richardson value, error term and fine node count.
+def _blowup_length(u):
+    """Chord-sum length of the spherical blow-up with unit directions
+    ``u``, with its Richardson value, error term and fine node count.
 
     A segment's blow-up is a great-circle arc of its subtended angle
     theta.  It is cut into ``k = ceil(theta / MAX_SEGMENT_ANGLE)`` arcs of
     equal angle, whose chords are ``2 sin(theta / 2k)`` in closed form,
     and the sum is compared against the same sum on ``2k`` arcs.
     """
-    theta = subtended_angles(d, 0.0).astype(np.float64, copy=False)
+    theta = unit_angles(u[:-1], u[1:]).astype(np.float64, copy=False)
     k = np.maximum(np.ceil(theta / MAX_SEGMENT_ANGLE), 1.0)
     a1 = float(np.sum(2.0 * k * np.sin(theta / (2.0 * k))))
     a2 = float(np.sum(4.0 * k * np.sin(theta / (4.0 * k))))
@@ -53,11 +58,11 @@ def absolute_rotation_point(c: Curve, x0, guard: float | None = None) -> Rotatio
     the decimated copy needs none, since a chord of it that passes
     through ``x0`` only subtends pi and shows up in the decimation term.
     """
-    d = center_offsets(c, x0, guard)
-    value, quad_err, n_fine = _blowup_length(d)
+    u = center_directions(c, x0, guard)
+    value, quad_err, n_fine = _blowup_length(u)
     sampling_err = 0.0
     if c.n_samples >= 5:
-        sampling_err = abs(value - _blowup_length(_decimated(d))[0])
+        sampling_err = abs(value - _blowup_length(_decimated(u))[0])
     err = quad_err + sampling_err + 1e-15 * (1.0 + n_fine)
     return RotationResult(max(value, 0.0), err, "absolute_radians")
 
@@ -72,14 +77,13 @@ def signed_winding_plane(c: Curve, x0, guard: float | None = None) -> RotationRe
     """
     if c.dim != 2:
         raise DimensionMismatch("signed winding requires a planar curve")
-    d = center_offsets(c, x0, guard)
+    u = center_directions(c, x0, guard)
 
     def wind(v):
-        inc = planar_angle_increments(safe_unit_rows(v))
-        return float(np.sum(inc)) / (2.0 * math.pi)
+        return float(np.sum(planar_angle_increments(v))) / (2.0 * math.pi)
 
-    value = wind(d)
-    err = abs(value - wind(_decimated(d))) + 1e-15 * len(d)
+    value = wind(u)
+    err = abs(value - wind(_decimated(u))) + 1e-15 * len(u)
     return RotationResult(value, err, "signed_turns")
 
 

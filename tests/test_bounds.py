@@ -24,6 +24,13 @@ def test_stationary_requires_zero_field():
                                         tr.twist_invariant_curve(0.1, 0.3))
 
 
+def test_stationary_rejects_nan_speed():
+    # v(0, 1e200) overflows to [nan, inf]: not a stationary point
+    c = tr.Curve([0, 1, 2], [[1, 0], [0, 1], [-1, 0]])
+    with pytest.warns(RuntimeWarning), pytest.raises(tr.NotStationary):
+        tr.check_stationary_point_bound(tr.spiral2d(), [0.0, 1e200], c)
+
+
 def test_stationary_constant_curve_at_linear_fixed_point():
     f = tr.linear(-np.eye(2))
     t = np.linspace(0, 1, 10)

@@ -376,6 +376,17 @@ def test_rotate_non_finite_line_exit2(tmp_path, capsys):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--line", "0,0,0,0,0,0"),
+                                        ("--subspace", "0,0,0;0,0,0")])
+def test_rotate_zero_direction_exit2(tmp_path, capsys, flag, value):
+    path = tmp_path / "c.csv"
+    write_circle_csv(path)
+    code, out, err = run_cli(capsys, "rotate", "--curve", str(path),
+                             flag, value)
+    assert code == 2 and out == ""
+    assert "direction must be nonzero" in err
+
+
 def test_rotate_subspace_flag(tmp_path, capsys):
     t = np.linspace(0.0, 6 * math.pi, 800)
     helix = tr.Curve(t, np.stack([np.cos(t), np.sin(t), 0.15 * t], axis=1))

@@ -214,6 +214,18 @@ def test_resample_rotation_invariance(spiral_traj):
     assert abs(rot.value - rot2.value) < rot.error_estimate + rot2.error_estimate
 
 
+def test_resample_keeps_longdouble_precision():
+    # the twist profile's (x2, x3) sit far below the float64 range
+    c = tr.twist_invariant_curve(0.025, 0.2)
+    assert c.x.dtype == np.longdouble
+    r = tr.resample(c, 4000)
+    assert r.x.dtype == np.longdouble
+    assert np.all(np.any(r.x[:, 1:] != 0, axis=1))
+    x1_axis = tr.AffineSubspace(np.zeros(3), [[1.0, 0.0, 0.0]])
+    rr = tr.rotation_around_subspace(r, x1_axis, "absolute", guard=0.0)
+    assert abs(rr.value - (1 / 0.025 - 1 / 0.2)) <= rr.error_estimate
+
+
 _coord = st.floats(-10.0, 10.0, allow_nan=False)
 _vec3 = st.tuples(_coord, _coord, _coord)
 

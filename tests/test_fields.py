@@ -90,6 +90,18 @@ def test_lipschitz_diagonal_linear():
     assert abs(est.K - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("radius", [np.inf, 1e300])
+def test_lipschitz_sampled_needs_finite_pairs(radius):
+    # an infinite ball leaves no usable pair; a huge one gives NaN quotients
+    with pytest.warns(RuntimeWarning), pytest.raises(tr.NumericalError):
+        tr.estimate_lipschitz(tr.spiral2d(), tr.Ball([0.0, 0.0], radius))
+
+
+def test_lipschitz_for_overflowing_region():
+    with pytest.warns(RuntimeWarning), pytest.raises(tr.NumericalError):
+        tr.lipschitz_for(tr.spiral2d(), [[0.0, 0.0], [1e160, 0.0]])
+
+
 def test_lipschitz_spiral_close_to_dense_oracle():
     ball = tr.Ball(np.zeros(2), 1.2)
     oracle = tr.estimate_lipschitz(tr.spiral2d(), ball, n=1_000_000, seed=99)

@@ -7,7 +7,7 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 import trajrot as tr
-from trajrot.curves import segment_angles, subtended_angles
+from trajrot.curves import segment_angles
 from trajrot.flow import _dense_output, _hermite
 
 from conftest import SINK_MATRIX, sink_closed_form
@@ -104,7 +104,7 @@ def test_obs_center_angle_refinement():
     c = tr.integrate_trajectory(f, x0, 0.0, 2.0,
                                 tr.IntegratorConfig(chord_tol=0.5),
                                 obs_centers=[center])
-    assert float(np.max(subtended_angles(c.x, center))) <= 0.05 + 1e-12
+    assert float(np.max(segment_angles(c.x[:-1], c.x[1:], center))) <= 0.05 + 1e-12
 
 
 def test_deterministic_given_config():
@@ -189,7 +189,8 @@ def test_angle_refinement_at_two_centers():
         alone = tr.integrate_trajectory(f, x0, 0.0, 2.0, cfg,
                                         obs_centers=[center])
         assert both.n_samples > alone.n_samples
-        assert float(np.max(subtended_angles(both.x, center))) <= 0.05
+        assert float(np.max(segment_angles(both.x[:-1], both.x[1:],
+                                            center))) <= 0.05
 
 
 def _dense_output_reference(ts, hs, ys, fs, centers, chord_tol):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import dblquad
 
 import trajrot as tr
@@ -108,6 +108,66 @@ def test_topological_nonplanar_guard():
     c2 = circle3d(n=101, center=(0.0, 0.0, 2.0))
     with pytest.raises(tr.NotPlanar):
         tr.topological_linking_planar(saddle, c2)
+
+
+def figure_eight(s):
+    """(sin s, sin s cos s, 0): crosses itself at the origin when s hits
+    a multiple of pi."""
+    pts = np.stack([np.sin(s), np.sin(s) * np.cos(s), 0 * s], axis=1)
+    return tr.Curve(np.arange(len(s), dtype=float), pts, closed=True)
+
+
+def lobe_ring(n=801):
+    """Circle through the left lobe of the figure-eight at x = -0.7."""
+    phi = np.linspace(0, 2 * math.pi, n) + 0.37
+    pts = np.stack([0.5 + 1.2 * np.cos(phi), np.full(n, 1e-3),
+                    1.2 * np.sin(phi)], axis=1)
+    return tr.Curve(np.arange(n, dtype=float), pts, closed=True)
+
+
+@pytest.mark.parametrize("s", [np.linspace(0, 2 * math.pi, 2001),
+                               np.linspace(0, 2 * math.pi, 2000) + 0.3],
+                         ids=["crossing_on_sample", "crossing_off_samples"])
+def test_topological_self_crossing_planar_curve(s):
+    c1, c2 = figure_eight(s), lobe_ring()
+    lk = tr.linking_coefficient(c1, c2)
+    assert lk.nearest_integer == -1
+    assert tr.topological_linking_planar(c1, c2) == lk.nearest_integer
+
+
+def test_topological_crossing_on_curve_too_close():
+    # the segment pierces the plane at a vertex of the circle, where the
+    # winding number is undefined
+    segment = tr.Curve([0, 1], [[1.0, 0.0, -1.0], [1.0, 0.0, 1.0]])
+    with pytest.raises(tr.DistanceTooSmall):
+        tr.topological_linking_planar(circle3d(n=301), segment)
+
+
+def closed_polygon_through(points):
+    return tr.Curve(np.arange(len(points) + 1, dtype=float),
+                    np.concatenate([points, points[:1]]), closed=True)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+@settings(max_examples=200, deadline=None)
+def test_topological_count_matches_gauss_integral(seed):
+    # a planar polygon in a random plane, self-crossings allowed, against
+    # a random closed polygon
+    rng = np.random.default_rng(seed)
+    flat = np.zeros((rng.integers(3, 12), 3))
+    flat[:, :2] = rng.uniform(-1.0, 1.0, (len(flat), 2))
+    c1 = closed_polygon_through(flat @ random_rotation(rng).T
+                                + rng.uniform(-0.3, 0.3, 3))
+    c2 = closed_polygon_through(rng.uniform(-1.5, 1.5,
+                                            (rng.integers(3, 12), 3)))
+    try:
+        want = tr.linking_coefficient(c1, c2).nearest_integer
+        got = tr.topological_linking_planar(c1, c2)
+    except tr.NotPlanar:
+        raise  # c1 is planar by construction
+    except (tr.PreconditionError, tr.QuadratureInconclusive):
+        assume(False)
+    assert got == want
 
 
 def test_symmetry_under_swap():
