@@ -21,7 +21,7 @@ from .errors import (DistanceTooSmall, EigenvalueSignError, NotInvariant,
 from .fields import (FieldSpec, enclosing_ball, estimate_lipschitz,
                      eval_field, field_values, linear, operator_norm)
 from .flow import IntegratorConfig, integrate_trajectory
-from .gausslink import gauss_rotation_pair
+from .gausslink import gauss_rotation_nested, gauss_rotation_pair
 from .rotation import absolute_rotation_point, rotation_around_subspace
 
 THEOREM_IDS = ("prop3_1", "prop3_2", "thm3_4", "thm3_8", "cor3_10",
@@ -169,15 +169,8 @@ def check_pair_bound(traj1: Curve, traj2: Curve, windows=None, *, K: float,
                      guard=None) -> BoundReport:
     """Mutual absolute rotation of two trajectories of one K-Lipschitz
     field is at most (K/pi) min(T1,T2) + (1/4pi) K^2 T1 T2 (turns)."""
-    w1, w2 = windows if windows is not None else (None, None)
-    c1, a1, b1 = _window(traj1, w1)
-    c2, a2, b2 = _window(traj2, w2)
-    t1, t2 = b1 - a1, b2 - a2
-    rr = gauss_rotation_pair(c1, c2, "absolute", guard=guard)
-    bound = (K / math.pi) * min(t1, t2) + (K * K / (4 * math.pi)) * t1 * t2
-    inputs = {"K": K, "T1": t1, "T2": t2}
-    return _report("thm3_8", rr.value, bound, inputs,
-                   {"rotation": rr.error_estimate})
+    return _pair_reports(traj1, traj2, ("thm3_8",), windows, K=K,
+                         guard=guard)[0]
 
 
 def _max_point_rotation(c: Curve, grid_points, K, T, guard):
@@ -204,25 +197,44 @@ def check_pair_bound_refined(traj1: Curve, traj2: Curve, windows=None, *,
     """Refined mutual-rotation bound (K/4pi) min(R1 T2, R2 T1), where R_i
     is the largest rotation of trajectory i around sampled points of the
     other one (with the 4 + K*T_i fallback at too-close grid points)."""
+    return _pair_reports(traj1, traj2, ("cor3_10",), windows, K=K,
+                         grid=grid, guard=guard)[0]
+
+
+def _pair_reports(traj1: Curve, traj2: Curve, theorem_ids, windows=None, *,
+                  K: float, grid: int = 64, guard=None) -> list:
+    """The thm3_8 and cor3_10 reports named in ``theorem_ids``, in order,
+    all from one measurement of the pair's mutual absolute rotation."""
     w1, w2 = windows if windows is not None else (None, None)
     c1, a1, b1 = _window(traj1, w1)
     c2, a2, b2 = _window(traj2, w2)
     t1, t2 = b1 - a1, b2 - a2
     rr = gauss_rotation_pair(c1, c2, "absolute", guard=guard)
 
-    def grid_of(c):
-        idx = np.linspace(0, c.n_samples - 1, grid).round().astype(int)
-        return c.x.astype(np.float64, copy=False)[np.unique(idx)]
+    def direct():
+        bound = (K / math.pi) * min(t1, t2) \
+            + (K * K / (4 * math.pi)) * t1 * t2
+        inputs = {"K": K, "T1": t1, "T2": t2}
+        return _report("thm3_8", rr.value, bound, inputs,
+                       {"rotation": rr.error_estimate})
 
-    r1, e1, f1 = _max_point_rotation(c1, grid_of(c2), K, t1, guard)
-    r2, e2, f2 = _max_point_rotation(c2, grid_of(c1), K, t2, guard)
-    bound = (K / (4 * math.pi)) * min(r1 * t2, r2 * t1)
-    inputs = {"K": K, "T1": t1, "T2": t2, "R1": r1, "R2": r2,
-              "R_grid": grid, "R_fallbacks": f1 + f2}
-    return _report("cor3_10", rr.value, bound, inputs,
-                   {"rotation": rr.error_estimate,
-                    "R1": e1 * (K / (4 * math.pi)) * t2,
-                    "R2": e2 * (K / (4 * math.pi)) * t1})
+    def refined():
+        def grid_of(c):
+            idx = np.linspace(0, c.n_samples - 1, grid).round().astype(int)
+            return c.x.astype(np.float64, copy=False)[np.unique(idx)]
+
+        r1, e1, f1 = _max_point_rotation(c1, grid_of(c2), K, t1, guard)
+        r2, e2, f2 = _max_point_rotation(c2, grid_of(c1), K, t2, guard)
+        bound = (K / (4 * math.pi)) * min(r1 * t2, r2 * t1)
+        inputs = {"K": K, "T1": t1, "T2": t2, "R1": r1, "R2": r2,
+                  "R_grid": grid, "R_fallbacks": f1 + f2}
+        return _report("cor3_10", rr.value, bound, inputs,
+                       {"rotation": rr.error_estimate,
+                        "R1": e1 * (K / (4 * math.pi)) * t2,
+                        "R2": e2 * (K / (4 * math.pi)) * t1})
+
+    build = {"thm3_8": direct, "cor3_10": refined}
+    return [build[th]() for th in theorem_ids]
 
 
 def _clip_to_shell(c: Curve, r: float, R: float) -> Curve:
@@ -267,8 +279,13 @@ def check_log_sink_shells(L_matrix, x0_pair, R: float, radii) -> ShellReports:
     LOG_SINK_REFERENCE_C * |L| * log^2(R/r) / |ell|; one report per radius,
     in the order given.  ``ell`` is the largest eigenvalue real part (must
     be negative).  Each start point is integrated once, to the horizon of
-    the smallest r.  The reports carry the constant implied by each
-    measurement so its stability can be regression-checked across shells.
+    the smallest r.  All shells enter at the same time, where the
+    trajectory crosses |x| = R, so each shell's clipped curve is the
+    largest shell's up to its own last sample plus one interpolated end
+    point: one Gauss pass over the largest shell (and one over its
+    decimated copy) measures every shell, with the largest shell's guard.
+    The reports carry the constant implied by each measurement so its
+    stability can be regression-checked across shells.
     """
     L = np.asarray(L_matrix, dtype=np.float64)
     radii = tuple(radii)
@@ -286,12 +303,17 @@ def check_log_sink_shells(L_matrix, x0_pair, R: float, radii) -> ShellReports:
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12,
                            max_step=min(0.02 / max(norm_l, 1e-6), horizon / 50),
                            chord_tol=1e-6)
-    trajs = [integrate_trajectory(f, np.asarray(x0, dtype=np.float64),
-                                  0.0, horizon, cfg) for x0 in x0_pair]
+
+    def clipped(x0):
+        traj = integrate_trajectory(f, np.asarray(x0, dtype=np.float64),
+                                    0.0, horizon, cfg)
+        return [_clip_to_shell(traj, r, R) for r in radii]
+
+    # one (c1, c2) pair per radius; the whole trajectories are not kept
+    shells = list(zip(*map(clipped, x0_pair)))
     reports = []
-    for r in radii:
-        c1, c2 = (_clip_to_shell(traj, r, R) for traj in trajs)
-        rr = gauss_rotation_pair(c1, c2, "absolute")
+    for r, (c1, c2), rr in zip(radii, shells,
+                               gauss_rotation_nested(shells, "absolute")):
         log_ratio = math.log(R / r)
         bound = LOG_SINK_REFERENCE_C * norm_l * log_ratio ** 2 / abs(ell)
         implied = rr.value * abs(ell) / (norm_l * log_ratio ** 2)

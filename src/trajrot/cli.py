@@ -288,9 +288,7 @@ def _scenario_reports(name, theorems, seed):
     elif name == "sink-pair":
         f, t1, t2 = _sink_pair_curves()
         k, _ = bounds_mod.lipschitz_for(f, t1.x, seed=seed)
-        check = {"thm3_8": bounds_mod.check_pair_bound,
-                 "cor3_10": bounds_mod.check_pair_bound_refined}
-        reports = [check[th](t1, t2, K=k) for th in theorems]
+        reports = bounds_mod._pair_reports(t1, t2, theorems, K=k)
     elif name == "sink-log":
         reports = [bounds_mod.check_log_sink_bound(
             SINK_MATRIX, SINK_START_PAIR, R=1.0, r=1.0 / math.e)

@@ -17,6 +17,15 @@ Biopolymers 54, 2000).  On one pair the kernel's numerator
 sum of the pairs' unsigned solid angles.  The error estimate therefore
 carries no quadrature term, only how far the polylines may sit from the
 curves they sample (a decimation comparison) plus roundoff.
+
+Windows ``[t0, t]`` of two fixed curves with one shared start ``t0`` (the
+nested log-sink shells) need no pass of their own: each window's
+polyline is the longest window's up to its own last sample, plus one
+interpolated end vertex, and the same holds for the decimated copies.
+So :func:`gauss_rotation_nested` evaluates the longest pair's grid once,
+sums each window's block of it, and adds the pairs on each window's own
+end segments as two thin strips.  :func:`gauss_rotation_pair` is its
+one-pair call.
 """
 
 from __future__ import annotations
@@ -83,52 +92,59 @@ def _segment_distances(p1, d1, p2, d2):
     return np.where(inside, np.minimum(best, interior), best)
 
 
-def _pair_solid_angles(x1, x2, absolute, guard):
-    """Exact Gauss double integral of two polylines, times 4 pi, and a
-    bound on its roundoff (radians).
+class _Polyline:
+    """Centered polyline vertices ``x`` (and ``y``, their transpose) with
+    the per-segment terms the kernel reuses: directions ``d``, their
+    lengths, and ``a = p x d`` for each segment's first vertex ``p``."""
+
+    __slots__ = ("x", "y", "d", "length", "a", "a_norm")
+
+    def __init__(self, x):
+        self.x = x
+        self.y = x.T.copy()
+        self.d = np.diff(x, axis=0)
+        self.length = np.linalg.norm(self.d, axis=1)
+        self.a = np.cross(x[:-1], self.d)
+        self.a_norm = np.linalg.norm(self.a, axis=1)
+
+
+def _chunk_angles(s1, s2, guard):
+    """Solid angles of all segment pairs (i, j) of two centered polylines,
+    yielded one row chunk ``i0 <= i < i1`` at a time as
+    ``(i0, vals, i, j, conds)``: the grid ``vals[i - i0, j]``, the pairs
+    flagged as close ``(i - i0, j)`` and each triangle's condition number
+    on them.
 
     Segment pair (i, j) has corners ``r_ab = x1[i+a] - x2[j+b]``.  Its
-    value is ``2 atan2(N, D1) + 2 atan2(N, D2)`` with the common numerator
+    value is ``atan2(N, D1) + atan2(N, D2)`` with the common numerator
     ``N = <p1 - p2, d1 x d2>`` and the Van Oosterom-Strackee denominators
     of the triangles (r00, r10, r11) and (r00, r11, r01).  A pair whose
     corner distance cannot rule out an approach within ``guard`` or
     within its own length ``l1 + l2`` gets its exact segment distance:
     the guard is checked against it, and it sets the pair's conditioning.
+    A generator frees a chunk's temporaries one by one as the next chunk
+    replaces them; freeing all at once on return lets the allocator give
+    their pages back and refault them each chunk (a 40% slower pass).
     """
-    # translation leaves N unchanged; centering keeps p1 x d1 small
-    center = 0.5 * (x1.mean(axis=0) + x2.mean(axis=0))
-    x1 = x1 - center
-    x2 = x2 - center
-    d1 = np.diff(x1, axis=0)
-    d2 = np.diff(x2, axis=0)
-    length1 = np.linalg.norm(d1, axis=1)
-    length2 = np.linalg.norm(d2, axis=1)
-    reach1 = 2.0 * length1 + guard
-    reach2 = 2.0 * length2
-    # N = <p1 x d1, d2> + <d1, p2 x d2>: two small matmuls per chunk
-    a1 = np.cross(x1[:-1], d1)
-    a2t = np.cross(x2[:-1], d2).T
-    a1_norm = np.linalg.norm(a1, axis=1)
-    a2_norm = np.linalg.norm(a2t, axis=0)
-    d2t = d2.T
-    y1 = x1.T.copy()
-    y2 = x2.T.copy()
-    rows = max(1, _CHUNK_PAIRS // len(d2))
-    partials = []
-    conditioning = float(len(d1) * len(d2))
-    for i0 in range(0, len(d1), rows):
-        i1 = min(i0 + rows, len(d1))
-        # corner vectors, one plane per coordinate: (rows + 1, n2 + 1)
-        rx, ry, rz = (y1[k, i0:i1 + 1, None] - y2[k] for k in range(3))
+    rows = max(1, _CHUNK_PAIRS // len(s2.d))
+    reach1 = 2.0 * s1.length + guard
+    reach2 = 2.0 * s2.length
+    for i0 in range(0, len(s1.d), rows):
+        i1 = min(i0 + rows, len(s1.d))
+        # corner vectors, one plane per coordinate: (i1 - i0 + 1, n2)
+        rx, ry, rz = (s1.y[k, i0:i1 + 1, None] - s2.y[k]
+                      for k in range(3))
         R = np.sqrt(rx * rx + ry * ry + rz * rz)
         e1 = rx[:-1] * rx[1:] + ry[:-1] * ry[1:] + rz[:-1] * rz[1:]
         e2 = rx[:, :-1] * rx[:, 1:] + ry[:, :-1] * ry[:, 1:] \
             + rz[:, :-1] * rz[:, 1:]
         dg = rx[:-1, :-1] * rx[1:, 1:] + ry[:-1, :-1] * ry[1:, 1:] \
             + rz[:-1, :-1] * rz[1:, 1:]
-        r00, r10, r01, r11 = R[:-1, :-1], R[1:, :-1], R[:-1, 1:], R[1:, 1:]
+        r00, r10, r01, r11 = (R[:-1, :-1], R[1:, :-1], R[:-1, 1:],
+                              R[1:, 1:])
 
-        numer = a1[i0:i1] @ d2t + d1[i0:i1] @ a2t
+        # N = <p1 x d1, d2> + <d1, p2 x d2>: two small matmuls
+        numer = s1.a[i0:i1] @ s2.d.T + s1.d[i0:i1] @ s2.a.T
         den1 = (r00 * r10 + e1[:, :-1]) * r11 + dg * r10 + e2[1:] * r00
         den2 = (r00 * r11 + dg) * r01 + e2[:-1] * r11 + e1[:, 1:] * r00
         vals = np.arctan2(numer, den1) + np.arctan2(numer, den2)
@@ -139,29 +155,135 @@ def _pair_solid_angles(x1, x2, absolute, guard):
         # (R1 R2 R3 + |N|_size |D| / |(N, D)|) / |(N, D)|, where |N|_size
         # is the size of the two summands that make up N.
         i, j = np.nonzero(r00 <= reach1[i0:i1, None] + reach2)
+        conds = []
         if len(i):
             k = i + i0
-            dist = _segment_distances(x1[k], d1[k], x2[j], d2[j])
+            dist = _segment_distances(s1.x[k], s1.d[k], s2.x[j], s2.d[j])
             closest = float(np.min(dist))
             if closest <= guard:
-                raise CurvesTooClose(f"curves approach within {closest:.3g} "
-                                     f"(guard {guard:.3g})")
+                raise CurvesTooClose(
+                    f"curves approach within {closest:.3g} "
+                    f"(guard {guard:.3g})")
             n = numer[i, j]
-            n_size = a1_norm[k] * length2[j] + length1[k] * a2_norm[j]
-            for den, far in ((den1[i, j], r10[i, j]), (den2[i, j], r01[i, j])):
+            n_size = (s1.a_norm[k] * s2.length[j]
+                      + s1.length[k] * s2.a_norm[j])
+            for den, far in ((den1[i, j], r10[i, j]),
+                             (den2[i, j], r01[i, j])):
                 size = np.hypot(n, den)
-                cond = (r00[i, j] * r11[i, j] * far
-                        + n_size * np.abs(den) / size) / size
-                conditioning += float(np.sum(cond))
-        partials.append(float(np.sum(np.abs(vals) if absolute else vals)))
-    roundoff = _ROUNDOFF_ULPS * math.ulp(1.0) * conditioning
-    return 2.0 * math.fsum(partials), roundoff
+                conds.append((r00[i, j] * r11[i, j] * far
+                              + n_size * np.abs(den) / size) / size)
+        yield i0, vals, i, j, conds
+
+
+def _pair_solid_angles(x1, x2, absolute, guard, cuts):
+    """Exact Gauss double integral of pairs of polylines cut from ``x1``
+    and ``x2``, times 4 pi, each with a bound on its roundoff (radians).
+
+    A cut ``((p1, e1), (p2, e2))`` is the pair ``x1[:p1]``, ``x2[:p2]``,
+    each followed by its own end vertex ``e`` unless that is None.  One
+    chunked pass over the grid of prefix segments serves every cut: each
+    cut sums its own block of the grid, and the pairs on its own end
+    segments are added as two thin strips.  The guard is checked on every
+    evaluated pair.
+    """
+    # translation leaves N unchanged; centering keeps p1 x d1 small
+    center = 0.5 * (x1.mean(axis=0) + x2.mean(axis=0))
+    s1 = _Polyline(x1[:max(c1[0] for c1, _ in cuts)] - center)
+    s2 = _Polyline(x2[:max(c2[0] for _, c2 in cuts)] - center)
+    blocks = [(p1 - 1, p2 - 1) for (p1, _), (p2, _) in cuts]
+    partials = [[] for _ in cuts]
+    conditioning = [float(a * b) for a, b in blocks]
+    for i0, vals, i, j, conds in _chunk_angles(s1, s2, guard):
+        if absolute:
+            np.abs(vals, out=vals)
+        for k, (a, b) in enumerate(blocks):
+            if a <= i0:
+                continue
+            inside = (i < a - i0) & (j < b)
+            for cond in conds:
+                conditioning[k] += float(np.sum(cond[inside]))
+            partials[k].append(float(np.sum(vals[:a - i0, :b])))
+
+    def cut(s, p, e):
+        return s.x[:p] if e is None else np.vstack([s.x[:p], e - center])
+
+    for k, ((p1, e1), (p2, e2)) in enumerate(cuts):
+        y1, y2 = cut(s1, p1, e1), cut(s2, p2, e2)
+        # strips: c1's end segment against all of c2, then c1's prefix
+        # against c2's end segment (each empty without its own end vertex)
+        for z1, z2 in ((y1[p1 - 1:], y2), (y1[:p1], y2[p2 - 1:])):
+            if len(z1) < 2 or len(z2) < 2:
+                continue
+            for _, vals, _, _, conds in _chunk_angles(
+                    _Polyline(z1), _Polyline(z2), guard):
+                conditioning[k] += vals.size + sum(float(np.sum(c))
+                                                   for c in conds)
+                partials[k].append(float(np.sum(np.abs(vals) if absolute
+                                                else vals)))
+    return [(2.0 * math.fsum(p), _ROUNDOFF_ULPS * math.ulp(1.0) * c)
+            for p, c in zip(partials, conditioning)]
 
 
 def _pair_guard(c1: Curve, c2: Curve, guard) -> float:
     if guard is not None:
         return float(guard)
     return max(c1.default_guard(), c2.default_guard())
+
+
+def _cut(base, x):
+    """Polyline ``x`` as a cut of ``base``: ``(p, None)`` when it is
+    ``base[:p]``, ``(p, e)`` when it is ``base[:p]`` followed by its own
+    end vertex ``e``."""
+    n = len(x)
+    if not np.array_equal(x[:-1], base[:n - 1]):
+        raise ValueError("each curve must follow the longest one up to its "
+                         "own last sample")
+    if np.array_equal(x[-1], base[n - 1]):
+        return n, None
+    return n - 1, x[-1].copy()  # not a view that keeps x alive
+
+
+def gauss_rotation_nested(pairs, mode: str = "signed",
+                          guard: float | None = None) -> list[RotationResult]:
+    """:func:`gauss_rotation_pair` of several curve pairs that share their
+    start, from one pass over the segment grid of the longest pair.
+
+    Every first curve must equal the longest first curve up to its own
+    last sample, and likewise every second curve; windows ``[t0, t]`` of
+    two fixed curves with a shared ``t0`` are such pairs.  Each pair is
+    then a block of the longest pair's grid plus two thin strips for its
+    own end segments, so the pass costs one evaluation of the longest
+    grid plus O(n) per pair.  The guard (by default that of the longest
+    curves, which is at least any pair's own) is checked on every pair
+    of segments evaluated.
+    """
+    if mode not in ("signed", "absolute"):
+        raise ValueError("mode must be 'signed' or 'absolute'")
+    pairs = list(pairs)
+    if any(c.dim != 3 for pair in pairs for c in pair):
+        raise DimensionMismatch("mutual rotation requires curves in 3-space")
+    base1 = max((c1 for c1, _ in pairs), key=lambda c: c.n_samples)
+    base2 = max((c2 for _, c2 in pairs), key=lambda c: c.n_samples)
+    grid = (base1.n_samples - 1) * (base2.n_samples - 1)
+    if grid > _PAIR_BUDGET:
+        raise SampleBudgetExceeded(
+            f"{grid} segment pairs exceed the budget of {_PAIR_BUDGET}")
+    g = _pair_guard(base1, base2, guard)
+    absolute = mode == "absolute"
+    xs = [tuple(c.x.astype(np.float64, copy=False) for c in pair)
+          for pair in pairs]
+    x1, x2 = (c.x.astype(np.float64, copy=False) for c in (base1, base2))
+    full = _pair_solid_angles(x1, x2, absolute, g,
+                              [(_cut(x1, y1), _cut(x2, y2)) for y1, y2 in xs])
+    x1, x2 = _decimated(x1), _decimated(x2)
+    dec = _pair_solid_angles(x1, x2, absolute, g,
+                             [(_cut(x1, _decimated(y1)),
+                               _cut(x2, _decimated(y2))) for y1, y2 in xs])
+    results = []
+    for (v, roundoff), (v_dec, _) in zip(full, dec):
+        err = (abs(v - v_dec) + roundoff) / (4 * math.pi) + 1e-12
+        results.append(RotationResult(v / (4 * math.pi), err, "gauss_turns"))
+    return results
 
 
 def gauss_rotation_pair(c1: Curve, c2: Curve, mode: str = "signed",
@@ -172,22 +294,7 @@ def gauss_rotation_pair(c1: Curve, c2: Curve, mode: str = "signed",
     The polyline integral is exact; the error estimate is the change
     under decimating both curves (a sampling term) plus roundoff.
     """
-    if mode not in ("signed", "absolute"):
-        raise ValueError("mode must be 'signed' or 'absolute'")
-    if c1.dim != 3 or c2.dim != 3:
-        raise DimensionMismatch("mutual rotation requires curves in 3-space")
-    pairs = (c1.n_samples - 1) * (c2.n_samples - 1)
-    if pairs > _PAIR_BUDGET:
-        raise SampleBudgetExceeded(
-            f"{pairs} segment pairs exceed the budget of {_PAIR_BUDGET}")
-    g = _pair_guard(c1, c2, guard)
-    x1 = c1.x.astype(np.float64, copy=False)
-    x2 = c2.x.astype(np.float64, copy=False)
-    absolute = mode == "absolute"
-    v, roundoff = _pair_solid_angles(x1, x2, absolute, g)
-    v_dec, _ = _pair_solid_angles(_decimated(x1), _decimated(x2), absolute, g)
-    err = (abs(v - v_dec) + roundoff) / (4 * math.pi) + 1e-12
-    return RotationResult(v / (4 * math.pi), err, "gauss_turns")
+    return gauss_rotation_nested([(c1, c2)], mode, guard)[0]
 
 
 def linking_coefficient(c1: Curve, c2: Curve,

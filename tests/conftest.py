@@ -1,9 +1,11 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
 import trajrot as tr
+from trajrot import gausslink
 
 # Reference sink: eigenvalues -1 (along x1) and -1 +- 2i (rotating the
 # x2/x3 plane at rate 2).  Operator norm sqrt(5).
@@ -89,3 +91,19 @@ def twist_pair():
     w1 = tr.integrate_trajectory(f, np.array([0.05, 0.5, 0.0]), 0.0, 0.15, cfg)
     w2 = tr.integrate_trajectory(f, np.array([0.05, 0.0, 0.7]), 0.0, 0.15, cfg)
     return w1, w2
+
+
+@contextlib.contextmanager
+def kernel_passes():
+    """Record every pass of the Gauss pair kernel made inside the block:
+    one list per pass, of (value, roundoff) per cut."""
+    passes = []
+    kernel = gausslink._pair_solid_angles
+
+    def recording(*args):
+        passes.append(kernel(*args))
+        return passes[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gausslink, "_pair_solid_angles", recording)
+        yield passes

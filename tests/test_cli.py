@@ -7,7 +7,7 @@ import pytest
 import trajrot as tr
 from trajrot.cli import main, to_json
 
-from conftest import circle3d
+from conftest import circle3d, kernel_passes
 
 
 def run_cli(capsys, *argv):
@@ -264,6 +264,17 @@ def test_verify_sink_pair(capsys):
     payload = json.loads(out)
     assert payload["satisfied"] is True
     assert payload["theorem_id"] == "thm3_8"
+
+
+def test_verify_sink_pair_measures_once(capsys):
+    with kernel_passes() as passes:
+        code, out, _ = run_cli(capsys, "verify", "--scenario", "sink-pair",
+                               "--theorem", "thm3_8", "--theorem", "cor3_10")
+    assert code == 0
+    assert len(passes) == 2  # the full and the decimated pass
+    payload = json.loads(out)
+    assert [p["theorem_id"] for p in payload] == ["thm3_8", "cor3_10"]
+    assert payload[0]["measured"] == payload[1]["measured"]
 
 
 def test_verify_twist_line_not_invariant(capsys):

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import dblquad
 
 import trajrot as tr
+from trajrot import gausslink
 
-from conftest import Z_AXIS, circle3d, helix_curve, random_rotation
+from conftest import (Z_AXIS, circle3d, helix_curve, kernel_passes,
+                      random_rotation)
 
 
 def hopf_pair(n=801):
@@ -414,3 +416,77 @@ def test_crosscheck_requires_M_beyond_curve():
     helix = helix_curve(turns=3.0, n=200)
     with pytest.raises(ValueError):
         tr.line_rotation_crosscheck(helix, Z_AXIS, "signed", M=2.0)
+
+
+SAMPLE_END = st.integers(min_value=1, max_value=11).map(float)
+CUT_END = st.one_of(SAMPLE_END, st.floats(min_value=0.05, max_value=11.0))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       ends=st.lists(st.tuples(CUT_END, CUT_END), min_size=1, max_size=4),
+       mode=st.sampled_from(["signed", "absolute"]))
+@settings(max_examples=60, deadline=None)
+# cuts on samples (the end vertex is a sample, n_k - 1 even and odd),
+# and between samples (n_k - 1 odd and even)
+@example(seed=1, ends=[(4.0, 5.0), (5.0, 4.0), (11.0, 11.0)], mode="signed")
+@example(seed=2, ends=[(4.5, 5.5), (5.5, 4.5), (0.3, 11.0)],
+         mode="absolute")
+# the shared pass's centering gives a different roundoff term
+@example(seed=81, ends=[(3.0, 1.0), (4.0, 6.0)], mode="signed")
+def test_nested_cuts_match_single_pairs(seed, ends, mode):
+    rng = np.random.default_rng(seed)
+    t = np.arange(12, dtype=float)
+    c1 = tr.Curve(t, rng.normal(size=(12, 3)))
+    c2 = tr.Curve(t, rng.normal(size=(12, 3)) + [0.0, 0.0, 0.5])
+    pairs = [(tr.slice_time(c1, 0.0, a), tr.slice_time(c2, 0.0, b))
+             for a, b in ends]
+    guard = 1e-7
+    try:
+        with kernel_passes() as shared:
+            got = gausslink.gauss_rotation_nested(pairs, mode, guard=guard)
+    except tr.CurvesTooClose:
+        # the shared pass checks the longest pair's whole grid
+        longest = [max((p[i] for p in pairs), key=lambda c: c.n_samples)
+                   for i in (0, 1)]
+        with pytest.raises(tr.CurvesTooClose):
+            tr.gauss_rotation_pair(*longest, mode, guard=guard)
+        return
+    assert len(shared) == 2
+    for k, ((a, b), rr) in enumerate(zip(pairs, got)):
+        with kernel_passes() as single:
+            want = tr.gauss_rotation_pair(a, b, mode, guard=guard)
+        # each pass's value lies within its own roundoff term of the exact
+        # polyline integral; the error estimates add the full pass's term
+        (_, ro), (_, ro_dec) = shared[0][k], shared[1][k]
+        (_, ro1), (_, ro1_dec) = single[0][0], single[1][0]
+        scale = 4 * math.pi
+        assert abs(rr.value - want.value) <= (ro + ro1) / scale
+        assert abs(rr.error_estimate - want.error_estimate
+                   - (ro - ro1) / scale) \
+            <= (ro + ro1 + ro_dec + ro1_dec) / scale
+
+
+def test_nested_pairs_must_share_their_start():
+    t = np.arange(6, dtype=float)
+    c1 = tr.Curve(t, np.stack([t, 0 * t, 0 * t], axis=1))
+    c2 = tr.translate(c1, [0.0, 1.0, 0.0])
+    with pytest.raises(ValueError):
+        gausslink.gauss_rotation_nested(
+            [(c1, c2), (tr.slice_time(c1, 1.0, 4.0),
+                        tr.slice_time(c2, 0.0, 4.0))])
+
+
+def test_nested_guard_raises_as_the_largest_pair():
+    # c2 passes 1e-9 over c1 at t = 0.5, inside the innermost cut, and
+    # leaves c1 behind after that
+    t = np.linspace(0.0, 10.0, 41)
+    c1 = tr.Curve(t, np.stack([t, 0 * t, 0 * t], axis=1))
+    c2 = tr.Curve(t, np.stack([0 * t + 0.5, t - 0.5, 0 * t + 1e-9], axis=1))
+    pairs = [(tr.slice_time(c1, 0.0, tb), tr.slice_time(c2, 0.0, tb))
+             for tb in (1.3, 5.0, 10.0)]
+    for pair in (pairs[0], pairs[-1]):
+        with pytest.raises(tr.CurvesTooClose):
+            tr.gauss_rotation_pair(*pair, "absolute")
+    for mode in ("signed", "absolute"):
+        with pytest.raises(tr.CurvesTooClose):
+            gausslink.gauss_rotation_nested(pairs, mode)
