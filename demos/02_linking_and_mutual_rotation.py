@@ -1,10 +1,12 @@
 """Mutual rotation of curve pairs via the Gauss integral.
 
 Three classic configurations: a circle threaded by a long straight
-segment (value 1), the Hopf pair of interlocked circles (integer linking
-number, cross-checked by counting signed crossings through a flat
-spanning disk), and a helix against its axis, where the double integral
-must agree with the planar projection definition.
+segment (value 100/sqrt(10001), near 1), the Hopf pair of interlocked
+circles (integer linking number, cross-checked by counting signed
+crossings through a flat spanning disk), and a helix against its axis.
+Against the whole axis the double integral equals the planar projection
+definition in closed form; the segment pair kernel against a long piece
+of the axis comes within what the rays beyond the piece carry.
 """
 
 import math
@@ -15,15 +17,16 @@ import trajrot as tr
 
 z_axis = tr.AffineSubspace(np.zeros(3), [np.array([0.0, 0.0, 1.0])])
 
-print("== unit circle + z-axis segment (truncated at |z| = 100) ==")
+print("== unit circle + z-axis segment |z| <= 100 ==")
 th = np.linspace(0.0, 2 * math.pi, 1501)
 circle = tr.Curve(np.linspace(0, 1, 1501),
                   np.stack([np.cos(th), np.sin(th), np.zeros_like(th)],
                            axis=1), closed=True)
-line = tr.truncated_line_curve(z_axis, 100.0, -3.0, 3.0, 0.05)
-rr = tr.gauss_rotation_pair(circle, line, "signed")
-print(f"  signed mutual rotation: {rr.value:.6f} turns "
-      f"(error bar {rr.error_estimate:.1e}; truncation tail included)")
+segment = tr.Curve([-100.0, 100.0], [[0.0, 0.0, -100.0], [0.0, 0.0, 100.0]])
+rr = tr.gauss_rotation_pair(circle, segment, "signed")
+print(f"  signed mutual rotation: {rr.value:.8f} turns "
+      f"(error bar {rr.error_estimate:.1e}; "
+      f"exact {100.0 / math.sqrt(10001.0):.8f})")
 
 print()
 print("== Hopf pair: two interlocked unit circles ==")
@@ -50,8 +53,16 @@ print()
 print("== helix vs. its axis: double integral == projection ==")
 t = np.linspace(0.0, 6 * math.pi, 1200)
 helix = tr.Curve(t, np.stack([np.cos(t), np.sin(t), 0.15 * t], axis=1))
-gauss, proj = tr.line_rotation_crosscheck(helix, z_axis, "signed", M=200.0)
-print(f"  Gauss integral against the truncated axis: {gauss.value:.6f} turns")
-print(f"  projection-based winding:                  {proj.value:.6f} turns")
-print(f"  disagreement: {abs(gauss.value - proj.value):.2e} "
-      f"(combined error budget {gauss.error_estimate + proj.error_estimate:.2e})")
+gauss, proj = tr.line_rotation_crosscheck(helix, z_axis, "signed")
+print(f"  projection-based winding:              {proj.value:.12f} turns")
+print(f"  Gauss integral against the whole axis: {gauss.value:.12f} turns "
+      f"(equal in closed form)")
+long_axis = tr.Curve([-1000.0, 1000.0],
+                     [[0.0, 0.0, -1000.0], [0.0, 0.0, 1000.0]])
+seg = tr.gauss_rotation_pair(long_axis, helix, "signed")
+# a ray from height 1000 takes the share (1 - u/sqrt(1+u^2))/2 of each
+# turn from a point at distance 1, u = 1000 - height
+u = 1000.0 - 0.15 * t[-1]
+w = math.hypot(1.0, u)
+print(f"  pair kernel against |z| <= 1000:       {seg.value:.12f} turns "
+      f"(the rays beyond carry at most {3.0 / (w * (w + u)):.2e})")

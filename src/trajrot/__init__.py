@@ -33,7 +33,7 @@ from .fields import (Ball, FieldSpec, LipschitzEstimate, affine, constant,
 from .flow import IntegratorConfig, integrate_trajectory
 from .gausslink import (LinkingResult, gauss_rotation_pair,
                         line_rotation_crosscheck, linking_coefficient,
-                        topological_linking_planar, truncated_line_curve)
+                        topological_linking_planar)
 from .rotation import (absolute_rotation_point, rotation_around_subspace,
                        signed_winding_plane)
 

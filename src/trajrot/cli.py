@@ -25,8 +25,7 @@ from .errors import NumericalError, PreconditionError
 from .fields import (linear, parse_field_spec, spiral2d, twist3d,
                      twist_invariant_curve)
 from .flow import IntegratorConfig, integrate_trajectory
-from .gausslink import (gauss_rotation_pair, linking_coefficient,
-                        truncated_line_curve)
+from .gausslink import gauss_rotation_pair, linking_coefficient
 from .rotation import (absolute_rotation_point, rotation_around_subspace,
                        signed_winding_plane)
 
@@ -315,13 +314,12 @@ def _cmd_paper_repro(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     summary = {}
 
-    # 1. circle/line linking value
+    # 1. a circle threaded by the z-axis segment |z| <= 100: 100/sqrt(10001)
     th = np.linspace(0.0, 2 * math.pi, 1501)
     circle = Curve(th, np.stack([np.cos(th), np.sin(th), np.zeros_like(th)],
                                 axis=1), closed=True)
-    zaxis = AffineSubspace(np.zeros(3), [np.array([0.0, 0.0, 1.0])])
-    line_curve = truncated_line_curve(zaxis, 100.0, -3.0, 3.0, 0.05)
-    rr = gauss_rotation_pair(circle, line_curve, "signed")
+    segment = Curve([-100.0, 100.0], [[0.0, 0.0, -100.0], [0.0, 0.0, 100.0]])
+    rr = gauss_rotation_pair(circle, segment, "signed")
     summary["circle_line_linking_turns"] = {
         "value": rr.value, "error_estimate": rr.error_estimate}
 

@@ -97,7 +97,7 @@ def crofton_length_estimate(s: SphericalCurve, m: int = 10_000,
         counts[done:done + k] = np.sum(flips, axis=0)
         done += k
     mean = float(np.mean(counts))
-    var = float(np.var(counts, ddof=1)) if m > 1 else 0.0
+    var = float(np.var(counts, ddof=1))
     value = math.pi * mean
     stderr = math.pi * math.sqrt((var + 1.0 / m) / m)
     return CroftonEstimate(value, stderr, m)

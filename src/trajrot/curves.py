@@ -202,8 +202,7 @@ class AffineSubspace:
             # canonicalize column signs so the result is deterministic
             q = q.copy()
             for j in range(q.shape[1]):
-                jj = min(j, r.shape[1] - 1)
-                if r[j, jj] < 0:
+                if r[j, j] < 0:
                     q[:, j] = -q[:, j]
             comp = q[:, k:n].T.copy()
             stacked = np.concatenate([comp, self.basis], axis=0)
@@ -422,6 +421,17 @@ def point_segment_distances(q, p, d) -> np.ndarray:
     return m * np.sqrt(_rowdot(r, r))
 
 
+def _resolved_guard(guard, default: float) -> float:
+    """``guard`` as a float, ``default`` when it is None.  A NaN or
+    negative guard would pass every distance: ValueError, as for inf."""
+    if guard is None:
+        return default
+    g = float(guard)
+    if not 0.0 <= g < math.inf:
+        raise ValueError(f"guard must be finite and >= 0, got {g!r}")
+    return g
+
+
 def center_directions(c: Curve, center, guard: float | None = None) -> np.ndarray:
     """Unit directions ``(c.x - center) / |c.x - center|``, once the
     polyline is known to stay farther than ``guard`` from ``center``
@@ -434,7 +444,7 @@ def center_directions(c: Curve, center, guard: float | None = None) -> np.ndarra
     center = np.asarray(center)
     if center.shape != (c.dim,):
         raise DimensionMismatch("center must match the curve dimension")
-    g = c.default_guard() if guard is None else float(guard)
+    g = _resolved_guard(guard, c.default_guard())
     d = c.x - center.astype(c.x.dtype)
     rmin = np.min(point_segment_distances(0.0, d[:-1], np.diff(d, axis=0)))
     if not rmin > g:

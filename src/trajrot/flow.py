@@ -63,9 +63,11 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (0 < self.rel_tol < 1 and 0 < self.abs_tol < 1):
             raise ValueError("tolerances must lie in (0, 1)")
-        if self.max_step <= 0:
+        if not self.max_step > 0:  # NaN would never advance t
             raise ValueError("max_step must be positive")
-        if self.max_samples < 2:
+        if self.chord_tol is not None and not self.chord_tol > 0:
+            raise ValueError("chord_tol must be positive (or None)")
+        if not self.max_samples >= 2:  # NaN would turn the budget off
             raise ValueError("max_samples must be >= 2")
 
 
@@ -84,12 +86,14 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
     :class:`SampleBudgetExceeded` when dense output would exceed
     ``cfg.max_samples``.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("t0 and t1 must be finite")
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
     cfg = cfg or IntegratorConfig()
     y = np.asarray(x0, dtype=np.float64).copy()
-    if y.ndim != 1 or y.shape[0] != f.dim:
-        raise ValueError("x0 must be a vector matching the field dimension")
+    if y.ndim != 1 or y.shape[0] != f.dim or not np.all(np.isfinite(y)):
+        raise ValueError("x0 must be a finite vector of the field's dimension")
     centers = [np.asarray(c, dtype=np.float64) for c in obs_centers]
     chord_tol = cfg.abs_tol if cfg.chord_tol is None else float(cfg.chord_tol)
     rel_tol, abs_tol, dim = cfg.rel_tol, cfg.abs_tol, f.dim

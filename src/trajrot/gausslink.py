@@ -26,6 +26,12 @@ So :func:`gauss_rotation_nested` evaluates the longest pair's grid once,
 sums each window's block of it, and adds the pairs on each window's own
 end segments as two thin strips.  :func:`gauss_rotation_pair` is its
 one-pair call.
+
+Against a whole straight line the integral has a closed form that is
+the projected winding itself: split at a base point, the line is two
+rays, and the two rays' Van Oosterom-Strackee triangles (third vertex at
+infinity) against a segment sum to twice its projected angle increment
+(:func:`line_rotation_crosscheck`).
 """
 
 from __future__ import annotations
@@ -36,10 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (AffineSubspace, Curve, RotationResult, _decimated,
-                     _rowdot, point_segment_distances)
-from .errors import (CurvesTooClose, DimensionMismatch, DistanceTooSmall,
-                     NonTransversal, NotClosed, NotPlanar,
-                     QuadratureInconclusive, SampleBudgetExceeded)
+                     _resolved_guard, _rowdot, planar_angle_increments,
+                     point_segment_distances, project_to_complement,
+                     safe_unit_rows)
+from .errors import (CurvesTooClose, DimensionMismatch, NonTransversal,
+                     NotClosed, NotPlanar, QuadratureInconclusive,
+                     SampleBudgetExceeded)
 from .rotation import rotation_around_subspace, signed_winding_plane
 
 # Segment pairs per row chunk of the vertex grid; keeps the chunk's
@@ -224,12 +232,6 @@ def _pair_solid_angles(x1, x2, absolute, guard, cuts):
             for p, c in zip(partials, conditioning)]
 
 
-def _pair_guard(c1: Curve, c2: Curve, guard) -> float:
-    if guard is not None:
-        return float(guard)
-    return max(c1.default_guard(), c2.default_guard())
-
-
 def _cut(base, x):
     """Polyline ``x`` as a cut of ``base``: ``(p, None)`` when it is
     ``base[:p]``, ``(p, e)`` when it is ``base[:p]`` followed by its own
@@ -268,7 +270,8 @@ def gauss_rotation_nested(pairs, mode: str = "signed",
     if grid > _PAIR_BUDGET:
         raise SampleBudgetExceeded(
             f"{grid} segment pairs exceed the budget of {_PAIR_BUDGET}")
-    g = _pair_guard(base1, base2, guard)
+    g = _resolved_guard(guard, max(base1.default_guard(),
+                                   base2.default_guard()))
     absolute = mode == "absolute"
     xs = [tuple(c.x.astype(np.float64, copy=False) for c in pair)
           for pair in pairs]
@@ -363,83 +366,48 @@ def topological_linking_planar(c1: Curve, c2: Curve) -> int:
 
 
 # ---------------------------------------------------------------------------
-# line / projection consistency
-
-
-def truncated_line_curve(line: AffineSubspace, M: float, focus_lo: float,
-                         focus_hi: float, core_step: float) -> Curve:
-    """Polyline covering parameter range [-M, M] of a straight line,
-    densely sampled on the focus window and geometrically coarsened
-    outside it."""
-    if M <= max(abs(focus_lo), abs(focus_hi)):
-        raise ValueError("truncation M must exceed the focus window")
-    core = np.arange(focus_lo, focus_hi + core_step, core_step)
-    right = [core[-1]]
-    step = core_step
-    while right[-1] < M:
-        step *= 1.25
-        right.append(min(right[-1] + step, M))
-    left = [core[0]]
-    step = core_step
-    while left[-1] > -M:
-        step *= 1.25
-        left.append(max(left[-1] - step, -M))
-    s = np.concatenate([left[::-1][:-1], core, right[1:]])
-    direction = line.basis[0]
-    pts = line.base_point + s[:, None] * direction
-    return Curve(s, pts, closed=False)
-
-
-def _line_tail_bound(x2_pts, seg_len2, base, direction, M) -> float:
-    """Error from truncating the line at parameter +-M: for each side,
-    bound the omitted kernel mass using the exact single-line integral
-    1/eta^2 * (1 - u/sqrt(1+u^2)) with u = (M -+ s)/eta."""
-    rel = x2_pts - base
-    s = rel @ direction
-    eta = np.linalg.norm(rel - s[:, None] * direction, axis=1)
-    eta = np.maximum(eta, 1e-300)
-    total = 0.0
-    for sign in (+1.0, -1.0):
-        u = (M - sign * s) / eta
-        vals = (1.0 - u / np.sqrt(1.0 + u * u)) / eta
-        seg_vals = np.maximum(vals[:-1], vals[1:])
-        total += float(np.sum(seg_len2 * seg_vals))
-    return total / (4 * math.pi)
+# a curve against a straight line
 
 
 def line_rotation_crosscheck(c2: Curve, line: AffineSubspace,
-                             mode: str = "signed", M: float = 200.0,
+                             mode: str = "signed",
                              guard: float | None = None):
     """Compute the rotation of ``c2`` about a straight line both ways.
 
-    Returns ``(gauss, projection)``: the Gauss integral of ``c2`` against
-    a truncated segment of the line (turns, with the analytic truncation
-    tail added to its error estimate) and the projection-based rotation
+    Returns ``(gauss, projection)``: the exact Gauss integral of ``c2``
+    against the whole line (turns) and the projection-based rotation
     around the line (its native convention: turns when signed, radians
-    when absolute).  The two agree within combined error estimates; the
-    complement orientation rule makes the signs match.
+    when absolute).
+
+    The Gauss side reduces to the projection in closed form, so the two
+    agree by construction.  Split at a base point, the line is two rays;
+    a ray against a segment of ``c2`` is a Van Oosterom-Strackee triangle
+    with its third vertex at infinity, ``2 atan2(N, D)``.  With ``q``,
+    ``q'`` the complement coordinates of the segment's ends and
+    ``a = s e - q`` the vector from an end to the base point,
+    ``N = q x q'`` and ``D = p p' + c`` with ``c = q . q'`` and
+    ``p = |a| + s`` on the ray along ``e``, ``|a| - s`` on the other.
+    Since ``p_+ p_- = |q|^2``, ``D_+ D_- - N^2 = c (D_+ + D_-)``:
+    the two rays sum to ``2 atan2(N, c)``, twice the segment's projected
+    angle increment, a two-term atan2 that cancels nothing however far
+    along the line the curve sits.  ``N`` is constant along the line, so
+    the absolute variant sums the unsigned increments.  The error estimate
+    is that of :func:`~trajrot.rotation.signed_winding_plane`: the change
+    under decimating ``c2`` plus roundoff.  The projection runs first and
+    checks ``guard`` against the exact distance from every segment to the
+    line.
     """
-    if line.ambient_dim != 3 or line.dim != 1:
-        raise DimensionMismatch("need a straight line in 3-space")
-    if c2.dim != 3:
-        raise DimensionMismatch("curve must live in 3-space")
-    direction = line.basis[0]
-    x2 = c2.x.astype(np.float64, copy=False)
-    off = line.offsets(x2)
-    eta_min = float(np.min(point_segment_distances(0.0, off[:-1],
-                                                   np.diff(off, axis=0))))
-    if eta_min <= 0:
-        raise DistanceTooSmall("curve touches the line")
-    if M <= float(np.max(np.abs((x2 - line.base_point) @ direction))):
-        raise ValueError("M must exceed the curve's extent along the line")
-    # the exact pair integral is additive along a straight segment, so
-    # the truncated line needs only its two endpoints
-    line_curve = Curve([-M, M], line.base_point + np.outer([-M, M], direction))
-    g = min(eta_min / 2.0, _pair_guard(line_curve, c2, guard))
-    gauss = gauss_rotation_pair(line_curve, c2, mode, guard=g)
-    seg_len2 = np.linalg.norm(np.diff(x2, axis=0), axis=1)
-    tail = _line_tail_bound(x2, seg_len2, line.base_point, direction, M)
-    gauss = RotationResult(gauss.value, gauss.error_estimate + tail,
-                           "gauss_turns")
+    if c2.dim != 3 or line.ambient_dim != 3 or line.dim != 1:
+        raise DimensionMismatch("need a curve and a straight line in 3-space")
     projection = rotation_around_subspace(c2, line, mode, guard=guard)
-    return gauss, projection
+    u = safe_unit_rows(project_to_complement(c2, line).x)
+
+    def turns(v):
+        inc = planar_angle_increments(v)
+        if mode == "absolute":
+            inc = np.abs(inc)
+        return float(np.sum(inc)) / (2.0 * math.pi)
+
+    value = turns(u)
+    err = abs(value - turns(_decimated(u))) + 1e-15 * len(u)
+    return RotationResult(value, err, "gauss_turns"), projection

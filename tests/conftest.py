@@ -56,6 +56,29 @@ Z_AXIS = tr.AffineSubspace(np.zeros(3), [np.array([0.0, 0.0, 1.0])])
 X_AXIS = tr.AffineSubspace(np.zeros(3), [np.array([1.0, 0.0, 0.0])])
 
 
+def axis_segment(line, M):
+    """The piece ``|s| <= M`` of a straight line as a 2-vertex curve."""
+    return tr.Curve([-M, M], line.base_point + np.outer([-M, M], line.basis[0]))
+
+
+def ray_shortfall(c, line, M):
+    """Bound, in turns, on the Gauss integral of ``c`` against the two rays
+    ``|s| > M`` of ``line``: what ``axis_segment(line, M)`` misses.
+
+    A ray starting at height M takes, from a point at distance rho and
+    height h, the share ``(1 - u / sqrt(1 + u^2)) / 2`` of the whole
+    line's ``dtheta / 2pi``, with ``u = (M - h) / rho``.  The share falls
+    with u, and u >= (M - max|h|) / max rho along every segment.
+    """
+    rel = c.x - line.base_point
+    h = rel @ line.basis[0]
+    rho = np.linalg.norm(rel - np.outer(h, line.basis[0]), axis=1)
+    u = (M - np.max(np.abs(h))) / np.max(rho)
+    w = math.hypot(1.0, u)
+    spin = tr.rotation_around_subspace(c, line, "absolute")
+    return (spin.value + spin.error_estimate) / (2 * math.pi) / (w * (w + u))
+
+
 def random_rotation(rng, n=3):
     """Haar rotation restricted to SO(n): signed quantities flip under
     reflections, so rigid-motion tests must stay orientation-preserving."""

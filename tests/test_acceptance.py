@@ -10,8 +10,8 @@ import pytest
 
 import trajrot as tr
 
-from conftest import (SINK_MATRIX, X_AXIS, Z_AXIS, circle3d, helix_curve,
-                      random_rotation)
+from conftest import (SINK_MATRIX, X_AXIS, Z_AXIS, axis_segment, circle3d,
+                      helix_curve, random_rotation)
 
 
 class Budget:
@@ -37,7 +37,8 @@ class Budget:
 def test_01_circle_line_linking_value():
     with Budget("01 circle/line linking", 5):
         circle = circle3d(n=1501)
-        line = tr.truncated_line_curve(Z_AXIS, 100.0, -3.0, 3.0, 0.05)
+        line = tr.Curve([-100.0, 100.0],
+                        [[0.0, 0.0, -100.0], [0.0, 0.0, 100.0]])
         rr = tr.gauss_rotation_pair(circle, line, "signed")
         assert 0.999 <= rr.value <= 1.001
 
@@ -55,9 +56,12 @@ def test_02_hopf_integer_snap():
 def test_03_line_projection_consistency():
     with Budget("03 line/projection consistency", 10):
         helix = helix_curve(turns=3.0, n=1200)
-        gauss, proj = tr.line_rotation_crosscheck(helix, Z_AXIS, "signed",
-                                                  M=200.0)
+        gauss, proj = tr.line_rotation_crosscheck(helix, Z_AXIS, "signed")
         assert abs(gauss.value - proj.value) < 5e-3
+        # the whole-line value equals the projection in closed form; the
+        # pair kernel on the segment |z| <= 1000 is the independent check
+        seg = tr.gauss_rotation_pair(axis_segment(Z_AXIS, 1000.0), helix)
+        assert abs(seg.value - proj.value) < 5e-3
 
 
 def test_04_spiral_unit_rate_and_point_bound():

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -132,6 +133,30 @@ def test_link_overlapping_exit2(tmp_path, capsys):
                            "--curve2", str(p2))
     assert code == 2
     assert "CurvesTooClose" in err
+
+
+@pytest.mark.parametrize("guard", ["nan", "-1", "inf"])
+def test_link_bad_guard_exit2(tmp_path, capsys, guard):
+    # one curve against itself: a guard that switched the check off would
+    # report linking 0 with exit 0
+    path = tmp_path / "c.csv"
+    write_circle_csv(path)
+    code, out, err = run_cli(capsys, "link", "--curve1", str(path),
+                             "--curve2", str(path), "--guard", guard)
+    assert code == 2 and out == ""
+    assert "guard must be finite" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--max-step", "nan"),
+                                         ("--chord-tol", "0"),
+                                         ("--t1", "nan"), ("--x0", "nan,0")])
+def test_integrate_non_finite_input_exit2(capsys, flag, value):
+    start = time.perf_counter()
+    opts = {"--x0": "0.5,0", "--t1": "1", flag: value}
+    code, out, _ = run_cli(capsys, "integrate", "--field", "spiral2d",
+                           *[s for opt in opts.items() for s in opt])
+    assert code == 2 and out == ""
+    assert time.perf_counter() - start < 5.0  # a NaN step never advances t
 
 
 def test_link_pair_budget_exit3(tmp_path, capsys):

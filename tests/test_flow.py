@@ -65,6 +65,26 @@ def test_validation_and_errors():
                                 cfg)
 
 
+@pytest.mark.parametrize("kw", [{"max_step": float("nan")},
+                                {"chord_tol": 0.0}, {"chord_tol": -1e-6},
+                                {"chord_tol": float("nan")},
+                                {"max_samples": float("nan")}])
+def test_config_rejects_nan_and_non_positive_settings(kw):
+    # a NaN max_step would never advance t, chord_tol <= 0 can never hold
+    # and a NaN max_samples would never exceed the budget
+    with pytest.raises(ValueError):
+        tr.IntegratorConfig(**kw)
+
+
+@pytest.mark.parametrize("t0, t1, x0", [
+    (0.0, float("nan"), [0.5, 0.0]), (float("-inf"), 1.0, [0.5, 0.0]),
+    (0.0, float("inf"), [0.5, 0.0]), (0.0, 1.0, [float("nan"), 0.0]),
+    (0.0, 1.0, [0.5, float("inf")])])
+def test_non_finite_window_or_start_rejected(t0, t1, x0):
+    with pytest.raises(ValueError, match="finite"):
+        tr.integrate_trajectory(tr.spiral2d(), np.array(x0), t0, t1)
+
+
 def test_field_overflow_ends_in_step_underflow():
     # the field overflows at the start point, so every error norm is NaN:
     # each step must be rejected and shrunk until the step underflows

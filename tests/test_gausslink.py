@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -8,8 +9,8 @@ from scipy.integrate import dblquad
 import trajrot as tr
 from trajrot import gausslink
 
-from conftest import (Z_AXIS, circle3d, helix_curve, kernel_passes,
-                      random_rotation)
+from conftest import (X_AXIS, Z_AXIS, axis_segment, circle3d, helix_curve,
+                      kernel_passes, random_rotation, ray_shortfall)
 
 
 def hopf_pair(n=801):
@@ -20,7 +21,7 @@ def hopf_pair(n=801):
 
 def test_circle_line_value():
     circle = circle3d(n=1501)
-    line = tr.truncated_line_curve(Z_AXIS, 100.0, -3.0, 3.0, 0.05)
+    line = tr.Curve([-100.0, 100.0], [[0.0, 0.0, -100.0], [0.0, 0.0, 100.0]])
     rr = tr.gauss_rotation_pair(circle, line, "signed")
     assert abs(rr.value - 1.0) < 1e-3
 
@@ -232,17 +233,22 @@ def test_deformation_invariance_closed_first_curve():
 
 def test_helix_line_crosscheck():
     helix = helix_curve(turns=3.0, n=1200)
-    gauss, proj = tr.line_rotation_crosscheck(helix, Z_AXIS, "signed", M=200.0)
+    gauss, proj = tr.line_rotation_crosscheck(helix, Z_AXIS, "signed")
     assert abs(gauss.value - proj.value) < 5e-3
     assert abs(proj.value - 3.0) < 1e-9
+    assert abs(gauss.value - 3.0) <= gauss.error_estimate < 1e-9
+    assert abs(gauss.value - proj.value) <= (gauss.error_estimate
+                                             + proj.error_estimate)
 
 
 def test_crosscheck_absolute_mode():
     helix = helix_curve(turns=3.0, n=1200)
-    gauss, proj = tr.line_rotation_crosscheck(helix, Z_AXIS, "absolute",
-                                              M=200.0)
+    gauss, proj = tr.line_rotation_crosscheck(helix, Z_AXIS, "absolute")
     # projection result is in radians; the Gauss value is in turns
     assert abs(gauss.value - proj.value / (2 * math.pi)) < 5e-3
+    assert abs(gauss.value - 3.0) <= gauss.error_estimate < 1e-9
+    assert abs(gauss.value - proj.value / (2 * math.pi)) <= (
+        gauss.error_estimate + proj.error_estimate / (2 * math.pi))
 
 
 def test_crosscheck_sink_trajectory():
@@ -253,17 +259,124 @@ def test_crosscheck_sink_trajectory():
                               chord_tol=1e-5)
     traj = tr.integrate_trajectory(tr.linear(SINK_MATRIX),
                                    np.array([1.0, 1.0, 0.0]), 0.0, 3.0, cfg)
-    gauss, proj = tr.line_rotation_crosscheck(traj, X_AXIS, "signed", M=200.0)
+    gauss, proj = tr.line_rotation_crosscheck(traj, X_AXIS, "signed")
     assert abs(gauss.value - proj.value) < 5e-3
     assert abs(abs(proj.value) - SINK_BETA * 3.0 / (2 * math.pi)) < 1e-3
+    assert abs(gauss.value - proj.value) <= (gauss.error_estimate
+                                             + proj.error_estimate)
+
+
+@pytest.mark.parametrize("mode", ["signed", "absolute"])
+def test_pair_kernel_on_long_axis_segment_helix(mode):
+    # the whole-line value is the projection by construction; the segment
+    # pair kernel is checked against it independently, up to what the
+    # segment |z| <= 1000 misses of the line
+    helix = helix_curve(turns=3.0, n=1200)
+    gauss = tr.gauss_rotation_pair(axis_segment(Z_AXIS, 1000.0), helix, mode)
+    proj = tr.rotation_around_subspace(helix, Z_AXIS, mode)
+    scale = 2 * math.pi if mode == "absolute" else 1.0
+    shortfall = ray_shortfall(helix, Z_AXIS, 1000.0)
+    assert shortfall < 2e-6
+    # the helix winds one way only, so the rays beyond the segment add to
+    # the same side: the segment misses between 0 and the shortfall
+    missed = proj.value / scale - gauss.value
+    est = gauss.error_estimate + proj.error_estimate / scale
+    assert -est <= missed <= shortfall + est
+
+
+def test_pair_kernel_on_long_axis_segment_sink(sink_pair):
+    traj = sink_pair[1]
+    gauss = tr.gauss_rotation_pair(axis_segment(X_AXIS, 1000.0), traj)
+    proj = tr.rotation_around_subspace(traj, X_AXIS, "signed")
+    # the trajectory winds one way only, as the helix does
+    missed = math.copysign(1.0, proj.value) * (proj.value - gauss.value)
+    est = gauss.error_estimate + proj.error_estimate
+    assert -est <= missed <= ray_shortfall(traj, X_AXIS, 1000.0) + est
 
 
 def test_crosscheck_planar_curve_no_winding():
     t = np.linspace(0, 1, 301)
     c = tr.Curve(t, np.stack([1.0 + t, np.zeros_like(t), -1 + 2 * t], axis=1))
-    gauss, proj = tr.line_rotation_crosscheck(c, Z_AXIS, "signed", M=150.0)
+    gauss, proj = tr.line_rotation_crosscheck(c, Z_AXIS, "signed")
     assert abs(gauss.value) < 5e-3
     assert abs(proj.value) < 0.3  # less than a third of a turn either
+
+
+def projected_turns(q, absolute):
+    """40-digit sum of the planar angle increments between consecutive
+    rows of ``q`` (unsigned when ``absolute``), divided by 2 pi."""
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for a, b in zip(q[:-1].tolist(), q[1:].tolist()):
+            a0, a1, b0, b1 = map(mpmath.mpf, a + b)
+            step = mpmath.atan2(a0 * b1 - a1 * b0, a0 * b0 + a1 * b1)
+            total += abs(step) if absolute else step
+        return float(total / (2 * mpmath.pi))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=2, max_value=40),
+       log_dist=st.floats(min_value=-9.0, max_value=0.0),
+       log_height=st.floats(min_value=-2.0, max_value=4.0),
+       shift=st.sampled_from([-1.5, 0.0, 1.5]), absolute=st.booleans())
+@settings(max_examples=80, deadline=None)
+# far along the line against the distance from it, above and below
+@example(seed=3, n=40, log_dist=-9.0, log_height=4.0, shift=1.5,
+         absolute=False)
+@example(seed=4, n=40, log_dist=-9.0, log_height=4.0, shift=-1.5,
+         absolute=True)
+def test_whole_line_gauss_matches_mpmath(seed, n, log_dist, log_height,
+                                         shift, absolute):
+    # vertices at distance ~10^log_dist from the z-axis and heights
+    # 10^log_height * (shift + [-1, 1]): all above, straddling, all below
+    rng = np.random.default_rng(seed)
+    q = 10.0 ** log_dist * rng.normal(size=(n, 2))
+    h = 10.0 ** log_height * (shift + rng.uniform(-1.0, 1.0, size=n))
+    c = tr.Curve(np.arange(n), np.column_stack([q, h]))
+    gauss, _ = tr.line_rotation_crosscheck(
+        c, Z_AXIS, "absolute" if absolute else "signed", guard=0.0)
+    # within the roundoff term of the estimate, 1e-15 turns per sample
+    assert abs(gauss.value - projected_turns(q, absolute)) <= 1e-15 * n
+
+
+def test_circle_against_whole_axis_is_one():
+    gauss, proj = tr.line_rotation_crosscheck(circle3d(n=1501), Z_AXIS)
+    assert abs(gauss.value - 1.0) <= gauss.error_estimate < 1e-9
+    assert abs(gauss.value - proj.value) <= (gauss.error_estimate
+                                             + proj.error_estimate)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("mode", ["signed", "absolute"])
+def test_crosscheck_under_rigid_motion(mode, seed):
+    # helix and axis moved together: still exactly three turns
+    rng = np.random.default_rng(seed)
+    rot, shift = random_rotation(rng), 10.0 * rng.normal(size=3)
+    helix = tr.transform(helix_curve(turns=3.0, n=1200), rot, shift)
+    axis = tr.AffineSubspace(shift, [rot @ Z_AXIS.basis[0]])
+    gauss, proj = tr.line_rotation_crosscheck(helix, axis, mode)
+    # the projection reports radians when absolute
+    scale = 2 * math.pi if mode == "absolute" else 1.0
+    assert abs(gauss.value - 3.0) <= gauss.error_estimate < 1e-9
+    assert abs(gauss.value - proj.value / scale) <= (
+        gauss.error_estimate + proj.error_estimate / scale)
+
+
+@pytest.mark.parametrize("guard", [float("nan"), -1.0, float("inf")])
+def test_pair_guard_must_be_finite_and_non_negative(guard):
+    # unchecked, a NaN or negative guard lets a curve "link" itself 0 times
+    c = circle3d(n=201)
+    with pytest.raises(ValueError, match="guard"):
+        tr.linking_coefficient(c, c, guard=guard)
+    with pytest.raises(ValueError, match="guard"):
+        tr.gauss_rotation_pair(c, tr.translate(c, [5.0, 0.0, 0.0]),
+                               guard=guard)
+
+
+def test_zero_pair_guard_still_rejects_contact():
+    c = circle3d(n=201)
+    with pytest.raises(tr.CurvesTooClose):
+        tr.linking_coefficient(c, c, guard=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +510,9 @@ def test_closed_polygon_hopf_exact_integer(n):
 
 def test_circle_line_error_covers_exact_value():
     circle = circle3d(n=1501)
-    line = tr.truncated_line_curve(Z_AXIS, 100.0, -3.0, 3.0, 0.05)
+    line = tr.Curve([-100.0, 100.0], [[0.0, 0.0, -100.0], [0.0, 0.0, 100.0]])
     rr = tr.gauss_rotation_pair(circle, line, "signed")
-    exact = 100.0 / math.sqrt(10001.0)  # truncated at M = 100
+    exact = 100.0 / math.sqrt(10001.0)  # the segment |z| <= 100
     assert abs(rr.value - exact) <= rr.error_estimate
     assert abs(rr.value - exact) < 1e-9
 
@@ -410,12 +523,6 @@ def test_pair_budget_raises_before_work():
     b = tr.translate(a, [0.0, 1.0, 0.0])
     with pytest.raises(tr.SampleBudgetExceeded):
         tr.gauss_rotation_pair(a, b, "signed")
-
-
-def test_crosscheck_requires_M_beyond_curve():
-    helix = helix_curve(turns=3.0, n=200)
-    with pytest.raises(ValueError):
-        tr.line_rotation_crosscheck(helix, Z_AXIS, "signed", M=2.0)
 
 
 SAMPLE_END = st.integers(min_value=1, max_value=11).map(float)

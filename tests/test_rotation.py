@@ -54,6 +54,24 @@ def test_distance_guard():
         tr.absolute_rotation_point(c, np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("guard", [float("nan"), -1.0, float("inf")])
+def test_guard_must_be_finite_and_non_negative(guard):
+    # unchecked, guard -1 lets a polyline through the center measure 3.93
+    c = tr.Curve([0, 1, 2], [[-1.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="guard"):
+        tr.absolute_rotation_point(c, np.zeros(2), guard=guard)
+    with pytest.raises(ValueError, match="guard"):
+        tr.absolute_rotation_point(circle2d(n=100), np.zeros(2), guard=guard)
+
+
+def test_zero_guard_checks_only_contact():
+    c = tr.Curve([0, 1, 2], [[-1.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(tr.DistanceTooSmall):
+        tr.absolute_rotation_point(c, np.zeros(2), guard=0.0)
+    rr = tr.absolute_rotation_point(circle2d(n=100), np.zeros(2), guard=0.0)
+    assert abs(rr.value - 2 * math.pi) < 1e-2
+
+
 def _through_center(dim, offset):
     """Polyline whose first segment passes ``offset`` from the origin (and
     from the z-axis) while every sample stays at distance >= 1."""
