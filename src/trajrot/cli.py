@@ -211,7 +211,7 @@ def _witness_dict(w):
             "relation": w.relation, "v_proj_1": w.v_proj_1,
             "v_proj_2": w.v_proj_2, "theta": w.theta,
             "threshold": w.threshold, "curve_length": w.curve_length,
-            "window": list(w.window), "match_tol": w.match_tol}
+            "window": list(w.window)}
 
 
 def _cmd_witness(args) -> int:

@@ -7,16 +7,15 @@ constructively.  ``crofton_length_estimate`` is the Monte-Carlo form of
 the spherical Crofton formula: length = pi * R * E[#crossings with a
 uniformly random great subsphere].
 
-The witness searches find their fastest matched pair of m samples in
-O(m log m) time and memory, with no pair matrix: each velocity-sign class
-is sorted by position, a sparse range-max table of speeds bounds each
-sample's best partner inside its tolerance windows, and the largest
-bounds are confirmed with the exact pair predicate (see
-``_best_matched_pair``).
+The witness searches work on the polyline's own position, linear in
+time on each segment, for which the theorem holds: a witness is a pair of
+segments whose position intervals overlap (or overlap at the antipode),
+found in O(m log^2 m) time and O(m) memory (``_best_segment_pair``).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -113,11 +112,11 @@ class EquatorWitness:
 
     ``plane`` holds the orthonormal rows spanning the witness circle's
     plane ((2, n); a single row for the straight-line variant).  The
-    stored projected velocities satisfy ``sign(v_proj_1) ==
-    -sign(v_proj_2)`` and ``min(|v_proj_i|) >= threshold`` up to slack;
-    this is re-checked at construction.  ``match_tol`` is the position
-    tolerance at which the pair matched: the search's own tolerance, or
-    four times it when only the relaxed pass found a witness.
+    times sit at equal (``coincide``) or antipodal positions of the
+    polyline's own longitude (or line coordinate); the velocities are the
+    two segments' slopes, the second reversed for an antipodal pair.
+    ``sign(v_proj_1) == -sign(v_proj_2)`` and ``min(|v_proj_i|) >=
+    threshold`` up to slack are re-checked at construction.
     """
 
     plane: np.ndarray
@@ -130,14 +129,13 @@ class EquatorWitness:
     threshold: float
     curve_length: float
     window: tuple[float, float]
-    match_tol: float
 
     def __post_init__(self):
         if self.relation not in ("coincide", "antipodal"):
             raise ValueError(f"bad relation {self.relation!r}")
         if not (self.window[0] < self.tau1 < self.tau2 < self.window[1]):
             raise ValueError("witness times must be strictly inside the window")
-        if not (self.v_proj_1 * self.v_proj_2 < 0):
+        if not (np.sign(self.v_proj_1) * np.sign(self.v_proj_2) < 0):
             raise ValueError("projected velocities must have opposite signs")
         achieved = min(abs(self.v_proj_1), abs(self.v_proj_2))
         if achieved < self.threshold - _WITNESS_SLACK * max(1.0, self.threshold):
@@ -148,178 +146,100 @@ class EquatorWitness:
         return min(abs(self.v_proj_1), abs(self.v_proj_2))
 
 
-def _centered_rate(values, t):
-    """d(values)/dt by centered differences, one-sided at the endpoints."""
-    v = np.empty_like(values, dtype=np.float64)
-    v[1:-1] = (values[2:] - values[:-2]) / (t[2:] - t[:-2])
-    v[0] = (values[1] - values[0]) / (t[1] - t[0])
-    v[-1] = (values[-1] - values[-2]) / (t[-1] - t[-2])
-    return v
+def _best_segment_pair(lo, hi, slope, modulus):
+    """Fastest segment pair i < j that revisits a position with opposite
+    motion, or the antipode with equal motion.
 
+    Segment k sweeps the open interval ``(lo[k], hi[k])`` at rate
+    ``slope[k]``.  A pair matches when its intervals overlap and its
+    slopes have opposite signs.  On a circle (``0 <= lo <= modulus`` and
+    ``hi <= lo + modulus/2`` in floating point; ``modulus`` None on a
+    line) it also matches when one interval shifted up by ``modulus``
+    overlaps the other with opposite signs, or one shifted up by
+    ``modulus/2`` does with equal signs (the antipode's tangent is
+    reversed).  Either order shifts the same operand, so the predicate is
+    symmetric; a zero slope or an empty (shifted) interval never matches.
 
-def _range_max_table(a):
-    """Sparse table of ``a``: row k holds ``max(a[x:x + 2**k])`` for every x
-    where that slice is full, and -inf past it (Bender & Farach-Colton)."""
-    n = len(a)
-    table = np.full((max(n.bit_length(), 1), n), -np.inf)
-    table[0] = a
-    for k in range(1, len(table)):
-        w = 1 << (k - 1)
-        table[k, :n - 2 * w + 1] = np.maximum(table[k - 1, :n - 2 * w + 1],
-                                              table[k - 1, w:n - w + 1])
-    return table
-
-
-def _range_max(table, lo, hi):
-    """``max(a[lo:hi])`` per entry from a sparse table, -inf where empty."""
-    out = np.full(len(lo), -np.inf)
-    full = hi > lo
-    lo, hi = lo[full], hi[full]
-    k = np.frexp(hi - lo)[1] - 1          # floor(log2(hi - lo)), exactly
-    out[full] = np.maximum(table[k, lo], table[k, hi - (1 << k)])
-    return out
-
-
-def _best_matched_pair(position, velocity, tol, modulus):
-    """Best interior pair i < j with matched positions and opposite motion.
-
-    A pair matches when its positions agree within ``tol`` (modulo
-    ``modulus``; None for the straight-line case) and ``v_i * v_j < 0``,
-    or, when a modulus is given, when they are antipodal within ``tol``
-    and ``v_i * v_j > 0`` (the antipode's tangent direction is reversed).
-    Returns (score, i, j) of the pair with the largest
-    ``min(|v_i|, |v_j|)``, ties to the smallest i and then j, or None.
-    ``tol`` is finite; a point with a non-finite position never matches.
-
-    No pair matrix is formed.  The interior points are split by velocity
-    sign and each class is sorted by position (reduced modulo
-    ``modulus``); coincide partners lie in the other class and antipodal
-    partners in the same one.  For each point, ``searchsorted`` gives its
-    partner windows -- ``[q - tol, q + tol]`` shifted by 0 and
-    +-modulus, plus ``[q +- modulus/2 - tol, q +- modulus/2 + tol]`` --
-    widened by a few ulps so they contain every pair the exact predicate
-    admits, and a range-max table of ``|v|`` over each sorted class
-    bounds the point's best score by ``min(|v_i|, fastest partner)`` in
-    O(1) per window.  The antipodal range is split at the point's own
-    slot, since a large ``tol`` puts a point in its own window.  The
-    largest bounds are then confirmed with the exact predicate, evaluated
-    on ``(min index, max index)`` exactly as a full pair scan would, until
-    the largest remaining bound is a confirmed score S; the points whose
-    bound reaches S are visited in index order, and the first with an
-    exact partner ``j > i`` scoring S gives the pair.  Time and memory
-    are O(m log m) plus the windows of the few points confirmed.
+    Returns ``(score, i, j, u_i, u_j)`` for the largest ``score =
+    min(|slope_i|, |slope_j|)``, ties to the smallest i, then j, or None;
+    ``u`` is the overlap's midpoint as a fraction of each shifted
+    interval.  Speeds are bisected: each sign class is sorted by ``lo``
+    once, and a prefix max of its ends at or above a speed, with one
+    ``searchsorted`` per shift, tells each segment whether a partner
+    overlaps it.  The first segment with a partner has only later ones.
     """
-    inner = np.arange(1, len(position) - 1)
-    inner = inner[np.isfinite(position[inner])]
     if modulus is None:
-        key = position[inner]
-        coincide, antipodal = (0.0,), ()
+        shifts = [(0.0, 0.0, False)]           # (own, partner's, same sign)
     else:
-        key = np.mod(position[inner], modulus)
-        coincide = (-modulus, 0.0, modulus)
-        antipodal = (-0.5 * modulus, 0.5 * modulus)
-    top = float(np.max(np.abs(position[inner]), initial=0.0))
-    slack = 16 * np.finfo(np.float64).eps * (top + (modulus or 0.0) + tol)
+        h = 0.5 * modulus
+        shifts = [(0.0, 0.0, False), (modulus, 0.0, False),
+                  (0.0, modulus, False), (h, 0.0, True), (0.0, h, True)]
+    solid = np.logical_and.reduce([lo + d < hi + d for d in
+                                   {d for s in shifts for d in s[:2]}])
+    speed = np.where(solid, np.abs(slope), 0.0)      # 0: never matches
+    order = np.argsort(lo, kind="stable")
+    sides = [order[(speed[order] > 0) & (sign * slope[order] > 0)]
+             for sign in (1, -1)]
+    width = 1 + max(len(k) for k in sides)
+    member = np.full((2, width), -1)     # class c's x-th segment at [c, 1+x]
+    cells, start = [], []       # [shift, query]: reach cell, shifted start
+    for c, k in enumerate(sides):
+        member[c, 1:len(k) + 1] = k
+        cells.append([(c if same else 1 - c) * width + np.searchsorted(
+            lo[sides[c if same else 1 - c]] + td, hi[k] + qd)
+            for qd, td, same in shifts])
+        start.append([lo[k] + qd for qd, _, _ in shifts])
+    cells, start = np.hstack(cells), np.hstack(start)
+    queries, shift_up = np.concatenate(sides), np.array(shifts)[:, 1:2]
+    member_hi = np.append(hi, -np.inf)[member]
+    member_speed = np.append(speed, 0.0)[member]
 
-    # (indices, keys, range-max table); a zero or NaN velocity lies in
-    # neither class, as its products with other velocities have no sign
-    classes = []
-    for side in (velocity[inner] > 0, velocity[inner] < 0):
-        order = np.argsort(key[side], kind="stable")
-        members = inner[side][order]
-        classes.append((members, key[side][order],
-                        _range_max_table(np.abs(velocity[members]))))
+    def partnered(level):
+        """Segments at or above ``level`` with a partner there (rounding is
+        monotone: the prefix max of shifted ends is the shifted one)."""
+        ends = np.where(member_speed >= level, member_hi, -np.inf)
+        reach = np.maximum.accumulate(ends, axis=1).ravel()
+        has = np.zeros(len(slope), dtype=bool)
+        has[queries] = np.any(reach[cells] + shift_up > start, axis=0)
+        return has & (speed >= level)
 
-    def windows(c, q):
-        """(class, lo, hi) slot ranges holding every partner of keys q in
-        class c."""
-        for target, shifts in ((1 - c, coincide), (c, antipodal)):
-            keys = classes[target][1]
-            for shift in shifts:
-                yield (target,
-                       np.searchsorted(keys, q + shift - tol - slack, "left"),
-                       np.searchsorted(keys, q + shift + tol + slack, "right"))
-
-    bound = []
-    for c, (members, keys, _) in enumerate(classes):
-        slot = np.arange(len(members))
-        fastest = np.full(len(members), -np.inf)
-        for target, lo, hi in windows(c, keys):
-            table = classes[target][2]
-            if target == c:          # skip the point's own slot
-                fastest = np.maximum(fastest, _range_max(
-                    table, lo, np.minimum(hi, slot)))
-                lo = np.maximum(lo, slot + 1)
-            fastest = np.maximum(fastest, _range_max(table, lo, hi))
-        bound.append(np.minimum(np.abs(velocity[members]), fastest))
-    bound = np.concatenate(bound)
-    n0 = len(classes[0][0])
-    index = np.concatenate([classes[0][0], classes[1][0]])
-
-    def partners(r):
-        """(i, scores, j): point r's index and its exact matches."""
-        c = int(r >= n0)
-        i = index[r]
-        j = np.unique(np.concatenate(
-            [classes[t][0][lo:hi]
-             for t, lo, hi in windows(c, classes[c][1][r - c * n0])]))
-        j = j[j != i]
-        a, b = np.minimum(i, j), np.maximum(i, j)
-        diff = position[a] - position[b]
-        vv = velocity[a] * velocity[b]
-        if modulus is None:
-            cand = (np.abs(diff) <= tol) & (vv < 0)
-        else:
-            dd = np.mod(diff, modulus)
-            cand = (np.minimum(dd, modulus - dd) <= tol) & (vv < 0)
-            cand |= (np.abs(dd - 0.5 * modulus) <= tol) & (vv > 0)
-        score = np.minimum(np.abs(velocity[a]), np.abs(velocity[b]))
-        return i, score[cand], j[cand]
-
-    # lower the largest bounds to exact scores until one is confirmed
-    best = -np.inf
-    for r in np.argsort(-bound, kind="stable"):
-        if bound[r] <= best:
-            break
-        _, score, _ = partners(r)
-        bound[r] = float(np.max(score, initial=-np.inf))
-        best = max(best, bound[r])
-    if best == -np.inf:
+    levels = np.unique(speed[queries])
+    a = bisect.bisect_left(range(len(levels)), True,
+                           key=lambda m: not partnered(levels[m]).any())
+    if a == 0:                 # levels[:a] have a match, levels[a:] none
         return None
-    tied = np.flatnonzero(bound >= best)
-    for r in tied[np.argsort(index[tied])]:
-        i, score, j = partners(r)
-        j = j[(score == best) & (j > i)]
-        if len(j):
-            return float(best), int(i), int(np.min(j))
-    raise AssertionError("a confirmed score has a first tied pair")
+    i = int(np.argmax(partnered(levels[a - 1])))
+    k = np.flatnonzero(speed[i + 1:] >= levels[a - 1]) + i + 1
+    same = (slope[k] > 0) == (slope[i] > 0)
+    j, qd, td = len(slope), 0.0, 0.0
+    for d_i, d_k, want in shifts:
+        hit = k[(same == want) & (lo[k] + d_k < hi[i] + d_i)
+                & (hi[k] + d_k > lo[i] + d_i)]
+        if len(hit) and hit[0] < j:
+            j, qd, td = int(hit[0]), d_i, d_k
+    mid = 0.5 * (max(lo[i] + qd, lo[j] + td) + min(hi[i] + qd, hi[j] + td))
+    u_i, u_j = (float((mid - (lo[k] + d)) / ((hi[k] + d) - (lo[k] + d)))
+                for k, d in ((i, qd), (j, td)))
+    return float(levels[a - 1]), i, j, u_i, u_j
 
 
-def _matched_witness(plane, t, position, velocity, tol0, modulus, theta,
-                     threshold, s_len):
-    """The best matched pair as a witness, at tolerance ``tol0`` and then
-    once more at ``4*tol0``; None when neither reaches ``threshold``.
-
-    The relation follows the sign of ``v_i * v_j``: opposite motion at a
-    coinciding position, or equal motion at the antipode, whose projected
-    velocity is then reversed.
-    """
-    for tol in (tol0, 4 * tol0):
-        hit = _best_matched_pair(position, velocity, tol, modulus)
-        if hit is None:
-            continue
-        score, i, j = hit
-        if score < threshold - _WITNESS_SLACK * max(1.0, threshold):
-            continue
-        coincide = velocity[i] * velocity[j] < 0
-        return EquatorWitness(
-            plane=plane, tau1=float(t[i]), tau2=float(t[j]),
-            relation="coincide" if coincide else "antipodal",
-            v_proj_1=float(velocity[i]),
-            v_proj_2=float(velocity[j] if coincide else -velocity[j]),
-            theta=theta, threshold=threshold, curve_length=s_len,
-            window=(float(t[0]), float(t[-1])), match_tol=float(tol))
-    return None
+def _segment_witness(plane, t, lo, hi, slope, modulus, theta, threshold,
+                     s_len):
+    """The best segment pair as a witness, or None below ``threshold``."""
+    hit = _best_segment_pair(lo, hi, slope, modulus)
+    if hit is None or hit[0] < threshold - _WITNESS_SLACK * max(1.0, threshold):
+        return None
+    _, i, j, u_i, u_j = hit
+    tau1, tau2 = (t[k] + (t[k + 1] - t[k]) * (u if slope[k] > 0 else 1 - u)
+                  for k, u in ((i, u_i), (j, u_j)))
+    coincide = (slope[i] > 0) != (slope[j] > 0)
+    return EquatorWitness(
+        plane=plane, tau1=float(tau1), tau2=float(tau2),
+        relation="coincide" if coincide else "antipodal",
+        v_proj_1=float(slope[i]),
+        v_proj_2=float(slope[j] if coincide else -slope[j]),
+        theta=theta, threshold=threshold, curve_length=s_len,
+        window=(float(t[0]), float(t[-1])))
 
 
 def find_circle_witness(c: Curve, theta: float) -> EquatorWitness:
@@ -327,12 +247,13 @@ def find_circle_witness(c: Curve, theta: float) -> EquatorWitness:
 
     Requires length > 2*pi*R*theta.  Returns the time pair with equal or
     antipodal angular positions, opposite tangential motion, and maximal
-    ``min(|v1|, |v2|)``; that minimum is guaranteed to reach
-    ``s/(4 (t2-t1))`` for closed curves and ``(theta-4)/(4 theta) *
-    s/(t2-t1)`` otherwise.  The longitude-matching tolerance scales as
-    ``2*pi/sqrt(samples)`` and is relaxed once (4x) before giving up.
+    ``min(|v1|, |v2|)``; that minimum is guaranteed to reach ``s/(4T)``
+    for closed curves and ``(theta-4)/(4 theta) * s/T`` otherwise, T the
+    duration.  The longitude moves linearly in time on each segment, by
+    the planar angle increments whose sum gives s, so the theorem holds
+    for it and ``WitnessNotFound`` means a defect, not a coarse sampling.
     """
-    if theta <= 4:
+    if not theta > 4:
         raise ValueError("theta must be > 4")
     if c.dim != 2:
         raise ValueError("circle witness needs a planar curve")
@@ -347,21 +268,17 @@ def find_circle_witness(c: Curve, theta: float) -> EquatorWitness:
         raise PreconditionLength(
             f"curve length {s_len:.6g} must exceed 2*pi*R*theta = "
             f"{2 * math.pi * radius * theta:.6g}")
-    duration = c.duration
     factor = 0.25 if c.closed else (theta - 4.0) / (4.0 * theta)
-    threshold = factor * s_len / duration
-
-    phi = np.concatenate([[0.0], np.cumsum(inc)])  # unwrapped
-    position = np.mod(np.arctan2(x64[:, 1], x64[:, 0]), 2 * math.pi)
-    v_tang = radius * _centered_rate(phi, c.t)
-
-    tol0 = 2 * math.pi / math.sqrt(c.n_samples)
-    w = _matched_witness(np.eye(2), c.t, position, v_tang, tol0, 2 * math.pi,
-                         theta, threshold, s_len)
+    threshold = factor * s_len / c.duration
+    phi = np.cumsum(np.r_[math.atan2(x64[0, 1], x64[0, 0]), inc])  # unwrapped
+    lo = np.mod(np.where(inc >= 0, phi[:-1], phi[1:]), 2 * math.pi)
+    w = _segment_witness(np.eye(2), c.t, lo, lo + np.abs(inc),
+                         radius * inc / np.diff(c.t), 2 * math.pi, theta,
+                         threshold, s_len)
     if w is None:
         raise WitnessNotFound(
-            "no matched pair reaches the required speed; the sampling may "
-            "be too coarse for the longitude tolerance")
+            f"no segment pair reaches the speed {threshold:.6g} that the "
+            "length precondition guarantees")
     return w
 
 
@@ -383,10 +300,10 @@ def find_equator_witness(s: SphericalCurve, theta: float, trials: int = 64,
     planes.  A candidate circle is kept when the longitude projection of
     the curve is at least as long as the curve itself (1% tolerance) --
     such a plane exists whenever length > 2*pi*theta -- and the circle
-    witness search then supplies the time pair.  The stored projected
-    velocities are tangential velocities of the longitude projection.
+    witness search supplies the time pair (a projection too short for it
+    is skipped).  Velocities are those of the longitude projection.
     """
-    if theta <= 4:
+    if not theta > 4:
         raise ValueError("theta must be > 4")
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -420,7 +337,7 @@ def find_equator_witness(s: SphericalCurve, theta: float, trials: int = 64,
         projected = Curve(s.curve.t, pts, closed=None)
         try:
             w = find_circle_witness(projected, theta)
-        except (WitnessNotFound, PreconditionLength):
+        except PreconditionLength:
             continue
         return replace(w, plane=plane.copy())
     raise WitnessNotFound(
@@ -445,8 +362,11 @@ def find_euclidean_witness(c: Curve, theta: float, trials: int = 200,
     """Straight-line analog: a long curve inside a ball of radius R
     (length > theta * C_n * R, theta > 8) revisits some line coordinate
     with opposite projected velocities >= (theta-8)/(4 theta) * s/T.
+
+    Tries the principal direction, then random ones, each with the
+    segment search on the polyline's line coordinate.
     """
-    if theta <= 8:
+    if not theta > 8:
         raise ValueError("theta must be > 8")
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -458,8 +378,7 @@ def find_euclidean_witness(c: Curve, theta: float, trials: int = 200,
     if s_len <= needed:
         raise PreconditionLength(
             f"length {s_len:.6g} must exceed theta*C_n*R = {needed:.6g}")
-    duration = c.duration
-    threshold = (theta - 8.0) / (4.0 * theta) * s_len / duration
+    threshold = (theta - 8.0) / (4.0 * theta) * s_len / c.duration
     rng = np.random.default_rng(seed)
 
     def directions():
@@ -470,9 +389,10 @@ def find_euclidean_witness(c: Curve, theta: float, trials: int = 200,
 
     for u in directions():
         p = x @ u
-        tol0 = (float(np.max(p)) - float(np.min(p))) / math.sqrt(c.n_samples)
-        w = _matched_witness(u[None, :].copy(), c.t, p, _centered_rate(p, c.t),
-                             tol0, None, theta, threshold, s_len)
+        w = _segment_witness(u[None, :].copy(), c.t, np.minimum(p[:-1], p[1:]),
+                             np.maximum(p[:-1], p[1:]),
+                             np.diff(p) / np.diff(c.t), None, theta,
+                             threshold, s_len)
         if w is not None:
             return w
     raise WitnessNotFound(

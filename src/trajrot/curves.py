@@ -45,7 +45,7 @@ class Curve:
     Parameters
     ----------
     t : array_like, shape (m,)
-        Strictly increasing sample times.
+        Strictly increasing, finite sample times.
     x : array_like, shape (m, dim)
         Sample points, ``dim >= 2``.  float64 by default; longdouble
         arrays are preserved, which matters for curves whose coordinates
@@ -66,6 +66,8 @@ class Curve:
             raise ValueError("a curve needs at least 2 samples")
         if x.shape[1] < 2:
             raise ValueError("ambient dimension must be >= 2")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("t contains non-finite entries")
         if not np.all(np.diff(t) > 0):
             raise ValueError("timestamps must be strictly increasing")
         self.t = t

@@ -206,6 +206,9 @@ def test_witness_command(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["v_proj_1"] * payload["v_proj_2"] < 0
+    assert set(payload) == {"plane", "tau1", "tau2", "relation", "v_proj_1",
+                            "v_proj_2", "theta", "threshold", "curve_length",
+                            "window"}
 
 
 def test_witness_precondition_exit2(tmp_path, capsys):
@@ -221,8 +224,8 @@ def test_witness_precondition_exit2(tmp_path, capsys):
 
 
 def test_witness_coarse_loop_exit0(tmp_path, capsys):
-    # 12 samples over 4.6 turns: the best pair is antipodal and also within
-    # the coinciding-position tolerance
+    # 12 samples over 4.6 turns: the fastest segment pair moves the same
+    # way at antipodal longitudes
     t = np.linspace(0, 4.6, 12)
     phi = 2 * math.pi * t
     c = tr.Curve(t, np.stack([np.cos(phi), np.sin(phi)], axis=1))
@@ -236,16 +239,52 @@ def test_witness_coarse_loop_exit0(tmp_path, capsys):
     assert payload["v_proj_1"] * payload["v_proj_2"] < 0
 
 
-def test_witness_json_reports_match_tol(tmp_path, capsys):
-    t = np.linspace(0, 1, 3001)
-    phi = 10 * math.pi * t
-    c = tr.Curve(t, np.stack([np.cos(phi), np.sin(phi)], axis=1), closed=True)
-    path = tmp_path / "loop.csv"
-    tr.curve_to_csv(c, str(path))
-    code, out, _ = run_cli(capsys, "witness", "--curve", str(path),
-                           "--kind", "circle", "--theta", "4.5")
-    assert code == 0
-    assert json.loads(out)["match_tol"] == 2 * math.pi / math.sqrt(3001)
+def witness_curve(kind):
+    """A curve long enough for each witness search: a 5-turn planar loop,
+    a 6-loop equator, or a 100-round-trip zigzag in 3-space."""
+    t = np.linspace(0, 1, 2001)
+    phi = (10 if kind == "circle" else 12) * math.pi * t
+    if kind == "circle":
+        return tr.Curve(t, np.stack([np.cos(phi), np.sin(phi)], axis=1))
+    if kind == "equator":
+        return tr.Curve(t, np.stack([np.cos(phi), np.sin(phi),
+                                     np.zeros_like(t)], axis=1))
+    saw = (t * 200) % 2.0
+    x = np.where(saw <= 1.0, -1.0 + 2 * saw, 3.0 - 2 * saw)
+    return tr.Curve(t, np.stack([x, 0 * t, 0 * t], axis=1))
+
+
+@pytest.mark.parametrize("kind, theta", [("circle", "4.5"),
+                                         ("equator", "4.5"),
+                                         ("euclidean", "9")])
+def test_witness_rerun_byte_identical(tmp_path, capsys, kind, theta):
+    path = tmp_path / "c.csv"
+    tr.curve_to_csv(witness_curve(kind), str(path))
+    runs = [run_cli(capsys, "witness", "--curve", str(path), "--kind", kind,
+                    "--theta", theta) for _ in range(2)]
+    assert runs[0][0] == 0, runs[0][2]
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("kind", ["circle", "equator", "euclidean"])
+def test_witness_nan_theta_exit2(tmp_path, capsys, kind):
+    path = tmp_path / "c.csv"
+    tr.curve_to_csv(witness_curve("equator"), str(path))
+    code, out, err = run_cli(capsys, "witness", "--curve", str(path),
+                             "--kind", kind, "--theta", "nan")
+    assert code == 2
+    assert out == ""
+    assert "ValueError" in err and "theta" in err
+
+
+def test_curve_csv_infinite_time_exit2(tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    path.write_text("t,x1,x2\n0,0,0\n1,1,0\ninf,2,0\n")
+    code, out, err = run_cli(capsys, "rotate", "--curve", str(path),
+                             "--point", "0,5")
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
 
 
 def test_witness_zero_trials_exit2(tmp_path, capsys):

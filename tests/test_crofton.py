@@ -7,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 import trajrot as tr
-from trajrot.crofton import (_best_matched_pair, _centered_rate,
-                             _matched_witness, _range_max, _range_max_table,
-                             haar_orthogonal)
+from trajrot import crofton
+from trajrot.crofton import _best_segment_pair, haar_orthogonal
+from trajrot.curves import planar_angle_increments
 
 
 def mp_constants(n):
@@ -152,17 +152,33 @@ def test_circle_witness_precondition():
         tr.find_circle_witness(uniform_loop(turns=1, n=301), 5.0)
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+def test_circle_witness_at_extreme_time_scales(scale):
+    # speeds near 1e171 or 1e-169: the product of two overflows or
+    # underflows, their signs do not
+    loop = uniform_loop()
+    c = tr.Curve(loop.t * scale, loop.x, closed=True)
+    w = tr.find_circle_witness(c, 4.5)
+    assert w.relation == "antipodal"
+    assert abs(w.achieved * scale - 10 * math.pi) < 0.1
+    assert_exact(c, w)
+
+
 def test_circle_witness_times_interior():
     w = tr.find_circle_witness(uniform_loop(), 4.5)
     assert 0.0 < w.tau1 < w.tau2 < 1.0
 
 
-def test_equator_witness_six_loops():
-    t = np.linspace(0, 1, 6001)
-    phi = 12 * math.pi * t
-    eq = tr.SphericalCurve(tr.Curve(
+def equator_curve(turns, n=2001):
+    t = np.linspace(0, 1, n)
+    phi = 2 * math.pi * turns * t
+    return tr.SphericalCurve(tr.Curve(
         t, np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1),
         closed=True))
+
+
+def test_equator_witness_six_loops():
+    eq = equator_curve(6, n=6001)
     w = tr.find_equator_witness(eq, 5.0, trials=64, seed=0)
     normal = np.cross(w.plane[0], w.plane[1])
     assert abs(abs(normal[2]) - 1.0) < 1e-6  # the equator plane itself
@@ -171,11 +187,7 @@ def test_equator_witness_six_loops():
 
 
 def test_equator_witness_precondition():
-    t = np.linspace(0, 1, 3001)
-    phi = 6 * math.pi * t
-    s = tr.SphericalCurve(tr.Curve(
-        t, np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1),
-        closed=True))
+    s = equator_curve(3, n=3001)
     with pytest.raises(tr.PreconditionLength):
         tr.find_equator_witness(s, 5.0)
 
@@ -226,117 +238,91 @@ def test_euclidean_witness_planar_spiral():
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=10, deadline=None)
 def test_witness_invariants_hold_for_any_seed(seed):
-    t = np.linspace(0, 1, 2001)
-    phi = 12 * math.pi * t
-    eq = tr.SphericalCurve(tr.Curve(
-        t, np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1),
-        closed=True))
+    eq = equator_curve(6)
     w = tr.find_equator_witness(eq, 4.5, trials=8, seed=seed)
     assert w.v_proj_1 * w.v_proj_2 < 0
     assert w.achieved >= w.threshold - 1e-9
     assert w.window[0] < w.tau1 < w.tau2 < w.window[1]
 
 
-# --- matched-pair scan oracle ----------------------------------------------
+# --- segment-pair search against an O(m^2) oracle -------------------------
 
 
-# The O(m^2) scan as it stood with its two relation flags and a relation
-# read from the position test, kept verbatim as the reference.
-def oracle_matched_pair(position, velocity, coincide_ok, antipodal_ok, tol,
-                        modulus):
-    """Scan interior index pairs for matched positions and opposite motion.
+def pair_shifts(modulus):
+    """(shift of the earlier segment, of the later one, same slope sign):
+    a pair matches when its open intervals overlap after one of them is
+    shifted up by 0, the modulus (opposite signs) or half of it (equal
+    signs)."""
+    if modulus is None:
+        return [(0.0, 0.0, False)]
+    h = 0.5 * modulus
+    return [(0.0, 0.0, False), (modulus, 0.0, False), (0.0, modulus, False),
+            (h, 0.0, True), (0.0, h, True)]
 
-    ``position`` is compared modulo ``modulus`` (None for the straight
-    line case).  Returns (score, i, j, relation) of the best candidate or
-    None.  For antipodal matches the second velocity is compared after
-    projection to the first point's tangent direction, which flips its
-    sign.
-    """
-    m = len(position)
+
+def oracle_segment_pair(lo, hi, slope, modulus):
+    """Scan every segment pair i < j of the search's intervals; (score, i,
+    j) of the fastest match, ties to the smallest i and then j, or None.
+    A zero slope, or an interval empty at some shift, never matches."""
+    m = len(slope)
+    solid = slope != 0
+    for d_i, d_j, _ in pair_shifts(modulus):
+        solid &= (lo + d_i < hi + d_i) & (lo + d_j < hi + d_j)
     best = None
-    idx = np.arange(m)
-    interior = (idx > 0) & (idx < m - 1)
     chunk = max(1, 2_000_000 // m)
     for i0 in range(0, m, chunk):
-        i1 = min(i0 + chunk, m)
-        pi = position[i0:i1, None]
-        vi = velocity[i0:i1, None]
-        diff = pi - position[None, :]
-        if modulus is None:
-            coin = np.abs(diff) <= tol
-            anti = np.zeros_like(coin)
-        else:
-            dd = np.mod(diff, modulus)
-            coin = np.minimum(dd, modulus - dd) <= tol
-            anti = np.abs(dd - 0.5 * modulus) <= tol
-        vv = vi * velocity[None, :]
-        cand = np.zeros(coin.shape, dtype=bool)
-        if coincide_ok:
-            cand |= coin & (vv < 0)
-        if antipodal_ok:
-            cand |= anti & (vv > 0)
-        cand &= interior[i0:i1, None] & interior[None, :]
-        cand &= (idx[i0:i1, None] < idx[None, :])
-        if not np.any(cand):
-            continue
-        score = np.minimum(np.abs(vi), np.abs(velocity[None, :]))
-        score = np.where(cand, score, -np.inf)
-        flat = int(np.argmax(score))
-        ii, jj = np.unravel_index(flat, score.shape)
-        sc = float(score[ii, jj])
-        if best is None or sc > best[0]:
-            rel = "coincide"
-            if antipodal_ok and not coin[ii, jj]:
-                rel = "antipodal"
-            best = (sc, i0 + int(ii), int(jj), rel)
+        r = slice(i0, min(i0 + chunk, m))
+        same = (slope[r, None] > 0) == (slope[None, :] > 0)
+        match = np.zeros((len(slope[r]), m), dtype=bool)
+        for d_i, d_j, want in pair_shifts(modulus):
+            match |= ((same == want) & (lo[None, :] + d_j < hi[r, None] + d_i)
+                      & (hi[None, :] + d_j > lo[r, None] + d_i))
+        match &= np.arange(m)[r, None] < np.arange(m)[None, :]
+        match &= solid[r, None] & solid[None, :]
+        score = np.where(match, np.minimum(np.abs(slope[r, None]),
+                                           np.abs(slope[None, :])), -np.inf)
+        ii, jj = np.unravel_index(int(np.argmax(score)), score.shape)
+        if score[ii, jj] > (-np.inf if best is None else best[0]):
+            best = (float(score[ii, jj]), i0 + int(ii), int(jj))
     return best
 
 
+def check_against_oracle(lo, hi, slope, modulus):
+    ref = oracle_segment_pair(lo, hi, slope, modulus)
+    hit = _best_segment_pair(lo, hi, slope, modulus)
+    assert (None if hit is None else hit[:3]) == ref
+    if hit is not None:   # the midpoints coincide at a shift of the pair's kind
+        _, i, j, u_i, u_j = hit
+        assert 0.0 <= u_i <= 1.0 and 0.0 <= u_j <= 1.0
+        at_i = lo[i] + u_i * (hi[i] - lo[i])
+        at_j = lo[j] + u_j * (hi[j] - lo[j])
+        same = (slope[i] > 0) == (slope[j] > 0)
+        scale = 1e-12 * max(1.0, abs(lo[i]), abs(hi[i]))
+        assert any(abs(at_i + d_i - at_j - d_j) <= scale
+                   for d_i, d_j, want in pair_shifts(modulus) if want == same)
+
+
 @st.composite
-def matched_pair_cases(draw):
-    """Positions and velocities rounded to 0-2 decimals, so that scores and
-    position matches tie often."""
-    m = draw(st.integers(3, 60))
+def segment_cases(draw):
+    """Circle or line intervals, and slopes of both signs and zero, rounded
+    to 0-2 decimals, so that scores tie and intervals touch often."""
+    m = draw(st.integers(1, 60))
     decimals = draw(st.integers(0, 2))
     modulus = draw(st.sampled_from([2 * math.pi, None]))
-    span = 2 * math.pi if modulus is not None else 5.0
-    pos = draw(st.lists(st.floats(-span, span), min_size=m, max_size=m))
-    vel = draw(st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m))
-    tol = draw(st.floats(0.01, 2.5))
-    return np.round(pos, decimals), np.round(vel, decimals), tol, modulus
+    floats = lambda a, b: np.round(draw(st.lists(
+        st.floats(a, b), min_size=m, max_size=m)), decimals)
+    if modulus is None:
+        lo, width = floats(-5.0, 5.0), floats(0.0, 3.0)
+    else:   # lo <= 6.28 < 2*pi, and widths round to at most 3.14 < pi
+        lo, width = np.minimum(floats(0.0, 2 * math.pi), 6.28), \
+            floats(0.0, math.pi)
+    return lo, lo + width, floats(-3.0, 3.0), modulus
 
 
-@given(matched_pair_cases())
+@given(segment_cases())
 @settings(max_examples=300, deadline=None)
 def test_matched_pair_scan_matches_oracle(case):
-    position, velocity, tol, modulus = case
-    first = None
-    for scan_tol in (tol, 4 * tol):
-        ref = oracle_matched_pair(position, velocity, True,
-                                  modulus is not None, scan_tol, modulus)
-        hit = _best_matched_pair(position, velocity, scan_tol, modulus)
-        assert hit == (None if ref is None else ref[:3])
-        if first is None and ref is not None:
-            first = (scan_tol, ref)
-
-    t = np.arange(len(position), dtype=float)
-    w = _matched_witness(np.eye(2), t, position, velocity, tol, modulus,
-                         theta=5.0, threshold=0.0, s_len=1.0)
-    if first is None:
-        assert w is None
-        return
-    scan_tol, (_, i, j, label) = first
-    coincide = velocity[i] * velocity[j] < 0
-    assert (w.tau1, w.tau2) == (i, j)
-    assert w.match_tol == scan_tol
-    assert w.relation == ("coincide" if coincide else "antipodal")
-    assert w.v_proj_1 == velocity[i]
-    assert w.v_proj_2 == (velocity[j] if coincide else -velocity[j])
-    if label != w.relation:
-        # the oracle reads the label from the position test, which a pair
-        # can pass both ways only when the tolerance reaches a quarter turn
-        assert modulus is not None and label == "coincide"
-        assert 2 * scan_tol >= 0.5 * modulus - 1e-12
+    check_against_oracle(*case)
 
 
 @pytest.mark.parametrize("modulus", [2 * math.pi, None])
@@ -345,126 +331,189 @@ def test_matched_pair_ties_across_chunks(modulus):
     # the first chunk's pair must survive the later chunks
     rng = np.random.default_rng(5)
     m = 2001
-    position = np.round(rng.uniform(0, 2 * math.pi, m), 2)
-    velocity = rng.choice([-1.0, 1.0], m)
-    ref = oracle_matched_pair(position, velocity, True, modulus is not None,
-                              0.05, modulus)
+    lo = np.round(rng.uniform(0, 2 * math.pi, m), 2)
+    slope = rng.choice([-1.0, 1.0], m)
+    hi = lo + 0.05
+    ref = oracle_segment_pair(lo, hi, slope, modulus)
     assert ref[1] < 999
-    assert _best_matched_pair(position, velocity, 0.05, modulus) == ref[:3]
+    assert _best_segment_pair(lo, hi, slope, modulus)[:3] == ref
 
 
 @st.composite
-def boundary_matched_pair_cases(draw):
-    """Positions exactly at k*M/2 +- tol (M the modulus, or 0.5 on the line)
-    and nudged by 1e-17 or one ulp, so np.mod rounds to M and matches sit
-    on the tolerance edge; tolerances up to two turns, so the 4x pass
-    reaches tol >= M/2 and tol >= M; straight-line positions near 0, where
-    the rounded difference of mixed-sign positions decides the edge, or
-    near 1e6; and either one common speed, so every score ties, or rounded
-    random speeds."""
-    m = draw(st.integers(3, 24))
+def boundary_segment_cases(draw):
+    """Interval ends exactly on the grid of quarter turns (half units on
+    the line, near 0 or 1e6), or one ulp or 1e-17 off it, so intervals
+    touch at every shift, and either one common speed, so every score
+    ties, or rounded random speeds."""
+    m = draw(st.integers(2, 24))
     modulus = draw(st.sampled_from([2 * math.pi, None]))
-    tol = draw(st.one_of(st.floats(0.01, 4 * math.pi),
-                         st.integers(1, 125).map(lambda k: k / 10)))
     ints = lambda lo, hi: np.array(draw(st.lists(
         st.integers(lo, hi), min_size=m, max_size=m)), dtype=float)
+    nudge = lambda a: np.nextafter(a + ints(-1, 1) * 1e-17, a + ints(-1, 1))
     if modulus is None:
-        origin, step = draw(st.sampled_from([0.0, 1e6, -1e6])), 0.5
+        origin = draw(st.sampled_from([0.0, 1e6, -1e6]))
+        lo = nudge(origin + ints(-2, 4) * 0.5)
+        hi = np.maximum(lo, nudge(lo + ints(0, 2) * 0.5))
     else:
-        origin, step = 0.0, 0.5 * modulus
-    pos = origin + ints(-2, 4) * step + ints(-1, 1) * tol
-    pos = pos + ints(-1, 1) * 1e-17
-    pos = np.nextafter(pos, pos + ints(-1, 1))
+        lo = np.clip(nudge(ints(0, 4) * 0.25 * modulus), 0.0, modulus)
+        hi = lo + ints(0, 2) * 0.25 * modulus
     signs = np.where(ints(0, 1) > 0, 1.0, -1.0)
     if draw(st.booleans()):
-        vel = signs * draw(st.sampled_from([1.0, 0.5]))
+        slope = signs * draw(st.sampled_from([1.0, 0.5]))
     else:
-        vel = np.round(signs * ints(1, 30) / 10, 1)
-    return pos, vel, tol, modulus
+        slope = np.round(signs * ints(0, 30) / 10, 1)
+    return lo, hi, slope, modulus
 
 
-# found by search: each pair matches only through a rounded difference,
-# 1e-17 past the unwidened window
-@given(boundary_matched_pair_cases())
-@example((np.array([-3.3, -4.3, 1e-17, -0.5]), np.array([1.0, -1, 1, 1]),
-          4.3, None))
-@example((np.array([1.1, 2.041592653589793, 1e-17, 13.666370614359172]),
-          np.array([-1.0, 1, 1, 1]), 1.1, 2 * math.pi))
+@given(boundary_segment_cases())
 @settings(max_examples=300, deadline=None)
 def test_matched_pair_boundary_cases_match_oracle(case):
-    position, velocity, tol, modulus = case
-    for scan_tol in (tol, 4 * tol):
-        ref = oracle_matched_pair(position, velocity, True,
-                                  modulus is not None, scan_tol, modulus)
-        hit = _best_matched_pair(position, velocity, scan_tol, modulus)
-        assert hit == (None if ref is None else ref[:3])
-
-
-def test_range_max_matches_slices():
-    # an overestimate would only slow the search, so check it directly
-    rng = np.random.default_rng(3)
-    for n in range(18):
-        a = np.round(rng.uniform(0, 5, n), 1)
-        lo, hi = np.divmod(np.arange((n + 1) ** 2), n + 1)
-        got = _range_max(_range_max_table(a), lo, hi)
-        want = [a[x:y].max() if y > x else -np.inf for x, y in zip(lo, hi)]
-        assert got.tolist() == want
+    check_against_oracle(*case)
 
 
 def test_matched_pair_constant_speed_loop_at_scale():
-    # every score ties at 1, so the scan's pair is row 1's first match
-    m, modulus = 200_001, 2 * math.pi
-    position = np.mod(np.linspace(0, 100 * math.pi, m), modulus)
-    velocity = np.ones(m)
-    tol = modulus / math.sqrt(m)
+    # 200 000 segments at one speed: every score ties, so the pair is the
+    # first segment and its first partner half a turn on
+    m = 200_000
+    lo = np.mod(np.arange(m) * (100 * math.pi / m), 2 * math.pi)
+    hi = lo + 100 * math.pi / m
+    slope = np.ones(m)
     start = time.perf_counter()
-    hit = _best_matched_pair(position, velocity, tol, modulus)
+    hit = _best_segment_pair(lo, hi, slope, 2 * math.pi)
     elapsed = time.perf_counter() - start
-    j = np.arange(2, m - 1)
-    dd = np.mod(position[1] - position[j], modulus)
-    vv = velocity[1] * velocity[j]
-    cand = (np.minimum(dd, modulus - dd) <= tol) & (vv < 0)
-    cand |= (np.abs(dd - 0.5 * modulus) <= tol) & (vv > 0)
-    assert hit == (1.0, 1, int(j[cand][0]))
+    j = np.arange(1, m)
+    h = math.pi
+    anti = ((lo[j] + h < hi[0]) & (hi[j] + h > lo[0])
+            | (lo[j] < hi[0] + h) & (hi[j] > lo[0] + h))
+    assert hit[:3] == (1.0, 0, int(j[anti][0]))
     assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("modulus", [2 * math.pi, None])
 def test_matched_pair_random_speed_loop_matches_oracle(modulus):
     rng = np.random.default_rng(11)
-    m = 8001
-    t = np.linspace(0, 1, m)
-    phi = np.cumsum(rng.uniform(-0.05, 0.2, m))
+    m = 8000
+    dt = rng.uniform(0.5, 1.5, m)
+    inc = rng.uniform(-0.05, 0.2, m)
+    phi = np.cumsum(np.concatenate([[0.0], inc]))
     if modulus is None:
-        position, tol = np.cos(phi), 2.0 / math.sqrt(m)
+        p = np.cos(phi)
+        lo, hi = np.minimum(p[:-1], p[1:]), np.maximum(p[:-1], p[1:])
+        slope = np.diff(p) / dt
     else:
-        position, tol = np.mod(phi, modulus), modulus / math.sqrt(m)
-    velocity = _centered_rate(phi if modulus else position, t)
-    ref = oracle_matched_pair(position, velocity, True, modulus is not None,
-                              tol, modulus)
-    assert _best_matched_pair(position, velocity, tol, modulus) == ref[:3]
+        lo = np.mod(np.minimum(phi[:-1], phi[1:]), modulus)
+        hi, slope = lo + np.abs(inc), inc / dt
+    check_against_oracle(lo, hi, slope, modulus)
 
 
-def test_witness_reports_relaxed_tolerance():
-    # the only opposite-motion pair is 0.3 apart: no match at 0.1, one at 0.4
-    position = np.array([0.0, 0.0, 0.3, 0.0])
-    velocity = np.array([1.0, 1.0, -1.0, 1.0])
-    t = np.arange(4.0)
-    assert _best_matched_pair(position, velocity, 0.1, None) is None
-    w = _matched_witness(np.eye(2), t, position, velocity, 0.1, None,
-                         theta=9.0, threshold=0.5, s_len=1.0)
-    assert w.match_tol == 4 * 0.1
-    assert (w.tau1, w.tau2) == (1.0, 2.0)
-    assert tr.find_circle_witness(uniform_loop(), 4.5).match_tol == \
-        2 * math.pi / math.sqrt(4001)
+# --- completeness and exactness on random polylines ------------------------
+
+
+def assert_exact(c, w):
+    """The witness times sit at equal or antipodal positions of the
+    polyline's own longitude (or line coordinate), within 1e-12 rad
+    (relative on the line) plus the position's drift over one rounding
+    of each time, and its velocities are the slopes of the segments
+    holding them."""
+    x = c.x.astype(np.float64)
+    circle = len(w.plane) == 2
+    if circle:
+        radius = float(np.mean(np.linalg.norm(x, axis=1)))
+        inc = planar_angle_increments(x)
+        pos = np.cumsum(np.concatenate([[math.atan2(x[0, 1], x[0, 0])], inc]))
+        slope = radius * inc / np.diff(c.t)
+    else:
+        pos = x @ w.plane[0]
+        slope = np.diff(pos) / np.diff(c.t)
+    gap = np.interp(w.tau1, c.t, pos) - np.interp(w.tau2, c.t, pos)
+    drift = sum(abs(v) * np.spacing(tau) for tau, v in
+                ((w.tau1, w.v_proj_1), (w.tau2, w.v_proj_2)))
+    if circle:
+        gap = math.remainder(gap + (w.relation == "antipodal") * math.pi,
+                             2 * math.pi)
+        assert abs(gap) <= 1e-12 + drift / radius
+    else:
+        assert w.relation == "coincide"
+        assert abs(gap) <= 1e-12 * np.max(np.abs(pos)) + drift
+    sign = 1.0 if w.relation == "coincide" else -1.0
+    for tau, v in ((w.tau1, w.v_proj_1), (w.tau2, sign * w.v_proj_2)):
+        k = np.searchsorted(c.t, tau)          # tau in segment k-1 or k
+        assert v in slope[max(k - 1, 0):k + 1]
+
+
+def random_circle_curve(rng, theta, closed):
+    """A polyline on a circle of random radius whose length exceeds
+    2*pi*R*theta, with segment speeds spread over 4 decades in both
+    directions; a closed one ends where it began."""
+    n = int(rng.integers(4, 300))
+    backward = rng.uniform(size=n) < rng.uniform()   # a random drift
+    speed = rng.permutation(np.logspace(-2, 2, n)) * np.where(backward, -1, 1)
+    inc = speed * rng.uniform(0.5, 2.0, n)
+    inc *= 2 * math.pi * theta * rng.uniform(1.01, 3.0) / np.sum(np.abs(inc))
+    dt = inc / speed
+    if closed:
+        back = -math.remainder(float(np.sum(inc)), 2 * math.pi)
+        inc, dt = np.append(inc, back), np.append(dt, 1.0)
+    parts = np.ceil(np.abs(inc) / (0.45 * math.pi)).astype(int)
+    inc, dt = np.repeat(inc / parts, parts), np.repeat(dt / parts, parts)
+    phi = rng.uniform(0, 2 * math.pi) + np.concatenate([[0.0], np.cumsum(inc)])
+    x = 10 ** rng.uniform(-2, 2) * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    if closed:
+        x[-1] = x[0]
+    return tr.Curve(np.concatenate([[0.0], np.cumsum(dt)]), x, closed=closed)
+
+
+def random_ball_curve(rng, closed):
+    """400 points in the unit ball of the plane or of 3-space, joined at
+    speeds spread over 4 decades: long enough for theta = 8.5."""
+    pts = rng.normal(size=(400, int(rng.integers(2, 4))))
+    pts /= np.maximum(1.0, np.linalg.norm(pts, axis=1))[:, None]
+    if closed:
+        pts[-1] = pts[0]
+    dt = np.linalg.norm(np.diff(pts, axis=0), axis=1) / np.logspace(-2, 2, 399)
+    return tr.Curve(np.concatenate([[0.0], np.cumsum(rng.permutation(dt))]),
+                    pts, closed=closed)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_witness_found_whenever_precondition_holds(seed, circle, closed):
+    rng = np.random.default_rng(seed)
+    if circle:
+        theta = rng.uniform(4.01, 8.0)
+        c = random_circle_curve(rng, theta, closed)
+        w = tr.find_circle_witness(c, theta)
+    else:
+        c = random_ball_curve(rng, closed)
+        w = tr.find_euclidean_witness(c, 8.5, trials=200, seed=seed)
+    assert w.achieved >= w.threshold
+    assert_exact(c, w)
+
+
+def test_equator_search_lets_a_circle_miss_surface(monkeypatch):
+    def miss(c, theta):
+        raise tr.WitnessNotFound("circle search missed")
+
+    monkeypatch.setattr(crofton, "find_circle_witness", miss)
+    eq = equator_curve(6)
+    with pytest.raises(tr.WitnessNotFound, match="circle search missed"):
+        tr.find_equator_witness(eq, 5.0, trials=4)
+
+
+@pytest.mark.parametrize("search", ["circle", "equator", "euclidean"])
+def test_witness_rejects_nan_theta(search):
+    with pytest.raises(ValueError, match="theta"):
+        if search == "circle":
+            tr.find_circle_witness(uniform_loop(), math.nan)
+        elif search == "equator":
+            tr.find_equator_witness(
+                equator_curve(6), math.nan)
+        else:
+            tr.find_euclidean_witness(zigzag_curve(), math.nan)
 
 
 def test_witness_rejects_fewer_than_one_trial():
-    t = np.linspace(0, 1, 2001)
-    phi = 12 * math.pi * t
-    eq = tr.SphericalCurve(tr.Curve(
-        t, np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1),
-        closed=True))
+    eq = equator_curve(6)
     for trials in (0, -3):
         with pytest.raises(ValueError, match="trials"):
             tr.find_equator_witness(eq, 4.5, trials=trials)

@@ -22,6 +22,13 @@ def test_curve_validation():
         tr.Curve([0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]], closed=True)
 
 
+@pytest.mark.parametrize("t", [[0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0],
+                               [0.0, math.nan, 1.0]])
+def test_curve_rejects_non_finite_times(t):
+    with pytest.raises(ValueError, match="t contains non-finite"):
+        tr.Curve(t, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+
+
 def test_closed_autodetection():
     c = circle2d(n=500)
     assert c.closed
