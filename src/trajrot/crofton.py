@@ -74,7 +74,11 @@ def crofton_length_estimate(s: SphericalCurve, m: int = 10_000,
 
     Each draw rotates a reference great subsphere by a Haar orthogonal
     matrix and counts sign changes of its defining linear functional
-    along the polyline.  The mean count times pi estimates the geodesic
+    along the polyline.  The rotated normal is the Haar matrix's first
+    column, which is the normalized first column of its Gaussian, so the
+    draw takes that Gaussian column from the same stream as
+    :func:`haar_orthogonal` and skips the QR: only the sign of the
+    functional counts.  The mean count times pi estimates the geodesic
     length.  The standard error carries a 1/m variance floor so that
     zero-variance counts (every subsphere hits the curve equally often)
     still report the discreteness-limited uncertainty.
@@ -89,11 +93,9 @@ def crofton_length_estimate(s: SphericalCurve, m: int = 10_000,
     block = max(1, min(m, 4_000_000 // max(x.shape[0], 1)))
     while done < m:
         k = min(block, m - done)
-        g = haar_orthogonal(rng, n, k)
-        u = g[:, :, 0]                       # rotated reference normal
-        f = x @ u.T                          # (samples, k)
-        flips = np.signbit(f[:-1]) != np.signbit(f[1:])
-        counts[done:done + k] = np.sum(flips, axis=0)
+        u = rng.standard_normal((k, n, n))[:, :, 0]   # unnormalized normal
+        s = np.signbit(x @ u.T)                        # (samples, k)
+        counts[done:done + k] = np.count_nonzero(s[:-1] != s[1:], axis=0)
         done += k
     mean = float(np.mean(counts))
     var = float(np.var(counts, ddof=1))

@@ -151,12 +151,19 @@ def _twist_profile_derivatives(x1):
     return d1, d2
 
 
-def _spiral2d_values(p):
-    x, y = p[..., 0], p[..., 1]
+def _spiral2d(x, y):
+    """The spiral's formula on coordinates: floats or arrays alike."""
     r2m1 = x * x + y * y - 1.0
+    return r2m1 * x - y, r2m1 * y + x
+
+
+def _spiral2d_values(p):
+    # one point goes through Python floats: the same IEEE operations in
+    # the same order, without the overhead of six numpy calls
+    if p.ndim == 1:
+        return np.array(_spiral2d(*p.tolist()))
     out = np.empty_like(p)
-    out[..., 0] = r2m1 * x - y
-    out[..., 1] = r2m1 * y + x
+    out[..., 0], out[..., 1] = _spiral2d(p[..., 0], p[..., 1])
     return out
 
 
@@ -176,17 +183,21 @@ def field_evaluator(f: FieldSpec):
     """The field's formula as a function of a ``(..., dim)`` array.
 
     Kind dispatch happens once, here; the returned function does no
-    validation, so hot loops build it once and call it directly.
+    validation, so hot loops build it once and call it directly.  It
+    returns a new array on every call, which the caller may keep:
+    :func:`~trajrot.flow.integrate_trajectory` keeps the last stage's
+    value as the next step's first slope (FSAL) without copying it.
     """
     if f.kind == "constant":
         offset = f.offset
         return lambda p: np.broadcast_to(offset, p.shape).copy()
+    # np.dot is the same BLAS call as p @ mt, with less dispatch overhead
     if f.kind == "linear":
         mt = f.matrix.T
-        return lambda p: p @ mt
+        return lambda p: np.dot(p, mt)
     if f.kind == "affine":
         mt, offset = f.matrix.T, f.offset
-        return lambda p: p @ mt + offset
+        return lambda p: np.dot(p, mt) + offset
     if f.kind == "spiral2d":
         return _spiral2d_values
     return _twist3d_values

@@ -95,43 +95,51 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
     if y.ndim != 1 or y.shape[0] != f.dim or not np.all(np.isfinite(y)):
         raise ValueError("x0 must be a finite vector of the field's dimension")
     centers = [np.asarray(c, dtype=np.float64) for c in obs_centers]
+    if any(c.shape != (f.dim,) or not np.all(np.isfinite(c)) for c in centers):
+        # a NaN center would switch the angle refinement off and a
+        # 1-entry one would broadcast as a point on the diagonal
+        raise ValueError("obs_centers must be finite vectors of the field's "
+                         "dimension")
     chord_tol = cfg.abs_tol if cfg.chord_tol is None else float(cfg.chord_tol)
     rel_tol, abs_tol, dim = cfg.rel_tol, cfg.abs_tol, f.dim
+    max_step, max_samples = cfg.max_step, cfg.max_samples
     v = field_evaluator(f)
 
     span = t1 - t0
     h_min = _MIN_STEP_FRACTION * span
-    h = min(cfg.max_step, span / 100.0)
+    h = min(max_step, span / 100.0)
     t = t0
     k = np.empty((7, dim))
-    k_rows = [k[:i] for i in range(7)]
-    k[0] = v(y)
+    stages = [(_ROWS[i], k[:i], i) for i in range(1, 7)]
+    # v returns a new array on every call, so the last stage's slope at
+    # the new point is kept as is (FSAL) and k[0] takes a copy of it
+    f_new = k[0] = v(y)
 
     # accepted step j runs from ts[j] over hs[j], from (ys[j], fs[j]) to
     # (ys[j+1], fs[j+1]); each one emits at least one sample
-    ts, hs, ys, fs = [], [], [y], [k[0].copy()]
+    ts, hs, ys, fs = [], [], [y], [f_new]
     while t < t1:
-        h = min(h, cfg.max_step, t1 - t)
+        h = min(h, max_step, t1 - t)
         if h < h_min:
             raise StepUnderflow(
                 f"required step {h:.3g} below {h_min:.3g} at t={t:.6g}")
-        for i in range(1, 7):
+        for row, kr, i in stages:
             # the last stage point is the fifth-order solution
-            y_new = y + h * np.dot(_ROWS[i], k_rows[i])
-            k[i] = v(y_new)
+            y_new = y + h * np.dot(row, kr)
+            k[i] = f_new = v(y_new)
         err2 = 0.0
         for e, a, b in zip(np.dot(_E, k).tolist(), y.tolist(), y_new.tolist()):
             q = h * e / (abs_tol + rel_tol * max(abs(a), abs(b)))
             err2 += q * q  # float ** raises on overflow; * gives inf
         err = math.sqrt(err2 / dim)
         if err <= 1.0:
-            _budget(len(ys) + 1, cfg.max_samples)
+            _budget(len(ys) + 1, max_samples)
             ts.append(t)
             hs.append(h)
             ys.append(y_new)
-            fs.append(k[6].copy())
+            fs.append(f_new)
             t, y = t + h, y_new
-            k[0] = k[6]
+            k[0] = f_new
         if err > 0:
             factor = 0.9 * (err ** -0.2)
         elif err == 0:
@@ -141,7 +149,7 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
         h *= min(5.0, max(0.2, factor))
     times, points = _dense_output(np.array(ts), np.array(hs), np.array(ys),
                                   np.array(fs), centers, chord_tol,
-                                  cfg.max_samples)
+                                  max_samples)
     return Curve(times, points, closed=False)
 
 

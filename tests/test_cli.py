@@ -159,6 +159,17 @@ def test_integrate_non_finite_input_exit2(capsys, flag, value):
     assert time.perf_counter() - start < 5.0  # a NaN step never advances t
 
 
+@pytest.mark.parametrize("center", ["nan,nan,nan", "0,inf,0", "0", "0,0"])
+def test_integrate_bad_obs_center_exit2(capsys, center):
+    # a NaN center switched the angle refinement off; "0" broadcast as
+    # the origin of the 3-d field
+    code, out, err = run_cli(capsys, "integrate", "--field",
+                             "linear:-1,0,0,0,-1,-2,0,2,-1", "--x0", "1,1,0",
+                             "--t1", "1", "--obs-center", center)
+    assert code == 2 and out == ""
+    assert "obs_centers" in err
+
+
 def test_link_pair_budget_exit3(tmp_path, capsys):
     # two cheap 40001-sample lines: 1.6e9 segment pairs, over the budget
     t = np.linspace(0.0, 1.0, 40_001)

@@ -80,6 +80,56 @@ def test_estimator_consistency_many_seeds():
     assert hits >= 38
 
 
+def crofton_qr_reference(s, m, seed):
+    """The estimator as it was with the batched QR: each normal is the
+    first column of ``haar_orthogonal``, and both signbits are taken."""
+    rng = np.random.default_rng(seed)
+    x = s.curve.x
+    counts = np.empty(m, dtype=np.int64)
+    done = 0
+    block = max(1, min(m, 4_000_000 // x.shape[0]))
+    while done < m:
+        k = min(block, m - done)
+        f = x @ haar_orthogonal(rng, x.shape[1], k)[:, :, 0].T
+        counts[done:done + k] = np.sum(
+            np.signbit(f[:-1]) != np.signbit(f[1:]), axis=0)
+        done += k
+    var = float(np.var(counts, ddof=1))
+    return crofton.CroftonEstimate(
+        math.pi * float(np.mean(counts)),
+        math.pi * math.sqrt((var + 1.0 / m) / m), m)
+
+
+def long_spherical_curve(n=50_001):
+    """A curve wandering over the sphere, long enough that one block of
+    the estimator holds 4e6 // n = 79 draws."""
+    t = np.linspace(0.0, 1.0, n)
+    th, ph = 40.0 * math.pi * t, 3.0 * np.sin(50.0 * t)
+    pts = np.stack([np.cos(th) * np.cos(ph), np.sin(th),
+                    np.cos(th) * np.sin(ph)], axis=1)
+    return tr.SphericalCurve(tr.Curve(t, pts))
+
+
+def wandering_circle(n=20_000):
+    t = np.linspace(0.0, 1.0, n)
+    th = 20.0 * math.pi * t + 3.0 * np.sin(50.0 * t)
+    return tr.SphericalCurve(
+        tr.Curve(t, np.stack([np.cos(th), np.sin(th)], axis=1)))
+
+
+@pytest.mark.parametrize("curve, m, seeds", [
+    (great_circle, 2_000, [0, 4, 11]),
+    (lambda: great_circle(n=17), 100, [1, 2]),
+    (long_spherical_curve, 300, [7]),
+    (wandering_circle, 500, [3, 301]),
+], ids=["great-circle", "coarse-circle", "three-blocks", "circle-2d"])
+def test_crofton_matches_qr_reference(curve, m, seeds):
+    s = curve()
+    for seed in seeds:
+        got = tr.crofton_length_estimate(s, m=m, seed=seed)
+        assert got == crofton_qr_reference(s, m, seed)
+
+
 def test_haar_isotropy():
     rng = np.random.default_rng(8)
     g = haar_orthogonal(rng, 3, 100_000)

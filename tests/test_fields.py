@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trajrot as tr
+from trajrot.fields import TWIST_SMALL_X1
 
 
 def test_spiral_stationary_at_origin():
@@ -38,6 +39,50 @@ def test_field_evaluator_matches_field_values(f):
                           tr.field_values(f, pts.reshape(-1, f.dim)))
     assert np.array_equal(field_evaluator(f)(pts[1, 2]),
                           tr.eval_field(f, pts[1, 2]))
+
+
+_COORD = st.floats(-1e3, 1e3)
+# both sides of the twist's identity-branch cutoff, and the cutoff itself
+_TWIST_X1 = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(0.5 * TWIST_SMALL_X1, 2.0 * TWIST_SMALL_X1),
+    st.sampled_from([TWIST_SMALL_X1, np.nextafter(TWIST_SMALL_X1, 0.0),
+                     np.nextafter(TWIST_SMALL_X1, 1.0), 0.0, -0.0]))
+
+
+@st.composite
+def field_and_point(draw, kind):
+    dim = {"spiral2d": 2, "twist3d": 3}.get(kind) or draw(st.integers(1, 4))
+    entries = st.lists(_COORD, min_size=dim, max_size=dim)
+    if kind == "spiral2d":
+        f = tr.spiral2d()
+    elif kind == "twist3d":
+        f = tr.twist3d()
+    elif kind == "constant":
+        f = tr.constant(draw(entries))
+    else:
+        m = [draw(entries) for _ in range(dim)]
+        f = (tr.linear(m) if kind == "linear"
+             else tr.affine(m, draw(entries)))
+    p = draw(entries)
+    if kind == "twist3d":
+        p[0] = draw(_TWIST_X1)
+    return f, np.array(p)
+
+
+@pytest.mark.parametrize("kind", ["spiral2d", "twist3d", "constant",
+                                  "linear", "affine"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_single_point_matches_batched_row_bitwise(kind, data):
+    from trajrot.fields import field_evaluator
+
+    f, p = data.draw(field_and_point(kind))
+    v = field_evaluator(f)
+    one, batch = v(p), v(p[None])
+    assert one.dtype == batch.dtype == np.float64
+    assert one.shape == p.shape and batch.shape == (1,) + p.shape
+    assert one.tobytes() == batch[0].tobytes()
 
 
 def test_twist_identity_branch():

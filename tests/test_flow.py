@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -7,8 +8,10 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 import trajrot as tr
+from trajrot import flow
 from trajrot.curves import segment_angles
-from trajrot.flow import _dense_output, _hermite
+from trajrot.fields import field_evaluator
+from trajrot.flow import _E, _ROWS, _dense_output, _hermite
 
 from conftest import SINK_MATRIX, sink_closed_form
 
@@ -252,3 +255,118 @@ def test_dense_output_matches_per_step_reference(seed):
     got_t, got_x = _dense_output(ts, hs, ys, fs, centers, 1e-3, 10**6)
     assert len(want_t) > 4 * n
     assert np.array_equal(got_t, want_t) and np.array_equal(got_x, want_x)
+
+
+def _stepping_reference(f, x0, t0, t1, cfg, centers):
+    """The stepping loop before its per-call overhead was cut: k[6] copied
+    as the FSAL slope, config read on every step.  Returns the curve's
+    (t, x), the number of step attempts and of rejected steps."""
+    y = np.asarray(x0, dtype=np.float64).copy()
+    chord_tol = cfg.abs_tol if cfg.chord_tol is None else float(cfg.chord_tol)
+    rel_tol, abs_tol, dim = cfg.rel_tol, cfg.abs_tol, f.dim
+    v = field_evaluator(f)
+    span = t1 - t0
+    h = min(cfg.max_step, span / 100.0)
+    t = t0
+    k = np.empty((7, dim))
+    k_rows = [k[:i] for i in range(7)]
+    k[0] = v(y)
+    ts, hs, ys, fs = [], [], [y], [k[0].copy()]
+    attempts = rejects = 0
+    while t < t1:
+        h = min(h, cfg.max_step, t1 - t)
+        attempts += 1
+        for i in range(1, 7):
+            y_new = y + h * np.dot(_ROWS[i], k_rows[i])
+            k[i] = v(y_new)
+        err2 = 0.0
+        for e, a, b in zip(np.dot(_E, k).tolist(), y.tolist(), y_new.tolist()):
+            q = h * e / (abs_tol + rel_tol * max(abs(a), abs(b)))
+            err2 += q * q
+        err = math.sqrt(err2 / dim)
+        if err <= 1.0:
+            ts.append(t)
+            hs.append(h)
+            ys.append(y_new)
+            fs.append(k[6].copy())
+            t, y = t + h, y_new
+            k[0] = k[6]
+        else:
+            rejects += 1
+        if err > 0:
+            factor = 0.9 * (err ** -0.2)
+        elif err == 0:
+            factor = 5.0
+        else:
+            factor = 0.2
+        h *= min(5.0, max(0.2, factor))
+    times, points = _dense_output(np.array(ts), np.array(hs), np.array(ys),
+                                  np.array(fs), centers, chord_tol,
+                                  cfg.max_samples)
+    return times, points, attempts, rejects
+
+
+def _stepping_cases():
+    rng = np.random.default_rng(14)
+    m = rng.standard_normal((3, 3))
+    sink_cfg = tr.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13,
+                                   chord_tol=1e-4)
+    return [
+        ("sink", tr.linear(SINK_MATRIX), [1.0, 1.0, 0.0], 3.0, sink_cfg,
+         [np.zeros(3)]),
+        ("sink-no-centers", tr.linear(SINK_MATRIX), [0.3, -1.0, 0.7], 2.0,
+         sink_cfg, []),
+        ("affine", tr.affine(m / np.linalg.norm(m, 2), [0.5, -1.0, 0.2]),
+         rng.standard_normal(3), 2.0,
+         tr.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11, chord_tol=1e-4),
+         [rng.standard_normal(3)]),
+        ("constant", tr.constant([1.0, 0.0]), [-1.0, 0.01], 2.0,
+         tr.IntegratorConfig(chord_tol=0.5), [np.zeros(2)]),
+        ("spiral2d", tr.spiral2d(), [0.5, 0.0], 10.0,
+         tr.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, chord_tol=1e-5),
+         [np.zeros(2)]),
+        ("spiral2d-max-step", tr.spiral2d(), [0.9, 0.1], 4.0,
+         tr.IntegratorConfig(max_step=0.05, chord_tol=1e-3), []),
+        ("twist3d", tr.twist3d(), [-0.05, 0.5, 0.0], 0.6,
+         tr.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, chord_tol=1e-6),
+         [np.array([0.1, 0.5, 0.0])]),
+    ]
+
+
+@pytest.mark.parametrize("case", _stepping_cases(), ids=lambda c: c[0])
+def test_stepping_matches_reference_loop(case, monkeypatch):
+    _, f, x0, T, cfg, centers = case
+    want_t, want_x, attempts, rejects = _stepping_reference(
+        f, x0, 0.0, T, cfg, centers)
+    calls = []
+
+    def counting_evaluator(spec):
+        v = field_evaluator(spec)
+
+        def counted(p):
+            calls.append(None)
+            return v(p)
+        return counted
+
+    monkeypatch.setattr(flow, "field_evaluator", counting_evaluator)
+    c = tr.integrate_trajectory(f, x0, 0.0, T, cfg, obs_centers=centers)
+    assert np.array_equal(c.t, want_t) and np.array_equal(c.x, want_x)
+    assert len(calls) == 1 + 6 * attempts
+
+
+def test_stepping_reference_cases_reject_steps():
+    # the bitwise comparison covers the rejection branch too
+    rejects = [_stepping_reference(f, x0, 0.0, T, cfg, centers)[3]
+               for _, f, x0, T, cfg, centers in _stepping_cases()]
+    assert max(rejects) > 0
+
+
+@pytest.mark.parametrize("center", [
+    [float("nan"), 0.0, 0.0], [0.0, float("inf"), 0.0],
+    [0.0], [0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [[0.0, 0.0, 0.0]]])
+def test_obs_centers_must_be_finite_vectors_of_field_dim(center):
+    # a NaN center turned the angle refinement off, and a 1-entry center
+    # broadcast against every point
+    with pytest.raises(ValueError, match="obs_centers"):
+        tr.integrate_trajectory(tr.linear(SINK_MATRIX), [1.0, 1.0, 0.0],
+                                0.0, 1.0, obs_centers=[np.zeros(3), center])
