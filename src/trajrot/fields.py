@@ -140,7 +140,7 @@ def parse_field_spec(text: str) -> FieldSpec:
 
 
 def _twist_profile_derivatives(x1):
-    """(w1', w2') for x1 > TWIST_SMALL_X1, vectorized."""
+    """(w1', w2') for x1 > TWIST_SMALL_X1, on arrays or scalars alike."""
     inv = 1.0 / x1
     inv2 = inv * inv
     amp = np.exp(-inv2)
@@ -168,6 +168,13 @@ def _spiral2d_values(p):
 
 
 def _twist3d_values(p):
+    # one point skips the mask, np.any and the masked writes; the profile
+    # runs on the numpy scalar, the same operations as on a 1-point array
+    if p.ndim == 1:
+        x1 = p[0]
+        if x1 > TWIST_SMALL_X1:
+            return np.array((1.0, *_twist_profile_derivatives(x1)))
+        return np.array((1.0, 0.0, 0.0))
     x1 = p[..., 0]
     out = np.zeros_like(p)
     out[..., 0] = 1.0
@@ -190,7 +197,8 @@ def field_evaluator(f: FieldSpec):
     """
     if f.kind == "constant":
         offset = f.offset
-        return lambda p: np.broadcast_to(offset, p.shape).copy()
+        return lambda p: (offset.copy() if p.ndim == 1
+                          else np.broadcast_to(offset, p.shape).copy())
     # np.dot is the same BLAS call as p @ mt, with less dispatch overhead
     if f.kind == "linear":
         mt = f.matrix.T

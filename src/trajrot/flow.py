@@ -1,14 +1,15 @@
 """Trajectory integration: adaptive embedded Runge-Kutta 5(4).
 
 Fixed Dormand-Prince coefficients so results are reproducible bit for bit
-given the configuration.  The stepper records every accepted step; one
-vectorized pass afterwards subdivides all steps together, level by level
-on a dyadic grid, by cubic Hermite interpolation until (a) the estimated
-chord deviation of each output segment is below the chord tolerance and
-(b) no segment subtends more than ``MAX_SEGMENT_ANGLE`` at any declared
-observation center -- downstream rotation quadrature is
-sampling-limited, so the integrator is where angular resolution is
-enforced.
+given the configuration; each stage point is one dot product of the rows
+``[y | k]`` with the weights ``[1 | h A]``.  The stepper records every
+accepted step; one vectorized pass afterwards subdivides all steps
+together, level by level on a dyadic grid, by cubic Hermite interpolation
+until (a) the estimated chord deviation of each output segment is below
+the chord tolerance and (b) no segment subtends more than
+``MAX_SEGMENT_ANGLE`` at any declared observation center -- downstream
+rotation quadrature is sampling-limited, so the integrator is where
+angular resolution is enforced.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ _A = np.array([
      0.0],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
 ])
-_ROWS = [_A[i, :i] for i in range(7)]
 # fifth-order minus embedded fourth-order weights
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                22 / 525, -1 / 40])
@@ -81,6 +81,10 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
                          obs_centers=()) -> Curve:
     """Integrate ``dx/dt = v(x)`` from ``x0`` over ``[t0, t1]``.
 
+    The last sample time is ``t1`` exactly: a step that would leave less
+    than ``1e-14 * (t1 - t0)`` to go is stretched to ``t1``, so it may
+    exceed ``cfg.max_step`` by less than that.
+
     Raises :class:`StepUnderflow` when the controller is pushed below
     ``1e-14 * (t1 - t0)`` (stiffness or a singularity on the path) and
     :class:`SampleBudgetExceeded` when dense output would exceed
@@ -109,26 +113,39 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
     h_min = _MIN_STEP_FRACTION * span
     h = min(max_step, span / 100.0)
     t = t0
-    k = np.empty((7, dim))
-    stages = [(_ROWS[i], k[:i], i) for i in range(1, 7)]
+    # z is [y | k0..k6] and w is [1 | h*A], so stage i's point
+    # y + h * (A[i, :i] . k[:i]) is the one product w[i, :i+1] . z[:i+1],
+    # and its slope k_i goes to z[i+1]; one multiply per step refreshes w
+    z = np.empty((8, dim))
+    w = np.ones((7, 8))
+    h_a = w[:, 1:]
+    stages = [(w[i, :i + 1], z[:i + 1], i + 1) for i in range(1, 7)]
+    z[0] = y
     # v returns a new array on every call, so the last stage's slope at
-    # the new point is kept as is (FSAL) and k[0] takes a copy of it
-    f_new = k[0] = v(y)
+    # the new point is kept as is (FSAL) and z[1] takes a copy of it
+    f_new = z[1] = v(y)
 
     # accepted step j runs from ts[j] over hs[j], from (ys[j], fs[j]) to
     # (ys[j+1], fs[j+1]); each one emits at least one sample
     ts, hs, ys, fs = [], [], [y], [f_new]
     while t < t1:
-        h = min(h, max_step, t1 - t)
+        h = min(h, max_step)
+        # the last step lands on t1 exactly: t + (t1 - t) can round off
+        # it, and a leftover below h_min could not be stepped
+        last = t1 - (t + h) < h_min
+        if last:
+            h = t1 - t
         if h < h_min:
             raise StepUnderflow(
                 f"required step {h:.3g} below {h_min:.3g} at t={t:.6g}")
-        for row, kr, i in stages:
+        np.multiply(_A, h, out=h_a)
+        for wi, zi, j in stages:
             # the last stage point is the fifth-order solution
-            y_new = y + h * np.dot(row, kr)
-            k[i] = f_new = v(y_new)
+            y_new = np.dot(wi, zi)
+            z[j] = f_new = v(y_new)
         err2 = 0.0
-        for e, a, b in zip(np.dot(_E, k).tolist(), y.tolist(), y_new.tolist()):
+        for e, a, b in zip(np.dot(_E, z[1:]).tolist(), y.tolist(),
+                           y_new.tolist()):
             q = h * e / (abs_tol + rel_tol * max(abs(a), abs(b)))
             err2 += q * q  # float ** raises on overflow; * gives inf
         err = math.sqrt(err2 / dim)
@@ -138,8 +155,9 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
             hs.append(h)
             ys.append(y_new)
             fs.append(f_new)
-            t, y = t + h, y_new
-            k[0] = f_new
+            t, y = t1 if last else t + h, y_new
+            z[0] = y
+            z[1] = f_new
         if err > 0:
             factor = 0.9 * (err ** -0.2)
         elif err == 0:
@@ -150,6 +168,8 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
     times, points = _dense_output(np.array(ts), np.array(hs), np.array(ys),
                                   np.array(fs), centers, chord_tol,
                                   max_samples)
+    # the last step's right end, t + h, may round off t1
+    times[-1] = t1
     return Curve(times, points, closed=False)
 
 

@@ -44,6 +44,18 @@ def test_integrate_constant_endpoint(tmp_path, capsys):
     assert np.allclose(c.x[-1], [1.0, 0.0, 0.0], atol=1e-9)
 
 
+def test_integrate_last_step_lands_on_t1(tmp_path, capsys):
+    # 0 + 93.41094724402934 steps left a leftover below the step floor,
+    # which raised StepUnderflow (exit 3)
+    out = tmp_path / "c.csv"
+    code, _, err = run_cli(capsys, "integrate", "--field", "constant:1,0",
+                           "--x0", "0,0", "--t1", "93.41094724402934",
+                           "--out", str(out))
+    assert code == 0, err
+    c = tr.curve_from_csv(str(out))
+    assert c.t[-1] == 93.41094724402934
+
+
 def test_integrate_bad_window_exit2(capsys):
     code, _, err = run_cli(capsys, "integrate", "--field", "spiral2d",
                            "--x0", "0.5,0", "--t0", "1", "--t1", "0")

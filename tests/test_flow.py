@@ -5,13 +5,15 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import trajrot as tr
 from trajrot import flow
 from trajrot.curves import segment_angles
 from trajrot.fields import field_evaluator
-from trajrot.flow import _E, _ROWS, _dense_output, _hermite
+from trajrot.flow import _A, _E, _dense_output, _hermite
 
 from conftest import SINK_MATRIX, sink_closed_form
 
@@ -97,6 +99,24 @@ def test_field_overflow_ends_in_step_underflow():
     assert time.perf_counter() - start < 1.0
 
 
+@settings(max_examples=300, deadline=None)
+@given(t0=st.floats(-1e3, 1e3), span=st.floats(1e-3, 1e3),
+       kind=st.sampled_from(["constant", "linear"]),
+       max_step=st.one_of(st.none(), st.floats(0.01, 0.5)))
+def test_last_step_lands_on_t1(t0, span, kind, max_step):
+    # t + (t1 - t) can round off t1: below it, the leftover was stepped
+    # or raised StepUnderflow; above it, the last sample left the window
+    t1 = t0 + span
+    f = (tr.constant([1.0, -0.5]) if kind == "constant"
+         else tr.linear([[-0.1, -1.0], [1.0, -0.1]]))
+    cfg = tr.IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6, chord_tol=0.5,
+                              max_step=math.inf if max_step is None
+                              else max_step * span)
+    c = tr.integrate_trajectory(f, [1.0, 0.0], t0, t1, cfg)
+    assert c.t[0] == t0 and c.t[-1] == t1
+    assert np.all(np.diff(c.t) > 0)
+
+
 def test_tolerance_halving_consistency():
     f = tr.linear(SINK_MATRIX)
     x0 = np.array([1.0, 1.0, 0.0])
@@ -143,20 +163,31 @@ def _oracle_cases():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((3, 3))
     lin = tr.linear(1.5 * m / np.linalg.norm(m, 2))
+    # a rotating sink like the benchmark's sweep jobs: a slow plane that
+    # turns 41 rad in T = 8, conjugated by a rotation, refined at the sink
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    block = np.array([[-1.2, 0.0, 0.0], [0.0, -0.4, -41 / 8],
+                      [0.0, 41 / 8, -0.4]])
     return [
         ("spiral2d", tr.spiral2d(), np.array([0.5, 0.0]), 10.0,
-         tr.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, chord_tol=1e-5)),
+         tr.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, chord_tol=1e-5),
+         []),
         ("twist3d", tr.twist3d(), np.array([0.05, 0.5, 0.0]), 0.15,
-         tr.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, chord_tol=1e-6)),
+         tr.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, chord_tol=1e-6),
+         []),
         ("linear3d", lin, rng.standard_normal(3), 5.0,
-         tr.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11, chord_tol=1e-4)),
+         tr.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11, chord_tol=1e-4),
+         []),
+        ("sweep-sink", tr.linear(q @ block @ q.T), q @ [0.3, 0.8, -0.52],
+         8.0, tr.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13,
+                                  chord_tol=1e-4), [np.zeros(3)]),
     ]
 
 
 @pytest.mark.parametrize("case", _oracle_cases(), ids=lambda c: c[0])
 def test_every_sample_on_scipy_path(case):
-    _, f, x0, T, cfg = case
-    c = tr.integrate_trajectory(f, x0, 0.0, T, cfg)
+    _, f, x0, T, cfg, centers = case
+    c = tr.integrate_trajectory(f, x0, 0.0, T, cfg, obs_centers=centers)
     sol = solve_ivp(lambda t, x: tr.eval_field(f, x), (0.0, T), x0,
                     method="DOP853", dense_output=True, rtol=1e-13, atol=1e-13)
     want = sol.sol(c.t).T
@@ -258,26 +289,31 @@ def test_dense_output_matches_per_step_reference(seed):
 
 
 def _stepping_reference(f, x0, t0, t1, cfg, centers):
-    """The stepping loop before its per-call overhead was cut: k[6] copied
-    as the FSAL slope, config read on every step.  Returns the curve's
-    (t, x), the number of step attempts and of rejected steps."""
+    """The stepping loop written out plainly: each stage point is one dot
+    product of the weights [1 | h*A[i, :i]] with the rows [y | k[:i]],
+    built afresh on every stage.  Returns the curve's (t, x), the number
+    of step attempts and of rejected steps."""
     y = np.asarray(x0, dtype=np.float64).copy()
     chord_tol = cfg.abs_tol if cfg.chord_tol is None else float(cfg.chord_tol)
     rel_tol, abs_tol, dim = cfg.rel_tol, cfg.abs_tol, f.dim
     v = field_evaluator(f)
     span = t1 - t0
+    h_min = 1e-14 * span
     h = min(cfg.max_step, span / 100.0)
     t = t0
     k = np.empty((7, dim))
-    k_rows = [k[:i] for i in range(7)]
     k[0] = v(y)
     ts, hs, ys, fs = [], [], [y], [k[0].copy()]
     attempts = rejects = 0
     while t < t1:
-        h = min(h, cfg.max_step, t1 - t)
+        h = min(h, cfg.max_step)
+        last = t1 - (t + h) < h_min
+        if last:
+            h = t1 - t
         attempts += 1
         for i in range(1, 7):
-            y_new = y + h * np.dot(_ROWS[i], k_rows[i])
+            y_new = np.dot(np.concatenate(([1.0], h * _A[i, :i])),
+                           np.vstack((y, k[:i])))
             k[i] = v(y_new)
         err2 = 0.0
         for e, a, b in zip(np.dot(_E, k).tolist(), y.tolist(), y_new.tolist()):
@@ -289,7 +325,7 @@ def _stepping_reference(f, x0, t0, t1, cfg, centers):
             hs.append(h)
             ys.append(y_new)
             fs.append(k[6].copy())
-            t, y = t + h, y_new
+            t, y = t1 if last else t + h, y_new
             k[0] = k[6]
         else:
             rejects += 1
@@ -303,6 +339,7 @@ def _stepping_reference(f, x0, t0, t1, cfg, centers):
     times, points = _dense_output(np.array(ts), np.array(hs), np.array(ys),
                                   np.array(fs), centers, chord_tol,
                                   cfg.max_samples)
+    times[-1] = t1
     return times, points, attempts, rejects
 
 
