@@ -197,8 +197,7 @@ def field_evaluator(f: FieldSpec):
     """
     if f.kind == "constant":
         offset = f.offset
-        return lambda p: (offset.copy() if p.ndim == 1
-                          else np.broadcast_to(offset, p.shape).copy())
+        return lambda p: np.broadcast_to(offset, p.shape).copy()
     # np.dot is the same BLAS call as p @ mt, with less dispatch overhead
     if f.kind == "linear":
         mt = f.matrix.T
