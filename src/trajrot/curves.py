@@ -4,9 +4,12 @@ A curve is an immutable time-stamped polyline.  All downstream integrals
 (rotation, linking, length) are evaluated segment-wise on the polyline;
 accuracy is controlled by sampling density, not smoothing.
 
-Angles seen from a point take one path: :func:`center_directions` guards
-the point and normalizes each sample's offset once, and
-:func:`unit_angles` gives the angle between two rows of unit directions.
+Angles seen from a point take one path: :func:`center_directions`
+normalizes each sample's offset once and takes the exact distance of
+every segment to the point from those directions and radii in closed
+form, and :func:`unit_angles` gives the angle between two rows of unit
+directions.  Only offsets are scaled against under- and overflow; unit
+rows take plain norms.
 """
 
 from __future__ import annotations
@@ -73,7 +76,8 @@ class Curve:
         self.t = t
         self.x = x
         self._diam = None
-        gap = float(np.linalg.norm((x[-1] - x[0]).astype(np.float64)))
+        # math.hypot scales: squares of coordinates past 1e154 overflow
+        gap = math.hypot(*(x[-1] - x[0]).astype(np.float64).tolist())
         tol = CLOSE_DIAMETER_FACTOR * self.diameter_bound()
         if closed is None:
             closed = gap <= tol
@@ -99,7 +103,7 @@ class Curve:
         """Bounding-box diagonal: within [diam, sqrt(dim)*diam] of the diameter."""
         if self._diam is None:
             ext = (self.x.max(axis=0) - self.x.min(axis=0)).astype(np.float64)
-            self._diam = float(np.linalg.norm(ext))
+            self._diam = math.hypot(*ext.tolist())
         return self._diam
 
     def default_guard(self) -> float:
@@ -363,32 +367,30 @@ def project_to_complement(c: Curve, sub: AffineSubspace) -> Curve:
     return Curve(c.t, y, closed=None)
 
 
-def safe_unit_rows(d: np.ndarray) -> np.ndarray:
-    """Normalize rows to unit length without underflowing the squared
-    norms (relevant for curves with coordinates near the float minimum).
-    Zero rows must be excluded by the caller's distance guard."""
-    m = np.max(np.abs(d), axis=1, keepdims=True)
+def _unit_rows(d: np.ndarray, m: np.ndarray):
+    """Unit rows of ``d`` and their norms, each row scaled by its largest
+    absolute coordinate ``m`` (shape (n, 1), nonzero) before squaring, so
+    that neither underflows (curves with coordinates near the float
+    minimum) nor overflows."""
     dn = d / m
     r = np.sqrt(np.sum(dn * dn, axis=1, keepdims=True))
-    return dn / r
+    return dn / r, (m * r)[:, 0]
 
 
-def safe_norms(d: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean norms, scaled to avoid under/overflow."""
-    m = np.max(np.abs(d), axis=1)
-    out = np.zeros(d.shape[0], dtype=d.dtype)
-    ok = m > 0
-    dn = d[ok] / m[ok, None]
-    out[ok] = m[ok] * np.sqrt(np.sum(dn * dn, axis=1))
-    return out
+def safe_unit_rows(d: np.ndarray) -> np.ndarray:
+    """Normalize rows to unit length without underflowing the squared
+    norms.  Zero rows must be excluded by the caller's distance guard."""
+    return _unit_rows(d, np.max(np.abs(d), axis=1, keepdims=True))[0]
 
 
 def unit_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Angle between unit rows ``u_i`` and ``v_i``.
 
     ``2 atan2(|u - v|, |u + v|)``, accurate from tiny angles up to pi.
+    Both norms are at most 2, so plain squares are safe: they underflow
+    only for angles below about 1e-154 rad.
     """
-    return 2.0 * np.arctan2(safe_norms(u - v), safe_norms(u + v))
+    return 2.0 * np.arctan2(_norms(u - v), _norms(u + v))
 
 
 def segment_angles(a: np.ndarray, b: np.ndarray, center) -> np.ndarray:
@@ -402,6 +404,10 @@ def segment_angles(a: np.ndarray, b: np.ndarray, center) -> np.ndarray:
 
 def _rowdot(a, b):
     return np.einsum("ij,ij->i", a, b)
+
+
+def _norms(a):
+    return np.sqrt(_rowdot(a, a))
 
 
 def point_segment_distances(q, p, d) -> np.ndarray:
@@ -420,7 +426,7 @@ def point_segment_distances(q, p, d) -> np.ndarray:
     dd = _rowdot(d, d)
     s = np.clip(_rowdot(rel, d) / np.where(dd > 0, dd, 1.0), 0.0, 1.0)
     r = rel - s[:, None] * d
-    return m * np.sqrt(_rowdot(r, r))
+    return m * _norms(r)
 
 
 def _resolved_guard(guard, default: float) -> float:
@@ -440,19 +446,51 @@ def center_directions(c: Curve, center, guard: float | None = None) -> np.ndarra
     (default: 1e-7 of the curve diameter).
 
     The guard sees the exact distance to every segment, not only to the
-    samples.  Raises :class:`DimensionMismatch` or
-    :class:`DistanceTooSmall`.
+    samples, and takes it from what the normalization already holds.
+    Each offset ``d_i`` is scaled by its largest coordinate ``m_i``
+    before squaring (longdouble twist curves reach 1e-3000), which gives
+    ``u_i`` and ``|d_i| = m_i |d_i / m_i|``.  For the segment from
+    ``a = ra u`` to ``b = rb v``, with ``s = |u - v| = 2 sin(theta/2)``
+    and ``p = |u + v| = 2 cos(theta/2)``,
+
+        ``|b - a|^2 = (ra - rb)^2 + ra rb s^2``,  ``sin theta = s p / 2``,
+        ``cos theta = (p^2 - s^2) / 4``.
+
+    The foot of the perpendicular from the center to the segment's line
+    is ``a + t (b - a)`` with ``t = (ra^2 - ra rb cos theta) / |b - a|^2``,
+    so it lies inside the segment iff ``rb cos theta < ra`` and
+    ``ra cos theta < rb``.  Then the distance is the height
+    ``|a x b| / |b - a| = ra rb sin theta / |b - a|``, evaluated as
+    ``ra y s p / (2 sqrt((x - y)^2 + x y s^2))`` with ``x = ra / M``,
+    ``y = rb / M`` and ``M = max(ra, rb)``, so that no product of two
+    radii underflows; otherwise it is ``min(ra, rb)``.  A sample on the
+    center has no direction and gives distance 0.
+
+    Raises :class:`DimensionMismatch` or :class:`DistanceTooSmall`.
     """
     center = np.asarray(center)
     if center.shape != (c.dim,):
         raise DimensionMismatch("center must match the curve dimension")
     g = _resolved_guard(guard, c.default_guard())
     d = c.x - center.astype(c.x.dtype)
-    rmin = np.min(point_segment_distances(0.0, d[:-1], np.diff(d, axis=0)))
+    m = np.max(np.abs(d), axis=1, keepdims=True)
+    rmin = 0.0  # a sample on the center has no direction
+    if np.all(m != 0):
+        u, rad = _unit_rows(d, m)
+        ra, rb, ua, ub = rad[:-1], rad[1:], u[:-1], u[1:]
+        s, p = _norms(ua - ub), _norms(ua + ub)
+        cos = 0.25 * (p * p - s * s)
+        big = np.maximum(ra, rb)
+        x, y = ra / big, rb / big
+        den = 2.0 * np.sqrt((x - y) ** 2 + x * y * s * s)
+        # den is 0 only for a vanishing angle, where the segment is radial
+        foot = (rb * cos < ra) & (ra * cos < rb) & (den > 0)
+        rmin = np.min(np.divide(ra * y * s * p, den,
+                                out=np.minimum(ra, rb), where=foot))
     if not rmin > g:
         raise DistanceTooSmall(
             f"curve comes within {float(rmin):.3g} of the center (guard {g:.3g})")
-    return safe_unit_rows(d)
+    return u
 
 
 def planar_angle_increments(d: np.ndarray) -> np.ndarray:

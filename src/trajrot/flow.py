@@ -86,7 +86,9 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
     exceed ``cfg.max_step`` by less than that.
 
     Raises :class:`StepUnderflow` when the controller is pushed below
-    ``1e-14 * (t1 - t0)`` (stiffness or a singularity on the path) and
+    ``1e-14 * (t1 - t0)`` (stiffness or a singularity on the path) or
+    when a step or a dense-output sample falls below the float spacing
+    of the times (a window far from 0, such as ``[1e15, 1e15 + 1]``), and
     :class:`SampleBudgetExceeded` when dense output would exceed
     ``cfg.max_samples``.
     """
@@ -138,6 +140,8 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
         if h < h_min:
             raise StepUnderflow(
                 f"required step {h:.3g} below {h_min:.3g} at t={t:.6g}")
+        if t + h == t:  # h is below the float spacing at t
+            raise StepUnderflow(f"step {h:.3g} does not advance t={t:.17g}")
         np.multiply(_A, h, out=h_a)
         for wi, zi, j in stages:
             # the last stage point is the fifth-order solution
@@ -170,6 +174,11 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
                                   max_samples)
     # the last step's right end, t + h, may round off t1
     times[-1] = t1
+    # at large |t| a dense-output sample can round onto its neighbour
+    tied = np.diff(times) <= 0
+    if tied.any():
+        raise StepUnderflow("dense output falls below the float spacing at "
+                            f"t={times[np.argmax(tied)]:.17g}")
     return Curve(times, points, closed=False)
 
 

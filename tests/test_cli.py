@@ -71,6 +71,15 @@ def test_integrate_numerical_failure_exit3(capsys):
     assert "StepUnderflow" in err
 
 
+def test_integrate_window_below_time_resolution_exit3(capsys):
+    # 1e15 + 0.01 rounds back to 1e15, so no step advances t
+    code, _, err = run_cli(capsys, "integrate", "--field", "constant:1,0",
+                           "--x0", "0,0", "--t0", "1e15",
+                           "--t1", "1000000000000001")
+    assert code == 3
+    assert "StepUnderflow" in err
+
+
 def test_integrate_field_overflow_exit3(capsys):
     with np.errstate(all="ignore"):
         code, _, err = run_cli(capsys, "integrate", "--field", "spiral2d",

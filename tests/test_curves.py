@@ -1,12 +1,15 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 import trajrot as tr
-from trajrot.curves import point_segment_distances, segment_angles
+from trajrot.curves import (center_directions, point_segment_distances,
+                            segment_angles)
 
 from conftest import circle2d, helix_curve, Z_AXIS
 
@@ -256,6 +259,86 @@ def test_point_segment_distances_dense_sampling(rows):
                                      for a in (q, p, d)))
     assert np.allclose((tiny / scale).astype(np.float64), dist,
                        rtol=1e-12, atol=1e-12)
+
+
+def _mp_polyline_distance(x, center):
+    """Exact distance from ``center`` to the polyline through the rows of
+    ``x`` (float64): the squared distance in rationals, which sees offsets
+    of any dynamic range, and its square root in 50-digit arithmetic."""
+    q = [Fraction(float(v)) for v in center]
+    d = [[Fraction(float(v)) - qi for v, qi in zip(row, q)] for row in x]
+    best = None
+    for a, b in zip(d[:-1], d[1:]):
+        e = [bi - ai for ai, bi in zip(a, b)]
+        ee = sum(v * v for v in e)
+        t = Fraction(0)
+        if ee > 0:
+            t = min(max(-sum(ai * ei for ai, ei in zip(a, e)) / ee, t), 1)
+        dist2 = sum((ai + t * ei) ** 2 for ai, ei in zip(a, e))
+        best = dist2 if best is None else min(best, dist2)
+    with mp.workdps(50):
+        return mp.sqrt(mp.mpf(best.numerator) / best.denominator)
+
+
+@st.composite
+def _guarded_polylines(draw):
+    """A 2-d or 3-d polyline and a center, with one segment that passes
+    the center at a drawn miss distance from 1e-14 to 1 (its foot may lie
+    inside or outside the segment)."""
+    dim = draw(st.sampled_from([2, 3]))
+    vec = st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=dim,
+                   max_size=dim)
+    center = np.array(draw(vec))
+    rows = [np.array(v) for v in draw(st.lists(vec, min_size=1, max_size=5))]
+    w = np.array(draw(vec))
+    n = np.array(draw(vec))
+    n = n - (n @ w) / max(w @ w, 1e-300) * w
+    if not (np.linalg.norm(w) > 1e-3 and np.linalg.norm(n) > 1e-3):
+        w, n = np.eye(dim)[0], np.eye(dim)[1]
+    w, n = w / np.linalg.norm(w), n / np.linalg.norm(n)
+    miss = 10.0 ** draw(st.floats(-14.0, 0.0))
+    ta, tb = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    near = [center + miss * n + ta * w, center + miss * n + tb * w]
+    at = draw(st.integers(0, len(rows)))
+    return np.array(rows[:at] + near + rows[at:]), center
+
+
+@given(_guarded_polylines())
+@settings(max_examples=200, deadline=None)
+def test_center_directions_guard_matches_mpmath(case):
+    """The guard distance of :func:`center_directions` against the exact
+    distance: it passes a guard 4 eps max|d| below it and rejects one
+    4 eps max|d| above it.  The scales are powers of two (about 1e-200,
+    1e+200 and, in longdouble, 1e-3000), so the scaled inputs and the
+    exact distance scale exactly."""
+    x, center = case
+    eps = np.finfo(np.float64).eps
+    ref = _mp_polyline_distance(x, center)
+    tol = 4 * eps * float(np.max(np.linalg.norm(x - center, axis=1)))
+    t = np.arange(float(len(x)))
+    for dtype, k in ((np.float64, 0), (np.float64, -664), (np.float64, 664),
+                     (np.longdouble, 0)):
+        scale = dtype(2.0) ** k
+        c = tr.Curve(t, x.astype(dtype) * scale)
+        q = center.astype(dtype) * scale
+        lo, hi = (float(mp.ldexp(ref, k)) + sign * math.ldexp(tol, k)
+                  for sign in (-1, 1))
+        if lo > 0:
+            center_directions(c, q, guard=lo)
+        with pytest.raises(tr.DistanceTooSmall):
+            center_directions(c, q, guard=hi)
+    # a float guard cannot reach 1e-3000: there, the directions must be
+    # those at scale 1, and guard 0 must pass exactly when ref > 0
+    scale = np.longdouble(2.0) ** -9966
+    one = tr.Curve(t, x.astype(np.longdouble))
+    tiny = tr.Curve(t, x.astype(np.longdouble) * scale)
+    q = center.astype(np.longdouble)
+    if ref > 0:
+        assert np.array_equal(center_directions(tiny, q * scale, guard=0.0),
+                              center_directions(one, q, guard=0.0))
+    else:
+        with pytest.raises(tr.DistanceTooSmall):
+            center_directions(tiny, q * scale, guard=0.0)
 
 
 def test_slice_and_reverse():

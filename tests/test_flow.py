@@ -99,6 +99,19 @@ def test_field_overflow_ends_in_step_underflow():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("field, x0, t0, centers, message", [
+    # t0 + 0.01 rounds back to t0: the first step does not advance t
+    (tr.constant([1.0, 0.0]), [0.0, 0.0], 1e15, (), "does not advance t"),
+    # the steps advance, but angle-refinement samples round onto each other
+    (tr.spiral2d(), [0.5, 0.0], 1e13, [np.zeros(2)], "float spacing"),
+], ids=["constant-1e15", "spiral-1e13"])
+def test_window_below_time_resolution_raises_step_underflow(field, x0, t0,
+                                                            centers, message):
+    # these raised a bare ValueError from Curve on repeated sample times
+    with pytest.raises(tr.StepUnderflow, match=message):
+        tr.integrate_trajectory(field, x0, t0, t0 + 1.0, obs_centers=centers)
+
+
 @settings(max_examples=300, deadline=None)
 @given(t0=st.floats(-1e3, 1e3), span=st.floats(1e-3, 1e3),
        kind=st.sampled_from(["constant", "linear"]),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,10 +49,30 @@ def test_closed_winding_is_integer():
     assert abs(rr.value - round(rr.value)) <= rr.error_estimate + 1e-12
 
 
+# polylines that touch the origin: one at a sample, one between samples
+CONTACT = [[[-1.0, -1.0], [0.0, 0.0], [1.0, -1.0]],
+           [[-1.0, -1.0], [2.0, 2.0], [2.0, 3.0]]]
+
+
+def _raises_at_distance_zero(call):
+    """``call`` raises DistanceTooSmall reporting distance 0, and no
+    RuntimeWarning (a 0/0 direction would give NaN)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tr.DistanceTooSmall, match="within 0 of"):
+            call()
+
+
 def test_distance_guard():
     c = circle2d(n=100)
     with pytest.raises(tr.DistanceTooSmall):
         tr.absolute_rotation_point(c, np.array([1.0, 0.0]))
+    for x in CONTACT:
+        c = tr.Curve(np.arange(3.0), x)
+        _raises_at_distance_zero(
+            lambda: tr.absolute_rotation_point(c, np.zeros(2)))
+        _raises_at_distance_zero(
+            lambda: tr.signed_winding_plane(c, np.zeros(2)))
 
 
 @pytest.mark.parametrize("guard", [float("nan"), -1.0, float("inf")])
@@ -70,6 +91,12 @@ def test_zero_guard_checks_only_contact():
         tr.absolute_rotation_point(c, np.zeros(2), guard=0.0)
     rr = tr.absolute_rotation_point(circle2d(n=100), np.zeros(2), guard=0.0)
     assert abs(rr.value - 2 * math.pi) < 1e-2
+    for x in CONTACT:
+        c = tr.Curve(np.arange(3.0), x)
+        _raises_at_distance_zero(
+            lambda: tr.absolute_rotation_point(c, np.zeros(2), guard=0.0))
+        _raises_at_distance_zero(
+            lambda: tr.spherical_blowup(c, np.zeros(2), guard=0.0))
 
 
 def _through_center(dim, offset):
