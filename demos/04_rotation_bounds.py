@@ -65,7 +65,7 @@ print("== log^2 growth across shrinking shells r = R e^-k ==")
 x0s = (np.array([1.0, 1.0, 0.0]), np.array([1.0, -1.0, 0.0]))
 print(f"  {'k':>3} {'measured (turns)':>17} {'implied C':>10} {'bound':>8}")
 for k_exp in (1, 2, 3, 4):
-    rep = tr.check_log_sink_bound(SINK, x0s, R=1.0, r=math.exp(-k_exp))
+    rep = tr.check_log_sink_shells(SINK, x0s, 1.0, (math.exp(-k_exp),))[0]
     print(f"  {k_exp:>3} {rep.measured:>17.5f} "
           f"{rep.inputs['implied_C']:>10.5f} {rep.bound:>8.4f}")
 print("  (the implied constant stays of one size while the measured")

@@ -8,18 +8,17 @@ given a seed), so concurrent use needs no synchronization.
 
 from .bounds import (BoundReport, LOG_SINK_REFERENCE_C, THEOREM_IDS,
                      check_any_point_bound, check_invariant_subspace_bound,
-                     check_log_sink_bound, check_log_sink_shells,
-                     check_pair_bound, check_pair_bound_refined,
-                     check_stationary_point_bound, lipschitz_for,
-                     pair_bound_fallback_identity)
+                     check_log_sink_shells, check_pair_bound,
+                     check_pair_bound_refined, check_stationary_point_bound,
+                     lipschitz_for)
 from .crofton import (CroftonConstants, CroftonEstimate, EquatorWitness,
                       crofton_constants, crofton_length_estimate,
                       find_circle_witness, find_equator_witness,
-                      find_euclidean_witness, haar_orthogonal)
+                      find_euclidean_witness)
 from .curves import (AffineSubspace, Curve, RotationResult, SphericalCurve,
-                     concat, curve_from_csv, curve_length, curve_to_csv,
-                     project_to_complement, resample, reverse, slice_time,
-                     spherical_blowup, transform, translate)
+                     curve_from_csv, curve_length, curve_to_csv,
+                     project_to_complement, reverse, slice_time,
+                     spherical_blowup)
 from .errors import (CodimensionError, CurvesTooClose, DimensionMismatch,
                      DistanceTooSmall, EigenvalueSignError, NonTransversal,
                      NotClosed, NotInvariant, NotPlanar, NotStationary,
@@ -28,8 +27,8 @@ from .errors import (CodimensionError, CurvesTooClose, DimensionMismatch,
                      StepUnderflow, TrajrotError, WitnessNotFound)
 from .fields import (Ball, FieldSpec, LipschitzEstimate, affine, constant,
                      enclosing_ball, estimate_lipschitz, eval_field,
-                     field_values, linear, negated, parse_field_spec,
-                     spiral2d, twist3d, twist_invariant_curve, twist_profile)
+                     field_values, linear, parse_field_spec, spiral2d,
+                     twist3d, twist_invariant_curve)
 from .flow import IntegratorConfig, integrate_trajectory
 from .gausslink import (LinkingResult, gauss_rotation_pair,
                         line_rotation_crosscheck, linking_coefficient,

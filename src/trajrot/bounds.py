@@ -5,7 +5,9 @@ the bound, the Lipschitz constant policy that produced it (analytic for
 matrix-backed fields, otherwise 1.1x a sampled estimate) and the verdict.
 The verdict allows the combined quadrature error estimates as slack: a
 violation beyond that slack indicates a real numerical problem, because
-the underlying inequalities are theorems.
+the underlying inequalities are theorems.  :func:`check_log_sink_shells`
+returns a :class:`ShellReports` tuple of one report per shell; one shell
+``r`` is ``check_log_sink_shells(L, x0s, R, (r,))[0]``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ THEOREM_IDS = ("prop3_1", "prop3_2", "thm3_4", "thm3_8", "cor3_10",
 SAMPLED_K_SAFETY = 1.1
 _STATIONARY_TOL = 1e-10
 _INVARIANT_TOL = 1e-8
+# invariance probes, sampled Lipschitz pairs, cor3_10 grid points
+_INVARIANCE_SAMPLES, _K_SAMPLES, _R_GRID = 100, 4096, 64
 
 # Reference constant for the logarithmic sink bound, calibrated once on
 # the diagonalizable reference field (eigenvalues -1 and -1 +- 2i,
@@ -79,13 +83,12 @@ def _report(theorem_id, measured, bound, inputs, errors) -> BoundReport:
     )
 
 
-def lipschitz_for(f: FieldSpec, points, extra_points=(), seed: int = 0,
-                  n: int = 4096):
+def lipschitz_for(f: FieldSpec, points, extra_points=(), seed: int = 0):
     """The K policy: :func:`estimate_lipschitz` over a ball enclosing
     ``points``, times ``SAMPLED_K_SAFETY`` when it is a sampled estimate
     (analytic operator norms are exact).  Returns (K, inputs)."""
     ball = enclosing_ball(points, *[np.atleast_2d(p) for p in extra_points])
-    est = estimate_lipschitz(f, ball, n=n, seed=seed)
+    est = estimate_lipschitz(f, ball, n=_K_SAMPLES, seed=seed)
     if est.method != "sampled":
         return est.K, {"K": est.K, "K_method": est.method, "K_safety": 1.0}
     k = SAMPLED_K_SAFETY * est.K
@@ -118,8 +121,7 @@ def check_stationary_point_bound(f: FieldSpec, x0, trajectory: Curve,
 
 def check_invariant_subspace_bound(f: FieldSpec, sub: AffineSubspace,
                                    trajectory: Curve, window=None,
-                                   seed: int = 0,
-                                   invariance_samples: int = 100) -> BoundReport:
+                                   seed: int = 0) -> BoundReport:
     """Rotation around an invariant subspace is at most K * elapsed time.
 
     Invariance is verified by sampling: at points of the subspace inside
@@ -137,7 +139,7 @@ def check_invariant_subspace_bound(f: FieldSpec, sub: AffineSubspace,
         # sample the patch of the subspace nearest the trajectory's region
         center_coords = (ball.center - sub.base_point) @ sub.basis.T
         coeffs = center_coords + rng.uniform(
-            -ball.radius, ball.radius, (invariance_samples, sub.dim))
+            -ball.radius, ball.radius, (_INVARIANCE_SAMPLES, sub.dim))
         probe = sub.base_point + coeffs @ sub.basis
     vals = field_values(f, probe)
     ortho = vals - (vals @ sub.basis.T) @ sub.basis if sub.dim else vals
@@ -192,17 +194,18 @@ def _max_point_rotation(c: Curve, grid_points, K, T, guard):
 
 
 def check_pair_bound_refined(traj1: Curve, traj2: Curve, windows=None, *,
-                             K: float, grid: int = 64,
-                             guard=None) -> BoundReport:
+                             K: float, guard=None) -> BoundReport:
     """Refined mutual-rotation bound (K/4pi) min(R1 T2, R2 T1), where R_i
-    is the largest rotation of trajectory i around sampled points of the
-    other one (with the 4 + K*T_i fallback at too-close grid points)."""
+    is the largest rotation of trajectory i around ``_R_GRID`` evenly
+    spaced samples of the other one (with the 4 + K*T_i fallback at
+    too-close grid points).  With the fallback in R1 and T2 <= T1 the
+    bound is thm3_8's: (K/4pi)(4 + K T1) T2 = (K/pi) T2 + (K^2/4pi) T1 T2."""
     return _pair_reports(traj1, traj2, ("cor3_10",), windows, K=K,
-                         grid=grid, guard=guard)[0]
+                         guard=guard)[0]
 
 
 def _pair_reports(traj1: Curve, traj2: Curve, theorem_ids, windows=None, *,
-                  K: float, grid: int = 64, guard=None) -> list:
+                  K: float, guard=None) -> list:
     """The thm3_8 and cor3_10 reports named in ``theorem_ids``, in order,
     all from one measurement of the pair's mutual absolute rotation."""
     w1, w2 = windows if windows is not None else (None, None)
@@ -220,14 +223,14 @@ def _pair_reports(traj1: Curve, traj2: Curve, theorem_ids, windows=None, *,
 
     def refined():
         def grid_of(c):
-            idx = np.linspace(0, c.n_samples - 1, grid).round().astype(int)
+            idx = np.linspace(0, c.n_samples - 1, _R_GRID).round().astype(int)
             return c.x.astype(np.float64, copy=False)[np.unique(idx)]
 
         r1, e1, f1 = _max_point_rotation(c1, grid_of(c2), K, t1, guard)
         r2, e2, f2 = _max_point_rotation(c2, grid_of(c1), K, t2, guard)
         bound = (K / (4 * math.pi)) * min(r1 * t2, r2 * t1)
         inputs = {"K": K, "T1": t1, "T2": t2, "R1": r1, "R2": r2,
-                  "R_grid": grid, "R_fallbacks": f1 + f2}
+                  "R_grid": _R_GRID, "R_fallbacks": f1 + f2}
         return _report("cor3_10", rr.value, bound, inputs,
                        {"rotation": rr.error_estimate,
                         "R1": e1 * (K / (4 * math.pi)) * t2,
@@ -324,17 +327,3 @@ def check_log_sink_shells(L_matrix, x0_pair, R: float, radii) -> ShellReports:
         reports.append(_report("thm3_10_log", rr.value, bound, inputs,
                                {"rotation": rr.error_estimate}))
     return ShellReports(reports)
-
-
-def check_log_sink_bound(L_matrix, x0_pair, R: float, r: float) -> BoundReport:
-    """:func:`check_log_sink_shells` for the one shell r <= |x| <= R."""
-    return check_log_sink_shells(L_matrix, x0_pair, R, (r,))[0]
-
-
-def pair_bound_fallback_identity(K: float, T1: float, T2: float) -> tuple[float, float]:
-    """Both sides of the algebraic identity tying the refined bound with
-    the 4 + K*T fallback to the direct pair bound:
-    (K/4pi)(4 + K*T1)*T2 == (K/pi)*T2 + (K^2/4pi)*T1*T2."""
-    lhs = (K / (4 * math.pi)) * (4.0 + K * T1) * T2
-    rhs = (K / math.pi) * T2 + (K * K / (4 * math.pi)) * T1 * T2
-    return lhs, rhs

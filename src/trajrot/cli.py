@@ -289,8 +289,8 @@ def _scenario_reports(name, theorems, seed):
         k, _ = bounds_mod.lipschitz_for(f, t1.x, seed=seed)
         reports = bounds_mod._pair_reports(t1, t2, theorems, K=k)
     elif name == "sink-log":
-        reports = [bounds_mod.check_log_sink_bound(
-            SINK_MATRIX, SINK_START_PAIR, R=1.0, r=1.0 / math.e)
+        reports = [bounds_mod.check_log_sink_shells(
+            SINK_MATRIX, SINK_START_PAIR, 1.0, (1.0 / math.e,))[0]
             for _ in theorems]
     return reports
 

@@ -76,8 +76,7 @@ class Curve:
         self.t = t
         self.x = x
         self._diam = None
-        # math.hypot scales: squares of coordinates past 1e154 overflow
-        gap = math.hypot(*(x[-1] - x[0]).astype(np.float64).tolist())
+        gap = _norm(x[-1] - x[0])
         tol = CLOSE_DIAMETER_FACTOR * self.diameter_bound()
         if closed is None:
             closed = gap <= tol
@@ -100,10 +99,10 @@ class Curve:
         return float(self.t[-1] - self.t[0])
 
     def diameter_bound(self) -> float:
-        """Bounding-box diagonal: within [diam, sqrt(dim)*diam] of the diameter."""
+        """Bounding-box diagonal: within [diam, sqrt(dim)*diam] of the
+        diameter, in the sample dtype."""
         if self._diam is None:
-            ext = (self.x.max(axis=0) - self.x.min(axis=0)).astype(np.float64)
-            self._diam = math.hypot(*ext.tolist())
+            self._diam = _norm(self.x.max(axis=0) - self.x.min(axis=0))
         return self._diam
 
     def default_guard(self) -> float:
@@ -245,19 +244,6 @@ def curve_length(c: Curve) -> float:
     return math.fsum(segment_lengths(c).astype(np.float64, copy=False).tolist())
 
 
-def concat(c1: Curve, c2: Curve) -> Curve:
-    """Join two curves that share the junction sample (time and point)."""
-    if c1.dim != c2.dim:
-        raise DimensionMismatch("cannot concatenate curves of different dimension")
-    if abs(c1.t[-1] - c2.t[0]) > 0:
-        raise ValueError("curves must share the junction time")
-    if np.any(c1.x[-1] != c2.x[0]):
-        raise ValueError("curves must share the junction point")
-    t = np.concatenate([c1.t, c2.t[1:]])
-    x = np.concatenate([c1.x, c2.x[1:]], axis=0)
-    return Curve(t, x, closed=None)
-
-
 def _point_at_time(c: Curve, tq: float) -> np.ndarray:
     """Linear interpolation on the polyline, preserving the point dtype."""
     i = int(np.searchsorted(c.t, tq, side="right")) - 1
@@ -284,50 +270,6 @@ def slice_time(c: Curve, ta: float, tb: float) -> Curve:
 def reverse(c: Curve) -> Curve:
     t = c.t[0] + (c.t[-1] - c.t[::-1])
     return Curve(t, c.x[::-1].copy(), closed=c.closed)
-
-
-def translate(c: Curve, offset) -> Curve:
-    return Curve(c.t, c.x + np.asarray(offset), closed=c.closed)
-
-
-def transform(c: Curve, matrix, offset=None) -> Curve:
-    """Apply ``x -> matrix @ x + offset`` to every sample."""
-    m = np.asarray(matrix, dtype=np.float64)
-    y = c.x @ m.T
-    if offset is not None:
-        y = y + np.asarray(offset)
-    return Curve(c.t, y, closed=None)
-
-
-def resample(c: Curve, n: int) -> Curve:
-    """Arc-length-uniform resampling by linear interpolation, n >= 2.
-
-    The result is a monotone reparametrization of the polyline, so all
-    rotation quantities change by at most the quadrature error estimates.
-    Points are interpolated in the curve's own dtype, so longdouble
-    coordinates below the float64 range survive.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    seg = segment_lengths(c).astype(np.float64, copy=False)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    total = s[-1]
-    if total <= 0:
-        raise ValueError("cannot arc-length resample a zero-length curve")
-    targets = np.linspace(0.0, total, n)
-    ts = np.interp(targets, s, c.t)
-    i = np.minimum(np.searchsorted(s, targets, side="right") - 1, len(seg) - 1)
-    ds = s[i + 1] - s[i]
-    w = np.divide(targets - s[i], ds, out=np.zeros(n), where=ds > 0)
-    xs = c.x[i] + w.astype(c.x.dtype)[:, None] * (c.x[i + 1] - c.x[i])
-    # duplicate interior points (zero-length segments) can produce tied
-    # times; nudge them apart monotonically
-    for i in range(1, n):
-        if ts[i] <= ts[i - 1]:
-            ts[i] = np.nextafter(ts[i - 1], np.inf)
-    xs[0] = c.x[0]
-    xs[-1] = c.x[-1]
-    return Curve(ts, xs, closed=c.closed)
 
 
 def _decimated(points: np.ndarray) -> np.ndarray:
@@ -365,6 +307,16 @@ def project_to_complement(c: Curve, sub: AffineSubspace) -> Curve:
     comp = sub.complement_basis()
     y = (c.x - sub.base_point.astype(c.x.dtype)) @ comp.T.astype(c.x.dtype)
     return Curve(c.t, y, closed=None)
+
+
+def _norm(v: np.ndarray):
+    """Length of the vector ``v`` with no square under- or overflowing:
+    ``math.hypot`` in float64; in longdouble, whose coordinates may lie
+    far below the float64 range, ``v`` scaled as in :func:`_unit_rows`."""
+    if v.dtype != np.longdouble:
+        return math.hypot(*v.tolist())
+    m = np.max(np.abs(v))
+    return m * np.sqrt(np.sum((v / m) ** 2)) if m > 0 else m
 
 
 def _unit_rows(d: np.ndarray, m: np.ndarray):
@@ -430,11 +382,12 @@ def point_segment_distances(q, p, d) -> np.ndarray:
 
 
 def _resolved_guard(guard, default: float) -> float:
-    """``guard`` as a float, ``default`` when it is None.  A NaN or
-    negative guard would pass every distance: ValueError, as for inf."""
+    """``guard`` as a float (a longdouble stays one), ``default`` when it
+    is None.  A NaN or negative guard would pass every distance:
+    ValueError, as for inf."""
     if guard is None:
         return default
-    g = float(guard)
+    g = guard if isinstance(guard, np.longdouble) else float(guard)
     if not 0.0 <= g < math.inf:
         raise ValueError(f"guard must be finite and >= 0, got {g!r}")
     return g

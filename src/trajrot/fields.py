@@ -93,17 +93,6 @@ def affine(matrix, vector) -> FieldSpec:
     return FieldSpec(m.shape[0], "affine", matrix=m, offset=v)
 
 
-def negated(f: FieldSpec) -> FieldSpec:
-    """-v for the matrix-backed kinds (used by time-reversal checks)."""
-    if f.kind == "linear":
-        return linear(-f.matrix)
-    if f.kind == "constant":
-        return constant(-f.offset)
-    if f.kind == "affine":
-        return affine(-f.matrix, -f.offset)
-    raise ValueError(f"cannot negate field kind {f.kind!r}")
-
-
 def parse_field_spec(text: str) -> FieldSpec:
     """Parse the CLI mini-language.
 
@@ -243,8 +232,8 @@ def twist_profile(x1, dtype=np.float64):
     return w1, w2
 
 
-def twist_invariant_curve(a: float, b: float, max_angle_step: float = 0.01,
-                          dtype=None) -> Curve:
+def twist_invariant_curve(a: float, b: float,
+                          max_angle_step: float = 0.01) -> Curve:
     """The twist3d trajectory through the x1-axis profile, sampled exactly.
 
     Returns the curve ``(x1, w1(x1), w2(x1))`` for x1 in [a, b] (0 < a < b)
@@ -252,12 +241,11 @@ def twist_invariant_curve(a: float, b: float, max_angle_step: float = 0.01,
     speed).  Samples are uniform in the winding angle 1/x1 with spacing
     ``max_angle_step``.  The coordinate amplitude exp(-1/x1^2) underflows
     float64 once 1/a^2 > ~745, so longdouble storage is selected
-    automatically in that regime (override with ``dtype``).
+    automatically in that regime.
     """
     if not (0 < a < b):
         raise ValueError("need 0 < a < b")
-    if dtype is None:
-        dtype = np.longdouble if 1.0 / (a * a) > 700.0 else np.float64
+    dtype = np.longdouble if 1.0 / (a * a) > 700.0 else np.float64
     u_hi, u_lo = 1.0 / a, 1.0 / b
     n = max(int(np.ceil((u_hi - u_lo) / max_angle_step)) + 1, 2)
     u = np.linspace(u_hi, u_lo, n).astype(dtype)

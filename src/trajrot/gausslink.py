@@ -30,8 +30,12 @@ one-pair call.
 Against a whole straight line the integral has a closed form that is
 the projected winding itself: split at a base point, the line is two
 rays, and the two rays' Van Oosterom-Strackee triangles (third vertex at
-infinity) against a segment sum to twice its projected angle increment
-(:func:`line_rotation_crosscheck`).
+infinity) against a segment sum to twice its projected angle increment.
+So :func:`line_rotation_crosscheck` takes it as the planar winding sum of
+:mod:`trajrot.rotation`, with no sum of its own.
+
+:func:`linking_coefficient` snaps to an integer only when the error bar
+cannot reach another one.
 """
 
 from __future__ import annotations
@@ -42,13 +46,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (AffineSubspace, Curve, RotationResult, _decimated,
-                     _resolved_guard, _rowdot, planar_angle_increments,
-                     point_segment_distances, project_to_complement,
-                     safe_unit_rows)
+                     _resolved_guard, _rowdot, center_directions,
+                     point_segment_distances, project_to_complement)
 from .errors import (CurvesTooClose, DimensionMismatch, NonTransversal,
                      NotClosed, NotPlanar, QuadratureInconclusive,
                      SampleBudgetExceeded)
-from .rotation import rotation_around_subspace, signed_winding_plane
+from .rotation import _absolute_rotation, _winding, signed_winding_plane
 
 # Segment pairs per row chunk of the vertex grid; keeps the chunk's
 # temporaries cache-sized.
@@ -270,8 +273,9 @@ def gauss_rotation_nested(pairs, mode: str = "signed",
     if grid > _PAIR_BUDGET:
         raise SampleBudgetExceeded(
             f"{grid} segment pairs exceed the budget of {_PAIR_BUDGET}")
-    g = _resolved_guard(guard, max(base1.default_guard(),
-                                   base2.default_guard()))
+    # the kernel is float64, whatever the curves' dtype
+    g = float(_resolved_guard(guard, max(base1.default_guard(),
+                                         base2.default_guard())))
     absolute = mode == "absolute"
     xs = [tuple(c.x.astype(np.float64, copy=False) for c in pair)
           for pair in pairs]
@@ -305,17 +309,20 @@ def linking_coefficient(c1: Curve, c2: Curve,
     """Gauss integral of two disjoint closed curves with integer snap.
 
     The snap is asserted, not assumed: if the residual to the nearest
-    integer exceeds ``max(0.1, 3 * error_estimate)`` the quadrature is
-    declared inconclusive instead of rounding garbage.
+    integer reaches ``max(0.1, 3 * error_estimate)``, or the error bar
+    reaches halfway to the next integer (``residual + error_estimate >=
+    0.5``, so the bar holds two integers), the quadrature is declared
+    inconclusive instead of rounding garbage.
     """
     if not (c1.closed and c2.closed):
         raise NotClosed("linking coefficient requires two closed curves")
     rr = gauss_rotation_pair(c1, c2, "signed", guard=guard)
     nearest = int(round(rr.value))
     residual = abs(rr.value - nearest)
-    if residual >= max(0.1, 3.0 * rr.error_estimate):
+    if (residual >= max(0.1, 3.0 * rr.error_estimate)
+            or residual + rr.error_estimate >= 0.5):
         raise QuadratureInconclusive(
-            f"residual {residual:.3g} too large for integer snap "
+            f"no integer snap: residual {residual:.3g} "
             f"(error estimate {rr.error_estimate:.3g})")
     return LinkingResult(rr.value, nearest, residual, rr.error_estimate)
 
@@ -379,11 +386,11 @@ def line_rotation_crosscheck(c2: Curve, line: AffineSubspace,
     around the line (its native convention: turns when signed, radians
     when absolute).
 
-    The Gauss side reduces to the projection in closed form, so the two
-    agree by construction.  Split at a base point, the line is two rays;
-    a ray against a segment of ``c2`` is a Van Oosterom-Strackee triangle
-    with its third vertex at infinity, ``2 atan2(N, D)``.  With ``q``,
-    ``q'`` the complement coordinates of the segment's ends and
+    The Gauss side reduces to the projection in closed form, so it is
+    the projected winding sum itself.  Split at a base point, the line is
+    two rays; a ray against a segment of ``c2`` is a Van Oosterom-Strackee
+    triangle with its third vertex at infinity, ``2 atan2(N, D)``.  With
+    ``q``, ``q'`` the complement coordinates of the segment's ends and
     ``a = s e - q`` the vector from an end to the base point,
     ``N = q x q'`` and ``D = p p' + c`` with ``c = q . q'`` and
     ``p = |a| + s`` on the ray along ``e``, ``|a| - s`` on the other.
@@ -391,23 +398,19 @@ def line_rotation_crosscheck(c2: Curve, line: AffineSubspace,
     the two rays sum to ``2 atan2(N, c)``, twice the segment's projected
     angle increment, a two-term atan2 that cancels nothing however far
     along the line the curve sits.  ``N`` is constant along the line, so
-    the absolute variant sums the unsigned increments.  The error estimate
-    is that of :func:`~trajrot.rotation.signed_winding_plane`: the change
-    under decimating ``c2`` plus roundoff.  The projection runs first and
-    checks ``guard`` against the exact distance from every segment to the
-    line.
+    the absolute variant sums the unsigned increments.  Both sides come
+    from one projection: the Gauss side is the winding sum of
+    :func:`~trajrot.rotation.signed_winding_plane` with its error
+    estimate, and in the signed mode it is the projection itself.
+    ``guard`` is checked against the exact distance from every segment
+    to the line.
     """
     if c2.dim != 3 or line.ambient_dim != 3 or line.dim != 1:
         raise DimensionMismatch("need a curve and a straight line in 3-space")
-    projection = rotation_around_subspace(c2, line, mode, guard=guard)
-    u = safe_unit_rows(project_to_complement(c2, line).x)
-
-    def turns(v):
-        inc = planar_angle_increments(v)
-        if mode == "absolute":
-            inc = np.abs(inc)
-        return float(np.sum(inc)) / (2.0 * math.pi)
-
-    value = turns(u)
-    err = abs(value - turns(_decimated(u))) + 1e-15 * len(u)
+    if mode not in ("absolute", "signed"):
+        raise ValueError("mode must be 'absolute' or 'signed'")
+    u = center_directions(project_to_complement(c2, line), np.zeros(2), guard)
+    value, err = _winding(u, mode == "absolute")
+    projection = (_absolute_rotation(u) if mode == "absolute"
+                  else RotationResult(value, err, "signed_turns"))
     return RotationResult(value, err, "gauss_turns"), projection

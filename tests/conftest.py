@@ -6,6 +6,7 @@ import pytest
 
 import trajrot as tr
 from trajrot import gausslink
+from trajrot.curves import segment_lengths
 
 # Reference sink: eigenvalues -1 (along x1) and -1 +- 2i (rotating the
 # x2/x3 plane at rate 2).  Operator norm sqrt(5).
@@ -77,6 +78,87 @@ def ray_shortfall(c, line, M):
     w = math.hypot(1.0, u)
     spin = tr.rotation_around_subspace(c, line, "absolute")
     return (spin.value + spin.error_estimate) / (2 * math.pi) / (w * (w + u))
+
+
+# ---------------------------------------------------------------------------
+# curve and field operations that only the tests need
+
+
+def concat(c1, c2):
+    """Join two curves that share the junction sample (time and point)."""
+    if c1.dim != c2.dim:
+        raise tr.DimensionMismatch("cannot concatenate curves of different dimension")
+    if abs(c1.t[-1] - c2.t[0]) > 0:
+        raise ValueError("curves must share the junction time")
+    if np.any(c1.x[-1] != c2.x[0]):
+        raise ValueError("curves must share the junction point")
+    t = np.concatenate([c1.t, c2.t[1:]])
+    x = np.concatenate([c1.x, c2.x[1:]], axis=0)
+    return tr.Curve(t, x, closed=None)
+
+
+def translate(c, offset):
+    return tr.Curve(c.t, c.x + np.asarray(offset), closed=c.closed)
+
+
+def transform(c, matrix, offset=None):
+    """Apply ``x -> matrix @ x + offset`` to every sample."""
+    m = np.asarray(matrix, dtype=np.float64)
+    y = c.x @ m.T
+    if offset is not None:
+        y = y + np.asarray(offset)
+    return tr.Curve(c.t, y, closed=None)
+
+
+def resample(c, n):
+    """Arc-length-uniform resampling by linear interpolation, n >= 2.
+
+    The result is a monotone reparametrization of the polyline, so all
+    rotation quantities change by at most the quadrature error estimates.
+    Points are interpolated in the curve's own dtype, so longdouble
+    coordinates below the float64 range survive.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    seg = segment_lengths(c).astype(np.float64, copy=False)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    total = s[-1]
+    if total <= 0:
+        raise ValueError("cannot arc-length resample a zero-length curve")
+    targets = np.linspace(0.0, total, n)
+    ts = np.interp(targets, s, c.t)
+    i = np.minimum(np.searchsorted(s, targets, side="right") - 1, len(seg) - 1)
+    ds = s[i + 1] - s[i]
+    w = np.divide(targets - s[i], ds, out=np.zeros(n), where=ds > 0)
+    xs = c.x[i] + w.astype(c.x.dtype)[:, None] * (c.x[i + 1] - c.x[i])
+    # duplicate interior points (zero-length segments) can produce tied
+    # times; nudge them apart monotonically
+    for i in range(1, n):
+        if ts[i] <= ts[i - 1]:
+            ts[i] = np.nextafter(ts[i - 1], np.inf)
+    xs[0] = c.x[0]
+    xs[-1] = c.x[-1]
+    return tr.Curve(ts, xs, closed=c.closed)
+
+
+def negated(f):
+    """-v for the matrix-backed kinds (used by time-reversal checks)."""
+    if f.kind == "linear":
+        return tr.linear(-f.matrix)
+    if f.kind == "constant":
+        return tr.constant(-f.offset)
+    if f.kind == "affine":
+        return tr.affine(-f.matrix, -f.offset)
+    raise ValueError(f"cannot negate field kind {f.kind!r}")
+
+
+def pair_bound_fallback_identity(K, T1, T2):
+    """Both sides of the algebraic identity tying the refined bound with
+    the 4 + K*T fallback to the direct pair bound:
+    (K/4pi)(4 + K*T1)*T2 == (K/pi)*T2 + (K^2/4pi)*T1*T2."""
+    lhs = (K / (4 * math.pi)) * (4.0 + K * T1) * T2
+    rhs = (K / math.pi) * T2 + (K * K / (4 * math.pi)) * T1 * T2
+    return lhs, rhs
 
 
 def random_rotation(rng, n=3):

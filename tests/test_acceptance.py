@@ -11,7 +11,8 @@ import pytest
 import trajrot as tr
 
 from conftest import (SINK_MATRIX, X_AXIS, Z_AXIS, axis_segment, circle3d,
-                      helix_curve, random_rotation)
+                      helix_curve, pair_bound_fallback_identity,
+                      random_rotation, resample, transform, translate)
 
 
 class Budget:
@@ -152,7 +153,7 @@ def test_08_pair_bound_suite():
             direct = tr.check_pair_bound(t1, t2, K=k)
             refined = tr.check_pair_bound_refined(t1, t2, K=k)
             assert direct.satisfied and refined.satisfied
-            lhs, rhs = tr.pair_bound_fallback_identity(k, T, T)
+            lhs, rhs = pair_bound_fallback_identity(k, T, T)
             assert abs(lhs - rhs) < 1e-12
 
 
@@ -164,8 +165,8 @@ def test_09_log_sink_growth_shape():
         measured = []
         implied = []
         for k in ks:
-            rep = tr.check_log_sink_bound(SINK_MATRIX, x0s, R=1.0,
-                                          r=math.exp(-k))
+            rep = tr.check_log_sink_shells(SINK_MATRIX, x0s, 1.0,
+                                           (math.exp(-k),))[0]
             assert rep.satisfied
             measured.append(rep.measured)
             implied.append(rep.inputs["implied_C"])
@@ -239,7 +240,7 @@ def test_13_invariance_suite():
         helix = helix_curve(turns=2.0, n=1000)
         x0 = np.array([0.0, 0.0, -1.0])
         a = tr.absolute_rotation_point(helix, x0)
-        b = tr.absolute_rotation_point(tr.resample(helix, 500), x0)
+        b = tr.absolute_rotation_point(resample(helix, 500), x0)
         assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
 
         # simultaneous rigid motion
@@ -247,13 +248,13 @@ def test_13_invariance_suite():
         q = random_rotation(rng)
         shift = np.array([1.0, -0.5, 0.25])
         c1 = circle3d(n=501)
-        c2 = tr.translate(helix_curve(turns=1.5, n=501), [0.0, 0.0, 0.3])
+        c2 = translate(helix_curve(turns=1.5, n=501), [0.0, 0.0, 0.3])
         g = tr.gauss_rotation_pair(c1, c2, "signed")
-        gm = tr.gauss_rotation_pair(tr.transform(c1, q, shift),
-                                    tr.transform(c2, q, shift), "signed")
+        gm = tr.gauss_rotation_pair(transform(c1, q, shift),
+                                    transform(c2, q, shift), "signed")
         assert abs(g.value - gm.value) < 1e-9
         r = tr.absolute_rotation_point(c2, x0)
-        rm = tr.absolute_rotation_point(tr.transform(c2, q, shift),
+        rm = tr.absolute_rotation_point(transform(c2, q, shift),
                                         q @ x0 + shift)
         assert abs(r.value - rm.value) < 1e-9
 

@@ -5,7 +5,8 @@ import pytest
 
 import trajrot as tr
 
-from conftest import SINK_BETA, SINK_MATRIX, X_AXIS, kernel_passes
+from conftest import (SINK_BETA, SINK_MATRIX, X_AXIS, kernel_passes,
+                      pair_bound_fallback_identity)
 
 
 def test_stationary_spiral(spiral_traj):
@@ -146,7 +147,7 @@ def test_pair_bound_refined(sink_pair):
 def test_refined_with_fallback_matches_direct_bound(sink_pair):
     f, t1, t2 = sink_pair
     k, _ = tr.lipschitz_for(f, t1.x)
-    lhs, rhs = tr.pair_bound_fallback_identity(k, 3.0, 3.0)
+    lhs, rhs = pair_bound_fallback_identity(k, 3.0, 3.0)
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -164,7 +165,8 @@ def test_log_sink_reference_shells():
     x0s = (np.array([1.0, 1.0, 0.0]), np.array([1.0, -1.0, 0.0]))
     implied = []
     for k in (1, 2):
-        rep = tr.check_log_sink_bound(SINK_MATRIX, x0s, R=1.0, r=math.exp(-k))
+        rep = tr.check_log_sink_shells(SINK_MATRIX, x0s, 1.0,
+                                       (math.exp(-k),))[0]
         assert rep.theorem_id == "thm3_10_log" and rep.satisfied
         implied.append(rep.inputs["implied_C"])
         assert rep.inputs["T1"] == pytest.approx(k, abs=0.05)
@@ -173,14 +175,14 @@ def test_log_sink_reference_shells():
 
 def test_log_sink_no_rotation_matrix():
     x0s = (np.array([1.0, 0.2, 0.0]), np.array([0.3, -1.0, 0.1]))
-    rep = tr.check_log_sink_bound(-np.eye(3), x0s, R=1.0, r=0.3)
+    rep = tr.check_log_sink_shells(-np.eye(3), x0s, 1.0, (0.3,))[0]
     assert rep.measured < 1e-6 and rep.satisfied
 
 
 def test_log_sink_thin_shell_small_rotation():
     x0s = (np.array([1.0, 1.0, 0.0]), np.array([1.0, -1.0, 0.0]))
-    wide = tr.check_log_sink_bound(SINK_MATRIX, x0s, R=1.0, r=math.exp(-1))
-    thin = tr.check_log_sink_bound(SINK_MATRIX, x0s, R=1.0, r=0.9)
+    wide = tr.check_log_sink_shells(SINK_MATRIX, x0s, 1.0, (math.exp(-1),))[0]
+    thin = tr.check_log_sink_shells(SINK_MATRIX, x0s, 1.0, (0.9,))[0]
     assert thin.measured < 0.25 * wide.measured
 
 
@@ -195,8 +197,8 @@ def test_log_sink_shells_match_single_shells():
     single = {}
     for k in (1, 2, 3, 4):
         with kernel_passes() as passes:
-            rep = tr.check_log_sink_bound(SINK_MATRIX, SINK_X0S, R=1.0,
-                                          r=math.exp(-k))
+            rep = tr.check_log_sink_shells(SINK_MATRIX, SINK_X0S, 1.0,
+                                           (math.exp(-k),))[0]
         single[k] = rep, passes[0][0][1], passes[1][0][1]
     scale = 4 * math.pi
     for ks in ((1, 2, 3, 4), (3, 1, 3, 2)):
@@ -260,7 +262,7 @@ def test_log_sink_eigenvalue_guard():
     x0s = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
     saddle = np.diag([1.0, -1.0, -1.0])
     with pytest.raises(tr.EigenvalueSignError):
-        tr.check_log_sink_bound(saddle, x0s, R=1.0, r=0.5)
+        tr.check_log_sink_shells(saddle, x0s, 1.0, (0.5,))
 
 
 def test_report_json_schema(sink_pair):

@@ -11,7 +11,7 @@ import trajrot as tr
 from trajrot.curves import (center_directions, point_segment_distances,
                             segment_angles)
 
-from conftest import circle2d, helix_curve, Z_AXIS
+from conftest import Z_AXIS, circle2d, concat, helix_curve, resample
 
 
 def test_curve_validation():
@@ -67,7 +67,7 @@ def test_length_additive_over_concat():
     k = 173
     c1 = tr.Curve(c.t[: k + 1], c.x[: k + 1])
     c2 = tr.Curve(c.t[k:], c.x[k:])
-    whole = tr.curve_length(tr.concat(c1, c2))
+    whole = tr.curve_length(concat(c1, c2))
     parts = tr.curve_length(c1) + tr.curve_length(c2)
     # fsum keeps the split/whole sums equal up to one final rounding each
     assert abs(whole - parts) <= 4 * np.finfo(float).eps * whole
@@ -192,14 +192,14 @@ def test_affine_subspace_rejects_non_finite(base, basis):
 
 def test_resample_segment():
     c = tr.Curve([0, 1], [[0.0, 0.0], [1.0, 2.0]])
-    r = tr.resample(c, 5)
+    r = resample(c, 5)
     assert r.n_samples == 5
     assert np.allclose(r.x, np.linspace([0, 0], [1, 2], 5))
 
 
 def test_resample_circle_length():
     c = circle2d(n=1000)
-    r = tr.resample(c, 500)
+    r = resample(c, 500)
     assert abs(tr.curve_length(r) - tr.curve_length(c)) < 1e-3
     assert r.closed
 
@@ -208,7 +208,7 @@ def test_resample_circle_length():
 @settings(max_examples=25, deadline=None)
 def test_resample_preserves_endpoints(n):
     c = helix_curve(n=57)
-    r = tr.resample(c, n)
+    r = resample(c, n)
     assert np.allclose(r.x[0], c.x[0])
     assert np.allclose(r.x[-1], c.x[-1])
     assert np.all(np.diff(r.t) > 0)
@@ -219,7 +219,7 @@ def test_resample_rotation_invariance(spiral_traj):
     # resolves every coil; deep coils carry almost no arc length
     c = tr.slice_time(spiral_traj, 0.0, 5.0)
     rot = tr.absolute_rotation_point(c, np.zeros(2))
-    half = tr.resample(c, c.n_samples // 2)
+    half = resample(c, c.n_samples // 2)
     rot2 = tr.absolute_rotation_point(half, np.zeros(2))
     assert abs(rot.value - rot2.value) < rot.error_estimate + rot2.error_estimate
 
@@ -228,7 +228,7 @@ def test_resample_keeps_longdouble_precision():
     # the twist profile's (x2, x3) sit far below the float64 range
     c = tr.twist_invariant_curve(0.025, 0.2)
     assert c.x.dtype == np.longdouble
-    r = tr.resample(c, 4000)
+    r = resample(c, 4000)
     assert r.x.dtype == np.longdouble
     assert np.all(np.any(r.x[:, 1:] != 0, axis=1))
     x1_axis = tr.AffineSubspace(np.zeros(3), [[1.0, 0.0, 0.0]])
@@ -327,12 +327,23 @@ def test_center_directions_guard_matches_mpmath(case):
             center_directions(c, q, guard=lo)
         with pytest.raises(tr.DistanceTooSmall):
             center_directions(c, q, guard=hi)
-    # a float guard cannot reach 1e-3000: there, the directions must be
-    # those at scale 1, and guard 0 must pass exactly when ref > 0
-    scale = np.longdouble(2.0) ** -9966
+    # at 1e-3000, below the float64 range, the curve keeps its closedness
+    # and its default guard (both taken in longdouble), a longdouble guard
+    # is checked as given, the directions are those at scale 1, and guard
+    # 0 passes exactly when ref > 0
+    k = -9966
+    scale = np.longdouble(2.0) ** k
     one = tr.Curve(t, x.astype(np.longdouble))
     tiny = tr.Curve(t, x.astype(np.longdouble) * scale)
     q = center.astype(np.longdouble)
+    assert tiny.closed == one.closed
+    assert tiny.default_guard() == one.default_guard() * scale > 0
+    lo, hi = (np.longdouble(mp.nstr(mp.ldexp(ref, k), 25))
+              + sign * np.ldexp(np.longdouble(tol), k) for sign in (-1, 1))
+    if lo > 0:
+        center_directions(tiny, q * scale, guard=lo)
+    with pytest.raises(tr.DistanceTooSmall):
+        center_directions(tiny, q * scale, guard=hi)
     if ref > 0:
         assert np.array_equal(center_directions(tiny, q * scale, guard=0.0),
                               center_directions(one, q, guard=0.0))

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trajrot as tr
-from trajrot.fields import TWIST_SMALL_X1
+from trajrot.fields import TWIST_SMALL_X1, twist_profile
+
+from conftest import negated
 
 
 def test_spiral_stationary_at_origin():
@@ -95,8 +97,8 @@ def test_twist_matches_profile_derivative():
     f = tr.twist3d()
     for x1 in (0.2, 0.35, 0.6, 1.3):
         h = 1e-6
-        w_p = np.array(tr.twist_profile(np.array([x1 + h]))).ravel()
-        w_m = np.array(tr.twist_profile(np.array([x1 - h]))).ravel()
+        w_p = np.array(twist_profile(np.array([x1 + h]))).ravel()
+        w_m = np.array(twist_profile(np.array([x1 - h]))).ravel()
         fd = (w_p - w_m) / (2 * h)
         v = tr.eval_field(f, [x1, 0.0, 0.0])
         assert np.allclose(v[1:], fd, rtol=1e-7, atol=1e-10)
@@ -199,6 +201,6 @@ def test_twist_invariant_curve_dtype_switch():
 
 def test_negated_roundtrip():
     f = tr.affine(np.eye(2), np.array([1.0, 0.0]))
-    g = tr.negated(f)
+    g = negated(f)
     x = np.array([0.3, 0.4])
     assert np.allclose(tr.eval_field(f, x) + tr.eval_field(g, x), 0.0)

@@ -15,7 +15,7 @@ from trajrot.curves import segment_angles
 from trajrot.fields import field_evaluator
 from trajrot.flow import _A, _E, _dense_output, _hermite
 
-from conftest import SINK_MATRIX, sink_closed_form
+from conftest import SINK_MATRIX, negated, sink_closed_form
 
 
 def test_constant_field_endpoint():
@@ -148,7 +148,7 @@ def test_time_reversal():
     cfg = tr.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-8, chord_tol=0.9)
     x0 = np.array([1.0, 1.0, 0.0])
     fwd = tr.integrate_trajectory(f, x0, 0.0, 2.0, cfg)
-    back = tr.integrate_trajectory(tr.negated(f), fwd.x[-1], 0.0, 2.0, cfg)
+    back = tr.integrate_trajectory(negated(f), fwd.x[-1], 0.0, 2.0, cfg)
     assert np.linalg.norm(back.x[-1] - x0) < 100 * cfg.abs_tol
 
 

@@ -10,7 +10,8 @@ import trajrot as tr
 from trajrot import gausslink
 
 from conftest import (X_AXIS, Z_AXIS, axis_segment, circle3d, helix_curve,
-                      kernel_passes, random_rotation, ray_shortfall)
+                      kernel_passes, random_rotation, ray_shortfall, transform,
+                      translate)
 
 
 def hopf_pair(n=801):
@@ -155,7 +156,8 @@ def closed_polygon_through(points):
 @settings(max_examples=200, deadline=None)
 def test_topological_count_matches_gauss_integral(seed):
     # a planar polygon in a random plane, self-crossings allowed, against
-    # a random closed polygon
+    # a random closed polygon; both are exact curves, so the polyline
+    # Gauss integral is the linking number up to roundoff
     rng = np.random.default_rng(seed)
     flat = np.zeros((rng.integers(3, 12), 3))
     flat[:, :2] = rng.uniform(-1.0, 1.0, (len(flat), 2))
@@ -164,13 +166,31 @@ def test_topological_count_matches_gauss_integral(seed):
     c2 = closed_polygon_through(rng.uniform(-1.5, 1.5,
                                             (rng.integers(3, 12), 3)))
     try:
-        want = tr.linking_coefficient(c1, c2).nearest_integer
+        want = round(tr.gauss_rotation_pair(c1, c2).value)
         got = tr.topological_linking_planar(c1, c2)
     except tr.NotPlanar:
         raise  # c1 is planar by construction
-    except (tr.PreconditionError, tr.QuadratureInconclusive):
+    except tr.PreconditionError:
         assume(False)
     assert got == want
+
+
+def test_linking_refuses_a_snap_whose_error_bar_holds_two_integers():
+    # the Gauss integral is -1, but the decimated pair links 0, so the
+    # error estimate is 1: the bar reaches 0 as well as -1
+    c1 = closed_polygon_through(np.array(
+        [(-0.735, 0.25, 1.031), (0.161, -0.586, -1.341),
+         (-1.402, 0.503, 0.99), (-0.164, -1.074, 0.873)]))
+    c2 = closed_polygon_through(np.array(
+        [(-1.795, -1.235, 0.755), (-2.765, -0.135, -0.447),
+         (-0.406, -0.597, 0.336), (0.179, -1.28, 1.555),
+         (0.211, 0.322, 1.299), (0.273, 0.323, 0.21),
+         (-1.942, -0.657, -0.635), (-1.938, -0.263, -0.434)]))
+    rr = tr.gauss_rotation_pair(c1, c2)
+    assert round(rr.value) == -1 and abs(rr.value + 1) < 1e-12
+    assert rr.error_estimate >= 0.5
+    with pytest.raises(tr.QuadratureInconclusive):
+        tr.linking_coefficient(c1, c2)
 
 
 def test_symmetry_under_swap():
@@ -194,14 +214,14 @@ def test_rigid_motion_invariance():
     q = random_rotation(rng)
     shift = np.array([0.5, 2.0, -1.0])
     base = tr.gauss_rotation_pair(c1, c2, "signed")
-    moved = tr.gauss_rotation_pair(tr.transform(c1, q, shift),
-                                   tr.transform(c2, q, shift), "signed")
+    moved = tr.gauss_rotation_pair(transform(c1, q, shift),
+                                   transform(c2, q, shift), "signed")
     assert abs(base.value - moved.value) < 1e-9
 
 
 def test_additivity_in_second_argument():
     c1 = circle3d(n=301)
-    c2 = tr.translate(helix_curve(turns=1.5, n=401), [0.0, 0.0, 0.3])
+    c2 = translate(helix_curve(turns=1.5, n=401), [0.0, 0.0, 0.3])
     k = 200
     c2a = tr.Curve(c2.t[: k + 1], c2.x[: k + 1])
     c2b = tr.Curve(c2.t[k:], c2.x[k:])
@@ -352,7 +372,7 @@ def test_crosscheck_under_rigid_motion(mode, seed):
     # helix and axis moved together: still exactly three turns
     rng = np.random.default_rng(seed)
     rot, shift = random_rotation(rng), 10.0 * rng.normal(size=3)
-    helix = tr.transform(helix_curve(turns=3.0, n=1200), rot, shift)
+    helix = transform(helix_curve(turns=3.0, n=1200), rot, shift)
     axis = tr.AffineSubspace(shift, [rot @ Z_AXIS.basis[0]])
     gauss, proj = tr.line_rotation_crosscheck(helix, axis, mode)
     # the projection reports radians when absolute
@@ -369,7 +389,7 @@ def test_pair_guard_must_be_finite_and_non_negative(guard):
     with pytest.raises(ValueError, match="guard"):
         tr.linking_coefficient(c, c, guard=guard)
     with pytest.raises(ValueError, match="guard"):
-        tr.gauss_rotation_pair(c, tr.translate(c, [5.0, 0.0, 0.0]),
+        tr.gauss_rotation_pair(c, translate(c, [5.0, 0.0, 0.0]),
                                guard=guard)
 
 
@@ -464,7 +484,7 @@ def test_collinear_and_parallel_pairs_zero():
 
 def test_zero_length_segments_contribute_nothing():
     c1 = circle3d(n=201)
-    c2 = tr.translate(helix_curve(turns=1.0, n=101), [0.0, 0.0, 0.3])
+    c2 = translate(helix_curve(turns=1.0, n=101), [0.0, 0.0, 0.3])
     x = np.insert(c2.x, 50, c2.x[50], axis=0)  # one repeated vertex
     padded = tr.Curve(np.arange(len(x), dtype=float), x)
     for mode in ("signed", "absolute"):
@@ -480,10 +500,10 @@ def test_crossing_segments_far_vertices_too_close():
     b = polyline([[0.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
     with pytest.raises(tr.CurvesTooClose):
         tr.gauss_rotation_pair(a, b, "signed")
-    near_miss = tr.translate(b, [0.3, 0.0, 1e-9])
+    near_miss = translate(b, [0.3, 0.0, 1e-9])
     with pytest.raises(tr.CurvesTooClose):
         tr.gauss_rotation_pair(a, near_miss, "absolute")
-    clear = tr.translate(b, [0.3, 0.0, 1e-3])
+    clear = translate(b, [0.3, 0.0, 1e-3])
     assert abs(tr.gauss_rotation_pair(a, clear, "signed").value) > 0.2
 
 
@@ -520,7 +540,7 @@ def test_circle_line_error_covers_exact_value():
 def test_pair_budget_raises_before_work():
     t = np.linspace(0.0, 1.0, 40_001)
     a = tr.Curve(t, np.stack([t, 0 * t, 0 * t], axis=1))
-    b = tr.translate(a, [0.0, 1.0, 0.0])
+    b = translate(a, [0.0, 1.0, 0.0])
     with pytest.raises(tr.SampleBudgetExceeded):
         tr.gauss_rotation_pair(a, b, "signed")
 
@@ -576,7 +596,7 @@ def test_nested_cuts_match_single_pairs(seed, ends, mode):
 def test_nested_pairs_must_share_their_start():
     t = np.arange(6, dtype=float)
     c1 = tr.Curve(t, np.stack([t, 0 * t, 0 * t], axis=1))
-    c2 = tr.translate(c1, [0.0, 1.0, 0.0])
+    c2 = translate(c1, [0.0, 1.0, 0.0])
     with pytest.raises(ValueError):
         gausslink.gauss_rotation_nested(
             [(c1, c2), (tr.slice_time(c1, 1.0, 4.0),

@@ -9,7 +9,7 @@ from mpmath import mp
 import trajrot as tr
 
 from conftest import (SINK_BETA, SINK_MATRIX, X_AXIS, Z_AXIS, circle2d,
-                      helix_curve, random_rotation)
+                      helix_curve, random_rotation, resample, transform)
 
 
 def test_circle_absolute_rotation():
@@ -247,7 +247,7 @@ def test_rigid_motion_invariance():
     c = helix_curve(turns=2.2, n=700)
     x0 = np.array([0.1, -0.2, 0.5])
     base = tr.absolute_rotation_point(c, x0)
-    moved = tr.transform(c, q, shift)
+    moved = transform(c, q, shift)
     x0m = q @ x0 + shift
     same = tr.absolute_rotation_point(moved, x0m)
     assert abs(base.value - same.value) < 1e-9
@@ -269,5 +269,5 @@ def test_monotone_resampling_invariance():
     c = helix_curve(turns=2.0, n=900)
     x0 = np.array([0.0, 0.0, -1.0])
     a = tr.absolute_rotation_point(c, x0)
-    b = tr.absolute_rotation_point(tr.resample(c, 450), x0)
+    b = tr.absolute_rotation_point(resample(c, 450), x0)
     assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
