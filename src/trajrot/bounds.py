@@ -245,12 +245,18 @@ def _clip_to_shell(c: Curve, r: float, R: float) -> Curve:
     rad = np.linalg.norm(c.x.astype(np.float64, copy=False), axis=1)
     t = c.t
 
-    def crossing(level, start_idx):
-        for i in range(start_idx, len(rad) - 1):
-            if (rad[i] - level) * (rad[i + 1] - level) <= 0 and rad[i] != rad[i + 1]:
-                tau = (rad[i] - level) / (rad[i] - rad[i + 1])
-                return i, float(t[i] + tau * (t[i + 1] - t[i]))
-        return None
+    def crossing(level, s):
+        # first segment from sample s on whose ends the radius meets or
+        # straddles the level and moves; an overflowing product keeps
+        # its sign and a NaN radius matches nothing, as in a scalar scan
+        with np.errstate(over="ignore", invalid="ignore"):
+            hits = np.flatnonzero(((rad[s:-1] - level) * (rad[s + 1:] - level)
+                                   <= 0) & (rad[s:-1] != rad[s + 1:]))
+        if not len(hits):
+            return None
+        i = s + int(hits[0])
+        tau = (rad[i] - level) / (rad[i] - rad[i + 1])
+        return i, float(t[i] + tau * (t[i + 1] - t[i]))
 
     if rad[0] <= R:
         t_in = float(t[0])

@@ -441,8 +441,12 @@ def center_directions(c: Curve, center, guard: float | None = None) -> np.ndarra
         rmin = np.min(np.divide(ra * y * s * p, den,
                                 out=np.minimum(ra, rb), where=foot))
     if not rmin > g:
+        # formatted in the curve's own precision: through a float, a
+        # longdouble distance near 1e-3000 would read 0
+        within, limit = (np.format_float_scientific(v, 2, unique=False)
+                         for v in (rmin, g))
         raise DistanceTooSmall(
-            f"curve comes within {float(rmin):.3g} of the center (guard {g:.3g})")
+            f"curve comes within {within} of the center (guard {limit})")
     return u
 
 

@@ -18,6 +18,15 @@ sum of the pairs' unsigned solid angles.  The error estimate therefore
 carries no quadrature term, only how far the polylines may sit from the
 curves they sample (a decimation comparison) plus roundoff.
 
+A pass walks the grid of segment pairs in row chunks of about
+``_CHUNK_PAIRS`` pairs.  It costs memory traffic more than arithmetic,
+so it allocates one workspace and every chunk writes into it in place:
+the corner vectors as one stacked plane, their norms and dot products as
+one ``einsum`` each.  Pairs that may sit closer than the guard or than
+their own length get their exact distance; a chunk whose nearest corner
+lies beyond the largest reach skips that test, which rounding's
+monotonicity makes exact.
+
 Windows ``[t0, t]`` of two fixed curves with one shared start ``t0`` (the
 nested log-sink shells) need no pass of their own: each window's
 polyline is the longest window's up to its own last sample, plus one
@@ -53,8 +62,8 @@ from .errors import (CurvesTooClose, DimensionMismatch, NonTransversal,
                      SampleBudgetExceeded)
 from .rotation import _absolute_rotation, _winding, signed_winding_plane
 
-# Segment pairs per row chunk of the vertex grid; keeps the chunk's
-# temporaries cache-sized.
+# Segment pairs per row chunk of the vertex grid; keeps the workspace
+# planes near cache size.
 _CHUNK_PAIRS = 50_000
 # Most segment pairs one call may evaluate (about a minute of work).
 _PAIR_BUDGET = 1_000_000_000
@@ -133,39 +142,73 @@ def _chunk_angles(s1, s2, guard):
     corner distance cannot rule out an approach within ``guard`` or
     within its own length ``l1 + l2`` gets its exact segment distance:
     the guard is checked against it, and it sets the pair's conditioning.
-    A generator frees a chunk's temporaries one by one as the next chunk
-    replaces them; freeing all at once on return lets the allocator give
-    their pages back and refault them each chunk (a 40% slower pass).
+
+    The pass is bound by memory traffic, not arithmetic, so each call
+    allocates one workspace of ``min(rows, n1)`` chunk rows (a thin strip
+    gets a thin one) and every chunk writes into it in place.  ``vals``
+    is a view of that workspace: it holds until the next chunk is drawn.
     """
-    rows = max(1, _CHUNK_PAIRS // len(s2.d))
+    n1, n2 = len(s1.d), len(s2.d)
+    rows = max(1, _CHUNK_PAIRS // n2)
     reach1 = 2.0 * s1.length + guard
     reach2 = 2.0 * s2.length
-    for i0 in range(0, len(s1.d), rows):
-        i1 = min(i0 + rows, len(s1.d))
-        # corner vectors, one plane per coordinate: (i1 - i0 + 1, n2)
-        rx, ry, rz = (s1.y[k, i0:i1 + 1, None] - s2.y[k]
-                      for k in range(3))
-        R = np.sqrt(rx * rx + ry * ry + rz * rz)
-        e1 = rx[:-1] * rx[1:] + ry[:-1] * ry[1:] + rz[:-1] * rz[1:]
-        e2 = rx[:, :-1] * rx[:, 1:] + ry[:, :-1] * ry[:, 1:] \
-            + rz[:, :-1] * rz[:, 1:]
-        dg = rx[:-1, :-1] * rx[1:, 1:] + ry[:-1, :-1] * ry[1:, 1:] \
-            + rz[:-1, :-1] * rz[1:, 1:]
+    reach2_max = reach2.max()
+    m = min(rows, n1)
+    # corner vectors (one plane per coordinate), corner distances, the
+    # dot products of corners along an edge of the grid cell, and the
+    # (m, n2) planes of one chunk's pairs, allocated one by one like the
+    # temporaries they replace (one 6-plane block, once freed, raises
+    # glibc's mmap and trim thresholds for the rest of the process)
+    corners = np.empty((3, m + 1, n2 + 1))
+    norms = np.empty((m + 1, n2 + 1))
+    edges1, edges2 = np.empty((m, n2 + 1)), np.empty((m + 1, n2))
+    planes = [np.empty((m, n2)) for _ in range(6)]
+    for i0 in range(0, n1, rows):
+        i1 = min(i0 + rows, n1)
+        h = i1 - i0
+        c = corners[:, :h + 1]
+        np.subtract(s1.y[:, i0:i1 + 1, None], s2.y[:, None], out=c)
+        R = np.einsum("kij,kij->ij", c, c, out=norms[:h + 1])
+        np.sqrt(R, out=R)
+        e1 = np.einsum("kij,kij->ij", c[:, :-1], c[:, 1:], out=edges1[:h])
+        e2 = np.einsum("kij,kij->ij", c[:, :, :-1], c[:, :, 1:],
+                       out=edges2[:h + 1])
+        dg, numer, den1, den2, vals, tmp = (p[:h] for p in planes)
+        np.einsum("kij,kij->ij", c[:, :-1, :-1], c[:, 1:, 1:], out=dg)
         r00, r10, r01, r11 = (R[:-1, :-1], R[1:, :-1], R[:-1, 1:],
                               R[1:, 1:])
 
         # N = <p1 x d1, d2> + <d1, p2 x d2>: two small matmuls
-        numer = s1.a[i0:i1] @ s2.d.T + s1.d[i0:i1] @ s2.a.T
-        den1 = (r00 * r10 + e1[:, :-1]) * r11 + dg * r10 + e2[1:] * r00
-        den2 = (r00 * r11 + dg) * r01 + e2[:-1] * r11 + e1[:, 1:] * r00
-        vals = np.arctan2(numer, den1) + np.arctan2(numer, den2)
+        np.matmul(s1.a[i0:i1], s2.d.T, out=numer)
+        numer += np.matmul(s1.d[i0:i1], s2.a.T, out=tmp)
+        # D1 = (r00 r10 + e1) r11 + dg r10 + e2 r00, left to right
+        np.multiply(r00, r10, out=den1)
+        den1 += e1[:, :-1]
+        den1 *= r11
+        den1 += np.multiply(dg, r10, out=tmp)
+        den1 += np.multiply(e2[1:], r00, out=tmp)
+        # D2 = (r00 r11 + dg) r01 + e2 r11 + e1 r00, left to right
+        np.multiply(r00, r11, out=den2)
+        den2 += dg
+        den2 *= r01
+        den2 += np.multiply(e2[:-1], r11, out=tmp)
+        den2 += np.multiply(e1[:, 1:], r00, out=tmp)
+        np.arctan2(numer, den1, out=vals)
+        vals += np.arctan2(numer, den2, out=tmp)
 
         # distance >= r00 - (l1 + l2): unflagged pairs lie farther apart
         # than the guard and than their own length, and their condition
         # number is counted as 1.  A flagged pair's triangle has one of
         # (R1 R2 R3 + |N|_size |D| / |(N, D)|) / |(N, D)|, where |N|_size
-        # is the size of the two summands that make up N.
-        i, j = np.nonzero(r00 <= reach1[i0:i1, None] + reach2)
+        # is the size of the two summands that make up N.  Rounding is
+        # monotone, so no pair's sum of reaches exceeds the rounded sum of
+        # the largest ones: a chunk whose nearest corner lies beyond that
+        # flags no pair.  A NaN fails the screen and takes the mask.
+        if r00.min() > reach1[i0:i1].max() + reach2_max:
+            i = j = np.empty(0, dtype=np.intp)
+        else:
+            i, j = np.nonzero(
+                r00 <= np.add(reach1[i0:i1, None], reach2, out=tmp))
         conds = []
         if len(i):
             k = i + i0

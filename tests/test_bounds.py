@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trajrot as tr
+from trajrot.bounds import _clip_to_shell
 
 from conftest import (SINK_BETA, SINK_MATRIX, X_AXIS, kernel_passes,
                       pair_bound_fallback_identity)
@@ -273,3 +275,77 @@ def test_report_json_schema(sink_pair):
     assert list(d.keys()) == ["theorem_id", "measured", "bound", "margin",
                               "satisfied", "inputs", "error_estimates"]
     assert d["margin"] == d["bound"] - d["measured"]
+
+
+def _clip_to_shell_scan(c, r, R):
+    """Sample-by-sample reference for ``bounds._clip_to_shell``."""
+    rad = np.linalg.norm(c.x.astype(np.float64, copy=False), axis=1)
+    t = c.t
+
+    def crossing(level, start):
+        for i in range(start, len(rad) - 1):
+            if (rad[i] - level) * (rad[i + 1] - level) <= 0 \
+                    and rad[i] != rad[i + 1]:
+                tau = (rad[i] - level) / (rad[i] - rad[i + 1])
+                return i, float(t[i] + tau * (t[i + 1] - t[i]))
+        return None
+
+    if rad[0] <= R:
+        i_in, t_in = 0, float(t[0])
+    else:
+        hit = crossing(R, 0)
+        if hit is None:
+            raise tr.NumericalError("trajectory never enters the outer "
+                                    "sphere")
+        i_in, t_in = hit
+    hit = crossing(r, i_in)
+    if hit is None:
+        raise tr.NumericalError("trajectory never exits the inner sphere; "
+                                "integrate longer")
+    return tr.slice_time(c, t_in, hit[1])
+
+
+def _outcome(clip, c, r, R):
+    try:
+        got = clip(c, r, R)
+    except (tr.NumericalError, ValueError) as exc:
+        return type(exc), str(exc)
+    return got.t.tobytes(), got.x.tobytes()
+
+
+_RADII = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("rad, r, R, raises", [
+    ([3.0, 2.0, 1.5, 1.0, 0.5, 0.25], 0.5, 2.0, None),  # samples on both
+    ([3.0, 2.0, 2.0, 2.0, 1.0, 0.25], 0.5, 2.0, None),  # flat run on R
+    ([3.0, 3.0, 1.5, 1.0, 0.25], 0.5, 2.0, None),  # enters after sample 1
+    ([1.5, 1.0, 1.0, 0.75, 0.5, 0.5], 0.5, 2.0, None),  # starts inside
+    ([0.5, 0.5, 0.5, 0.25], 0.5, 2.0, None),  # flat run on r
+    ([3.0, 3.0, 2.5, 2.5], 0.5, 2.0, "outer"),
+    ([3.0, 1.5, 1.0, 0.75, 0.75], 0.5, 2.0, "inner"),
+])
+def test_clip_to_shell_matches_scalar_scan(rad, r, R, raises):
+    t = np.cumsum(np.linspace(0.3, 0.7, len(rad)))
+    c = tr.Curve(t, np.array(rad)[:, None] * [[0.0, 0.0, -1.0]])
+    got = _outcome(_clip_to_shell, c, r, R)
+    assert got == _outcome(_clip_to_shell_scan, c, r, R)
+    if raises:
+        assert got[0] is tr.NumericalError and raises in got[1]
+    else:
+        assert isinstance(got[0], bytes)
+
+
+@given(st.lists(st.sampled_from(_RADII), min_size=2, max_size=12),
+       st.lists(st.sampled_from(_RADII), min_size=2, max_size=2,
+                unique=True).map(sorted),
+       st.lists(st.floats(0.01, 2.0), min_size=12, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_clip_to_shell_matches_scalar_scan_on_ties(rad, levels, steps):
+    # radii and levels from one small set: samples on a level, flat runs
+    # and missing crossings are common
+    r, R = levels
+    t = np.cumsum(steps[:len(rad)])
+    c = tr.Curve(t, np.array(rad)[:, None] * [[0.0, 1.0, 0.0]])
+    assert _outcome(_clip_to_shell, c, r, R) \
+        == _outcome(_clip_to_shell_scan, c, r, R)

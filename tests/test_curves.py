@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -342,8 +343,14 @@ def test_center_directions_guard_matches_mpmath(case):
               + sign * np.ldexp(np.longdouble(tol), k) for sign in (-1, 1))
     if lo > 0:
         center_directions(tiny, q * scale, guard=lo)
-    with pytest.raises(tr.DistanceTooSmall):
+    with pytest.raises(tr.DistanceTooSmall) as exc:
         center_directions(tiny, q * scale, guard=hi)
+    # the message keeps the scale: the guard and a positive distance do
+    # not read 0
+    within, shown = re.fullmatch(r"curve comes within (\S+) of the center "
+                                 r"\(guard (\S+)\)", str(exc.value)).groups()
+    assert abs(np.longdouble(shown) / hi - 1) < 0.01
+    assert (np.longdouble(within) > 0) == (ref > 0)
     if ref > 0:
         assert np.array_equal(center_directions(tiny, q * scale, guard=0.0),
                               center_directions(one, q, guard=0.0))

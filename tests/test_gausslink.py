@@ -617,3 +617,79 @@ def test_nested_guard_raises_as_the_largest_pair():
     for mode in ("signed", "absolute"):
         with pytest.raises(tr.CurvesTooClose):
             gausslink.gauss_rotation_nested(pairs, mode)
+
+
+# ---------------------------------------------------------------------------
+# the chunked pass: one grid over many row chunks
+
+
+def test_guard_raises_on_a_close_pair_in_the_last_chunk(monkeypatch):
+    # c1 runs along the x-axis and its last segment passes 1e-9 under c2;
+    # with 2 rows per chunk that segment is the last chunk's only row
+    monkeypatch.setattr(gausslink, "_CHUNK_PAIRS", 8)
+    t = np.arange(12, dtype=float)
+    c1 = tr.Curve(t, np.stack([t, 0 * t, 0 * t], axis=1))
+    y = np.linspace(-1.0, 1.0, 5)
+    c2 = tr.Curve(y, np.stack([0 * y + 10.5, y, 0 * y + 1e-9], axis=1))
+    s1, s2 = gausslink._Polyline(c1.x), gausslink._Polyline(c2.x)
+    starts = []
+    with pytest.raises(tr.CurvesTooClose):
+        for i0, *_ in gausslink._chunk_angles(s1, s2, 1e-7):
+            starts.append(i0)
+    assert starts == [0, 2, 4, 6, 8]
+    for mode in ("signed", "absolute"):
+        with pytest.raises(tr.CurvesTooClose):
+            tr.gauss_rotation_pair(c1, c2, mode)
+    clear = tr.Curve(t[:-1], c1.x[:-1])
+    assert abs(tr.gauss_rotation_pair(clear, c2).value) < 0.1
+
+
+def _walks(seed, n1, n2, offset):
+    rng = np.random.default_rng(seed)
+    x1 = np.cumsum(rng.normal(scale=0.3, size=(n1 + 1, 3)), axis=0)
+    x2 = np.cumsum(rng.normal(scale=0.3, size=(n2 + 1, 3)), axis=0)
+    return x1, x2 + offset
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n1=st.integers(min_value=1, max_value=14),
+       n2=st.integers(min_value=1, max_value=14),
+       offset=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+       chunk=st.integers(min_value=1, max_value=60))
+@settings(max_examples=150, deadline=None)
+def test_chunked_close_pairs_match_the_whole_grid(seed, n1, n2, offset,
+                                                  chunk):
+    """The pairs each chunk flags are those of the whole-grid test
+    ``r00 <= reach1 + reach2``, chunks the screen skips included, so the
+    roundoff term is that of one chunk over the whole grid."""
+    x1, x2 = _walks(seed, n1, n2, offset)
+    guard = 1e-9
+    s1, s2 = gausslink._Polyline(x1), gausslink._Polyline(x2)
+    c = s1.y[:, :, None] - s2.y[:, None]
+    r00 = np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])[:-1, :-1]
+    want = np.nonzero(r00 <= (2.0 * s1.length + guard)[:, None]
+                      + 2.0 * s2.length)
+    cut = [((n1 + 1, None), (n2 + 1, None))]
+    whole = gausslink._pair_solid_angles(x1, x2, False, guard, cut)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gausslink, "_CHUNK_PAIRS", chunk)
+        flagged = [(i + i0, j) for i0, _, i, j, _
+                   in gausslink._chunk_angles(s1, s2, guard)]
+        chunked = gausslink._pair_solid_angles(x1, x2, False, guard, cut)
+    for got, ref in zip(map(np.concatenate, zip(*flagged)), want):
+        assert np.array_equal(got, ref)
+    assert chunked[0][1] == pytest.approx(whole[0][1], rel=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 200, 1999])
+def test_chunked_values_match_one_chunk(chunk):
+    x1, x2 = _walks(3, 60, 40, (0.5, 0.0, 0.2))
+    cut = [((61, None), (41, None))]
+    for absolute in (False, True):
+        one = gausslink._pair_solid_angles(x1, x2, absolute, 1e-9, cut)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gausslink, "_CHUNK_PAIRS", chunk)
+            many = gausslink._pair_solid_angles(x1, x2, absolute, 1e-9, cut)
+        (v1, ro1), (v, ro) = one[0], many[0]
+        assert abs(v - v1) <= 1e-15 * abs(v1)
+        assert ro == pytest.approx(ro1, rel=1e-12)

@@ -59,7 +59,8 @@ def _raises_at_distance_zero(call):
     RuntimeWarning (a 0/0 direction would give NaN)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(tr.DistanceTooSmall, match="within 0 of"):
+        with pytest.raises(tr.DistanceTooSmall,
+                           match=r"within 0\.00e\+00 of"):
             call()
 
 
