@@ -27,6 +27,9 @@ from .errors import PreconditionLength, WitnessNotFound
 from .fields import enclosing_ball
 
 _WITNESS_SLACK = 1e-9
+# Samples x draws per block of crofton_length_estimate; keeps the
+# (samples, draws) planes near cache size.
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,9 @@ def crofton_length_estimate(s: SphericalCurve, m: int = 10_000,
     functional counts.  The mean count times pi estimates the geodesic
     length.  The standard error carries a 1/m variance floor so that
     zero-variance counts (every subsphere hits the curve equally often)
-    still report the discreteness-limited uncertainty.
+    still report the discreteness-limited uncertainty.  Draws run in
+    blocks of about ``_BLOCK_ENTRIES`` samples x draws, which take the
+    Gaussian stream in the same order, so the block size changes no bit.
     """
     if m < 100:
         raise ValueError("m must be >= 100")
@@ -90,7 +95,7 @@ def crofton_length_estimate(s: SphericalCurve, m: int = 10_000,
     n = x.shape[1]
     counts = np.empty(m, dtype=np.int64)
     done = 0
-    block = max(1, min(m, 4_000_000 // max(x.shape[0], 1)))
+    block = max(1, min(m, _BLOCK_ENTRIES // max(x.shape[0], 1)))
     while done < m:
         k = min(block, m - done)
         u = rng.standard_normal((k, n, n))[:, :, 0]   # unnormalized normal

@@ -319,20 +319,38 @@ def _norm(v: np.ndarray):
     return m * np.sqrt(np.sum((v / m) ** 2)) if m > 0 else m
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Largest entry of each row, by ``np.maximum`` folded left to right
+    over the few columns: cheaper than ``np.max(a, axis=1)`` on (n, 3)."""
+    out = a[:, 0]
+    for j in range(1, a.shape[1]):
+        out = np.maximum(out, a[:, j])
+    return out
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of each row, left to right over the columns, like
+    :func:`_row_max`."""
+    out = a[:, 0]
+    for j in range(1, a.shape[1]):
+        out = out + a[:, j]
+    return out
+
+
 def _unit_rows(d: np.ndarray, m: np.ndarray):
     """Unit rows of ``d`` and their norms, each row scaled by its largest
     absolute coordinate ``m`` (shape (n, 1), nonzero) before squaring, so
     that neither underflows (curves with coordinates near the float
     minimum) nor overflows."""
     dn = d / m
-    r = np.sqrt(np.sum(dn * dn, axis=1, keepdims=True))
-    return dn / r, (m * r)[:, 0]
+    r = np.sqrt(_row_sum(dn * dn))
+    return dn / r[:, None], m[:, 0] * r
 
 
 def safe_unit_rows(d: np.ndarray) -> np.ndarray:
     """Normalize rows to unit length without underflowing the squared
     norms.  Zero rows must be excluded by the caller's distance guard."""
-    return _unit_rows(d, np.max(np.abs(d), axis=1, keepdims=True))[0]
+    return _unit_rows(d, _row_max(np.abs(d))[:, None])[0]
 
 
 def unit_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -371,7 +389,7 @@ def point_segment_distances(q, p, d) -> np.ndarray:
     exp(-1/x1^2)) keep meaningful distances.
     """
     rel = q - p
-    m = np.maximum(np.max(np.abs(rel), axis=1), np.max(np.abs(d), axis=1))
+    m = np.maximum(_row_max(np.abs(rel)), _row_max(np.abs(d)))
     m = np.where(m > 0, m, 1.0)
     rel = rel / m[:, None]
     d = d / m[:, None]
@@ -426,7 +444,7 @@ def center_directions(c: Curve, center, guard: float | None = None) -> np.ndarra
         raise DimensionMismatch("center must match the curve dimension")
     g = _resolved_guard(guard, c.default_guard())
     d = c.x - center.astype(c.x.dtype)
-    m = np.max(np.abs(d), axis=1, keepdims=True)
+    m = _row_max(np.abs(d))[:, None]
     rmin = 0.0  # a sample on the center has no direction
     if np.all(m != 0):
         u, rad = _unit_rows(d, m)

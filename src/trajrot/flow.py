@@ -1,15 +1,26 @@
 """Trajectory integration: adaptive embedded Runge-Kutta 5(4).
 
 Fixed Dormand-Prince coefficients so results are reproducible bit for bit
-given the configuration; each stage point is one dot product of the rows
-``[y | k]`` with the weights ``[1 | h A]``.  The stepper records every
-accepted step; one vectorized pass afterwards subdivides all steps
-together, level by level on a dyadic grid, by cubic Hermite interpolation
-until (a) the estimated chord deviation of each output segment is below
-the chord tolerance and (b) no segment subtends more than
-``MAX_SEGMENT_ANGLE`` at any declared observation center -- downstream
-rotation quadrature is sampling-limited, so the integrator is where
-angular resolution is enforced.
+given the configuration.  A step takes one of two forms, chosen by the
+field's kind:
+
+* the matrix-backed kinds (``linear``, ``affine``, ``constant``) step
+  ``y' = My + b`` as the method's polynomial in ``hM`` applied to the
+  slope ``f(y)``: one product per attempt and one field evaluation per
+  accepted step (:func:`_matrix_stepper`);
+* the closed-form kinds (``spiral2d``, ``twist3d``) run the seven stages,
+  each stage point one dot product of the rows ``[y | k]`` with the
+  weights ``[1 | h A]`` (:func:`_stage_stepper`).
+
+Both are the same method with the same controller, initial step, landing
+on ``t1`` and error norm; they differ only in rounding.  The stepper
+records every accepted step; one vectorized pass afterwards subdivides
+all steps together, level by level on a dyadic grid, by cubic Hermite
+interpolation until (a) the estimated chord deviation of each output
+segment is below the chord tolerance and (b) no segment subtends more
+than ``MAX_SEGMENT_ANGLE`` at any declared observation center --
+downstream rotation quadrature is sampling-limited, so the integrator is
+where angular resolution is enforced.
 """
 
 from __future__ import annotations
@@ -39,6 +50,14 @@ _A = np.array([
 # fifth-order minus embedded fourth-order weights
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                22 / 525, -1 / 40])
+# For y' = My + b every stage is a polynomial in hM applied to f(y), so a
+# step is one too (the tableau's stability polynomial): row 0 gives
+# y_new - y and row 1 the error h * (_E . k) as the coefficients of
+# h^(q+1) M^q f(y), q = 0..6, exact rationals derived from _A and _E.
+_POLY = np.array([
+    [1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0.0],
+    [0.0, 0.0, 0.0, 0.0, -97 / 120000, 13 / 40000, -1 / 24000],
+])
 
 _MIN_STEP_FRACTION = 1e-14
 _MAX_SPLIT_DEPTH = 24
@@ -109,24 +128,15 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
     chord_tol = cfg.abs_tol if cfg.chord_tol is None else float(cfg.chord_tol)
     rel_tol, abs_tol, dim = cfg.rel_tol, cfg.abs_tol, f.dim
     max_step, max_samples = cfg.max_step, cfg.max_samples
-    v = field_evaluator(f)
+
+    stepper = (_matrix_stepper if f.kind in ("linear", "affine", "constant")
+               else _stage_stepper)
+    f_new, attempt, accept = stepper(f, field_evaluator(f), y)
 
     span = t1 - t0
     h_min = _MIN_STEP_FRACTION * span
     h = min(max_step, span / 100.0)
     t = t0
-    # z is [y | k0..k6] and w is [1 | h*A], so stage i's point
-    # y + h * (A[i, :i] . k[:i]) is the one product w[i, :i+1] . z[:i+1],
-    # and its slope k_i goes to z[i+1]; one multiply per step refreshes w
-    z = np.empty((8, dim))
-    w = np.ones((7, 8))
-    h_a = w[:, 1:]
-    stages = [(w[i, :i + 1], z[:i + 1], i + 1) for i in range(1, 7)]
-    z[0] = y
-    # v returns a new array on every call, so the last stage's slope at
-    # the new point is kept as is (FSAL) and z[1] takes a copy of it
-    f_new = z[1] = v(y)
-
     # accepted step j runs from ts[j] over hs[j], from (ys[j], fs[j]) to
     # (ys[j+1], fs[j+1]); each one emits at least one sample
     ts, hs, ys, fs = [], [], [y], [f_new]
@@ -142,15 +152,10 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
                 f"required step {h:.3g} below {h_min:.3g} at t={t:.6g}")
         if t + h == t:  # h is below the float spacing at t
             raise StepUnderflow(f"step {h:.3g} does not advance t={t:.17g}")
-        np.multiply(_A, h, out=h_a)
-        for wi, zi, j in stages:
-            # the last stage point is the fifth-order solution
-            y_new = np.dot(wi, zi)
-            z[j] = f_new = v(y_new)
+        y_new, errs = attempt(h)
         err2 = 0.0
-        for e, a, b in zip(np.dot(_E, z[1:]).tolist(), y.tolist(),
-                           y_new.tolist()):
-            q = h * e / (abs_tol + rel_tol * max(abs(a), abs(b)))
+        for e, a, b in zip(errs, y.tolist(), y_new.tolist()):
+            q = e / (abs_tol + rel_tol * max(abs(a), abs(b)))
             err2 += q * q  # float ** raises on overflow; * gives inf
         err = math.sqrt(err2 / dim)
         if err <= 1.0:
@@ -158,10 +163,8 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
             ts.append(t)
             hs.append(h)
             ys.append(y_new)
-            fs.append(f_new)
+            fs.append(accept(y_new))
             t, y = t1 if last else t + h, y_new
-            z[0] = y
-            z[1] = f_new
         if err > 0:
             factor = 0.9 * (err ** -0.2)
         elif err == 0:
@@ -180,6 +183,97 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
         raise StepUnderflow("dense output falls below the float spacing at "
                             f"t={times[np.argmax(tied)]:.17g}")
     return Curve(times, points, closed=False)
+
+
+def _stage_stepper(f, v, y):
+    """Dormand-Prince steps by their seven stages, for any field ``f``
+    with evaluator ``v``, from ``y``.
+
+    Returns the slope at ``y`` and two functions: ``attempt(h)`` gives
+    the fifth-order point and the components of the error ``h (_E . k)``
+    as floats; ``accept(y_new)`` moves to the last attempted point and
+    returns its slope.
+    """
+    # z is [y | k0..k6] and w is [1 | h*A], so stage i's point
+    # y + h * (A[i, :i] . k[:i]) is the one product w[i, :i+1] . z[:i+1],
+    # and its slope k_i goes to z[i+1]; one multiply per step refreshes w
+    z = np.empty((8, f.dim))
+    w = np.ones((7, 8))
+    h_a = w[:, 1:]
+    stages = [(w[i, :i + 1], z[:i + 1], i + 1) for i in range(1, 7)]
+    z[0] = y
+    # v returns a new array on every call, so the last stage's slope at
+    # the new point is kept as is (FSAL) and z[1] takes a copy of it
+    f_new = z[1] = v(y)
+
+    def attempt(h):
+        nonlocal f_new
+        np.multiply(_A, h, out=h_a)
+        for wi, zi, j in stages:
+            # the last stage point is the fifth-order solution
+            y_new = np.dot(wi, zi)
+            z[j] = f_new = v(y_new)
+        return y_new, [h * e for e in np.dot(_E, z[1:]).tolist()]
+
+    def accept(y_new):
+        z[0] = y_new
+        z[1] = f_new
+        return f_new
+
+    return f_new, attempt, accept
+
+
+def _matrix_stepper(f, v, y):
+    """Dormand-Prince steps of ``y' = My + b`` as one polynomial in
+    ``hM``, for the matrix-backed kinds (``M = 0`` for ``constant``);
+    the same functions as :func:`_stage_stepper`.
+
+    Every stage is a polynomial in ``hM`` applied to ``f(y)``, so the
+    increment ``y_new - y`` and the error ``h (_E . k)`` are
+    ``sum_q _POLY[r, q] h^(q+1) M^q f(y)``.  With ``s`` a power of two
+    and ``N = M / s``, that is ``sum_q h (hs)^q (_POLY[r, q] N^q f(y))``:
+    each accepted step stores the bracket for q = 0..6 and both rows by
+    one product of ``f(y_new)`` with the stacked ``_POLY[r, q] N^q``, and
+    each attempt is one product of the powers ``h (hs)^q`` with that
+    ``(7, 2 dim)`` block.  Scaling by a power of two is exact, so ``s``
+    changes no bit; it keeps the powers of ``N`` and of ``hs`` inside
+    the float range.  ``s`` is the largest power of two not above
+    ``max |M_ij|``, so ``|N_ij| < 2``, and ``hs`` is of order 1 on an
+    accepted step.  Scaling ``M`` by ``2^k`` and the window by ``2^-k``
+    therefore gives the same points bit for bit.
+    """
+    dim = f.dim
+    m = np.zeros((dim, dim)) if f.matrix is None else f.matrix
+    big = float(np.max(np.abs(m)))
+    s = math.ldexp(1.0, math.frexp(big)[1] - 1) if big > 0 else 1.0
+    n = m / s
+    powers = [np.eye(dim)]
+    for _ in range(6):
+        powers.append(np.dot(n, powers[-1]))
+    # row (q, r, i) is _POLY[r, q] N^q[i], so k[q] = [inc_q | err_q]
+    stacked = (_POLY.T[:, :, None, None]
+               * np.array(powers)[:, None]).reshape(-1, dim)
+    k = np.empty((7, 2 * dim))
+    k_flat = k.reshape(-1)
+
+    def attempt(h):
+        g = h * s
+        h1 = h * g
+        h2 = h1 * g
+        h3 = h2 * g
+        h4 = h3 * g
+        h5 = h4 * g
+        d = np.dot(np.array((h, h1, h2, h3, h4, h5, h5 * g)), k)
+        return y + d[:dim], d[dim:].tolist()
+
+    def accept(y_new):
+        nonlocal y
+        y = y_new
+        f_new = v(y)
+        np.dot(stacked, f_new, out=k_flat)
+        return f_new
+
+    return accept(y), attempt, accept
 
 
 def _hermite(y0, f0, y1, f1, h, theta):

@@ -102,7 +102,8 @@ def crofton_qr_reference(s, m, seed):
 
 def long_spherical_curve(n=50_001):
     """A curve wandering over the sphere, long enough that one block of
-    the estimator holds 4e6 // n = 79 draws."""
+    the estimator holds 2**18 // n = 5 draws, and one block of the
+    reference 4e6 // n = 79: the two split the stream differently."""
     t = np.linspace(0.0, 1.0, n)
     th, ph = 40.0 * math.pi * t, 3.0 * np.sin(50.0 * t)
     pts = np.stack([np.cos(th) * np.cos(ph), np.sin(th),
@@ -128,6 +129,20 @@ def test_crofton_matches_qr_reference(curve, m, seeds):
     for seed in seeds:
         got = tr.crofton_length_estimate(s, m=m, seed=seed)
         assert got == crofton_qr_reference(s, m, seed)
+
+
+@pytest.mark.parametrize("entries", [1, 3 * 401, 10 * 401 + 7])
+def test_crofton_blocks_change_no_bit(entries, monkeypatch):
+    # one draw per block, blocks of 3 and of 10 draws against one block,
+    # on a random walk whose crossing counts vary from draw to draw
+    walk = np.cumsum(np.random.default_rng(12).normal(size=(401, 3)), axis=0)
+    walk /= np.linalg.norm(walk, axis=1)[:, None]
+    s = tr.SphericalCurve(tr.Curve(np.linspace(0.0, 1.0, 401), walk))
+    monkeypatch.setattr(crofton, "_BLOCK_ENTRIES", 401 * 1_000)
+    whole = tr.crofton_length_estimate(s, m=1_000, seed=12)
+    assert whole.stderr > 0.1
+    monkeypatch.setattr(crofton, "_BLOCK_ENTRIES", entries)
+    assert tr.crofton_length_estimate(s, m=1_000, seed=12) == whole
 
 
 def test_haar_isotropy():

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import trajrot as tr
-from trajrot.curves import (center_directions, point_segment_distances,
+from trajrot.curves import (_row_max, _row_sum, center_directions,
+                            point_segment_distances, safe_unit_rows,
                             segment_angles)
 
 from conftest import Z_AXIS, circle2d, concat, helix_curve, resample
@@ -357,6 +358,52 @@ def test_center_directions_guard_matches_mpmath(case):
     else:
         with pytest.raises(tr.DistanceTooSmall):
             center_directions(tiny, q * scale, guard=0.0)
+
+
+def _scalar_unit_rows(d):
+    """Unit rows of ``d`` row by row on scalars of its dtype: the largest
+    |coordinate| and the sum of squares taken left to right."""
+    out = np.empty_like(d)
+    for i, row in enumerate(d):
+        m = abs(row[0])
+        for x in row[1:]:
+            m = max(m, abs(x))
+        dn = [x / m for x in row]
+        ss = dn[0] * dn[0]
+        for x in dn[1:]:
+            ss = ss + x * x
+        r = np.sqrt(ss)
+        out[i] = [x / r for x in dn]
+    return out
+
+
+@pytest.mark.parametrize("dtype, scale", [
+    (np.float64, 1.0), (np.float64, 2.0 ** -600),
+    (np.longdouble, np.ldexp(np.longdouble(1), -9966))],
+    ids=["float64", "float64-tiny", "longdouble-2^-9966"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_row_reductions_fold_left_to_right(dtype, scale, dim):
+    rng = np.random.default_rng(dim)
+    d = rng.standard_normal((200, dim)).astype(dtype) * scale
+    d[:7, 0] = 0  # rows where a later column holds the maximum
+    want_max = [max(abs(x) for x in row) for row in d]
+    want_sum = []
+    for row in d:
+        acc = row[0]
+        for x in row[1:]:
+            acc = acc + x
+        want_sum.append(acc)
+    for got, want in ((_row_max(np.abs(d)), want_max),
+                      (_row_sum(d), want_sum)):
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.array(want, dtype))
+    assert np.array_equal(safe_unit_rows(d), _scalar_unit_rows(d))
+    # from row 7 on: the rows with a zero first coordinate can make a
+    # segment through the center in the plane
+    center = np.full(dim, 9 * scale, dtype)
+    c = tr.Curve(np.arange(193.0), d[7:] + center)
+    assert np.array_equal(center_directions(c, center, guard=0.0),
+                          _scalar_unit_rows(c.x - center))
 
 
 def test_slice_and_reverse():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import trajrot as tr
 from trajrot import flow
 from trajrot.curves import segment_angles
 from trajrot.fields import field_evaluator
-from trajrot.flow import _A, _E, _dense_output, _hermite
+from trajrot.flow import _A, _E, _POLY, _dense_output, _hermite
 
 from conftest import SINK_MATRIX, negated, sink_closed_form
 
@@ -301,15 +302,35 @@ def test_dense_output_matches_per_step_reference(seed):
     assert np.array_equal(got_t, want_t) and np.array_equal(got_x, want_x)
 
 
+def _reference_powers(f):
+    """The polynomial form's scale ``s`` and stacked weights, written out:
+    block q holds ``_POLY[0, q] N^q`` over ``_POLY[1, q] N^q``."""
+    m = np.zeros((f.dim, f.dim)) if f.matrix is None else f.matrix
+    big = float(np.max(np.abs(m)))
+    s = 2.0 ** (math.frexp(big)[1] - 1) if big > 0 else 1.0
+    npow = np.eye(f.dim)
+    blocks = []
+    for q in range(7):
+        blocks += [_POLY[0, q] * npow, _POLY[1, q] * npow]
+        npow = np.dot(m / s, npow)
+    return s, np.concatenate(blocks)
+
+
 def _stepping_reference(f, x0, t0, t1, cfg, centers):
-    """The stepping loop written out plainly: each stage point is one dot
-    product of the weights [1 | h*A[i, :i]] with the rows [y | k[:i]],
-    built afresh on every stage.  Returns the curve's (t, x), the number
-    of step attempts and of rejected steps."""
+    """The stepping loop written out plainly.  Closed-form fields run the
+    stages: each stage point is one dot product of the weights
+    [1 | h*A[i, :i]] with the rows [y | k[:i]], built afresh on every
+    stage.  Matrix-backed fields evaluate the polynomial: the powers
+    h (hs)^q times the block of ``_POLY[r, q] N^q f(y)``, built afresh on
+    every attempt.  Returns the curve's (t, x), the number of step
+    attempts and of rejected steps."""
     y = np.asarray(x0, dtype=np.float64).copy()
     chord_tol = cfg.abs_tol if cfg.chord_tol is None else float(cfg.chord_tol)
     rel_tol, abs_tol, dim = cfg.rel_tol, cfg.abs_tol, f.dim
     v = field_evaluator(f)
+    poly = f.kind in ("linear", "affine", "constant")
+    if poly:
+        s, stacked = _reference_powers(f)
     span = t1 - t0
     h_min = 1e-14 * span
     h = min(cfg.max_step, span / 100.0)
@@ -324,13 +345,23 @@ def _stepping_reference(f, x0, t0, t1, cfg, centers):
         if last:
             h = t1 - t
         attempts += 1
-        for i in range(1, 7):
-            y_new = np.dot(np.concatenate(([1.0], h * _A[i, :i])),
-                           np.vstack((y, k[:i])))
-            k[i] = v(y_new)
+        if poly:
+            block = np.dot(stacked, k[0]).reshape(7, 2 * dim)
+            powers = [h]
+            for _ in range(6):
+                powers.append(powers[-1] * (h * s))
+            d = np.dot(np.array(powers), block)
+            y_new, errs = y + d[:dim], d[dim:].tolist()
+            k[6] = v(y_new)
+        else:
+            for i in range(1, 7):
+                y_new = np.dot(np.concatenate(([1.0], h * _A[i, :i])),
+                               np.vstack((y, k[:i])))
+                k[i] = v(y_new)
+            errs = [h * e for e in np.dot(_E, k).tolist()]
         err2 = 0.0
-        for e, a, b in zip(np.dot(_E, k).tolist(), y.tolist(), y_new.tolist()):
-            q = h * e / (abs_tol + rel_tol * max(abs(a), abs(b)))
+        for e, a, b in zip(errs, y.tolist(), y_new.tolist()):
+            q = e / (abs_tol + rel_tol * max(abs(a), abs(b)))
             err2 += q * q
         err = math.sqrt(err2 / dim)
         if err <= 1.0:
@@ -401,7 +432,10 @@ def test_stepping_matches_reference_loop(case, monkeypatch):
     monkeypatch.setattr(flow, "field_evaluator", counting_evaluator)
     c = tr.integrate_trajectory(f, x0, 0.0, T, cfg, obs_centers=centers)
     assert np.array_equal(c.t, want_t) and np.array_equal(c.x, want_x)
-    assert len(calls) == 1 + 6 * attempts
+    if f.kind in ("spiral2d", "twist3d"):
+        assert len(calls) == 1 + 6 * attempts
+    else:  # one evaluation per accepted step
+        assert len(calls) == 1 + attempts - rejects
 
 
 def test_stepping_reference_cases_reject_steps():
@@ -409,6 +443,122 @@ def test_stepping_reference_cases_reject_steps():
     rejects = [_stepping_reference(f, x0, 0.0, T, cfg, centers)[3]
                for _, f, x0, T, cfg, centers in _stepping_cases()]
     assert max(rejects) > 0
+
+
+def _exact(x):
+    """The small rational whose nearest double the tableau holds."""
+    r = Fraction(x).limit_denominator(10**6)
+    assert float(r) == x
+    return r
+
+
+def test_polynomial_coefficients_match_tableau():
+    a = [[_exact(x) for x in row] for row in _A.tolist()]
+    e = [_exact(x) for x in _E.tolist()]
+    # f(y + d) = f(y) + M d, so stage i is k_i = sum_q alpha[i][q] (hM)^q f(y)
+    alpha = []
+    for i in range(7):
+        coef = [Fraction(1)] + [Fraction(0)] * 7
+        for j in range(i):
+            for q in range(7):
+                coef[q + 1] += a[i][j] * alpha[j][q]
+        alpha.append(coef)
+    inc = [sum(a[6][i] * alpha[i][q] for i in range(7)) for q in range(8)]
+    err = [sum(e[i] * alpha[i][q] for i in range(7)) for q in range(8)]
+    # seven coefficients hold both; the error of a 5(4) pair starts at h^5
+    assert inc[6:] == [0, 0] and err[7] == 0
+    assert err[:4] == [0, 0, 0, 0]
+    assert inc[:6] == [Fraction(1, n) for n in (1, 2, 6, 24, 120, 600)]
+    assert err[4:7] == [Fraction(-97, 120000), Fraction(13, 40000),
+                        Fraction(-1, 24000)]
+    assert [float(c) for c in inc[:7]] == _POLY[0].tolist()
+    assert [float(c) for c in err[:7]] == _POLY[1].tolist()
+
+
+def _stage_error_bound(m, b, y, h):
+    """Running forward-error bound of one stage step: the rounding of
+    the increment and of the error vector ``h (_E . k)``.
+
+    Each stage point is a dot product of at most 7 products (at most 8
+    roundings, and a tableau entry within half an ulp of its rational),
+    and each slope a dot product of ``dim`` terms plus the offset; an
+    error in an earlier slope reaches a point through ``h |A|``, and an
+    error in a point reaches its slope through ``|M|``."""
+    eps, dim = np.finfo(np.float64).eps, len(y)
+    am, ab = np.abs(m), np.abs(b)
+    k, e_k = np.zeros((7, dim)), np.zeros((7, dim))
+    for i in range(7):
+        point = y + h * np.dot(_A[i, :i], k[:i])
+        size = np.abs(y) + h * np.dot(np.abs(_A[i, :i]), np.abs(k[:i]))
+        e_pt = 9 * eps * size + h * np.dot(np.abs(_A[i, :i]), e_k[:i])
+        k[i] = np.dot(m, point) + b
+        e_k[i] = (dim + 2) * eps * (am @ np.abs(point) + ab) + am @ e_pt
+    ae = np.abs(_E)
+    e_err = h * (9 * eps * np.dot(ae, np.abs(k)) + np.dot(ae, e_k))
+    return e_pt, e_err + eps * np.abs(h * np.dot(_E, k))
+
+
+def _poly_error_bound(m, b, y, h):
+    """Rounding bound of one polynomial step, per row: the powers of N by
+    at most 6 dot products of ``dim`` terms, one more for the slope
+    block, at most 7 roundings in each power ``h (hs)^q`` and 8 in the
+    final dot product of 7 terms, plus half an ulp in each ``_POLY``
+    entry; the increment also rounds once when added to ``y``."""
+    eps, dim = np.finfo(np.float64).eps, len(y)
+    an = np.abs(m)
+    f = np.abs(np.dot(m, y) + b)
+    terms = np.zeros((2, dim))
+    vec = f
+    for q in range(7):
+        terms += np.abs(_POLY[:, q])[:, None] * h ** (q + 1) * vec
+        vec = an @ vec
+    bound = (7 * dim + 17) * eps * terms
+    bound[0] += eps * (np.abs(y) + terms[0])
+    return bound
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("hm", [0.01, 0.3, 1.5])
+def test_one_polynomial_step_matches_stages(seed, hm):
+    # the two forms of one step from the same (y, h) agree to the sum of
+    # their rounding bounds, fixed above from eps and the summed terms
+    rng = np.random.default_rng(seed)
+    m, b, y = (rng.standard_normal((3, 3)), rng.standard_normal(3),
+               rng.standard_normal(3))
+    f = tr.affine(m, b)
+    h = hm / np.linalg.norm(m, np.inf)
+    v = field_evaluator(f)
+    _, stage_attempt, _ = flow._stage_stepper(f, v, y)
+    _, poly_attempt, _ = flow._matrix_stepper(f, v, y)
+    y_stage, e_stage = stage_attempt(h)
+    y_poly, e_poly = poly_attempt(h)
+    e_pt, e_err = _stage_error_bound(m, b, y, h)
+    bound = _poly_error_bound(m, b, y, h)
+    assert np.all(np.abs(y_stage - y_poly) <= e_pt + bound[0])
+    assert np.all(np.abs(np.subtract(e_stage, e_poly)) <= e_err + bound[1])
+
+
+@pytest.mark.parametrize("k", [-600, 0, 300, 600])
+@pytest.mark.parametrize("kind", ["linear", "affine"])
+def test_polynomial_steps_are_scale_invariant(k, kind):
+    # 2^k M over T / 2^k: every scaling is by a power of two, so the same
+    # steps are taken and the points agree bit for bit
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    m = q @ np.array([[-1.2, 0.0, 0.0], [0.0, -0.4, -3.0],
+                      [0.0, 3.0, -0.4]]) @ q.T
+    b = rng.standard_normal(3) if kind == "affine" else np.zeros(3)
+    x0, cfg = [0.3, -1.0, 0.7], tr.IntegratorConfig(
+        rel_tol=1e-11, abs_tol=1e-13, chord_tol=1e-4)
+
+    def run(scale, span):
+        return tr.integrate_trajectory(
+            tr.affine(scale * m, scale * b), x0, 0.0, span, cfg,
+            obs_centers=[np.zeros(3)])
+
+    base, scaled = run(1.0, 4.0), run(2.0 ** k, math.ldexp(4.0, -k))
+    assert np.array_equal(scaled.x, base.x)
+    assert np.array_equal(scaled.t, np.ldexp(base.t, -k))
 
 
 @pytest.mark.parametrize("center", [
