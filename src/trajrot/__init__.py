@@ -31,8 +31,7 @@ from .fields import (Ball, FieldSpec, LipschitzEstimate, affine, constant,
                      twist3d, twist_invariant_curve)
 from .flow import IntegratorConfig, integrate_trajectory
 from .gausslink import (LinkingResult, gauss_rotation_pair,
-                        line_rotation_crosscheck, linking_coefficient,
-                        topological_linking_planar)
+                        linking_coefficient, topological_linking_planar)
 from .rotation import (absolute_rotation_point, rotation_around_subspace,
                        signed_winding_plane)
 

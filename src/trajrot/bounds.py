@@ -5,9 +5,12 @@ the bound, the Lipschitz constant policy that produced it (analytic for
 matrix-backed fields, otherwise 1.1x a sampled estimate) and the verdict.
 The verdict allows the combined quadrature error estimates as slack: a
 violation beyond that slack indicates a real numerical problem, because
-the underlying inequalities are theorems.  :func:`check_log_sink_shells`
-returns a :class:`ShellReports` tuple of one report per shell; one shell
-``r`` is ``check_log_sink_shells(L, x0s, R, (r,))[0]``.
+the underlying inequalities are theorems.  Each check measures the whole
+trajectory it is given, over its own time span; restrict a trajectory to
+a window with :func:`~trajrot.curves.slice_time` first.
+:func:`check_log_sink_shells` returns a :class:`ShellReports` tuple of
+one report per shell; one shell ``r`` is
+``check_log_sink_shells(L, x0s, R, (r,))[0]``.
 """
 
 from __future__ import annotations
@@ -97,30 +100,27 @@ def lipschitz_for(f: FieldSpec, points, extra_points=(), seed: int = 0):
                "K_region_radius": ball.radius}
 
 
-def _window(c: Curve, window):
-    if window is None:
-        return c, float(c.t[0]), float(c.t[-1])
-    ta, tb = float(window[0]), float(window[1])
-    return slice_time(c, ta, tb), ta, tb
+def _span(c: Curve) -> dict:
+    """The elapsed time ``T`` of the whole trajectory and its ends."""
+    return {"T": c.duration, "t1": float(c.t[0]), "t2": float(c.t[-1])}
 
 
 def check_stationary_point_bound(f: FieldSpec, x0, trajectory: Curve,
-                                 window=None, seed: int = 0) -> BoundReport:
+                                 seed: int = 0) -> BoundReport:
     """Rotation around a stationary point is at most K * elapsed time."""
     x0 = np.asarray(x0, dtype=np.float64)
     speed = float(np.linalg.norm(eval_field(f, x0)))
     if not speed < _STATIONARY_TOL:  # a NaN speed is not stationary
         raise NotStationary(f"|v(x0)| = {speed:.3g} >= {_STATIONARY_TOL}")
-    c, ta, tb = _window(trajectory, window)
-    k, inputs = lipschitz_for(f, c.x, [x0], seed=seed)
-    rr = absolute_rotation_point(c, x0)
-    inputs.update({"T": tb - ta, "t1": ta, "t2": tb})
-    return _report("prop3_1", rr.value, k * (tb - ta), inputs,
+    k, inputs = lipschitz_for(f, trajectory.x, [x0], seed=seed)
+    rr = absolute_rotation_point(trajectory, x0)
+    inputs.update(_span(trajectory))
+    return _report("prop3_1", rr.value, k * inputs["T"], inputs,
                    {"rotation": rr.error_estimate})
 
 
 def check_invariant_subspace_bound(f: FieldSpec, sub: AffineSubspace,
-                                   trajectory: Curve, window=None,
+                                   trajectory: Curve,
                                    seed: int = 0) -> BoundReport:
     """Rotation around an invariant subspace is at most K * elapsed time.
 
@@ -130,8 +130,7 @@ def check_invariant_subspace_bound(f: FieldSpec, sub: AffineSubspace,
     is raised -- which is exactly the signal produced by the twisting
     field against the x1-axis.
     """
-    c, ta, tb = _window(trajectory, window)
-    ball = enclosing_ball(c.x)
+    ball = enclosing_ball(trajectory.x)
     rng = np.random.default_rng(seed)
     if sub.dim == 0:
         probe = np.repeat(sub.base_point[None, :], 2, axis=0)
@@ -148,34 +147,31 @@ def check_invariant_subspace_bound(f: FieldSpec, sub: AffineSubspace,
         raise NotInvariant(
             f"field has orthogonal component {worst:.3g} on the subspace "
             f"(tolerance {_INVARIANT_TOL})")
-    k, inputs = lipschitz_for(f, c.x, [probe], seed=seed)
-    rr = rotation_around_subspace(c, sub, "absolute")
-    inputs.update({"T": tb - ta, "t1": ta, "t2": tb,
-                   "invariance_residual": worst})
-    return _report("prop3_2", rr.value, k * (tb - ta), inputs,
+    k, inputs = lipschitz_for(f, trajectory.x, [probe], seed=seed)
+    rr = rotation_around_subspace(trajectory, sub, "absolute")
+    inputs.update(_span(trajectory))
+    inputs["invariance_residual"] = worst
+    return _report("prop3_2", rr.value, k * inputs["T"], inputs,
                    {"rotation": rr.error_estimate})
 
 
-def check_any_point_bound(trajectory: Curve, x0, window=None, *, K: float,
+def check_any_point_bound(trajectory: Curve, x0, *, K: float,
                           guard=None) -> BoundReport:
     """Rotation around an arbitrary point is at most 4 + K * elapsed time."""
     x0 = np.asarray(x0, dtype=np.float64)
-    c, ta, tb = _window(trajectory, window)
-    rr = absolute_rotation_point(c, x0, guard=guard)
-    inputs = {"K": K, "T": tb - ta, "t1": ta, "t2": tb}
-    return _report("thm3_4", rr.value, 4.0 + K * (tb - ta), inputs,
+    rr = absolute_rotation_point(trajectory, x0, guard=guard)
+    inputs = {"K": K, **_span(trajectory)}
+    return _report("thm3_4", rr.value, 4.0 + K * inputs["T"], inputs,
                    {"rotation": rr.error_estimate})
 
 
-def check_pair_bound(traj1: Curve, traj2: Curve, windows=None, *, K: float,
-                     guard=None) -> BoundReport:
+def check_pair_bound(traj1: Curve, traj2: Curve, *, K: float) -> BoundReport:
     """Mutual absolute rotation of two trajectories of one K-Lipschitz
     field is at most (K/pi) min(T1,T2) + (1/4pi) K^2 T1 T2 (turns)."""
-    return _pair_reports(traj1, traj2, ("thm3_8",), windows, K=K,
-                         guard=guard)[0]
+    return _pair_reports(traj1, traj2, ("thm3_8",), K=K)[0]
 
 
-def _max_point_rotation(c: Curve, grid_points, K, T, guard):
+def _max_point_rotation(c: Curve, grid_points, K, T):
     """max over grid points of the absolute rotation of ``c`` around them;
     points too close to the curve fall back to the universal 4 + K*T."""
     best = 0.0
@@ -183,7 +179,7 @@ def _max_point_rotation(c: Curve, grid_points, K, T, guard):
     fallbacks = 0
     for p in grid_points:
         try:
-            rr = absolute_rotation_point(c, p, guard=guard)
+            rr = absolute_rotation_point(c, p)
         except DistanceTooSmall:
             best = max(best, 4.0 + K * T)
             fallbacks += 1
@@ -193,26 +189,21 @@ def _max_point_rotation(c: Curve, grid_points, K, T, guard):
     return best, err, fallbacks
 
 
-def check_pair_bound_refined(traj1: Curve, traj2: Curve, windows=None, *,
-                             K: float, guard=None) -> BoundReport:
+def check_pair_bound_refined(traj1: Curve, traj2: Curve, *,
+                             K: float) -> BoundReport:
     """Refined mutual-rotation bound (K/4pi) min(R1 T2, R2 T1), where R_i
     is the largest rotation of trajectory i around ``_R_GRID`` evenly
     spaced samples of the other one (with the 4 + K*T_i fallback at
     too-close grid points).  With the fallback in R1 and T2 <= T1 the
     bound is thm3_8's: (K/4pi)(4 + K T1) T2 = (K/pi) T2 + (K^2/4pi) T1 T2."""
-    return _pair_reports(traj1, traj2, ("cor3_10",), windows, K=K,
-                         guard=guard)[0]
+    return _pair_reports(traj1, traj2, ("cor3_10",), K=K)[0]
 
 
-def _pair_reports(traj1: Curve, traj2: Curve, theorem_ids, windows=None, *,
-                  K: float, guard=None) -> list:
+def _pair_reports(c1: Curve, c2: Curve, theorem_ids, *, K: float) -> list:
     """The thm3_8 and cor3_10 reports named in ``theorem_ids``, in order,
     all from one measurement of the pair's mutual absolute rotation."""
-    w1, w2 = windows if windows is not None else (None, None)
-    c1, a1, b1 = _window(traj1, w1)
-    c2, a2, b2 = _window(traj2, w2)
-    t1, t2 = b1 - a1, b2 - a2
-    rr = gauss_rotation_pair(c1, c2, "absolute", guard=guard)
+    t1, t2 = c1.duration, c2.duration
+    rr = gauss_rotation_pair(c1, c2, "absolute")
 
     def direct():
         bound = (K / math.pi) * min(t1, t2) \
@@ -226,8 +217,8 @@ def _pair_reports(traj1: Curve, traj2: Curve, theorem_ids, windows=None, *,
             idx = np.linspace(0, c.n_samples - 1, _R_GRID).round().astype(int)
             return c.x.astype(np.float64, copy=False)[np.unique(idx)]
 
-        r1, e1, f1 = _max_point_rotation(c1, grid_of(c2), K, t1, guard)
-        r2, e2, f2 = _max_point_rotation(c2, grid_of(c1), K, t2, guard)
+        r1, e1, f1 = _max_point_rotation(c1, grid_of(c2), K, t1)
+        r2, e2, f2 = _max_point_rotation(c2, grid_of(c1), K, t2)
         bound = (K / (4 * math.pi)) * min(r1 * t2, r2 * t1)
         inputs = {"K": K, "T1": t1, "T2": t2, "R1": r1, "R2": r2,
                   "R_grid": _R_GRID, "R_fallbacks": f1 + f2}
@@ -296,16 +287,17 @@ def check_log_sink_shells(L_matrix, x0_pair, R: float, radii) -> ShellReports:
     The reports carry the constant implied by each measurement so its
     stability can be regression-checked across shells.
     """
-    L = np.asarray(L_matrix, dtype=np.float64)
     radii = tuple(radii)
-    if not radii or not all(R > r > 0 for r in radii):
-        raise ValueError("need at least one radius, each with R > r > 0")
+    if not (math.isfinite(R) and radii and all(R > r > 0 for r in radii)):
+        raise ValueError("need a finite R and at least one radius, "
+                         "each with R > r > 0")
+    f = linear(L_matrix)  # a non-finite or non-square L raises ValueError
+    L = f.matrix
     eig = np.linalg.eigvals(L)
     ell = float(np.max(eig.real))
     if ell >= 0:
         raise EigenvalueSignError(
             f"all eigenvalues need negative real part, got max {ell:.3g}")
-    f = linear(L)
     norm_l = operator_norm(L)
     start = max(np.linalg.norm(np.asarray(x, dtype=float)) for x in x0_pair)
     horizon = (math.log(start / min(radii)) + 4.0) / abs(ell)

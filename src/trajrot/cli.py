@@ -246,11 +246,11 @@ SCENARIO_THEOREMS = {
 }
 
 
-def _sink_pair_curves(T=3.0):
+def _sink_pair_curves():
     f = linear(SINK_MATRIX)
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=0.01,
                            chord_tol=1e-5)
-    t1, t2 = (integrate_trajectory(f, x0, 0.0, T, cfg)
+    t1, t2 = (integrate_trajectory(f, x0, 0.0, 3.0, cfg)
               for x0 in SINK_START_PAIR)
     return f, t1, t2
 

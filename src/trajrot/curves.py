@@ -222,10 +222,6 @@ class AffineSubspace:
         pts = np.asarray(points)
         return (pts - self.base_point) @ self.complement_basis().T
 
-    def distance(self, points) -> np.ndarray:
-        off = self.offsets(points).astype(np.float64, copy=False)
-        return np.linalg.norm(off, axis=-1)
-
     def __repr__(self):
         return f"AffineSubspace(ambient={self.ambient_dim}, dim={self.dim})"
 

@@ -27,7 +27,10 @@ from .errors import DimensionMismatch, NumericalError
 # i.e. far beyond any float underflow; the field is numerically (1, 0, 0).
 TWIST_SMALL_X1 = 1e-3
 
-_KINDS = ("spiral2d", "twist3d", "linear", "constant", "affine")
+# kind -> (takes a matrix, takes an offset, fixed dimension or None)
+_KINDS = {"spiral2d": (False, False, 2), "twist3d": (False, False, 3),
+          "linear": (True, False, None), "constant": (False, True, None),
+          "affine": (True, True, None)}
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,9 @@ class Ball:
 class FieldSpec:
     """An evaluatable vector field.
 
-    ``matrix``/``offset`` are only populated for the linear/affine/constant
-    kinds; the two catalog fields are closed-form.
+    ``linear`` takes a matrix, ``constant`` an offset and ``affine`` both,
+    all with finite entries; the two catalog fields are closed-form and
+    take neither, at their own dimension (2 and 3).
     """
 
     dim: int
@@ -57,16 +61,26 @@ class FieldSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.matrix is not None:
-            m = np.asarray(self.matrix, dtype=np.float64)
-            if m.shape != (self.dim, self.dim):
-                raise ValueError("matrix shape must be (dim, dim)")
-            object.__setattr__(self, "matrix", m)
-        if self.offset is not None:
-            o = np.asarray(self.offset, dtype=np.float64)
-            if o.shape != (self.dim,):
-                raise ValueError("offset shape must be (dim,)")
-            object.__setattr__(self, "offset", o)
+        wants_matrix, wants_offset, dim = _KINDS[self.kind]
+        if ((self.matrix is not None, self.offset is not None)
+                != (wants_matrix, wants_offset)):
+            raise ValueError(f"field kind {self.kind!r} takes "
+                             f"{'a' if wants_matrix else 'no'} matrix and "
+                             f"{'an' if wants_offset else 'no'} offset")
+        if dim is not None and self.dim != dim:
+            raise ValueError(f"field kind {self.kind!r} has dim {dim}")
+        for name, shape in (("matrix", (self.dim, self.dim)),
+                            ("offset", (self.dim,))):
+            if getattr(self, name) is None:
+                continue
+            # a read-only copy: the checks hold for the field's lifetime
+            a = np.array(getattr(self, name), dtype=np.float64)
+            if a.shape != shape:
+                raise ValueError(f"{name} shape must be {shape}")
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} entries must be finite")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 def spiral2d() -> FieldSpec:

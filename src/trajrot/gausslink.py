@@ -36,13 +36,6 @@ sums each window's block of it, and adds the pairs on each window's own
 end segments as two thin strips.  :func:`gauss_rotation_pair` is its
 one-pair call.
 
-Against a whole straight line the integral has a closed form that is
-the projected winding itself: split at a base point, the line is two
-rays, and the two rays' Van Oosterom-Strackee triangles (third vertex at
-infinity) against a segment sum to twice its projected angle increment.
-So :func:`line_rotation_crosscheck` takes it as the planar winding sum of
-:mod:`trajrot.rotation`, with no sum of its own.
-
 :func:`linking_coefficient` snaps to an integer only when the error bar
 cannot reach another one.
 """
@@ -54,13 +47,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (AffineSubspace, Curve, RotationResult, _decimated,
-                     _resolved_guard, _rowdot, center_directions,
-                     point_segment_distances, project_to_complement)
+from .curves import (Curve, RotationResult, _decimated, _resolved_guard,
+                     _rowdot, point_segment_distances)
 from .errors import (CurvesTooClose, DimensionMismatch, NonTransversal,
                      NotClosed, NotPlanar, QuadratureInconclusive,
                      SampleBudgetExceeded)
-from .rotation import _absolute_rotation, _winding, signed_winding_plane
+from .rotation import signed_winding_plane
 
 # Segment pairs per row chunk of the vertex grid; keeps the workspace
 # planes near cache size.
@@ -413,47 +405,3 @@ def topological_linking_planar(c1: Curve, c2: Curve) -> int:
         turns = round(signed_winding_plane(plane, p).value)
         total += turns if h[i + 1] > 0 else -turns
     return total
-
-
-# ---------------------------------------------------------------------------
-# a curve against a straight line
-
-
-def line_rotation_crosscheck(c2: Curve, line: AffineSubspace,
-                             mode: str = "signed",
-                             guard: float | None = None):
-    """Compute the rotation of ``c2`` about a straight line both ways.
-
-    Returns ``(gauss, projection)``: the exact Gauss integral of ``c2``
-    against the whole line (turns) and the projection-based rotation
-    around the line (its native convention: turns when signed, radians
-    when absolute).
-
-    The Gauss side reduces to the projection in closed form, so it is
-    the projected winding sum itself.  Split at a base point, the line is
-    two rays; a ray against a segment of ``c2`` is a Van Oosterom-Strackee
-    triangle with its third vertex at infinity, ``2 atan2(N, D)``.  With
-    ``q``, ``q'`` the complement coordinates of the segment's ends and
-    ``a = s e - q`` the vector from an end to the base point,
-    ``N = q x q'`` and ``D = p p' + c`` with ``c = q . q'`` and
-    ``p = |a| + s`` on the ray along ``e``, ``|a| - s`` on the other.
-    Since ``p_+ p_- = |q|^2``, ``D_+ D_- - N^2 = c (D_+ + D_-)``:
-    the two rays sum to ``2 atan2(N, c)``, twice the segment's projected
-    angle increment, a two-term atan2 that cancels nothing however far
-    along the line the curve sits.  ``N`` is constant along the line, so
-    the absolute variant sums the unsigned increments.  Both sides come
-    from one projection: the Gauss side is the winding sum of
-    :func:`~trajrot.rotation.signed_winding_plane` with its error
-    estimate, and in the signed mode it is the projection itself.
-    ``guard`` is checked against the exact distance from every segment
-    to the line.
-    """
-    if c2.dim != 3 or line.ambient_dim != 3 or line.dim != 1:
-        raise DimensionMismatch("need a curve and a straight line in 3-space")
-    if mode not in ("absolute", "signed"):
-        raise ValueError("mode must be 'absolute' or 'signed'")
-    u = center_directions(project_to_complement(c2, line), np.zeros(2), guard)
-    value, err = _winding(u, mode == "absolute")
-    projection = (_absolute_rotation(u) if mode == "absolute"
-                  else RotationResult(value, err, "signed_turns"))
-    return RotationResult(value, err, "gauss_turns"), projection

@@ -12,9 +12,10 @@ error estimate, with no subdivision and no cap.
 
 Signed planar winding sums atan2-based angle increments per segment; a
 straight segment never subtends an angle >= pi from a point off the
-segment, so the increment sum is branch-cut free.  :func:`_winding` is
-the one place that sums a planar winding number around a point; the
-whole-line Gauss integral of :mod:`trajrot.gausslink` is the same sum.
+segment, so the increment sum is branch-cut free.  The Gauss integral of
+:mod:`trajrot.gausslink` against a whole straight line in 3-space is the
+same sum in closed form (README, "Numerical design notes"), so
+:func:`rotation_around_subspace` in the signed mode is its one code path.
 """
 
 from __future__ import annotations
@@ -45,16 +46,6 @@ def _blowup_length(u):
     return a2 + (a2 - a1) / 3.0, abs(a2 - a1), 2 * int(np.sum(k)) + 1
 
 
-def _absolute_rotation(u) -> RotationResult:
-    """:func:`absolute_rotation_point` from the unit directions ``u``."""
-    value, quad_err, n_fine = _blowup_length(u)
-    sampling_err = 0.0
-    if len(u) >= 5:
-        sampling_err = abs(value - _blowup_length(_decimated(u))[0])
-    err = quad_err + sampling_err + 1e-15 * (1.0 + n_fine)
-    return RotationResult(max(value, 0.0), err, "absolute_radians")
-
-
 def absolute_rotation_point(c: Curve, x0, guard: float | None = None) -> RotationResult:
     """Length (radians) of the spherical blow-up of ``c`` centered at ``x0``.
 
@@ -69,19 +60,13 @@ def absolute_rotation_point(c: Curve, x0, guard: float | None = None) -> Rotatio
     the decimated copy needs none, since a chord of it that passes
     through ``x0`` only subtends pi and shows up in the decimation term.
     """
-    return _absolute_rotation(center_directions(c, x0, guard))
-
-
-def _winding(u, absolute: bool = False):
-    """Planar winding of the unit directions ``u`` in turns, with its
-    error estimate: the change under decimating ``u`` plus roundoff.
-    ``absolute`` sums the unsigned angle increments."""
-    def turns(v):
-        inc = planar_angle_increments(v)
-        return float(np.sum(np.abs(inc) if absolute else inc)) / (2.0 * math.pi)
-
-    value = turns(u)
-    return value, abs(value - turns(_decimated(u))) + 1e-15 * len(u)
+    u = center_directions(c, x0, guard)
+    value, quad_err, n_fine = _blowup_length(u)
+    sampling_err = 0.0
+    if len(u) >= 5:
+        sampling_err = abs(value - _blowup_length(_decimated(u))[0])
+    err = quad_err + sampling_err + 1e-15 * (1.0 + n_fine)
+    return RotationResult(max(value, 0.0), err, "absolute_radians")
 
 
 def signed_winding_plane(c: Curve, x0, guard: float | None = None) -> RotationResult:
@@ -94,8 +79,14 @@ def signed_winding_plane(c: Curve, x0, guard: float | None = None) -> RotationRe
     """
     if c.dim != 2:
         raise DimensionMismatch("signed winding requires a planar curve")
-    return RotationResult(*_winding(center_directions(c, x0, guard)),
-                          "signed_turns")
+    u = center_directions(c, x0, guard)
+
+    def turns(v):
+        return float(np.sum(planar_angle_increments(v))) / (2.0 * math.pi)
+
+    value = turns(u)
+    err = abs(value - turns(_decimated(u))) + 1e-15 * len(u)
+    return RotationResult(value, err, "signed_turns")
 
 
 def rotation_around_subspace(c: Curve, sub: AffineSubspace, mode: str = "absolute",

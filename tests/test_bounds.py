@@ -105,7 +105,8 @@ def test_any_point_margin_vs_full_bound_monotone(sink_pair):
     full_bound = 4.0 + k * 3.0
     prev_margin = math.inf
     for t_end in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
-        rep = tr.check_any_point_bound(t1, x0, window=(0.0, t_end), K=k)
+        rep = tr.check_any_point_bound(tr.slice_time(t1, 0.0, t_end), x0,
+                                       K=k)
         margin = full_bound - rep.measured
         assert margin <= prev_margin + rep.error_estimates["rotation"] + 1e-12
         prev_margin = margin
@@ -258,6 +259,51 @@ def test_log_sink_shells_integrate_each_start_once(monkeypatch):
 def test_log_sink_shells_reject_bad_radii(radii):
     with pytest.raises(ValueError):
         tr.check_log_sink_shells(SINK_MATRIX, SINK_X0S, 1.0, radii)
+
+
+@pytest.mark.parametrize("R", [math.inf, math.nan])
+def test_log_sink_shells_reject_non_finite_R(R):
+    # an infinite R would give an infinite bound, always satisfied
+    with pytest.raises(ValueError, match="finite R"):
+        tr.check_log_sink_shells(SINK_MATRIX, SINK_X0S, R, (0.5,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_log_sink_shells_reject_non_finite_L(bad):
+    L = SINK_MATRIX.copy()
+    L[0, 0] = bad
+    with pytest.raises(ValueError, match="finite") as info:
+        tr.check_log_sink_shells(L, SINK_X0S, 1.0, (0.5,))
+    assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+def test_checks_report_the_span_of_a_late_curve():
+    # curves whose times start past 0: each check reports the curve's own
+    # span and ends, and its bound uses that span
+    cfg = tr.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, chord_tol=1e-5)
+    spiral = tr.integrate_trajectory(tr.spiral2d(), np.array([0.5, 0.0]),
+                                     2.5, 5.75, cfg)
+    sink = tr.linear(SINK_MATRIX)
+    c1 = tr.integrate_trajectory(sink, np.array([1.0, 1.0, 0.0]), 2.5, 5.75,
+                                 cfg)
+    c2 = tr.slice_time(tr.integrate_trajectory(
+        sink, np.array([1.0, -1.0, 0.0]), 0.0, 6.0, cfg), 3.0, 5.5)
+    k = tr.fields.operator_norm(SINK_MATRIX)
+    for c, rep, base in (
+            (spiral, tr.check_stationary_point_bound(
+                tr.spiral2d(), np.zeros(2), spiral), 0.0),
+            (spiral, tr.check_any_point_bound(spiral, np.array([0.9, 0.0]),
+                                              K=2.0), 4.0),
+            (c1, tr.check_invariant_subspace_bound(sink, X_AXIS, c1), 0.0)):
+        span = c.t[-1] - c.t[0]
+        assert rep.inputs["T"] == span
+        assert (rep.inputs["t1"], rep.inputs["t2"]) == (c.t[0], c.t[-1])
+        assert rep.bound == base + rep.inputs["K"] * span
+    assert (spiral.t[0], c1.t[0], c2.t[0]) == (2.5, 2.5, 3.0)
+    for rep in (tr.check_pair_bound(c1, c2, K=k),
+                tr.check_pair_bound_refined(c1, c2, K=k)):
+        assert (rep.inputs["T1"], rep.inputs["T2"]) \
+            == (c1.t[-1] - c1.t[0], c2.t[-1] - c2.t[0])
 
 
 def test_log_sink_eigenvalue_guard():

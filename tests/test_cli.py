@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,20 @@ def test_integrate_numerical_failure_exit3(capsys):
                            "--t1", "1")
     assert code == 3
     assert "StepUnderflow" in err
+
+
+@pytest.mark.parametrize("field", [
+    "linear:nan,0,0,-1", "linear:inf,0,0,-1", "affine:0,1,-1,0,nan,0",
+    "affine:0,1,-1,-inf,0,0", "constant:inf,0", "constant:nan,0"])
+def test_integrate_non_finite_field_exit2(capsys, field):
+    # a bad input (exit 2), not a numerical failure (exit 3), and
+    # rejected before any numpy "invalid value" warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "integrate", "--field", field,
+                                 "--x0", "1,1", "--t1", "1")
+    assert (code, out) == (2, "")
+    assert "must be finite" in err
 
 
 def test_integrate_window_below_time_resolution_exit3(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +126,45 @@ def test_parse_field_spec():
         tr.parse_field_spec("linear:1,2,3")
     with pytest.raises(ValueError):
         tr.parse_field_spec("whatever")
+
+
+@pytest.mark.parametrize("dim, kind, parts", [
+    (2, "linear", {}),
+    (2, "linear", {"matrix": np.eye(2), "offset": np.zeros(2)}),
+    (2, "affine", {"matrix": np.eye(2)}),
+    (2, "affine", {"offset": np.zeros(2)}),
+    (2, "constant", {}),
+    (2, "constant", {"matrix": np.eye(2), "offset": np.zeros(2)}),
+    (3, "spiral2d", {}),
+    (2, "spiral2d", {"matrix": np.eye(2)}),
+    (2, "twist3d", {}),
+    (3, "twist3d", {"offset": np.zeros(3)}),
+])
+def test_field_spec_rejects_parts_its_kind_lacks(dim, kind, parts):
+    # rejected when built, not with AttributeError/TypeError when evaluated
+    with pytest.raises(ValueError, match="field kind"):
+        tr.FieldSpec(dim, kind, **parts)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_field_spec_rejects_non_finite_entries(bad):
+    # rejected when built, before integration (StepUnderflow) or
+    # estimate_lipschitz (numpy's LinAlgError) could see it
+    m = np.array([[bad, 0.0], [0.0, -1.0]])
+    for build in (lambda: tr.linear(m),
+                  lambda: tr.affine(m, np.zeros(2)),
+                  lambda: tr.affine(np.eye(2), [0.0, bad]),
+                  lambda: tr.constant([bad, 0.0]),
+                  lambda: tr.parse_field_spec(f"linear:{bad},0,0,-1")):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+    # the field keeps a read-only copy, so no later write reaches it
+    m = np.eye(2)
+    f = tr.linear(m)
+    m[0, 0] = bad
+    assert np.array_equal(f.matrix, np.eye(2))
+    with pytest.raises(ValueError, match="read-only"):
+        f.matrix[0, 0] = bad
 
 
 def test_lipschitz_constant_field():

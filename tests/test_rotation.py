@@ -194,8 +194,10 @@ def test_absolute_rotation_matches_angle_sum(case):
 def test_line_crosscheck_guard_between_samples():
     c = tr.Curve([0.0, 1.0, 2.0], [[-1.0, 0.0, -0.5], [1.0, 0.0, 0.5],
                                    [1.0, 1.0, 1.0]])
-    with pytest.raises(tr.DistanceTooSmall):
-        tr.line_rotation_crosscheck(c, Z_AXIS)
+    # the first segment crosses the z-axis between its samples
+    for mode in ("signed", "absolute"):
+        with pytest.raises(tr.DistanceTooSmall):
+            tr.rotation_around_subspace(c, Z_AXIS, mode)
 
 
 def test_helix_around_axis():
