@@ -9,9 +9,11 @@ Curves travel as CSV (header ``t,x1,...,xn``), reports as JSON with fixed
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -85,45 +87,15 @@ def _rotation_dict(rr):
 
 
 def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+    return [float(v) for v in text.split(",")]
 
 
-def _load_config(path: str | None) -> dict:
-    """Flat key=value defaults file; flags override these values."""
-    if not path:
-        return {}
-    conf = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            if not _:
-                raise ValueError(f"bad config line: {raw.rstrip()}")
-            conf[key.strip()] = value.strip()
-    return conf
-
-
-# The keys a config file may set, each also an ``integrate`` flag of the
-# same name; unset ones keep the IntegratorConfig defaults.
-_CONFIG_KEYS = {"rel_tol": float, "abs_tol": float, "max_step": float,
-                "max_samples": int, "chord_tol": float}
-
-
-def _cfg_from(args, conf) -> IntegratorConfig:
-    for key in conf:
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}; known keys: "
-                             f"{', '.join(_CONFIG_KEYS)}")
-    kw = {}
-    for key, cast in _CONFIG_KEYS.items():
-        v = getattr(args, key)
-        if v is None and key in conf:
-            v = cast(conf[key])
-        if v is not None:
-            kw[key] = v
-    return IntegratorConfig(**kw)
+def _cfg_from(args) -> IntegratorConfig:
+    """The config of the ``integrate`` flags named after its fields;
+    unset flags keep the field defaults."""
+    kw = {f.name: getattr(args, f.name)
+          for f in dataclasses.fields(IntegratorConfig)}
+    return IntegratorConfig(**{k: v for k, v in kw.items() if v is not None})
 
 
 def _unit(d) -> np.ndarray:
@@ -133,15 +105,8 @@ def _unit(d) -> np.ndarray:
     return d / nrm
 
 
-def _parse_subspace(args) -> AffineSubspace:
-    if args.line is not None:
-        vals = _floats(args.line)
-        if len(vals) % 2 or len(vals) < 4:
-            raise ValueError("--line needs base and direction: b1,..,bn,d1,..,dn")
-        n = len(vals) // 2
-        groups = [vals[:n], vals[n:]]
-    else:
-        groups = [_floats(g) for g in args.subspace.split(";")]
+def _parse_subspace(text: str) -> AffineSubspace:
+    groups = [_floats(g) for g in text.split(";")]
     dirs = [_unit(np.array(g)) for g in groups[1:]]
     return AffineSubspace(np.array(groups[0]), dirs)
 
@@ -151,10 +116,9 @@ def _parse_subspace(args) -> AffineSubspace:
 
 
 def _cmd_integrate(args) -> int:
-    conf = _load_config(args.config)
     f = parse_field_spec(args.field)
     x0 = np.array(_floats(args.x0))
-    cfg = _cfg_from(args, conf)
+    cfg = _cfg_from(args)
     centers = [np.array(_floats(c)) for c in (args.obs_center or [])]
     curve = integrate_trajectory(f, x0, args.t0, args.t1, cfg,
                                  obs_centers=centers)
@@ -172,7 +136,7 @@ def _cmd_rotate(args) -> int:
         else:
             rr = absolute_rotation_point(curve, x0, guard=guard)
     else:
-        sub = _parse_subspace(args)
+        sub = _parse_subspace(args.subspace)
         mode = "signed" if args.mode == "signed" else "absolute"
         rr = rotation_around_subspace(curve, sub, mode, guard=guard)
     _emit(_rotation_dict(rr), args.out)
@@ -398,14 +362,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x0", required=True)
     sp.add_argument("--t0", type=float, default=0.0)
     sp.add_argument("--t1", type=float, required=True)
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    sp.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    sp.add_argument("--max-step", dest="max_step", type=float, default=None)
-    sp.add_argument("--max-samples", dest="max_samples", type=int, default=None)
-    sp.add_argument("--chord-tol", dest="chord_tol", type=float, default=None)
+    # one flag per IntegratorConfig field: --rel-tol sets rel_tol
+    hints = typing.get_type_hints(IntegratorConfig)
+    for fld in dataclasses.fields(IntegratorConfig):
+        sp.add_argument("--" + fld.name.replace("_", "-"), dest=fld.name,
+                        type=int if hints[fld.name] is int else float,
+                        default=None)
     sp.add_argument("--obs-center", dest="obs_center", action="append")
-    sp.add_argument("--config", default=None,
-                    help="flat key=value defaults file")
     common(sp)
     sp.set_defaults(func=_cmd_integrate)
 
@@ -413,8 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--curve", required=True)
     grp = sp.add_mutually_exclusive_group(required=True)
     grp.add_argument("--point", default=None)
-    grp.add_argument("--line", default=None,
-                     help="base and direction: b1,..,bn,d1,..,dn")
     grp.add_argument("--subspace", default=None,
                      help="semicolon-separated base;dir1;dir2;...")
     sp.add_argument("--mode", choices=["abs", "signed"], default="abs")

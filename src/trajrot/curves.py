@@ -217,11 +217,6 @@ class AffineSubspace:
         self._comp = comp
         return comp
 
-    def offsets(self, points) -> np.ndarray:
-        """Complement coordinates of points, i.e. displacement from the subspace."""
-        pts = np.asarray(points)
-        return (pts - self.base_point) @ self.complement_basis().T
-
     def __repr__(self):
         return f"AffineSubspace(ambient={self.ambient_dim}, dim={self.dim})"
 

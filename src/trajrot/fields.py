@@ -91,20 +91,24 @@ def twist3d() -> FieldSpec:
     return FieldSpec(3, "twist3d")
 
 
+def _dim_of(a, name) -> int:
+    """The field dimension that ``a`` declares: its leading axis."""
+    if np.ndim(a) == 0:
+        raise ValueError(f"{name} must be an array, not a scalar")
+    return np.shape(a)[0]
+
+
 def linear(matrix) -> FieldSpec:
-    m = np.asarray(matrix, dtype=np.float64)
-    return FieldSpec(m.shape[0], "linear", matrix=m)
+    return FieldSpec(_dim_of(matrix, "matrix"), "linear", matrix=matrix)
 
 
 def constant(vector) -> FieldSpec:
-    v = np.asarray(vector, dtype=np.float64)
-    return FieldSpec(v.shape[0], "constant", offset=v)
+    return FieldSpec(_dim_of(vector, "offset"), "constant", offset=vector)
 
 
 def affine(matrix, vector) -> FieldSpec:
-    m = np.asarray(matrix, dtype=np.float64)
-    v = np.asarray(vector, dtype=np.float64)
-    return FieldSpec(m.shape[0], "affine", matrix=m, offset=v)
+    return FieldSpec(_dim_of(matrix, "matrix"), "affine", matrix=matrix,
+                     offset=vector)
 
 
 def parse_field_spec(text: str) -> FieldSpec:

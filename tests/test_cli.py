@@ -122,7 +122,7 @@ def test_rotate_twist_line(tmp_path, capsys):
     path = tmp_path / "twist.csv"
     tr.curve_to_csv(c, str(path))
     code, out, _ = run_cli(capsys, "rotate", "--curve", str(path),
-                           "--line", "0,0,0,1,0,0", "--mode", "abs",
+                           "--subspace", "0,0,0;1,0,0", "--mode", "abs",
                            "--guard", "0")
     assert code == 0
     payload = json.loads(out)
@@ -450,55 +450,61 @@ def test_roundtrip_matches_library(tmp_path, capsys):
     assert via_cli == direct
 
 
-def test_config_file_defaults(tmp_path, capsys):
-    conf = tmp_path / "conf.txt"
-    conf.write_text("rel_tol=1e-10\nabs_tol=1e-12\nchord_tol=1e-4\n")
-    out = tmp_path / "c.csv"
-    code, _, _ = run_cli(capsys, "integrate", "--field", "constant:1,0",
-                         "--x0", "0,0", "--t1", "1", "--config", str(conf),
-                         "--out", str(out))
-    assert code == 0
-
-
-def test_flags_override_config(tmp_path, capsys):
+def test_max_samples_flag_budget(tmp_path, capsys):
     sink = "linear:-1,0,0,0,-1,-2,0,2,-1"
-    conf = tmp_path / "conf.txt"
-    conf.write_text("max_samples=50\nchord_tol=1e-7\n")
     out = tmp_path / "c.csv"
     code, _, err = run_cli(capsys, "integrate", "--field", sink,
-                           "--x0", "1,1,0", "--t1", "3",
-                           "--config", str(conf), "--out", str(out))
+                           "--x0", "1,1,0", "--t1", "3", "--chord-tol", "1e-7",
+                           "--max-samples", "50", "--out", str(out))
     assert code == 3 and "SampleBudgetExceeded" in err
     code, _, _ = run_cli(capsys, "integrate", "--field", sink,
-                         "--x0", "1,1,0", "--t1", "3",
-                         "--config", str(conf),
+                         "--x0", "1,1,0", "--t1", "3", "--chord-tol", "1e-7",
                          "--max-samples", "100000", "--out", str(out))
     assert code == 0
 
 
-@pytest.mark.parametrize("line", ["reltol=1e-3", "max-step=0.5"])
-def test_config_unknown_key_exit2(tmp_path, capsys, line):
-    conf = tmp_path / "conf.txt"
-    conf.write_text(f"rel_tol=1e-10\n{line}\n")
-    out = tmp_path / "c.csv"
-    code, _, err = run_cli(capsys, "integrate", "--field", "spiral2d",
-                           "--x0", "0.5,0", "--t1", "1", "--config", str(conf),
-                           "--out", str(out))
-    assert code == 2
-    assert repr(line.partition("=")[0]) in err
-    assert not out.exists()
+@pytest.mark.parametrize("argv", [
+    ("integrate", "--field", "spiral2d", "--x0", "0.5,0", "--t1", "1",
+     "--config", "conf.txt"),
+    ("rotate", "--curve", "c.csv", "--line", "0,0,0,1,0,0")])
+def test_removed_flags_exit2(capsys, argv):
+    # --config and --line are gone; argparse rejects them like any
+    # unknown flag, before any file is read
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("value", ["0.25,,0", "0.25,0,"])
+@pytest.mark.parametrize("flag", ["--x0", "--obs-center", "--point",
+                                  "--subspace"])
+def test_empty_list_entry_exit2(tmp_path, capsys, flag, value):
+    # an empty entry is an error, not the vector (0.25, 0) it leaves out
+    th = np.linspace(0, 2 * math.pi, 401)
+    path = tmp_path / "circle.csv"
+    tr.curve_to_csv(tr.Curve(th, np.stack([np.cos(th), np.sin(th)], axis=1),
+                             closed=True), str(path))
+    integrate = ["integrate", "--field", "spiral2d", "--t1", "0.01"]
+    argv = {"--x0": integrate,
+            "--obs-center": integrate + ["--x0", "0.5,0"],
+            "--point": ["rotate", "--curve", str(path)],
+            "--subspace": ["rotate", "--curve", str(path)]}[flag]
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert (code, out) == (2, "")
+    assert "could not convert string to float" in err
 
 
 def test_rotate_non_finite_line_exit2(tmp_path, capsys):
     path = tmp_path / "c.csv"
     write_circle_csv(path)
     code, out, err = run_cli(capsys, "rotate", "--curve", str(path),
-                             "--line", "0,0,0,nan,0,0")
+                             "--subspace", "0,0,0;nan,0,0")
     assert code == 2 and out == ""
     assert "must be finite" in err
 
 
-@pytest.mark.parametrize("flag,value", [("--line", "0,0,0,0,0,0"),
+@pytest.mark.parametrize("flag,value", [("--subspace", "0,0,0;1,0,0;0,0,0"),
                                         ("--subspace", "0,0,0;0,0,0")])
 def test_rotate_zero_direction_exit2(tmp_path, capsys, flag, value):
     path = tmp_path / "c.csv"

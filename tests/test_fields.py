@@ -146,6 +146,15 @@ def test_field_spec_rejects_parts_its_kind_lacks(dim, kind, parts):
         tr.FieldSpec(dim, kind, **parts)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: tr.linear(5.0), lambda: tr.constant(5.0),
+    lambda: tr.affine(5.0, 1.0)], ids=["linear", "constant", "affine"])
+def test_field_spec_rejects_scalar_parts(build):
+    # a ValueError, not an IndexError from reading the dimension
+    with pytest.raises(ValueError, match="not a scalar"):
+        build()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_field_spec_rejects_non_finite_entries(bad):
     # rejected when built, before integration (StepUnderflow) or
