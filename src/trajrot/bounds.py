@@ -61,17 +61,6 @@ class BoundReport:
         if self.theorem_id not in THEOREM_IDS:
             raise ValueError(f"unknown theorem_id {self.theorem_id!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "measured": self.measured,
-            "bound": self.bound,
-            "margin": self.margin,
-            "satisfied": self.satisfied,
-            "inputs": dict(self.inputs),
-            "error_estimates": dict(self.error_estimates),
-        }
-
 
 def _report(theorem_id, measured, bound, inputs, errors) -> BoundReport:
     slack = math.fsum(errors.values())

@@ -3,7 +3,8 @@
 Commands: integrate, rotate, link, crofton, witness, verify, paper-repro.
 Exit codes: 0 success, 2 input/precondition error, 3 numerical failure.
 Curves travel as CSV (header ``t,x1,...,xn``), reports as JSON with fixed
-17-significant-digit float formatting so reruns are byte-identical.
+17-significant-digit float formatting so reruns are byte-identical.  A
+result record (a dataclass) prints as its fields, in declaration order.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ def to_json(obj, indent: int = 0) -> str:
         return to_json(obj.tolist(), indent)
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if dataclasses.is_dataclass(obj):
+        return to_json(dataclasses.asdict(obj), indent)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -75,11 +78,6 @@ def _emit(obj, out_path=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _rotation_dict(rr):
-    return {"value": rr.value, "error_estimate": rr.error_estimate,
-            "convention": rr.convention}
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +137,7 @@ def _cmd_rotate(args) -> int:
         sub = _parse_subspace(args.subspace)
         mode = "signed" if args.mode == "signed" else "absolute"
         rr = rotation_around_subspace(curve, sub, mode, guard=guard)
-    _emit(_rotation_dict(rr), args.out)
+    _emit(rr, args.out)
     return 0
 
 
@@ -148,19 +146,15 @@ def _cmd_link(args) -> int:
     c2 = curve_from_csv(args.curve2)
     if args.mode == "coefficient":
         res = linking_coefficient(c1, c2, guard=args.guard)
-        _emit({"raw": res.raw, "nearest_integer": res.nearest_integer,
-               "residual": res.residual,
-               "error_estimate": res.error_estimate}, args.out)
     else:
-        rr = gauss_rotation_pair(c1, c2, args.mode, guard=args.guard)
-        _emit(_rotation_dict(rr), args.out)
+        res = gauss_rotation_pair(c1, c2, args.mode, guard=args.guard)
+    _emit(res, args.out)
     return 0
 
 
 def _cmd_crofton(args) -> int:
     if args.n is not None:
-        c = crofton_constants(args.n)
-        _emit({"n": c.n, "c_n": c.c_n, "V_n": c.V_n, "C_n": c.C_n}, args.out)
+        _emit(crofton_constants(args.n), args.out)
         return 0
     curve = curve_from_csv(args.curve)
     est = crofton_length_estimate(SphericalCurve(curve), m=args.m,
@@ -168,14 +162,6 @@ def _cmd_crofton(args) -> int:
     _emit({"estimate": est.value, "stderr": est.stderr, "draws": est.draws},
           args.out)
     return 0
-
-
-def _witness_dict(w):
-    return {"plane": w.plane, "tau1": w.tau1, "tau2": w.tau2,
-            "relation": w.relation, "v_proj_1": w.v_proj_1,
-            "v_proj_2": w.v_proj_2, "theta": w.theta,
-            "threshold": w.threshold, "curve_length": w.curve_length,
-            "window": list(w.window)}
 
 
 def _cmd_witness(args) -> int:
@@ -188,7 +174,7 @@ def _cmd_witness(args) -> int:
     else:
         w = find_euclidean_witness(curve, args.theta, trials=args.trials,
                                    seed=args.seed)
-    _emit(_witness_dict(w), args.out)
+    _emit(w, args.out)
     return 0
 
 
@@ -210,13 +196,12 @@ SCENARIO_THEOREMS = {
 }
 
 
-def _sink_pair_curves():
+def _sink_curves(starts):
+    """The sink field and its trajectories over [0, 3] from ``starts``."""
     f = linear(SINK_MATRIX)
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=0.01,
                            chord_tol=1e-5)
-    t1, t2 = (integrate_trajectory(f, x0, 0.0, 3.0, cfg)
-              for x0 in SINK_START_PAIR)
-    return f, t1, t2
+    return f, [integrate_trajectory(f, x0, 0.0, 3.0, cfg) for x0 in starts]
 
 
 def _scenario_reports(name, theorems, seed):
@@ -238,7 +223,7 @@ def _scenario_reports(name, theorems, seed):
                 reports.append(bounds_mod.check_any_point_bound(
                     traj, np.zeros(2), K=k))
     elif name == "sink-line":
-        f, t1, _ = _sink_pair_curves()
+        f, (t1,) = _sink_curves(SINK_START_PAIR[:1])
         reports = [bounds_mod.check_invariant_subspace_bound(
             f, x_axis, t1, seed=seed) for _ in theorems]
     elif name == "twist-line":
@@ -249,7 +234,7 @@ def _scenario_reports(name, theorems, seed):
         reports = [bounds_mod.check_invariant_subspace_bound(
             f, x_axis, traj, seed=seed) for _ in theorems]
     elif name == "sink-pair":
-        f, t1, t2 = _sink_pair_curves()
+        f, (t1, t2) = _sink_curves(SINK_START_PAIR)
         k, _ = bounds_mod.lipschitz_for(f, t1.x, seed=seed)
         reports = bounds_mod._pair_reports(t1, t2, theorems, K=k)
     elif name == "sink-log":
@@ -268,8 +253,7 @@ def _cmd_verify(args) -> int:
         if th not in SCENARIO_THEOREMS[args.scenario]:
             raise ValueError(f"scenario {args.scenario} does not cover {th}")
     reports = _scenario_reports(args.scenario, theorems, args.seed)
-    payload = [r.to_dict() for r in reports]
-    _emit(payload if len(payload) != 1 else payload[0], args.out)
+    _emit(reports if len(reports) != 1 else reports[0], args.out)
     return 0
 
 
@@ -321,8 +305,8 @@ def _cmd_paper_repro(args) -> int:
     w2 = integrate_trajectory(twist3d(), np.array([0.05, 0.0, 0.7]), 0.0,
                               0.15, cfg2)
     summary["twist_pair_mutual_turns"] = {
-        "signed": _rotation_dict(gauss_rotation_pair(w1, w2, "signed")),
-        "absolute": _rotation_dict(gauss_rotation_pair(w1, w2, "absolute")),
+        "signed": gauss_rotation_pair(w1, w2, "signed"),
+        "absolute": gauss_rotation_pair(w1, w2, "absolute"),
     }
 
     # 5. log^2 growth of mutual rotation across shrinking shells

@@ -230,7 +230,7 @@ def _pair_solid_angles(x1, x2, absolute, guard, cuts):
     chunked pass over the grid of prefix segments serves every cut: each
     cut sums its own block of the grid, and the pairs on its own end
     segments are added as two thin strips.  The guard is checked on every
-    evaluated pair.
+    evaluated pair; a guard of ``-inf`` flags no pair and checks nothing.
     """
     # translation leaves N unchanged; centering keeps p1 x d1 small
     center = 0.5 * (x1.mean(axis=0) + x2.mean(axis=0))
@@ -295,7 +295,9 @@ def gauss_rotation_nested(pairs, mode: str = "signed",
     own end segments, so the pass costs one evaluation of the longest
     grid plus O(n) per pair.  The guard (by default that of the longest
     curves, which is at least any pair's own) is checked on every pair
-    of segments evaluated.
+    of the polylines' segments.  The decimated copies need none: a chord
+    of one that passes through the other curve only moves the decimation
+    term.
     """
     if mode not in ("signed", "absolute"):
         raise ValueError("mode must be 'signed' or 'absolute'")
@@ -318,7 +320,7 @@ def gauss_rotation_nested(pairs, mode: str = "signed",
     full = _pair_solid_angles(x1, x2, absolute, g,
                               [(_cut(x1, y1), _cut(x2, y2)) for y1, y2 in xs])
     x1, x2 = _decimated(x1), _decimated(x2)
-    dec = _pair_solid_angles(x1, x2, absolute, g,
+    dec = _pair_solid_angles(x1, x2, absolute, -math.inf,
                              [(_cut(x1, _decimated(y1)),
                                _cut(x2, _decimated(y2))) for y1, y2 in xs])
     results = []

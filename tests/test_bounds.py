@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import trajrot as tr
 from trajrot.bounds import _clip_to_shell
+from trajrot.cli import main
 
 from conftest import (SINK_BETA, SINK_MATRIX, X_AXIS, kernel_passes,
                       pair_bound_fallback_identity)
@@ -313,11 +315,10 @@ def test_log_sink_eigenvalue_guard():
         tr.check_log_sink_shells(saddle, x0s, 1.0, (0.5,))
 
 
-def test_report_json_schema(sink_pair):
-    f, t1, t2 = sink_pair
-    k, _ = tr.lipschitz_for(f, t1.x)
-    rep = tr.check_pair_bound(t1, t2, K=k)
-    d = rep.to_dict()
+def test_report_json_schema(capsys):
+    assert main(["verify", "--scenario", "sink-pair",
+                 "--theorem", "thm3_8"]) == 0
+    d = json.loads(capsys.readouterr().out)
     assert list(d.keys()) == ["theorem_id", "measured", "bound", "margin",
                               "satisfied", "inputs", "error_estimates"]
     assert d["margin"] == d["bound"] - d["measured"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -524,6 +525,30 @@ def test_rotate_subspace_flag(tmp_path, capsys):
                            "--subspace", "0,0,0;0,0,1", "--mode", "signed")
     assert code == 0
     assert abs(json.loads(out)["value"] - 3.0) < 1e-9
+
+
+@pytest.mark.parametrize("argv, record", [
+    (["rotate", "--curve", "loop", "--point", "0.2,0.1"], tr.RotationResult),
+    (["link", "--curve1", "c1", "--curve2", "c2"], tr.LinkingResult),
+    (["link", "--curve1", "c1", "--curve2", "c2", "--mode", "signed"],
+     tr.RotationResult),
+    (["crofton", "--n", "3"], tr.CroftonConstants),
+    (["witness", "--curve", "loop", "--kind", "circle", "--theta", "4.5"],
+     tr.EquatorWitness),
+    (["verify", "--scenario", "sink-pair", "--theorem", "thm3_8"],
+     tr.BoundReport),
+])
+def test_json_keys_are_the_record_fields(tmp_path, capsys, argv, record):
+    tr.curve_to_csv(witness_curve("circle"), str(tmp_path / "loop"))
+    write_circle_csv(tmp_path / "c1")
+    write_circle_csv(tmp_path / "c2", plane="xz", center=(1, 0, 0),
+                     phase=0.37)
+    argv = [str(tmp_path / a) if a in ("loop", "c1", "c2") else a
+            for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert list(json.loads(out)) == [f.name
+                                     for f in dataclasses.fields(record)]
 
 
 def test_json_formatter_fixed_digits():

@@ -492,6 +492,22 @@ def test_crossing_segments_far_vertices_too_close():
     assert abs(tr.gauss_rotation_pair(a, clear, "signed").value) > 0.2
 
 
+@pytest.mark.parametrize("mode", ["signed", "absolute"])
+def test_decimated_copy_is_not_guarded(mode):
+    # the V stays 0.707 from the axis segment, but its decimated copy is
+    # the chord from (-1, 0, 0) to (1, 0, 0), which passes through it
+    v = polyline([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    axis = polyline([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
+    pair = [segment_integral(v.x[i], v.x[i + 1], *axis.x) for i in (0, 1)]
+    want = math.fsum(pair if mode == "signed" else map(abs, pair))
+    rr = tr.gauss_rotation_pair(v, axis, mode)
+    assert abs(rr.value - want / (4 * math.pi)) < 1e-11
+    # the chord itself passes through the axis: the real guard raises
+    chord = polyline([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(tr.CurvesTooClose):
+        tr.gauss_rotation_pair(chord, axis, mode)
+
+
 def closed_polygon(n, center=(0.0, 0.0, 0.0), plane="xy", phase=0.0):
     """Regular n-gon on the unit circle whose last vertex repeats the
     first bit for bit."""
