@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import AffineSubspace, Curve, slice_time
-from .errors import (DistanceTooSmall, EigenvalueSignError, NotInvariant,
-                     NotStationary, NumericalError)
+from .errors import (EigenvalueSignError, NotInvariant, NotStationary,
+                     NumericalError)
 from .fields import (FieldSpec, enclosing_ball, estimate_lipschitz,
                      eval_field, field_values, linear, operator_norm)
 from .flow import IntegratorConfig, integrate_trajectory
 from .gausslink import gauss_rotation_nested, gauss_rotation_pair
-from .rotation import absolute_rotation_point, rotation_around_subspace
+from .rotation import (_absolute_rotations, absolute_rotation_point,
+                       rotation_around_subspace)
 
 THEOREM_IDS = ("prop3_1", "prop3_2", "thm3_4", "thm3_8", "cor3_10",
                "thm3_10_log")
@@ -161,30 +162,38 @@ def check_pair_bound(traj1: Curve, traj2: Curve, *, K: float) -> BoundReport:
 
 
 def _max_point_rotation(c: Curve, grid_points, K, T):
-    """max over grid points of the absolute rotation of ``c`` around them;
-    points too close to the curve fall back to the universal 4 + K*T."""
-    best = 0.0
-    err = 0.0
-    fallbacks = 0
-    for p in grid_points:
-        try:
-            rr = absolute_rotation_point(c, p)
-        except DistanceTooSmall:
-            best = max(best, 4.0 + K * T)
-            fallbacks += 1
-            continue
-        if rr.value > best:
-            best, err = rr.value, rr.error_estimate
-    return best, err, fallbacks
+    """``(R, error, fallbacks)``: R is the largest absolute rotation of
+    ``c`` around the grid points, where a point too close to the curve
+    counts as the universal 4 + K*T (thm3_4's cap, a bound with no
+    error of its own), all from one call of the stacked kernel.
+    R's error is that of the entry that sets R, widened to cover every
+    measured ``value + error``, so a runner-up with a wider error bar
+    stays covered; it does not depend on the order of the grid."""
+    value, err, rmin = _absolute_rotations(c, grid_points)
+    far = rmin > c.default_guard()
+    v, e = value[far], err[far]
+    fallbacks = len(value) - len(v)
+    best = max(np.max(v, initial=0.0), 4.0 + K * T if fallbacks else 0.0)
+    best_err = np.max(e[v == best], initial=0.0)
+    top = np.max(v + e, initial=0.0)
+    if top > best + best_err:
+        best_err = top - best
+    return float(best), float(best_err), fallbacks
 
 
 def check_pair_bound_refined(traj1: Curve, traj2: Curve, *,
                              K: float) -> BoundReport:
     """Refined mutual-rotation bound (K/4pi) min(R1 T2, R2 T1), where R_i
     is the largest rotation of trajectory i around ``_R_GRID`` evenly
-    spaced samples of the other one (with the 4 + K*T_i fallback at
-    too-close grid points).  With the fallback in R1 and T2 <= T1 the
-    bound is thm3_8's: (K/4pi)(4 + K T1) T2 = (K/pi) T2 + (K^2/4pi) T1 T2."""
+    spaced samples of the other one, measured in one stacked-kernel call
+    per side (with the 4 + K*T_i fallback at too-close grid points).  A
+    fallback carries error 0; R_i's error is that of the entry that sets
+    it, widened to reach every measured value + error.  With the fallback
+    in R1, T2 <= T1 and R1 T2 <= R2 T1 (as when R2 falls back too) the
+    bound is thm3_8's: (K/4pi)(4 + K T1) T2 = (K/pi) T2 + (K^2/4pi) T1 T2.
+    The pair measurement guards with the larger default guard of the
+    two, so curves that bring a grid point within a fallback's guard
+    raise :class:`~trajrot.errors.CurvesTooClose` first."""
     return _pair_reports(traj1, traj2, ("cor3_10",), K=K)[0]
 
 

@@ -267,9 +267,8 @@ def _cmd_paper_repro(args) -> int:
     circle = Curve(th, np.stack([np.cos(th), np.sin(th), np.zeros_like(th)],
                                 axis=1), closed=True)
     segment = Curve([-100.0, 100.0], [[0.0, 0.0, -100.0], [0.0, 0.0, 100.0]])
-    rr = gauss_rotation_pair(circle, segment, "signed")
-    summary["circle_line_linking_turns"] = {
-        "value": rr.value, "error_estimate": rr.error_estimate}
+    summary["circle_line_linking_turns"] = gauss_rotation_pair(
+        circle, segment, "signed")
 
     # 2. planar spiral: rotation grows at unit rate around the sink
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, chord_tol=1e-5)

@@ -4,12 +4,13 @@ A curve is an immutable time-stamped polyline.  All downstream integrals
 (rotation, linking, length) are evaluated segment-wise on the polyline;
 accuracy is controlled by sampling density, not smoothing.
 
-Angles seen from a point take one path: :func:`center_directions`
-normalizes each sample's offset once and takes the exact distance of
-every segment to the point from those directions and radii in closed
-form, and :func:`unit_angles` gives the angle between two rows of unit
-directions.  Only offsets are scaled against under- and overflow; unit
-rows take plain norms.
+Angles seen from a point take one path: :func:`_stacked_directions`
+normalizes each sample's offset from each of a stack of centers once
+and takes the exact distance of every segment to each center from
+those directions and radii in closed form (:func:`center_directions` is
+its one-center case), and :func:`unit_angles` gives the angle between
+two rows of unit directions.  Only offsets are scaled against under-
+and overflow; unit rows take plain norms.
 """
 
 from __future__ import annotations
@@ -264,15 +265,19 @@ def reverse(c: Curve) -> Curve:
 
 
 def _decimated(points: np.ndarray) -> np.ndarray:
-    """Every other sample, always keeping the last one.
+    """Every other sample, always keeping the last one; samples run along
+    the second-to-last axis, so a stack of polylines decimates at once.
 
     Comparing a polyline quantity with its value on the decimated samples
     estimates how far the polyline sits from the curve it samples.
     """
-    idx = np.arange(0, len(points), 2)
-    if idx[-1] != len(points) - 1:
-        idx = np.append(idx, len(points) - 1)
-    return points[idx]
+    n = points.shape[-2]
+    idx = np.arange(0, n, 2)
+    if idx[-1] != n - 1:
+        idx = np.append(idx, n - 1)
+    # C order: numpy sums a strided row one by one, a contiguous one in
+    # pairs, so a row sum of a stack would differ from one row's own
+    return np.take(points, idx, axis=-2)
 
 
 def spherical_blowup(c: Curve, center, guard: float | None = None) -> SphericalCurve:
@@ -311,31 +316,32 @@ def _norm(v: np.ndarray):
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
-    """Largest entry of each row, by ``np.maximum`` folded left to right
-    over the few columns: cheaper than ``np.max(a, axis=1)`` on (n, 3)."""
-    out = a[:, 0]
-    for j in range(1, a.shape[1]):
-        out = np.maximum(out, a[:, j])
+    """Largest entry of each row (last axis), by ``np.maximum`` folded
+    left to right over the few columns: cheaper than
+    ``np.max(a, axis=-1)`` on (n, 3)."""
+    out = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = np.maximum(out, a[..., j])
     return out
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
     """Sum of each row, left to right over the columns, like
     :func:`_row_max`."""
-    out = a[:, 0]
-    for j in range(1, a.shape[1]):
-        out = out + a[:, j]
+    out = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = out + a[..., j]
     return out
 
 
 def _unit_rows(d: np.ndarray, m: np.ndarray):
     """Unit rows of ``d`` and their norms, each row scaled by its largest
-    absolute coordinate ``m`` (shape (n, 1), nonzero) before squaring, so
-    that neither underflows (curves with coordinates near the float
-    minimum) nor overflows."""
+    absolute coordinate ``m`` (the shape of ``d`` with one column,
+    nonzero) before squaring, so that neither underflows (curves with
+    coordinates near the float minimum) nor overflows."""
     dn = d / m
     r = np.sqrt(_row_sum(dn * dn))
-    return dn / r[:, None], m[:, 0] * r
+    return dn / r[..., None], m[..., 0] * r
 
 
 def safe_unit_rows(d: np.ndarray) -> np.ndarray:
@@ -364,7 +370,7 @@ def segment_angles(a: np.ndarray, b: np.ndarray, center) -> np.ndarray:
 
 
 def _rowdot(a, b):
-    return np.einsum("ij,ij->i", a, b)
+    return np.einsum("...j,...j->...", a, b)
 
 
 def _norms(a):
@@ -405,15 +411,45 @@ def _resolved_guard(guard, default: float) -> float:
 def center_directions(c: Curve, center, guard: float | None = None) -> np.ndarray:
     """Unit directions ``(c.x - center) / |c.x - center|``, once the
     polyline is known to stay farther than ``guard`` from ``center``
-    (default: 1e-7 of the curve diameter).
+    (default: 1e-7 of the curve diameter): the one-center case of
+    :func:`_stacked_directions`, which documents the guard.
 
-    The guard sees the exact distance to every segment, not only to the
-    samples, and takes it from what the normalization already holds.
-    Each offset ``d_i`` is scaled by its largest coordinate ``m_i``
-    before squaring (longdouble twist curves reach 1e-3000), which gives
-    ``u_i`` and ``|d_i| = m_i |d_i / m_i|``.  For the segment from
-    ``a = ra u`` to ``b = rb v``, with ``s = |u - v| = 2 sin(theta/2)``
-    and ``p = |u + v| = 2 cos(theta/2)``,
+    Raises :class:`DimensionMismatch` or :class:`DistanceTooSmall`.
+    """
+    center = np.asarray(center)
+    if center.shape != (c.dim,):
+        raise DimensionMismatch("center must match the curve dimension")
+    g = _resolved_guard(guard, c.default_guard())
+    u, _, _, rmin = _stacked_directions(c.x, center[None].astype(c.x.dtype))
+    _check_clearance(rmin[0], g)
+    return u[0]
+
+
+def _check_clearance(rmin, g) -> None:
+    """Raise :class:`DistanceTooSmall` unless the distance ``rmin`` of a
+    center to a polyline exceeds the guard ``g``."""
+    if not rmin > g:
+        # formatted in the curve's own precision: through a float, a
+        # longdouble distance near 1e-3000 would read 0
+        within, limit = (np.format_float_scientific(v, 2, unique=False)
+                         for v in (rmin, g))
+        raise DistanceTooSmall(
+            f"curve comes within {within} of the center (guard {limit})")
+
+
+def _stacked_directions(pts: np.ndarray, centers: np.ndarray):
+    """Unit directions ``u`` (k, n, dim) of the samples ``pts`` (n, dim)
+    seen from each row of ``centers`` (k, dim, in the dtype of ``pts``),
+    the half-angle norms ``s`` and ``p`` (k, n - 1) of every segment, and
+    the exact distance ``rmin`` (k,) of each center to the polyline.
+
+    The distance to every segment, not only to the samples, comes from
+    what the normalization already holds.  Each offset ``d_i`` is scaled
+    by its largest coordinate ``m_i`` before squaring (longdouble twist
+    curves reach 1e-3000), which gives ``u_i`` and
+    ``|d_i| = m_i |d_i / m_i|``.  For the segment from ``a = ra u`` to
+    ``b = rb v``, with ``s = |u - v| = 2 sin(theta/2)`` and
+    ``p = |u + v| = 2 cos(theta/2)``,
 
         ``|b - a|^2 = (ra - rb)^2 + ra rb s^2``,  ``sin theta = s p / 2``,
         ``cos theta = (p^2 - s^2) / 4``.
@@ -425,38 +461,29 @@ def center_directions(c: Curve, center, guard: float | None = None) -> np.ndarra
     ``|a x b| / |b - a| = ra rb sin theta / |b - a|``, evaluated as
     ``ra y s p / (2 sqrt((x - y)^2 + x y s^2))`` with ``x = ra / M``,
     ``y = rb / M`` and ``M = max(ra, rb)``, so that no product of two
-    radii underflows; otherwise it is ``min(ra, rb)``.  A sample on the
-    center has no direction and gives distance 0.
-
-    Raises :class:`DimensionMismatch` or :class:`DistanceTooSmall`.
+    radii underflows; otherwise it is ``min(ra, rb)``.  A center on a
+    sample has no direction and distance 0; its ``u``, ``s`` and ``p``
+    are placeholders.  Every operation is elementwise or runs along the
+    last axis, so each center's row is what it would be on its own.
     """
-    center = np.asarray(center)
-    if center.shape != (c.dim,):
-        raise DimensionMismatch("center must match the curve dimension")
-    g = _resolved_guard(guard, c.default_guard())
-    d = c.x - center.astype(c.x.dtype)
-    m = _row_max(np.abs(d))[:, None]
-    rmin = 0.0  # a sample on the center has no direction
-    if np.all(m != 0):
-        u, rad = _unit_rows(d, m)
-        ra, rb, ua, ub = rad[:-1], rad[1:], u[:-1], u[1:]
-        s, p = _norms(ua - ub), _norms(ua + ub)
-        cos = 0.25 * (p * p - s * s)
-        big = np.maximum(ra, rb)
-        x, y = ra / big, rb / big
-        den = 2.0 * np.sqrt((x - y) ** 2 + x * y * s * s)
-        # den is 0 only for a vanishing angle, where the segment is radial
-        foot = (rb * cos < ra) & (ra * cos < rb) & (den > 0)
-        rmin = np.min(np.divide(ra * y * s * p, den,
-                                out=np.minimum(ra, rb), where=foot))
-    if not rmin > g:
-        # formatted in the curve's own precision: through a float, a
-        # longdouble distance near 1e-3000 would read 0
-        within, limit = (np.format_float_scientific(v, 2, unique=False)
-                         for v in (rmin, g))
-        raise DistanceTooSmall(
-            f"curve comes within {within} of the center (guard {limit})")
-    return u
+    d = pts - centers[:, None, :]
+    m = _row_max(np.abs(d))[..., None]
+    on = np.any(m[..., 0] == 0, axis=1)
+    if on.any():
+        d[on] = m[on] = 1.0
+    u, rad = _unit_rows(d, m)
+    ra, rb, ua, ub = rad[:, :-1], rad[:, 1:], u[:, :-1], u[:, 1:]
+    s, p = _norms(ua - ub), _norms(ua + ub)
+    cos = 0.25 * (p * p - s * s)
+    big = np.maximum(ra, rb)
+    x, y = ra / big, rb / big
+    den = 2.0 * np.sqrt((x - y) ** 2 + x * y * s * s)
+    # den is 0 only for a vanishing angle, where the segment is radial
+    foot = (rb * cos < ra) & (ra * cos < rb) & (den > 0)
+    rmin = np.min(np.divide(ra * y * s * p, den, out=np.minimum(ra, rb),
+                            where=foot), axis=1)
+    rmin[on] = 0.0
+    return u, s, p, rmin
 
 
 def planar_angle_increments(d: np.ndarray) -> np.ndarray:

@@ -4,11 +4,17 @@ Both kernels start from the unit directions of
 :func:`~trajrot.curves.center_directions`, normalized once per sample.
 
 Absolute rotation is the length of the spherical blow-up.  Each polyline
-segment blows up to a great-circle arc of the angle it subtends
-(:func:`~trajrot.curves.unit_angles` of its two directions), so its chord
-sums have a closed form (nodes at equal subtended angles, chords of
-``2 sin(phi/2)``); sums at two resolutions give a Richardson value and
-error estimate, with no subdivision and no cap.
+segment blows up to a great-circle arc of the angle it subtends,
+``theta = 2 atan2(s, p)`` from the half-angle norms ``s = |u - v|`` and
+``p = |u + v|`` of its two directions that the distance guard already
+holds, so its chord sums have a closed form (nodes at equal subtended
+angles, chords of ``2 sin(phi/2)``); sums at two resolutions give a
+Richardson value and error estimate, with no subdivision and no cap.
+One kernel measures a curve around a whole stack of centers, in blocks
+of at most ``_BLOCK_ROWS`` center x sample rows; every operation is
+elementwise or runs along one center's row, so each center's value,
+error estimate and guard verdict are bit for bit those of a call on its
+own, and :func:`absolute_rotation_point` is its one-center case.
 
 Signed planar winding sums atan2-based angle increments per segment; a
 straight segment never subtends an angle >= pi from a point off the
@@ -25,25 +31,62 @@ import math
 import numpy as np
 
 from .curves import (AffineSubspace, Curve, MAX_SEGMENT_ANGLE, RotationResult,
-                     _decimated, center_directions, planar_angle_increments,
-                     project_to_complement, unit_angles)
+                     _check_clearance, _decimated, _resolved_guard,
+                     _stacked_directions, center_directions,
+                     planar_angle_increments, project_to_complement,
+                     unit_angles)
 from .errors import CodimensionError, DimensionMismatch
 
+# Most center x sample rows one block of the stacked kernel holds (one
+# center at least): the blocks' temporaries stay near the size of one
+# long curve's, so stacking adds nothing to the process's peak memory.
+_BLOCK_ROWS = 2 ** 14
 
-def _blowup_length(u):
-    """Chord-sum length of the spherical blow-up with unit directions
-    ``u``, with its Richardson value, error term and fine node count.
+
+def _blowup_length(theta):
+    """Chord-sum length of the spherical blow-ups whose segments subtend
+    the angles ``theta`` (one row per blow-up), with their Richardson
+    values, error terms and fine node counts.
 
     A segment's blow-up is a great-circle arc of its subtended angle
     theta.  It is cut into ``k = ceil(theta / MAX_SEGMENT_ANGLE)`` arcs of
     equal angle, whose chords are ``2 sin(theta / 2k)`` in closed form,
-    and the sum is compared against the same sum on ``2k`` arcs.
+    and the sum is compared against the same sum on ``2k`` arcs.  The
+    angles are taken in float64 (a longdouble curve's too).
     """
-    theta = unit_angles(u[:-1], u[1:]).astype(np.float64, copy=False)
+    theta = theta.astype(np.float64, copy=False)
     k = np.maximum(np.ceil(theta / MAX_SEGMENT_ANGLE), 1.0)
-    a1 = float(np.sum(2.0 * k * np.sin(theta / (2.0 * k))))
-    a2 = float(np.sum(4.0 * k * np.sin(theta / (4.0 * k))))
-    return a2 + (a2 - a1) / 3.0, abs(a2 - a1), 2 * int(np.sum(k)) + 1
+    a1 = np.sum(2.0 * k * np.sin(theta / (2.0 * k)), axis=-1)
+    a2 = np.sum(4.0 * k * np.sin(theta / (4.0 * k)), axis=-1)
+    n_fine = 2.0 * np.sum(k, axis=-1) + 1.0
+    return a2 + (a2 - a1) / 3.0, np.abs(a2 - a1), n_fine
+
+
+def _absolute_rotations(c: Curve, centers):
+    """Absolute rotation of ``c`` around each row of ``centers``, as the
+    arrays ``(value, error_estimate, rmin)``; ``rmin`` is each center's
+    exact distance to the polyline, and a center that does not clear the
+    caller's guard has a meaningless value.  One block of centers is one
+    pass of :func:`_stacked_directions` and of :func:`_blowup_length`;
+    see :func:`absolute_rotation_point` for the error estimate.
+    """
+    centers = np.asarray(centers).astype(c.x.dtype)
+    n, k = c.n_samples, len(centers)
+    value, err = np.empty(k), np.empty(k)
+    rmin = np.empty(k, dtype=c.x.dtype)
+    step = max(1, _BLOCK_ROWS // n)
+    for i in range(0, k, step):
+        block = slice(i, i + step)
+        u, s, p, rmin[block] = _stacked_directions(c.x, centers[block])
+        v, quad_err, n_fine = _blowup_length(2.0 * np.arctan2(s, p))
+        sampling_err = 0.0
+        if n >= 5:
+            ud = _decimated(u)
+            sampling_err = np.abs(
+                v - _blowup_length(unit_angles(ud[:, :-1], ud[:, 1:]))[0])
+        value[block] = np.maximum(v, 0.0)
+        err[block] = quad_err + sampling_err + 1e-15 * (1.0 + n_fine)
+    return value, err, rmin
 
 
 def absolute_rotation_point(c: Curve, x0, guard: float | None = None) -> RotationResult:
@@ -60,13 +103,13 @@ def absolute_rotation_point(c: Curve, x0, guard: float | None = None) -> Rotatio
     the decimated copy needs none, since a chord of it that passes
     through ``x0`` only subtends pi and shows up in the decimation term.
     """
-    u = center_directions(c, x0, guard)
-    value, quad_err, n_fine = _blowup_length(u)
-    sampling_err = 0.0
-    if len(u) >= 5:
-        sampling_err = abs(value - _blowup_length(_decimated(u))[0])
-    err = quad_err + sampling_err + 1e-15 * (1.0 + n_fine)
-    return RotationResult(max(value, 0.0), err, "absolute_radians")
+    x0 = np.asarray(x0)
+    if x0.shape != (c.dim,):
+        raise DimensionMismatch("center must match the curve dimension")
+    g = _resolved_guard(guard, c.default_guard())
+    value, err, rmin = _absolute_rotations(c, x0[None])
+    _check_clearance(rmin[0], g)
+    return RotationResult(float(value[0]), float(err[0]), "absolute_radians")
 
 
 def signed_winding_plane(c: Curve, x0, guard: float | None = None) -> RotationResult:

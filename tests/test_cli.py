@@ -435,6 +435,14 @@ def test_rerun_byte_identical(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_verify_rerun_byte_identical(capsys):
+    argv = ["verify", "--scenario", "sink-pair", "--theorem", "thm3_8",
+            "--theorem", "cor3_10"]
+    runs = [run_cli(capsys, *argv) for _ in range(2)]
+    assert runs[0][0] == 0, runs[0][2]
+    assert runs[0] == runs[1]
+
+
 def test_roundtrip_matches_library(tmp_path, capsys):
     out = tmp_path / "sp.csv"
     run_cli(capsys, "integrate", "--field", "spiral2d", "--x0", "0.5,0",
@@ -564,7 +572,14 @@ def test_paper_repro_artifacts(tmp_path, capsys):
     code, out, err = run_cli(capsys, "paper-repro", "--out", str(outdir))
     assert code == 0, err
     summary = json.loads((outdir / "summary.json").read_text())
-    assert abs(summary["circle_line_linking_turns"]["value"] - 1.0) < 1e-3
+    circle_line = summary["circle_line_linking_turns"]
+    assert abs(circle_line["value"] - 1.0) < 1e-3
+    # the record as it is, like every other rotation artifact
+    assert list(circle_line) == [f.name for f in
+                                 dataclasses.fields(tr.RotationResult)]
+    assert circle_line["convention"] == "gauss_turns"
+    assert json.loads((outdir / "circle_line_linking_turns.json")
+                      .read_text()) == circle_line
     spiral_rows = summary["spiral_unit_rate_rows"]
     assert abs(spiral_rows[-1]["rotation_rad"] - 10.0) / 10.0 < 1e-3
     rows = {r["a"]: r for r in summary["twist_blowup_rows"]}

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 import trajrot as tr
+from trajrot import rotation
 
 from conftest import (SINK_BETA, SINK_MATRIX, X_AXIS, Z_AXIS, circle2d,
                       helix_curve, random_rotation, resample, transform)
@@ -274,3 +275,78 @@ def test_monotone_resampling_invariance():
     a = tr.absolute_rotation_point(c, x0)
     b = tr.absolute_rotation_point(resample(c, 450), x0)
     assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
+
+
+def _stacked_matches_one_by_one(c, centers, block_rows):
+    """The stacked kernel around ``centers``, with ``block_rows`` rows per
+    block (None: the default), equals one ``absolute_rotation_point``
+    call per center bit for bit: value, error estimate and whether the
+    center is too close.  Returns the too-close flags."""
+    with pytest.MonkeyPatch.context() as patch:
+        if block_rows is not None:
+            patch.setattr(rotation, "_BLOCK_ROWS", block_rows)
+        value, err, rmin = rotation._absolute_rotations(c, centers)
+    close = ~(rmin > c.default_guard())
+    for q, v, e, near in zip(centers, value, err, close):
+        try:
+            rr = tr.absolute_rotation_point(c, q)
+        except tr.DistanceTooSmall:
+            assert near
+            continue
+        assert not near
+        assert np.float64(rr.value).tobytes() == v.tobytes()
+        assert np.float64(rr.error_estimate).tobytes() == e.tobytes()
+    return close
+
+
+# one row per block, blocks of a few centers, the default, and all
+# centers in one block
+_BLOCKS = [1, 64, None, 2 ** 40]
+
+
+@st.composite
+def _polyline_and_centers(draw):
+    """A random polyline in 2-4 dimensions, float64 or longdouble, with
+    centers off it, on one of its samples, and within the guard of a
+    segment's interior (each a float64 row, as the cor3_10 grid is)."""
+    dim = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 40))
+    coord = st.floats(-10.0, 10.0)
+    rows = draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n))
+    dtype = draw(st.sampled_from([np.float64, np.longdouble]))
+    c = tr.Curve(np.arange(float(n)), np.array(rows, dtype=dtype))
+    x = c.x.astype(np.float64)
+    free = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=6))
+    i = draw(st.integers(0, n - 2))
+    inside = 0.5 * (x[i] + x[i + 1]) + 1e-3 * c.default_guard()
+    centers = np.array([*free, x[draw(st.integers(0, n - 1))], inside])
+    order = draw(st.permutations(range(len(centers))))
+    return c, centers[list(order)]
+
+
+@pytest.mark.parametrize("block_rows", _BLOCKS)
+@given(_polyline_and_centers())
+@settings(max_examples=100, deadline=None)
+def test_stacked_rotation_is_bitwise_one_by_one(block_rows, case):
+    c, centers = case
+    close = _stacked_matches_one_by_one(c, centers, block_rows)
+    assert close.any()  # the center on a sample, at least
+
+
+@pytest.mark.parametrize("block_rows", _BLOCKS)
+def test_stacked_rotation_on_longdouble_twist_curve(block_rows):
+    """The twist curve's radii around the x1-axis reach 1e-3016, which
+    only longdouble holds.  Its projection is measured around points
+    beyond its outer winding, the axis (nearer than the default guard),
+    two samples and a point beside a segment."""
+    c = tr.project_to_complement(tr.twist_invariant_curve(0.012, 0.2),
+                                 X_AXIS)
+    assert c.x.dtype == np.longdouble
+    x = c.x.astype(np.float64)
+    outer = float(np.max(np.abs(x)))
+    centers = np.concatenate([outer * np.array([[2.0, 0.0], [0.0, -3.0],
+                                                [1.5, 1.5]]),
+                              [[0.0, 0.0]], x[[-1, -300]],
+                              [0.5 * (x[-200] + x[-199])]])
+    close = _stacked_matches_one_by_one(c, centers, block_rows)
+    assert list(close) == [False] * 3 + [True] * 4
