@@ -276,19 +276,44 @@ def check_log_sink_shells(L_matrix, x0_pair, R: float, radii) -> ShellReports:
     r <= |x| <= R, r in ``radii``, compared with
     LOG_SINK_REFERENCE_C * |L| * log^2(R/r) / |ell|; one report per radius,
     in the order given.  ``ell`` is the largest eigenvalue real part (must
-    be negative).  Each start point is integrated once, to the horizon of
-    the smallest r.  All shells enter at the same time, where the
-    trajectory crosses |x| = R, so each shell's clipped curve is the
-    largest shell's up to its own last sample plus one interpolated end
-    point: one Gauss pass over the largest shell (and one over its
-    decimated copy) measures every shell, with the largest shell's guard.
-    The reports carry the constant implied by each measurement so its
-    stability can be regression-checked across shells.
+    be negative).  Every start must lie outside the largest shell,
+    |x0| > max(radii), or no trajectory could cross it: ValueError
+    naming the start, before anything is integrated.
+
+    Each start point is integrated once, to the time at which the
+    smallest shell is certainly behind it.  With the logarithmic norm
+    mu = lambda_max((L + L^T)/2), every solution of dx/dt = Lx has
+    |x(t)| <= e^(mu t) |x0|, so when mu < 0 both trajectories lie inside
+    r_min e^-0.1 by t_end = (log(start / r_min) + 0.1) / |mu|, where
+    start is the larger |x0|.  A stable non-normal L can have mu >= 0
+    (its norm grows before it decays); there t_end falls back to the
+    estimate (log(start / r_min) + 4) / |ell|, and a trajectory that has
+    not crossed r_min by then raises NumericalError.  When the first
+    step is max_step = 0.02 / |L| (t_end >= 2 / |L|), the step sequence
+    does not depend on t_end until the last step, and the margin
+    0.1 / |mu| is at least five steps, so every sample up to the
+    smallest shell's exit, and with it every shell, is what a longer
+    integration would give.
+
+    All shells enter at the same time, where the trajectory crosses
+    |x| = R, so each shell's clipped curve is the largest shell's up to
+    its own last sample plus one interpolated end point: one Gauss pass
+    over the largest shell (and one over its decimated copy) measures
+    every shell, with the largest shell's guard.  The reports carry the
+    constant implied by each measurement so its stability can be
+    regression-checked across shells.
     """
     radii = tuple(radii)
     if not (math.isfinite(R) and radii and all(R > r > 0 for r in radii)):
         raise ValueError("need a finite R and at least one radius, "
                          "each with R > r > 0")
+    x0s = [np.asarray(x, dtype=np.float64) for x in x0_pair]
+    norms = [float(np.linalg.norm(x0)) for x0 in x0s]
+    for x0, norm in zip(x0s, norms):
+        if not norm > max(radii):  # a NaN start fails too
+            raise ValueError(f"start {x0.tolist()} does not lie outside the "
+                             f"shell radius {float(max(radii))!r}; need "
+                             "|x0| > max(radii)")
     f = linear(L_matrix)  # a non-finite or non-square L raises ValueError
     L = f.matrix
     eig = np.linalg.eigvals(L)
@@ -297,19 +322,19 @@ def check_log_sink_shells(L_matrix, x0_pair, R: float, radii) -> ShellReports:
         raise EigenvalueSignError(
             f"all eigenvalues need negative real part, got max {ell:.3g}")
     norm_l = operator_norm(L)
-    start = max(np.linalg.norm(np.asarray(x, dtype=float)) for x in x0_pair)
-    horizon = (math.log(start / min(radii)) + 4.0) / abs(ell)
+    mu = float(np.linalg.eigvalsh(0.5 * (L + L.T))[-1])
+    log_in = math.log(max(norms) / min(radii))
+    t_end = (log_in + 0.1) / -mu if mu < 0 else (log_in + 4.0) / abs(ell)
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12,
-                           max_step=min(0.02 / max(norm_l, 1e-6), horizon / 50),
+                           max_step=min(0.02 / max(norm_l, 1e-6), t_end / 50),
                            chord_tol=1e-6)
 
     def clipped(x0):
-        traj = integrate_trajectory(f, np.asarray(x0, dtype=np.float64),
-                                    0.0, horizon, cfg)
+        traj = integrate_trajectory(f, x0, 0.0, t_end, cfg)
         return [_clip_to_shell(traj, r, R) for r in radii]
 
     # one (c1, c2) pair per radius; the whole trajectories are not kept
-    shells = list(zip(*map(clipped, x0_pair)))
+    shells = list(zip(*map(clipped, x0s)))
     reports = []
     for r, (c1, c2), rr in zip(radii, shells,
                                gauss_rotation_nested(shells, "absolute")):

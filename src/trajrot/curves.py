@@ -461,7 +461,16 @@ def _stacked_directions(pts: np.ndarray, centers: np.ndarray):
     ``|a x b| / |b - a| = ra rb sin theta / |b - a|``, evaluated as
     ``ra y s p / (2 sqrt((x - y)^2 + x y s^2))`` with ``x = ra / M``,
     ``y = rb / M`` and ``M = max(ra, rb)``, so that no product of two
-    radii underflows; otherwise it is ``min(ra, rb)``.  A center on a
+    radii underflows.  Otherwise, and also where the denominator
+    ``2 |b - a| / M`` is at most ``sqrt(8 eps)`` of the dtype, it is
+    ``min(ra, rb)``.  ``s`` and ``cos theta`` carry absolute errors of
+    order eps, so the height of a segment seen under an angle near eps
+    can read anything down to 0 (``s`` rounds to 0 while ``cos theta``
+    reads below 1), and its relative error falls only as
+    ``(eps / theta)^2``; ``min(ra, rb)`` exceeds a height inside the
+    segment by at most ``|b - a|^2 / (2 h)``, about ``M den^2 / 8``.  At
+    the threshold both are about eps M, so the distance stays within a
+    few eps M of the exact one at every length.  A center on a
     sample has no direction and distance 0; its ``u``, ``s`` and ``p``
     are placeholders.  Every operation is elementwise or runs along the
     last axis, so each center's row is what it would be on its own.
@@ -478,8 +487,9 @@ def _stacked_directions(pts: np.ndarray, centers: np.ndarray):
     big = np.maximum(ra, rb)
     x, y = ra / big, rb / big
     den = 2.0 * np.sqrt((x - y) ** 2 + x * y * s * s)
-    # den is 0 only for a vanishing angle, where the segment is radial
-    foot = (rb * cos < ra) & (ra * cos < rb) & (den > 0)
+    # a segment seen under a rounding-level angle counts as radial
+    short = np.sqrt(8 * np.finfo(den.dtype).eps)
+    foot = (rb * cos < ra) & (ra * cos < rb) & (den > short)
     rmin = np.min(np.divide(ra * y * s * p, den, out=np.minimum(ra, rb),
                             where=foot), axis=1)
     rmin[on] = 0.0

@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import trajrot as tr
@@ -315,13 +318,143 @@ def test_log_sink_shells_integrate_each_start_once(monkeypatch):
     calls = []
 
     def counting(*args, **kw):
-        calls.append(args[1])
+        calls.append(args[3])
         return tr.integrate_trajectory(*args, **kw)
 
     monkeypatch.setattr(tr.bounds, "integrate_trajectory", counting)
     reps = tr.check_log_sink_shells(SINK_MATRIX, SINK_X0S, 1.0,
                                     [math.exp(-k) for k in (1, 2, 3, 4)])
     assert len(reps) == 4 and len(calls) == 2
+    # SINK_MATRIX's symmetric part is -I, so mu = -1: both starts, of
+    # norm sqrt(2), run to the certified end time of the smallest shell
+    t_end = math.log(math.sqrt(2.0) / math.exp(-4)) + 0.1
+    assert calls == [t_end, t_end]
+
+
+def test_log_sink_shells_match_the_old_horizon(monkeypatch):
+    """The shells, clipped from trajectories that end at the certified
+    time, are bit for bit those clipped from trajectories integrated to
+    the former horizon (log(start / r_min) + 4) / |ell|, with the
+    max_step that horizon gave: the step sequence does not depend on
+    the end time until the last step."""
+    radii = [math.exp(-k) for k in (1, 2, 3, 4)]
+    new = tr.check_log_sink_shells(SINK_MATRIX, SINK_X0S, 1.0, radii)
+    norm_l = tr.fields.operator_norm(SINK_MATRIX)
+    old_end = math.log(math.sqrt(2.0) / min(radii)) + 4.0  # |ell| = 1
+    ends = []
+
+    def to_old_horizon(f, x0, t0, t1, cfg):
+        ends.append(t1)
+        cfg = dataclasses.replace(cfg, max_step=min(0.02 / norm_l,
+                                                    old_end / 50))
+        return tr.integrate_trajectory(f, x0, t0, old_end, cfg)
+
+    monkeypatch.setattr(tr.bounds, "integrate_trajectory", to_old_horizon)
+    old = tr.check_log_sink_shells(SINK_MATRIX, SINK_X0S, 1.0, radii)
+    assert len(ends) == 2 and all(t1 < old_end - 3.5 for t1 in ends)
+    assert len(new) == len(old) == 4
+    for a, b in zip(new, old):
+        assert repr((a.measured, a.error_estimates, a.inputs)) \
+            == repr((b.measured, b.error_estimates, b.inputs))
+
+
+class _Integrated(Exception):
+    """Stops a check at its first integration."""
+
+
+def _end_time(L, x0s, radii):
+    """The time ``check_log_sink_shells`` integrates its starts to, read
+    from its first integration call, which is not run."""
+    seen = []
+
+    def stop(f, x0, t0, t1, cfg):
+        seen.append(t1)
+        raise _Integrated
+
+    with mock.patch.object(tr.bounds, "integrate_trajectory", stop), \
+            pytest.raises(_Integrated):
+        tr.check_log_sink_shells(L, x0s, 1.0, radii)
+    return seen[0]
+
+
+@st.composite
+def _stable_sinks(draw):
+    """A random L in 2-4 dimensions shifted so that its logarithmic norm
+    mu is -delta < 0, two starts outside the unit sphere and one to
+    three radii."""
+    dim = draw(st.integers(2, 4))
+    entries = st.floats(-3.0, 3.0)
+    a = np.array(draw(st.lists(entries, min_size=dim * dim,
+                               max_size=dim * dim))).reshape(dim, dim)
+    delta = draw(st.floats(0.01, 3.0))
+    shift = np.linalg.eigvalsh(0.5 * (a + a.T))[-1] + delta
+    L = a - shift * np.eye(dim)
+    x0s = []
+    for _ in range(2):
+        v = np.array(draw(st.lists(entries, min_size=dim, max_size=dim)))
+        if not np.linalg.norm(v) > 1e-3:
+            v = np.eye(dim)[0]
+        x0s.append(v / np.linalg.norm(v) * draw(st.floats(1.0, 5.0)))
+    radii = draw(st.lists(st.floats(1e-4, 0.99), min_size=1, max_size=3))
+    return L, x0s, radii
+
+
+@given(_stable_sinks())
+@settings(max_examples=200, deadline=None)
+def test_log_sink_end_time_is_past_the_smallest_shell(case):
+    """With mu < 0, |expm(L t) x0| <= e^(mu t) |x0| puts both exact
+    trajectories inside r_min e^-0.1 by the end time (up to the
+    rounding of expm, log and the norms)."""
+    L, x0s, radii = case
+    mu = np.linalg.eigvalsh(0.5 * (L + L.T))[-1]
+    assert mu < 0
+    t_end = _end_time(L, x0s, radii)
+    assert t_end == (math.log(max(map(np.linalg.norm, x0s)) / min(radii))
+                     + 0.1) / -mu
+    inside = min(radii) * math.exp(-0.1)
+    for x0 in x0s:
+        reached = np.linalg.norm(scipy.linalg.expm(L * t_end) @ x0)
+        assert reached <= inside * (1 + 1e-12)
+
+
+def test_log_sink_shells_fall_back_where_the_norm_grows(monkeypatch):
+    """A stable non-normal L whose norm grows at first (mu = 0.5 > 0)
+    certifies no end time: the starts run to the fallback
+    (log(start / r_min) + 4) / |ell| and the shells are measured."""
+    L = np.array([[-1.0, 3.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -2.0]])
+    assert np.linalg.eigvalsh(0.5 * (L + L.T))[-1] == pytest.approx(0.5)
+    x0s = (np.array([1.0, 1.0, 0.5]), np.array([1.0, -1.0, 0.5]))
+    radii = (0.5, 0.2)
+    ends = []
+
+    def recording(*args, **kw):
+        ends.append(args[3])
+        return tr.integrate_trajectory(*args, **kw)
+
+    monkeypatch.setattr(tr.bounds, "integrate_trajectory", recording)
+    reps = tr.check_log_sink_shells(L, x0s, 1.0, radii)
+    t_end = math.log(1.5 / 0.2) + 4.0  # |x0| = 1.5, ell = -1
+    assert ends == [pytest.approx(t_end, rel=1e-15)] * 2
+    assert len(reps) == 2
+    for r, rep in zip(radii, reps):
+        assert rep.inputs["r"] == r and rep.inputs["ell"] == -1.0
+        assert math.isfinite(rep.measured) and rep.measured > 0
+
+
+@pytest.mark.parametrize("x0s", [
+    ((0.1, 0.0, 0.0), (0.0, 0.1, 0.0)),
+    ((1.0, 1.0, 0.0), (0.0, 0.0, 0.0)),
+    ((1e-3, 0.0, 0.0), (0.0, -1e-3, 0.0)),
+], ids=["inside-the-shell", "at-the-sink", "near-the-sink"])
+def test_log_sink_shells_reject_starts_inside_the_shells(monkeypatch, x0s):
+    """A start that is not outside every shell can cross none: ValueError
+    naming it and the radius, before anything is integrated."""
+    def never(*args, **kw):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr(tr.bounds, "integrate_trajectory", never)
+    with pytest.raises(ValueError, match=r"start \[.*\] .* radius 0\.5"):
+        tr.check_log_sink_shells(SINK_MATRIX, x0s, 1.0, (0.5, 0.2))
 
 
 @pytest.mark.parametrize("radii", [[], [1.0], [1.5], [0.0], [-0.1],

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import trajrot as tr
-from trajrot.curves import (_row_max, _row_sum, center_directions,
-                            point_segment_distances, safe_unit_rows,
-                            segment_angles)
+from trajrot.curves import (_row_max, _row_sum, _stacked_directions,
+                            center_directions, point_segment_distances,
+                            safe_unit_rows, segment_angles)
 
-from conftest import Z_AXIS, circle2d, concat, helix_curve, resample
+from conftest import X_AXIS, Z_AXIS, circle2d, concat, helix_curve, resample
 
 
 def test_curve_validation():
@@ -358,6 +358,69 @@ def test_center_directions_guard_matches_mpmath(case):
     else:
         with pytest.raises(tr.DistanceTooSmall):
             center_directions(tiny, q * scale, guard=0.0)
+
+
+def _polyline_distance(x, q):
+    """Distance from ``q`` to the polyline through the rows of ``x`` by
+    :func:`point_segment_distances`, in the dtype of ``x``."""
+    p = x[:-1]
+    return np.min(point_segment_distances(np.broadcast_to(q, p.shape), p,
+                                          x[1:] - p))
+
+
+def test_rounding_level_segment_keeps_its_distance():
+    """A pair of samples near 1e-31 of the projected twist curve, seen
+    from 6.5e-12 away: their directions round to one unit vector, so
+    ``s`` reads 0 while ``cos theta`` reads below 1 and the height formula
+    put the center at distance 0.  The segment counts as radial."""
+    c = tr.project_to_complement(tr.twist_invariant_curve(0.012, 0.2),
+                                 X_AXIS)
+    q = np.array([-3.3075525486942936e-12, 5.5992737807803175e-12],
+                 dtype=c.x.dtype)
+    rmin = _stacked_directions(c.x, q[None])[3][0]
+    ref = _polyline_distance(c.x, q)
+    assert abs(rmin - ref) <= 8 * np.finfo(np.longdouble).eps * ref
+    assert float(rmin) == pytest.approx(6.503212339e-12, rel=1e-9)
+    center_directions(c, q)  # clears the default guard, 1.4e-18
+
+
+@st.composite
+def _short_segments(draw):
+    """A center and a segment from 1e-21 to 1e-1 of its distance long,
+    in float64 or longdouble, at scale 1 or 1e-30, either in a random
+    direction or nearly across the line of sight."""
+    dtype = draw(st.sampled_from([np.float64, np.longdouble]))
+    dim = draw(st.integers(2, 4))
+    vec = st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)
+    q, a, w = (np.array(draw(vec), dtype=dtype) for _ in range(3))
+    d = a - q
+    if not np.linalg.norm(d) > 1e-3:
+        d = np.eye(dim, dtype=dtype)[0]
+        a = q + d
+    if draw(st.booleans()):
+        tilt = dtype(draw(st.floats(-1.0, 1.0))) * dtype(10.0) ** -draw(
+            st.integers(0, 18))
+        w = w - (w @ d) / (d @ d) * d + tilt * d
+    if not np.linalg.norm(w) > 1e-3:
+        w = np.eye(dim, dtype=dtype)[np.argmin(np.abs(d))]
+    length = dtype(10.0) ** dtype(draw(st.floats(-21.0, -1.0)))
+    b = a + length * np.linalg.norm(d) / np.linalg.norm(w) * w
+    scale = dtype(draw(st.sampled_from([1.0, 1e-30])))
+    return np.array([a, b]) * scale, q * scale
+
+
+@given(_short_segments())
+@settings(max_examples=300, deadline=None)
+def test_short_segment_distance_matches_point_segment(case):
+    """The guard distance of a segment seen under a small angle, down to
+    rounding level, agrees with :func:`point_segment_distances` in the
+    curve's dtype to a few eps of the segment's radii; the height
+    formula alone reads any height down to 0 near rounding level."""
+    x, q = case
+    rmin = _stacked_directions(x, q[None])[3][0]
+    ref = _polyline_distance(x, q)
+    big = np.max(np.linalg.norm(x - q, axis=1))
+    assert abs(rmin - ref) <= 8 * np.finfo(x.dtype).eps * big
 
 
 def _scalar_unit_rows(d):
