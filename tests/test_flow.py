@@ -13,7 +13,7 @@ from scipy.integrate import solve_ivp
 import trajrot as tr
 from trajrot import flow
 from trajrot.curves import segment_angles
-from trajrot.fields import field_evaluator
+from trajrot.fields import TWIST_SMALL_X1, field_evaluator, twist_profile
 from trajrot.flow import _A, _E, _POLY, _dense_output, _hermite
 
 from conftest import SINK_MATRIX, negated, sink_closed_form
@@ -209,6 +209,86 @@ def test_every_sample_on_scipy_path(case):
     dist = np.linalg.norm(c.x - want, axis=1)
     assert np.all(dist <= cfg.chord_tol + 100 * step_tol)
     assert c.t[0] == 0.0 and c.t[-1] == T and np.all(np.diff(c.t) > 0)
+
+
+def _spiral_flow(x0, s):
+    """The spiral's exact flow from ``x0`` after times ``s``: it turns at
+    unit angular speed, and ``r' = (r^2 - 1) r`` gives
+    ``r(s)^2 = 1 / (1 + (1/r0^2 - 1) e^(2s))``."""
+    r0_sq = float(x0 @ x0)
+    angle = math.atan2(x0[1], x0[0]) + s
+    r = np.sqrt(1.0 / (1.0 + (1.0 / r0_sq - 1.0) * np.exp(2.0 * s)))
+    return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1)
+
+
+def _twist_flow(x0, s):
+    """The twist's exact flow from ``x0`` after times ``s``: it crosses
+    the planes ``x1 = c`` at unit speed, so every trajectory is a
+    translate of the profile ``w`` (``s`` starts at 0).  Below
+    ``TWIST_SMALL_X1`` the profile's amplitude ``exp(-1/x1^2)`` is 0 in
+    any float format, and ``1/x1^2`` could overflow."""
+    x1 = x0[0] + s
+    w1, w2 = twist_profile(np.where(x1 > TWIST_SMALL_X1, x1, 0.0))
+    return np.stack([x1, x0[1] + w1 - w1[0], x0[2] + w2 - w2[0]], axis=1)
+
+
+# the settings the package integrates its closed-form fields with: the
+# spiral-point scenario and paper-repro's spirals, the twist-line
+# scenario, and paper-repro's twist pair
+_CLOSED_FORM_CFGS = [
+    tr.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, chord_tol=1e-5),
+    tr.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, chord_tol=1e-6),
+    tr.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, chord_tol=1e-6),
+]
+
+
+def _assert_on_exact_flow(f, x0, t0, span, cfg, flow_from):
+    """Every sample lies within ``chord_tol + 100 step_tol`` of the exact
+    flow, the bound of :func:`test_every_sample_on_scipy_path`."""
+    c = tr.integrate_trajectory(f, x0, t0, t0 + span, cfg)
+    want = flow_from(x0, c.t - t0)
+    chord_tol = cfg.abs_tol if cfg.chord_tol is None else cfg.chord_tol
+    step_tol = cfg.abs_tol + cfg.rel_tol * np.max(np.abs(want), axis=1)
+    dist = np.linalg.norm(c.x - want, axis=1)
+    assert np.all(dist <= chord_tol + 100 * step_tol)
+
+
+# the unit circle repels: the flow multiplies a radial error by
+# e^(2s) r(s)^3 / r0^3, which stays below 20 for r0 <= 0.99 and grows
+# without bound on the circle itself, where no step tolerance bounds the
+# distance to the exact orbit
+@settings(max_examples=25, deadline=None)
+@given(r0=st.floats(0.05, 0.99), angle=st.floats(-math.pi, math.pi),
+       t0=st.floats(-5.0, 5.0), span=st.floats(0.05, 10.0),
+       cfg=st.sampled_from(_CLOSED_FORM_CFGS))
+def test_spiral_samples_on_exact_flow(r0, angle, t0, span, cfg):
+    x0 = r0 * np.array([math.cos(angle), math.sin(angle)])
+    _assert_on_exact_flow(tr.spiral2d(), x0, t0, span, cfg, _spiral_flow)
+
+
+@settings(max_examples=25, deadline=None)
+@given(x0=st.tuples(st.floats(-0.5, 1.5), st.floats(-1.0, 1.0),
+                    st.floats(-1.0, 1.0)),
+       t0=st.floats(-5.0, 5.0), span=st.floats(0.05, 2.0),
+       cfg=st.sampled_from(_CLOSED_FORM_CFGS))
+def test_twist_samples_on_exact_flow(x0, t0, span, cfg):
+    _assert_on_exact_flow(tr.twist3d(), np.array(x0), t0, span, cfg,
+                          _twist_flow)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="at the "
+                   "default chord_tol = abs_tol the cubic Hermite samples "
+                   "between steps are off by more than the chord criterion "
+                   "sees; the step ends are within 6e-10")
+@pytest.mark.parametrize("f, x0, span, flow_from", [
+    (tr.spiral2d(), [-0.2638486, 0.68933983], 4.942138009472403,
+     _spiral_flow),
+    (tr.twist3d(), [0.70727303, -0.98240944, -0.89482776],
+     0.40276057118741887, _twist_flow),
+], ids=["spiral2d", "twist3d"])
+def test_default_settings_samples_on_exact_flow(f, x0, span, flow_from):
+    _assert_on_exact_flow(f, np.array(x0), 0.0, span, tr.IntegratorConfig(),
+                          flow_from)
 
 
 @pytest.mark.parametrize("chord_tol, centers", [
