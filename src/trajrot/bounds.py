@@ -40,6 +40,8 @@ _STATIONARY_TOL = 1e-10
 _INVARIANT_TOL = 1e-8
 # invariance probes, sampled Lipschitz pairs, cor3_10 grid points
 _INVARIANCE_SAMPLES, _K_SAMPLES, _R_GRID = 100, 4096, 64
+# times the sink shells double an uncertified end time (16x in all)
+_FALLBACK_DOUBLINGS = 4
 
 # Reference constant for the logarithmic sink bound, calibrated once on
 # the diagonalizable reference field (eigenvalues -1 and -1 +- 2i,
@@ -287,8 +289,10 @@ def check_log_sink_shells(L_matrix, x0_pair, R: float, radii) -> ShellReports:
     r_min e^-0.1 by t_end = (log(start / r_min) + 0.1) / |mu|, where
     start is the larger |x0|.  A stable non-normal L can have mu >= 0
     (its norm grows before it decays); there t_end falls back to the
-    estimate (log(start / r_min) + 4) / |ell|, and a trajectory that has
-    not crossed r_min by then raises NumericalError.  When the first
+    estimate (log(start / r_min) + 4) / |ell|.  A start that has not
+    crossed r_min by then is integrated again to twice the end time,
+    with the same max_step, up to _FALLBACK_DOUBLINGS times; then
+    NumericalError names the time reached.  When the first
     step is max_step = 0.02 / |L| (t_end >= 2 / |L|), the step sequence
     does not depend on t_end until the last step, and the margin
     0.1 / |mu| is at least five steps, so every sample up to the
@@ -329,8 +333,22 @@ def check_log_sink_shells(L_matrix, x0_pair, R: float, radii) -> ShellReports:
                            max_step=min(0.02 / max(norm_l, 1e-6), t_end / 50),
                            chord_tol=1e-6)
 
+    r_min = float(min(radii))
+
+    def inside(traj):  # a NaN radius makes the minimum NaN: not inside
+        return np.min(np.linalg.norm(traj.x, axis=1)) <= r_min
+
     def clipped(x0):
         traj = integrate_trajectory(f, x0, 0.0, t_end, cfg)
+        doublings = 0
+        while mu >= 0 and not inside(traj):
+            if doublings == _FALLBACK_DOUBLINGS:
+                raise NumericalError(
+                    f"trajectory from {x0.tolist()} has not crossed r = "
+                    f"{r_min!r} by t = {float(traj.t[-1])!r}")
+            doublings += 1
+            traj = integrate_trajectory(f, x0, 0.0,
+                                        math.ldexp(t_end, doublings), cfg)
         return [_clip_to_shell(traj, r, R) for r in radii]
 
     # one (c1, c2) pair per radius; the whole trajectories are not kept

@@ -441,6 +441,52 @@ def test_log_sink_shells_fall_back_where_the_norm_grows(monkeypatch):
         assert math.isfinite(rep.measured) and rep.measured > 0
 
 
+def test_log_sink_shells_double_the_fallback_end_time(monkeypatch):
+    """A strongly non-normal L (mu > 0) keeps both starts outside r_min
+    past the fallback end time, (log(start / r_min) + 4) / |ell| = 10.12:
+    each is integrated again to twice that time, with the same max_step,
+    and both shells are measured."""
+    L = np.array([[-0.5, 10.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, -1.0]])
+    x0s = (np.array([1.0, 1.0, 0.0]), np.array([1.0, -1.0, 0.3]))
+    t_end = (math.log(float(np.linalg.norm(x0s[1])) / 0.5) + 4.0) / 0.5
+    # the exact flow is still outside r_min at the fallback end time
+    assert np.linalg.norm(scipy.linalg.expm(L * t_end) @ x0s[0]) > 0.5
+    runs = []
+
+    def recording(*args, **kw):
+        runs.append((args[3], args[4].max_step))
+        return tr.integrate_trajectory(*args, **kw)
+
+    monkeypatch.setattr(tr.bounds, "integrate_trajectory", recording)
+    (rep,) = tr.check_log_sink_shells(L, x0s, 1.0, (0.5,))
+    assert [t1 for t1, _ in runs] == [pytest.approx(t_end, rel=1e-15),
+                                      2 * runs[0][0]] * 2
+    assert len({max_step for _, max_step in runs}) == 1
+    assert math.isfinite(rep.measured) and rep.measured > 0
+    assert max(rep.inputs["T1"], rep.inputs["T2"]) < 2 * t_end
+
+
+def test_log_sink_shells_stop_doubling_with_numerical_error(monkeypatch):
+    """A start that never crosses r_min is integrated to 2^k times the
+    fallback end time for k = 0..4, then NumericalError names the time
+    reached; none of this runs where mu < 0."""
+    L = np.array([[-1.0, 3.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -2.0]])
+    x0s = (np.array([1.0, 1.0, 0.5]), np.array([1.0, -1.0, 0.5]))
+    ends = []
+
+    def standing_still(f, x0, t0, t1, cfg):
+        ends.append(t1)
+        return tr.Curve(np.array([t0, t1]), np.array([x0, x0]))
+
+    monkeypatch.setattr(tr.bounds, "integrate_trajectory", standing_still)
+    with pytest.raises(tr.NumericalError, match=r"r = 0\.2 by t") as info:
+        tr.check_log_sink_shells(L, x0s, 1.0, (0.5, 0.2))
+    t_end = math.log(1.5 / 0.2) + 4.0  # |x0| = 1.5, ell = -1
+    assert ends == [pytest.approx(2 ** k * t_end, rel=1e-15)
+                    for k in range(5)]
+    assert str(info.value).endswith(f"by t = {ends[-1]!r}")
+
+
 @pytest.mark.parametrize("x0s", [
     ((0.1, 0.0, 0.0), (0.0, 0.1, 0.0)),
     ((1.0, 1.0, 0.0), (0.0, 0.0, 0.0)),
