@@ -164,24 +164,21 @@ def _spiral2d(x, y):
     return r2m1 * x - y, r2m1 * y + x
 
 
+def _twist3d(x1, x2, x3):
+    """The twist's formula on one point's coordinates, as floats."""
+    if x1 > TWIST_SMALL_X1:
+        d1, d2 = _twist_profile_derivatives(x1)
+        return 1.0, float(d1), float(d2)
+    return 1.0, 0.0, 0.0
+
+
 def _spiral2d_values(p):
-    # one point goes through Python floats: the same IEEE operations in
-    # the same order, without the overhead of six numpy calls
-    if p.ndim == 1:
-        return np.array(_spiral2d(*p.tolist()))
     out = np.empty_like(p)
     out[..., 0], out[..., 1] = _spiral2d(p[..., 0], p[..., 1])
     return out
 
 
 def _twist3d_values(p):
-    # one point skips the mask, np.any and the masked writes; the profile
-    # runs on the numpy scalar, the same operations as on a 1-point array
-    if p.ndim == 1:
-        x1 = p[0]
-        if x1 > TWIST_SMALL_X1:
-            return np.array((1.0, *_twist_profile_derivatives(x1)))
-        return np.array((1.0, 0.0, 0.0))
     x1 = p[..., 0]
     out = np.zeros_like(p)
     out[..., 0] = 1.0
@@ -199,8 +196,8 @@ def field_evaluator(f: FieldSpec):
     Kind dispatch happens once, here; the returned function does no
     validation, so hot loops build it once and call it directly.  It
     returns a new array on every call, which the caller may keep:
-    :func:`~trajrot.flow.integrate_trajectory` keeps the last stage's
-    value as the next step's first slope (FSAL) without copying it.
+    :func:`~trajrot.flow.integrate_trajectory` keeps each accepted
+    point's slope without copying it.
     """
     if f.kind == "constant":
         offset = f.offset
@@ -215,6 +212,15 @@ def field_evaluator(f: FieldSpec):
     if f.kind == "spiral2d":
         return _spiral2d_values
     return _twist3d_values
+
+
+def _point_formula(f: FieldSpec):
+    """The formula of a closed-form kind (``spiral2d``, ``twist3d``) on
+    one point's coordinates, passed as separate floats; it returns the
+    components as a tuple of floats.  The same IEEE operations in the
+    same order as :func:`field_evaluator`'s, so the same bits, without
+    the overhead of numpy calls on a single point."""
+    return _spiral2d if f.kind == "spiral2d" else _twist3d
 
 
 def field_values(f: FieldSpec, points) -> np.ndarray:

@@ -8,9 +8,9 @@ field's kind:
   ``y' = My + b`` as the method's polynomial in ``hM`` applied to the
   slope ``f(y)``: one product per attempt and one field evaluation per
   accepted step (:func:`_matrix_stepper`);
-* the closed-form kinds (``spiral2d``, ``twist3d``) run the seven stages,
-  each stage point one dot product of the rows ``[y | k]`` with the
-  weights ``[1 | h A]`` (:func:`_stage_stepper`).
+* the closed-form kinds (``spiral2d``, ``twist3d``) run the seven stages
+  on Python floats, each stage point ``y + sum_j (h A[i, j]) k_j``
+  summed left to right with plain ``+`` (:func:`_stage_stepper`).
 
 Both are the same method with the same controller, initial step, landing
 on ``t1`` and error norm; they differ only in rounding.  The stepper
@@ -32,7 +32,7 @@ import numpy as np
 
 from .curves import MAX_SEGMENT_ANGLE, Curve, segment_angles
 from .errors import SampleBudgetExceeded, StepUnderflow
-from .fields import FieldSpec, field_evaluator
+from .fields import FieldSpec, _point_formula, field_evaluator
 
 # Dormand-Prince 5(4) tableau (seven stages, FSAL): row i of _A holds the
 # stage-i weights; the last row is also the fifth-order solution, so
@@ -50,6 +50,12 @@ _A = np.array([
 # fifth-order minus embedded fourth-order weights
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                22 / 525, -1 / 40])
+# the same weights as Python floats for the unrolled stages; _A[6, 1]
+# and _E[1] are 0, so k1 is left out of the new point and of the error
+((_A10,), (_A20, _A21), (_A30, _A31, _A32), (_A40, _A41, _A42, _A43),
+ (_A50, _A51, _A52, _A53, _A54), (_A60, _, _A62, _A63, _A64, _A65)) = [
+    row[:i] for i, row in enumerate(_A.tolist()) if i]
+_E0, _, _E2, _E3, _E4, _E5, _E6 = _E.tolist()
 # For y' = My + b every stage is a polynomial in hM applied to f(y), so a
 # step is one too (the tableau's stability polynomial): row 0 gives
 # y_new - y and row 1 the error h * (_E . k) as the coefficients of
@@ -129,9 +135,11 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
     rel_tol, abs_tol, dim = cfg.rel_tol, cfg.abs_tol, f.dim
     max_step, max_samples = cfg.max_step, cfg.max_samples
 
-    stepper = (_matrix_stepper if f.kind in ("linear", "affine", "constant")
-               else _stage_stepper)
-    f_new, attempt, accept = stepper(f, field_evaluator(f), y)
+    if f.kind in ("linear", "affine", "constant"):
+        f_new, attempt, accept = _matrix_stepper(f, field_evaluator(f), y)
+    else:
+        f_new, attempt, accept = _stage_stepper(_point_formula(f), y.tolist())
+    y = y.tolist()
 
     span = t1 - t0
     h_min = _MIN_STEP_FRACTION * span
@@ -154,7 +162,7 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
             raise StepUnderflow(f"step {h:.3g} does not advance t={t:.17g}")
         y_new, errs = attempt(h)
         err2 = 0.0
-        for e, a, b in zip(errs, y.tolist(), y_new.tolist()):
+        for e, a, b in zip(errs, y, y_new):
             q = e / (abs_tol + rel_tol * max(abs(a), abs(b)))
             err2 += q * q  # float ** raises on overflow; * gives inf
         err = math.sqrt(err2 / dim)
@@ -163,7 +171,7 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
             ts.append(t)
             hs.append(h)
             ys.append(y_new)
-            fs.append(accept(y_new))
+            fs.append(accept())
             t, y = t1 if last else t + h, y_new
         if err > 0:
             factor = 0.9 * (err ** -0.2)
@@ -185,42 +193,56 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
     return Curve(times, points, closed=False)
 
 
-def _stage_stepper(f, v, y):
-    """Dormand-Prince steps by their seven stages, for any field ``f``
-    with evaluator ``v``, from ``y``.
+def _stage_stepper(v, y):
+    """Dormand-Prince steps by their seven stages, for a field with the
+    point formula ``v`` (see :func:`~trajrot.fields._point_formula`),
+    from the point ``y``, a list of floats.
 
     Returns the slope at ``y`` and two functions: ``attempt(h)`` gives
     the fifth-order point and the components of the error ``h (_E . k)``
-    as floats; ``accept(y_new)`` moves to the last attempted point and
-    returns its slope.
+    as lists of floats; ``accept()`` moves to the last attempted point
+    and returns its slope.  Every stage point is ``y + sum_j (h A[i, j])
+    k_j`` and every error component ``h (sum_j _E[j] k_j)``, each sum
+    taken left to right with plain ``+`` (``sum()`` compensates float
+    sums from Python 3.12 on), so a point's bits do not depend on the
+    Python version or on a BLAS kernel.
     """
-    # z is [y | k0..k6] and w is [1 | h*A], so stage i's point
-    # y + h * (A[i, :i] . k[:i]) is the one product w[i, :i+1] . z[:i+1],
-    # and its slope k_i goes to z[i+1]; one multiply per step refreshes w
-    z = np.empty((8, f.dim))
-    w = np.ones((7, 8))
-    h_a = w[:, 1:]
-    stages = [(w[i, :i + 1], z[:i + 1], i + 1) for i in range(1, 7)]
-    z[0] = y
-    # v returns a new array on every call, so the last stage's slope at
-    # the new point is kept as is (FSAL) and z[1] takes a copy of it
-    f_new = z[1] = v(y)
+    k0 = v(*y)
+    y_new = k6 = None
 
     def attempt(h):
-        nonlocal f_new
-        np.multiply(_A, h, out=h_a)
-        for wi, zi, j in stages:
-            # the last stage point is the fifth-order solution
-            y_new = np.dot(wi, zi)
-            z[j] = f_new = v(y_new)
-        return y_new, [h * e for e in np.dot(_E, z[1:]).tolist()]
+        nonlocal y_new, k6
+        a0 = h * _A10
+        k1 = v(*[p + a0 * d0 for p, d0 in zip(y, k0)])
+        a0, a1 = h * _A20, h * _A21
+        k2 = v(*[p + a0 * d0 + a1 * d1 for p, d0, d1 in zip(y, k0, k1)])
+        a0, a1, a2 = h * _A30, h * _A31, h * _A32
+        k3 = v(*[p + a0 * d0 + a1 * d1 + a2 * d2
+                 for p, d0, d1, d2 in zip(y, k0, k1, k2)])
+        a0, a1, a2, a3 = h * _A40, h * _A41, h * _A42, h * _A43
+        k4 = v(*[p + a0 * d0 + a1 * d1 + a2 * d2 + a3 * d3
+                 for p, d0, d1, d2, d3 in zip(y, k0, k1, k2, k3)])
+        a0, a1, a2, a3, a4 = (h * _A50, h * _A51, h * _A52, h * _A53,
+                              h * _A54)
+        k5 = v(*[p + a0 * d0 + a1 * d1 + a2 * d2 + a3 * d3 + a4 * d4
+                 for p, d0, d1, d2, d3, d4 in zip(y, k0, k1, k2, k3, k4)])
+        # the last stage point is the fifth-order solution
+        a0, a2, a3, a4, a5 = (h * _A60, h * _A62, h * _A63, h * _A64,
+                              h * _A65)
+        y_new = [p + a0 * d0 + a2 * d2 + a3 * d3 + a4 * d4 + a5 * d5
+                 for p, d0, d2, d3, d4, d5 in zip(y, k0, k2, k3, k4, k5)]
+        k6 = v(*y_new)
+        return y_new, [
+            h * (_E0 * d0 + _E2 * d2 + _E3 * d3 + _E4 * d4 + _E5 * d5
+                 + _E6 * d6)
+            for d0, d2, d3, d4, d5, d6 in zip(k0, k2, k3, k4, k5, k6)]
 
-    def accept(y_new):
-        z[0] = y_new
-        z[1] = f_new
-        return f_new
+    def accept():
+        nonlocal y, k0
+        y, k0 = y_new, k6
+        return k6
 
-    return f_new, attempt, accept
+    return k0, attempt, accept
 
 
 def _matrix_stepper(f, v, y):
@@ -256,7 +278,10 @@ def _matrix_stepper(f, v, y):
     k = np.empty((7, 2 * dim))
     k_flat = k.reshape(-1)
 
+    y_new = y
+
     def attempt(h):
+        nonlocal y_new
         g = h * s
         h1 = h * g
         h2 = h1 * g
@@ -264,16 +289,17 @@ def _matrix_stepper(f, v, y):
         h4 = h3 * g
         h5 = h4 * g
         d = np.dot(np.array((h, h1, h2, h3, h4, h5, h5 * g)), k)
-        return y + d[:dim], d[dim:].tolist()
+        y_new = y + d[:dim]
+        return y_new.tolist(), d[dim:].tolist()
 
-    def accept(y_new):
+    def accept():
         nonlocal y
         y = y_new
         f_new = v(y)
         np.dot(stacked, f_new, out=k_flat)
         return f_new
 
-    return accept(y), attempt, accept
+    return accept(), attempt, accept
 
 
 def _hermite(y0, f0, y1, f1, h, theta):

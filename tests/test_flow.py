@@ -13,7 +13,8 @@ from scipy.integrate import solve_ivp
 import trajrot as tr
 from trajrot import flow
 from trajrot.curves import segment_angles
-from trajrot.fields import TWIST_SMALL_X1, field_evaluator, twist_profile
+from trajrot.fields import (TWIST_SMALL_X1, _point_formula, field_evaluator,
+                            twist_profile)
 from trajrot.flow import _A, _E, _POLY, _dense_output, _hermite
 
 from conftest import SINK_MATRIX, negated, sink_closed_form
@@ -398,9 +399,10 @@ def _reference_powers(f):
 
 def _stepping_reference(f, x0, t0, t1, cfg, centers):
     """The stepping loop written out plainly.  Closed-form fields run the
-    stages: each stage point is one dot product of the weights
-    [1 | h*A[i, :i]] with the rows [y | k[:i]], built afresh on every
-    stage.  Matrix-backed fields evaluate the polynomial: the powers
+    stages on floats: each stage point is y plus the terms
+    (h A[i, j]) k[j] over the nonzero weights, added one at a time from
+    j = 0 up, and each error component h times the same sum of
+    _E[j] k[j].  Matrix-backed fields evaluate the polynomial: the powers
     h (hs)^q times the block of ``_POLY[r, q] N^q f(y)``, built afresh on
     every attempt.  Returns the curve's (t, x), the number of step
     attempts and of rejected steps."""
@@ -435,10 +437,19 @@ def _stepping_reference(f, x0, t0, t1, cfg, centers):
             k[6] = v(y_new)
         else:
             for i in range(1, 7):
-                y_new = np.dot(np.concatenate(([1.0], h * _A[i, :i])),
-                               np.vstack((y, k[:i])))
+                point = y.tolist()
+                for j in range(i):
+                    if _A[i, j]:
+                        w = h * float(_A[i, j])
+                        point = [p + w * d for p, d in zip(point, k[j])]
+                y_new = np.array(point)
                 k[i] = v(y_new)
-            errs = [h * e for e in np.dot(_E, k).tolist()]
+            terms = [[float(e) * d for d in k[j]]
+                     for j, e in enumerate(_E) if e]
+            errs = terms[0]
+            for term in terms[1:]:
+                errs = [a + b for a, b in zip(errs, term)]
+            errs = [h * e for e in errs]
         err2 = 0.0
         for e, a, b in zip(errs, y.tolist(), y_new.tolist()):
             q = e / (abs_tol + rel_tol * max(abs(a), abs(b)))
@@ -501,15 +512,19 @@ def test_stepping_matches_reference_loop(case, monkeypatch):
         f, x0, 0.0, T, cfg, centers)
     calls = []
 
-    def counting_evaluator(spec):
-        v = field_evaluator(spec)
+    def counting(formula_for):
+        def counted_formula(spec):
+            v = formula_for(spec)
 
-        def counted(p):
-            calls.append(None)
-            return v(p)
-        return counted
+            def counted(*p):
+                calls.append(None)
+                return v(*p)
+            return counted
+        return counted_formula
 
-    monkeypatch.setattr(flow, "field_evaluator", counting_evaluator)
+    # both functions that hand a stepper its field formula
+    monkeypatch.setattr(flow, "field_evaluator", counting(field_evaluator))
+    monkeypatch.setattr(flow, "_point_formula", counting(_point_formula))
     c = tr.integrate_trajectory(f, x0, 0.0, T, cfg, obs_centers=centers)
     assert np.array_equal(c.t, want_t) and np.array_equal(c.x, want_x)
     if f.kind in ("spiral2d", "twist3d"):
@@ -559,11 +574,13 @@ def _stage_error_bound(m, b, y, h):
     """Running forward-error bound of one stage step: the rounding of
     the increment and of the error vector ``h (_E . k)``.
 
-    Each stage point is a dot product of at most 7 products (at most 8
-    roundings, and a tableau entry within half an ulp of its rational),
-    and each slope a dot product of ``dim`` terms plus the offset; an
-    error in an earlier slope reaches a point through ``h |A|``, and an
-    error in a point reaches its slope through ``|M|``."""
+    Each stage point is y plus at most 6 products ``(h A[i, j]) k_j``
+    added one at a time: each term takes at most 9 roundings (the
+    weight, the product and 6 additions, and a tableau entry within
+    half an ulp of its rational), and each slope is a dot product of
+    ``dim`` terms plus the offset; an error in an earlier slope reaches
+    a point through ``h |A|``, and an error in a point reaches its slope
+    through ``|M|``."""
     eps, dim = np.finfo(np.float64).eps, len(y)
     am, ab = np.abs(m), np.abs(b)
     k, e_k = np.zeros((7, dim)), np.zeros((7, dim))
@@ -608,10 +625,12 @@ def test_one_polynomial_step_matches_stages(seed, hm):
     f = tr.affine(m, b)
     h = hm / np.linalg.norm(m, np.inf)
     v = field_evaluator(f)
-    _, stage_attempt, _ = flow._stage_stepper(f, v, y)
+    _, stage_attempt, _ = flow._stage_stepper(
+        lambda *p: v(np.array(p)).tolist(), y.tolist())
     _, poly_attempt, _ = flow._matrix_stepper(f, v, y)
     y_stage, e_stage = stage_attempt(h)
     y_poly, e_poly = poly_attempt(h)
+    y_stage, y_poly = np.array(y_stage), np.array(y_poly)
     e_pt, e_err = _stage_error_bound(m, b, y, h)
     bound = _poly_error_bound(m, b, y, h)
     assert np.all(np.abs(y_stage - y_poly) <= e_pt + bound[0])
