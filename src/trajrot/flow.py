@@ -204,8 +204,9 @@ def _stage_stepper(v, y):
     and returns its slope.  Every stage point is ``y + sum_j (h A[i, j])
     k_j`` and every error component ``h (sum_j _E[j] k_j)``, each sum
     taken left to right with plain ``+`` (``sum()`` compensates float
-    sums from Python 3.12 on), so a point's bits do not depend on the
-    Python version or on a BLAS kernel.
+    sums from Python 3.12 on), so the sums round the same way on every
+    Python version, with no BLAS kernel to choose whether to fuse a
+    multiply and an add.
     """
     k0 = v(*y)
     y_new = k6 = None
