@@ -292,12 +292,12 @@ def check_log_sink_shells(L_matrix, x0_pair, R: float, radii) -> ShellReports:
     estimate (log(start / r_min) + 4) / |ell|.  A start that has not
     crossed r_min by then is integrated again to twice the end time,
     with the same max_step, up to _FALLBACK_DOUBLINGS times; then
-    NumericalError names the time reached.  When the first
-    step is max_step = 0.02 / |L| (t_end >= 2 / |L|), the step sequence
-    does not depend on t_end until the last step, and the margin
-    0.1 / |mu| is at least five steps, so every sample up to the
-    smallest shell's exit, and with it every shell, is what a longer
-    integration would give.
+    NumericalError names the time reached.  When t_end >= 1 / |L|, the
+    nodes lie on the fixed grid j * max_step, max_step = 0.02 / |L|, and
+    each step's samples depend only on its first node and its length, so
+    only the last step depends on t_end; the margin 0.1 / |mu| is at
+    least five steps, so every sample up to the smallest shell's exit,
+    and with it every shell, is what a longer integration would give.
 
     All shells enter at the same time, where the trajectory crosses
     |x| = R, so each shell's clipped curve is the largest shell's up to

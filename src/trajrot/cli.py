@@ -347,10 +347,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t1", type=float, required=True)
     # one flag per IntegratorConfig field: --rel-tol sets rel_tol
     hints = typing.get_type_hints(IntegratorConfig)
+    helps = {"rel_tol": "relative step tolerance (spiral2d, twist3d only)",
+             "abs_tol": "absolute step tolerance (spiral2d, twist3d only) "
+                        "and the default --chord-tol"}
     for fld in dataclasses.fields(IntegratorConfig):
         sp.add_argument("--" + fld.name.replace("_", "-"), dest=fld.name,
                         type=int if hints[fld.name] is int else float,
-                        default=None)
+                        default=None, help=helps.get(fld.name))
     sp.add_argument("--obs-center", dest="obs_center", action="append")
     common(sp)
     sp.set_defaults(func=_cmd_integrate)

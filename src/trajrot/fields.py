@@ -195,9 +195,7 @@ def field_evaluator(f: FieldSpec):
 
     Kind dispatch happens once, here; the returned function does no
     validation, so hot loops build it once and call it directly.  It
-    returns a new array on every call, which the caller may keep:
-    :func:`~trajrot.flow.integrate_trajectory` keeps each accepted
-    point's slope without copying it.
+    returns a new array on every call, which the caller may keep.
     """
     if f.kind == "constant":
         offset = f.offset

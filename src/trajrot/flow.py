@@ -1,26 +1,19 @@
-"""Trajectory integration: adaptive embedded Runge-Kutta 5(4).
+"""Trajectory integration.
 
-Fixed Dormand-Prince coefficients so results are reproducible bit for bit
-given the configuration.  A step takes one of two forms, chosen by the
-field's kind:
-
-* the matrix-backed kinds (``linear``, ``affine``, ``constant``) step
-  ``y' = My + b`` as the method's polynomial in ``hM`` applied to the
-  slope ``f(y)``: one product per attempt and one field evaluation per
-  accepted step (:func:`_matrix_stepper`);
-* the closed-form kinds (``spiral2d``, ``twist3d``) run the seven stages
-  on Python floats, each stage point ``y + sum_j (h A[i, j]) k_j``
-  summed left to right with plain ``+`` (:func:`_stage_stepper`).
-
-Both are the same method with the same controller, initial step, landing
-on ``t1`` and error norm; they differ only in rounding.  The stepper
-records every accepted step; one vectorized pass afterwards subdivides
-all steps together, level by level on a dyadic grid, by cubic Hermite
-interpolation until (a) the estimated chord deviation of each output
-segment is below the chord tolerance and (b) no segment subtends more
-than ``MAX_SEGMENT_ANGLE`` at any declared observation center --
-downstream rotation quadrature is sampling-limited, so the integrator is
-where angular resolution is enforced.
+The matrix-backed kinds (``linear``, ``affine``, ``constant``) follow
+the exact flow of ``y' = My + b``, sampled on the grid ``t0 + j h``,
+``h = min(max_step, 1 / (2 |M|_inf))``, by a Taylor sum exact to half an
+ulp (:func:`_matrix_grid`).  The closed-form kinds (``spiral2d``,
+``twist3d``) take adaptive Dormand-Prince 5(4) steps with fixed
+coefficients, reproducible bit for bit given the configuration, their
+seven stages on Python floats (:func:`_stage_stepper`).  One vectorized
+pass afterwards subdivides all steps together, level by level on a
+dyadic grid, by the same Taylor sum or by cubic Hermite interpolation,
+until (a) each output segment's midpoint lies within the chord
+tolerance of its chord and (b) no segment subtends more than
+``MAX_SEGMENT_ANGLE`` at any declared observation center -- downstream
+rotation quadrature is sampling-limited, so the integrator is where
+angular resolution is enforced.
 """
 
 from __future__ import annotations
@@ -31,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import MAX_SEGMENT_ANGLE, Curve, segment_angles
-from .errors import SampleBudgetExceeded, StepUnderflow
-from .fields import FieldSpec, _point_formula, field_evaluator
+from .errors import NumericalError, SampleBudgetExceeded, StepUnderflow
+from .fields import FieldSpec, _point_formula
 
 # Dormand-Prince 5(4) tableau (seven stages, FSAL): row i of _A holds the
 # stage-i weights; the last row is also the fifth-order solution, so
@@ -56,15 +49,12 @@ _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
  (_A50, _A51, _A52, _A53, _A54), (_A60, _, _A62, _A63, _A64, _A65)) = [
     row[:i] for i, row in enumerate(_A.tolist()) if i]
 _E0, _, _E2, _E3, _E4, _E5, _E6 = _E.tolist()
-# For y' = My + b every stage is a polynomial in hM applied to f(y), so a
-# step is one too (the tableau's stability polynomial): row 0 gives
-# y_new - y and row 1 the error h * (_E . k) as the coefficients of
-# h^(q+1) M^q f(y), q = 0..6, exact rationals derived from _A and _E.
-_POLY = np.array([
-    [1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0.0],
-    [0.0, 0.0, 0.0, 0.0, -97 / 120000, 13 / 40000, -1 / 24000],
-])
 
+# On the matrix grid |hM|_inf <= 1/2, so the terms (hM)^q h f / (q+1)!,
+# q > Q, that a sum to degree Q leaves out of a step are at most sum_{q>Q}
+# 2^-q / (q+1)! of |h f|_inf: 4.8e-17 for Q = 13, below eps/2 = 1.1e-16
+# with room for the rounding of h and the h_min stretch; 1.4e-15 for 12.
+_TAYLOR_DEGREE = 13
 _MIN_STEP_FRACTION = 1e-14
 _MAX_SPLIT_DEPTH = 24
 
@@ -73,10 +63,12 @@ _MAX_SPLIT_DEPTH = 24
 class IntegratorConfig:
     """Tolerances and budgets for :func:`integrate_trajectory`.
 
-    ``chord_tol`` controls output granularity (estimated deviation of the
-    true solution from each output chord); ``None`` reuses ``abs_tol``.
-    Loosen it explicitly when only step-level accuracy matters and dense
-    output would be wastefully large.
+    ``rel_tol`` and ``abs_tol`` act only on the adaptive steps of the
+    closed-form kinds.  ``chord_tol`` controls output granularity
+    (estimated deviation of the true solution from each output chord);
+    ``None`` reuses ``abs_tol``.  Loosen it explicitly when only
+    step-level accuracy matters and dense output would be wastefully
+    large.
     """
 
     rel_tol: float = 1e-9
@@ -101,6 +93,14 @@ def _budget(n, max_samples):
         raise SampleBudgetExceeded(f"output exceeds max_samples={max_samples}")
 
 
+def _check_step(t, h, h_min):
+    if h < h_min:
+        raise StepUnderflow(
+            f"required step {h:.3g} below {h_min:.3g} at t={t:.6g}")
+    if t + h == t:  # h is below the float spacing at t
+        raise StepUnderflow(f"step {h:.3g} does not advance t={t:.17g}")
+
+
 def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
                          cfg: IntegratorConfig | None = None,
                          obs_centers=()) -> Curve:
@@ -110,11 +110,12 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
     than ``1e-14 * (t1 - t0)`` to go is stretched to ``t1``, so it may
     exceed ``cfg.max_step`` by less than that.
 
-    Raises :class:`StepUnderflow` when the controller is pushed below
-    ``1e-14 * (t1 - t0)`` (stiffness or a singularity on the path) or
-    when a step or a dense-output sample falls below the float spacing
-    of the times (a window far from 0, such as ``[1e15, 1e15 + 1]``), and
-    :class:`SampleBudgetExceeded` when dense output would exceed
+    Raises :class:`StepUnderflow` when a step must fall below
+    ``1e-14 * (t1 - t0)`` (stiffness or a singularity on the path, or
+    ``|M|_inf (t1 - t0) > 5e13``) or when a step or a sample falls below
+    the float spacing of the times (``spiral2d`` over ``[1e15, 1e15 +
+    1]``), :class:`NumericalError` when a matrix-backed flow overflows
+    and :class:`SampleBudgetExceeded` when the output would exceed
     ``cfg.max_samples``.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -132,18 +133,84 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
         raise ValueError("obs_centers must be finite vectors of the field's "
                          "dimension")
     chord_tol = cfg.abs_tol if cfg.chord_tol is None else float(cfg.chord_tol)
+    h_min = _MIN_STEP_FRACTION * (t1 - t0)
+    grid = f.kind in ("linear", "affine", "constant")
+    ts, hs, ys, midpoint = (_matrix_grid if grid else _stepped)(
+        f, y, t0, t1, h_min, cfg)
+    times, points = _dense_output(ts, hs, ys, midpoint, centers, chord_tol,
+                                  cfg.max_samples)
+    # the last step's right end, t + h, may round off t1
+    times[-1] = t1
+    # at large |t| a sample can round onto its neighbour
+    tied = np.diff(times) <= 0
+    if tied.any():
+        raise StepUnderflow("samples fall below the float spacing at "
+                            f"t={times[np.argmax(tied)]:.17g}")
+    return Curve(times, points, closed=False)
+
+
+def _matrix_grid(f, y, t0, t1, h_min, cfg):
+    """The steps, nodes and midpoint function of ``y' = My + b`` from
+    ``y``, as :func:`_stepped` returns them.  A point a fraction ``s`` of
+    ``h`` past a node ``y`` is ``y + sum_q s^(q+1) w_q / (q+1)!``, ``w_q =
+    (hM)^q (hM y + hb)``.  All is in ``hM`` and ``hb``, so ``2^k M``,
+    ``2^k b`` over ``2^-k`` times the window gives the same points."""
+    dim = f.dim
+    m = np.zeros((dim, dim)) if f.matrix is None else f.matrix
+    b = np.zeros(dim) if f.offset is None else f.offset
+    norm = float(np.max(np.sum(np.abs(m), axis=1)))  # may overflow to inf
+    span = t1 - t0
+    h = min(cfg.max_step, span, 0.5 / norm if norm else math.inf)
+    _check_step(t0, h, h_min)
+    # the stepping loop's landing rule: the first n with t1 - (t0 + n h)
+    # < h_min, from its estimate
+    n = max(1, math.floor((span - h_min) / h) + 1)
+    while n > 1 and t1 - (t0 + (n - 1) * h) < h_min:
+        n -= 1
+    while t1 - (t0 + n * h) >= h_min:
+        n += 1
+    _budget(n + 1, cfg.max_samples)
+    ts = t0 + np.arange(n) * h
+    hs = np.full(n, h)
+    hs[-1] = t1 - ts[-1]
+    # y -> y + P (hM y + hb), P = sum_q (hM)^q / (q+1)! by Horner
+    a = h * m
+    p = eye = np.eye(dim)
+    for q in range(_TAYLOR_DEGREE + 1, 1, -1):
+        p = eye + np.dot(a, p) / q
+    g, c = np.dot(p, a), np.dot(p, h * b)
+    ys = np.empty((n + 1, dim))
+    ys[0] = y
+    ratio = hs / h  # 1 on every step but the last
+
+    def midpoint(step, theta):
+        s = (theta * ratio[step])[:, None]
+        acc = w[-1][step]
+        for q in range(_TAYLOR_DEGREE - 1, -1, -1):
+            acc = w[q][step] + s / (q + 2) * acc
+        return ys[step] + s * acc
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, n):
+            y = ys[j] = y + (np.dot(g, y) + c)
+        w = [np.dot(ys[:-1], a.T) + h * b]
+        for _ in range(_TAYLOR_DEGREE):
+            w.append(np.dot(w[-1], a.T))
+        # the last step, of length hs[-1], as a midpoint at theta = 1
+        ys[n] = midpoint(np.array([n - 1]), np.ones(1))[0]
+    if not np.isfinite(ys).all():
+        raise NumericalError(f"the flow overflows on [{t0:.6g}, {t1:.6g}]")
+    return ts, hs, ys, midpoint
+
+
+def _stepped(f, y, t0, t1, h_min, cfg):
+    """Adaptive Dormand-Prince steps of a closed-form kind from ``y``: the
+    steps, nodes and cubic Hermite midpoints for :func:`_dense_output`."""
     rel_tol, abs_tol, dim = cfg.rel_tol, cfg.abs_tol, f.dim
     max_step, max_samples = cfg.max_step, cfg.max_samples
-
-    if f.kind in ("linear", "affine", "constant"):
-        f_new, attempt, accept = _matrix_stepper(f, field_evaluator(f), y)
-    else:
-        f_new, attempt, accept = _stage_stepper(_point_formula(f), y.tolist())
     y = y.tolist()
-
-    span = t1 - t0
-    h_min = _MIN_STEP_FRACTION * span
-    h = min(max_step, span / 100.0)
+    f_new, attempt, accept = _stage_stepper(_point_formula(f), y)
+    h = min(max_step, (t1 - t0) / 100.0)
     t = t0
     # accepted step j runs from ts[j] over hs[j], from (ys[j], fs[j]) to
     # (ys[j+1], fs[j+1]); each one emits at least one sample
@@ -155,11 +222,7 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
         last = t1 - (t + h) < h_min
         if last:
             h = t1 - t
-        if h < h_min:
-            raise StepUnderflow(
-                f"required step {h:.3g} below {h_min:.3g} at t={t:.6g}")
-        if t + h == t:  # h is below the float spacing at t
-            raise StepUnderflow(f"step {h:.3g} does not advance t={t:.17g}")
+        _check_step(t, h, h_min)
         y_new, errs = attempt(h)
         err2 = 0.0
         for e, a, b in zip(errs, y, y_new):
@@ -180,17 +243,9 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
         else:  # NaN: the field overflowed on the step, which is rejected
             factor = 0.2
         h *= min(5.0, max(0.2, factor))
-    times, points = _dense_output(np.array(ts), np.array(hs), np.array(ys),
-                                  np.array(fs), centers, chord_tol,
-                                  max_samples)
-    # the last step's right end, t + h, may round off t1
-    times[-1] = t1
-    # at large |t| a dense-output sample can round onto its neighbour
-    tied = np.diff(times) <= 0
-    if tied.any():
-        raise StepUnderflow("dense output falls below the float spacing at "
-                            f"t={times[np.argmax(tied)]:.17g}")
-    return Curve(times, points, closed=False)
+    hs, ys, fs = np.array(hs), np.array(ys), np.array(fs)
+    return np.array(ts), hs, ys, lambda step, theta: _hermite(
+        ys[step], fs[step], ys[step + 1], fs[step + 1], hs[step], theta)
 
 
 def _stage_stepper(v, y):
@@ -246,63 +301,6 @@ def _stage_stepper(v, y):
     return k0, attempt, accept
 
 
-def _matrix_stepper(f, v, y):
-    """Dormand-Prince steps of ``y' = My + b`` as one polynomial in
-    ``hM``, for the matrix-backed kinds (``M = 0`` for ``constant``);
-    the same functions as :func:`_stage_stepper`.
-
-    Every stage is a polynomial in ``hM`` applied to ``f(y)``, so the
-    increment ``y_new - y`` and the error ``h (_E . k)`` are
-    ``sum_q _POLY[r, q] h^(q+1) M^q f(y)``.  With ``s`` a power of two
-    and ``N = M / s``, that is ``sum_q h (hs)^q (_POLY[r, q] N^q f(y))``:
-    each accepted step stores the bracket for q = 0..6 and both rows by
-    one product of ``f(y_new)`` with the stacked ``_POLY[r, q] N^q``, and
-    each attempt is one product of the powers ``h (hs)^q`` with that
-    ``(7, 2 dim)`` block.  Scaling by a power of two is exact, so ``s``
-    changes no bit; it keeps the powers of ``N`` and of ``hs`` inside
-    the float range.  ``s`` is the largest power of two not above
-    ``max |M_ij|``, so ``|N_ij| < 2``, and ``hs`` is of order 1 on an
-    accepted step.  Scaling ``M`` by ``2^k`` and the window by ``2^-k``
-    therefore gives the same points bit for bit.
-    """
-    dim = f.dim
-    m = np.zeros((dim, dim)) if f.matrix is None else f.matrix
-    big = float(np.max(np.abs(m)))
-    s = math.ldexp(1.0, math.frexp(big)[1] - 1) if big > 0 else 1.0
-    n = m / s
-    powers = [np.eye(dim)]
-    for _ in range(6):
-        powers.append(np.dot(n, powers[-1]))
-    # row (q, r, i) is _POLY[r, q] N^q[i], so k[q] = [inc_q | err_q]
-    stacked = (_POLY.T[:, :, None, None]
-               * np.array(powers)[:, None]).reshape(-1, dim)
-    k = np.empty((7, 2 * dim))
-    k_flat = k.reshape(-1)
-
-    y_new = y
-
-    def attempt(h):
-        nonlocal y_new
-        g = h * s
-        h1 = h * g
-        h2 = h1 * g
-        h3 = h2 * g
-        h4 = h3 * g
-        h5 = h4 * g
-        d = np.dot(np.array((h, h1, h2, h3, h4, h5, h5 * g)), k)
-        y_new = y + d[:dim]
-        return y_new.tolist(), d[dim:].tolist()
-
-    def accept():
-        nonlocal y
-        y = y_new
-        f_new = v(y)
-        np.dot(stacked, f_new, out=k_flat)
-        return f_new
-
-    return accept(), attempt, accept
-
-
 def _hermite(y0, f0, y1, f1, h, theta):
     """Cubic Hermite interpolant on accepted steps, row-wise: ``y0``..``f1``
     are (n, dim), ``h`` and ``theta`` in [0, 1] are (n,)."""
@@ -315,10 +313,11 @@ def _hermite(y0, f0, y1, f1, h, theta):
             + (h11 * h)[:, None] * f1)
 
 
-def _dense_output(ts, hs, ys, fs, centers, chord_tol, max_samples):
-    """Subdivide every accepted step until the chord and angle criteria
-    hold, breadth first: each level halves, at once, all segments that
-    fail a criterion, until ``_MAX_SPLIT_DEPTH`` levels.  A segment
+def _dense_output(ts, hs, ys, midpoint, centers, chord_tol, max_samples):
+    """Subdivide every step until the chord and angle criteria hold,
+    breadth first: each level halves, at once, all segments that fail a
+    criterion, until ``_MAX_SPLIT_DEPTH`` levels.  ``midpoint(step,
+    theta)`` is the points at ``theta`` in the steps ``step``.  A segment
     emits its right endpoint; samples come back in time order."""
     n = len(hs)
     # one row per pending segment: its step, the right end of its theta
@@ -331,8 +330,7 @@ def _dense_output(ts, hs, ys, fs, centers, chord_tol, max_samples):
         split = np.zeros(len(step), dtype=bool)
         if depth < _MAX_SPLIT_DEPTH:
             mid = hi - 0.5 ** (depth + 1)
-            ym = _hermite(ys[step], fs[step], ys[step + 1], fs[step + 1],
-                          hs[step], mid)
+            ym = midpoint(step, mid)
             d = ym - 0.5 * (ya + yb)
             split |= np.sqrt(np.einsum("ij,ij->i", d, d)) > chord_tol
             # an endpoint exactly on a center has no direction (NaN angle)

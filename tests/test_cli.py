@@ -88,9 +88,9 @@ def test_integrate_non_finite_field_exit2(capsys, field):
 
 
 def test_integrate_window_below_time_resolution_exit3(capsys):
-    # 1e15 + 0.01 rounds back to 1e15, so no step advances t
-    code, _, err = run_cli(capsys, "integrate", "--field", "constant:1,0",
-                           "--x0", "0,0", "--t0", "1e15",
+    # the spiral's first step, 0.01, does not advance t = 1e15
+    code, _, err = run_cli(capsys, "integrate", "--field", "spiral2d",
+                           "--x0", "0.5,0", "--t0", "1e15",
                            "--t1", "1000000000000001")
     assert code == 3
     assert "StepUnderflow" in err

@@ -15,7 +15,7 @@ from trajrot import flow
 from trajrot.curves import segment_angles
 from trajrot.fields import (TWIST_SMALL_X1, _point_formula, field_evaluator,
                             twist_profile)
-from trajrot.flow import _A, _E, _POLY, _dense_output, _hermite
+from trajrot.flow import _A, _E, _dense_output, _hermite
 
 from conftest import SINK_MATRIX, negated, sink_closed_form
 
@@ -60,6 +60,9 @@ def test_validation_and_errors():
     with pytest.raises(tr.StepUnderflow):
         tr.integrate_trajectory(tr.linear(-1e16 * np.eye(2)),
                                 np.array([1.0, 1.0]), 0.0, 1.0)
+    # e^1000 overflows: the grid raises rather than return inf samples
+    with pytest.raises(tr.NumericalError, match="overflows"):
+        tr.integrate_trajectory(tr.linear(np.eye(2)), [1.0, 0.0], 0.0, 1e3)
     with pytest.raises(tr.SampleBudgetExceeded):
         cfg = tr.IntegratorConfig(max_samples=20, chord_tol=1e-9)
         tr.integrate_trajectory(tr.linear(SINK_MATRIX),
@@ -103,15 +106,24 @@ def test_field_overflow_ends_in_step_underflow():
 
 @pytest.mark.parametrize("field, x0, t0, centers, message", [
     # t0 + 0.01 rounds back to t0: the first step does not advance t
-    (tr.constant([1.0, 0.0]), [0.0, 0.0], 1e15, (), "does not advance t"),
+    (tr.spiral2d(), [0.5, 0.0], 1e15, (), "does not advance t"),
     # the steps advance, but angle-refinement samples round onto each other
     (tr.spiral2d(), [0.5, 0.0], 1e13, [np.zeros(2)], "float spacing"),
-], ids=["constant-1e15", "spiral-1e13"])
+], ids=["spiral-1e15", "spiral-1e13"])
 def test_window_below_time_resolution_raises_step_underflow(field, x0, t0,
                                                             centers, message):
     # these raised a bare ValueError from Curve on repeated sample times
     with pytest.raises(tr.StepUnderflow, match=message):
         tr.integrate_trajectory(field, x0, t0, t0 + 1.0, obs_centers=centers)
+
+
+def test_constant_window_far_from_zero_is_one_exact_step():
+    # a field with M = 0 takes the whole window as one step, so the
+    # window's span, not the float spacing at t0, sets its resolution
+    c = tr.integrate_trajectory(tr.constant([1.0, -0.5]), [2.0, 3.0], 1e15,
+                                1e15 + 1.0)
+    assert c.t.tolist() == [1e15, 1e15 + 1.0]
+    assert c.x.tolist() == [[2.0, 3.0], [3.0, 2.5]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -133,8 +145,9 @@ def test_last_step_lands_on_t1(t0, span, kind, max_step):
 
 
 def test_tolerance_halving_consistency():
-    f = tr.linear(SINK_MATRIX)
-    x0 = np.array([1.0, 1.0, 0.0])
+    # the tolerances act on the adaptive steps of the closed-form kinds
+    f = tr.spiral2d()
+    x0 = np.array([0.5, 0.0])
     coarse_cfg = tr.IntegratorConfig(rel_tol=1e-7, abs_tol=1e-7, chord_tol=0.9)
     fine_cfg = tr.IntegratorConfig(rel_tol=5e-8, abs_tol=5e-8, chord_tol=0.9)
     coarse = tr.integrate_trajectory(f, x0, 0.0, 2.0, coarse_cfg)
@@ -313,18 +326,21 @@ def test_sample_budget_boundary(chord_tol, centers):
 @pytest.mark.parametrize("x_start", [-1.0, -1.3])
 def test_path_through_center_hits_split_cap(x_start):
     # the path runs exactly through the center: only the segment holding
-    # it keeps failing the angle test, until the 24-level cap stops it
+    # it keeps failing the angle test, until the 24-level cap stops it.
+    # The window is one step, and the center is passed at t = 1 or 1.3,
+    # fractions 2/3 and 13/15 of it: never a dyadic midpoint, where the
+    # NaN angle of an endpoint on the center would stop the splitting
     center = np.zeros(2)
     c = tr.integrate_trajectory(tr.constant([1.0, 0.0]),
-                                np.array([x_start, 0.0]), 0.0, 2.0,
+                                np.array([x_start, 0.0]), 0.0, 1.5,
                                 tr.IntegratorConfig(chord_tol=0.5),
                                 obs_centers=[center])
-    assert c.n_samples == 29
+    assert c.n_samples == 26
     assert np.all(np.diff(c.t) > 0)
     a, b = c.x[:-1], c.x[1:]
     holds = (a[:, 0] <= 0.0) & (b[:, 0] >= 0.0)
     assert np.count_nonzero(holds) == 1
-    assert float(np.diff(c.t)[holds][0]) <= 2.0 * 2.0 ** -24
+    assert float(np.diff(c.t)[holds][0]) <= 1.5 * 2.0 ** -24
     angles = segment_angles(a[~holds], b[~holds], center)
     assert float(np.max(angles)) <= 0.05
 
@@ -340,6 +356,12 @@ def test_angle_refinement_at_two_centers():
         assert both.n_samples > alone.n_samples
         assert float(np.max(segment_angles(both.x[:-1], both.x[1:],
                                             center))) <= 0.05
+
+
+def _hermite_midpoint(hs, ys, fs):
+    """The midpoint function of the stepped kinds: cubic Hermite."""
+    return lambda step, theta: _hermite(ys[step], fs[step], ys[step + 1],
+                                        fs[step + 1], hs[step], theta)
 
 
 def _dense_output_reference(ts, hs, ys, fs, centers, chord_tol):
@@ -378,41 +400,22 @@ def test_dense_output_matches_per_step_reference(seed):
     fs = rng.normal(0.0, 2.0, (n + 1, 3))
     centers = [ys[n // 2] + 1e-3, np.zeros(3)]
     want_t, want_x = _dense_output_reference(ts, hs, ys, fs, centers, 1e-3)
-    got_t, got_x = _dense_output(ts, hs, ys, fs, centers, 1e-3, 10**6)
+    got_t, got_x = _dense_output(ts, hs, ys, _hermite_midpoint(hs, ys, fs),
+                                 centers, 1e-3, 10**6)
     assert len(want_t) > 4 * n
     assert np.array_equal(got_t, want_t) and np.array_equal(got_x, want_x)
 
 
-def _reference_powers(f):
-    """The polynomial form's scale ``s`` and stacked weights, written out:
-    block q holds ``_POLY[0, q] N^q`` over ``_POLY[1, q] N^q``."""
-    m = np.zeros((f.dim, f.dim)) if f.matrix is None else f.matrix
-    big = float(np.max(np.abs(m)))
-    s = 2.0 ** (math.frexp(big)[1] - 1) if big > 0 else 1.0
-    npow = np.eye(f.dim)
-    blocks = []
-    for q in range(7):
-        blocks += [_POLY[0, q] * npow, _POLY[1, q] * npow]
-        npow = np.dot(m / s, npow)
-    return s, np.concatenate(blocks)
-
-
 def _stepping_reference(f, x0, t0, t1, cfg, centers):
-    """The stepping loop written out plainly.  Closed-form fields run the
-    stages on floats: each stage point is y plus the terms
-    (h A[i, j]) k[j] over the nonzero weights, added one at a time from
-    j = 0 up, and each error component h times the same sum of
-    _E[j] k[j].  Matrix-backed fields evaluate the polynomial: the powers
-    h (hs)^q times the block of ``_POLY[r, q] N^q f(y)``, built afresh on
-    every attempt.  Returns the curve's (t, x), the number of step
-    attempts and of rejected steps."""
+    """The stepping loop of the closed-form kinds written out plainly:
+    each stage point is y plus the terms (h A[i, j]) k[j] over the
+    nonzero weights, added one at a time from j = 0 up, and each error
+    component h times the same sum of _E[j] k[j].  Returns the curve's
+    (t, x), the number of step attempts and of rejected steps."""
     y = np.asarray(x0, dtype=np.float64).copy()
     chord_tol = cfg.abs_tol if cfg.chord_tol is None else float(cfg.chord_tol)
     rel_tol, abs_tol, dim = cfg.rel_tol, cfg.abs_tol, f.dim
     v = field_evaluator(f)
-    poly = f.kind in ("linear", "affine", "constant")
-    if poly:
-        s, stacked = _reference_powers(f)
     span = t1 - t0
     h_min = 1e-14 * span
     h = min(cfg.max_step, span / 100.0)
@@ -427,29 +430,19 @@ def _stepping_reference(f, x0, t0, t1, cfg, centers):
         if last:
             h = t1 - t
         attempts += 1
-        if poly:
-            block = np.dot(stacked, k[0]).reshape(7, 2 * dim)
-            powers = [h]
-            for _ in range(6):
-                powers.append(powers[-1] * (h * s))
-            d = np.dot(np.array(powers), block)
-            y_new, errs = y + d[:dim], d[dim:].tolist()
-            k[6] = v(y_new)
-        else:
-            for i in range(1, 7):
-                point = y.tolist()
-                for j in range(i):
-                    if _A[i, j]:
-                        w = h * float(_A[i, j])
-                        point = [p + w * d for p, d in zip(point, k[j])]
-                y_new = np.array(point)
-                k[i] = v(y_new)
-            terms = [[float(e) * d for d in k[j]]
-                     for j, e in enumerate(_E) if e]
-            errs = terms[0]
-            for term in terms[1:]:
-                errs = [a + b for a, b in zip(errs, term)]
-            errs = [h * e for e in errs]
+        for i in range(1, 7):
+            point = y.tolist()
+            for j in range(i):
+                if _A[i, j]:
+                    w = h * float(_A[i, j])
+                    point = [p + w * d for p, d in zip(point, k[j])]
+            y_new = np.array(point)
+            k[i] = v(y_new)
+        terms = [[float(e) * d for d in k[j]] for j, e in enumerate(_E) if e]
+        errs = terms[0]
+        for term in terms[1:]:
+            errs = [a + b for a, b in zip(errs, term)]
+        errs = [h * e for e in errs]
         err2 = 0.0
         for e, a, b in zip(errs, y.tolist(), y_new.tolist()):
             q = e / (abs_tol + rel_tol * max(abs(a), abs(b)))
@@ -471,11 +464,70 @@ def _stepping_reference(f, x0, t0, t1, cfg, centers):
         else:
             factor = 0.2
         h *= min(5.0, max(0.2, factor))
-    times, points = _dense_output(np.array(ts), np.array(hs), np.array(ys),
-                                  np.array(fs), centers, chord_tol,
-                                  cfg.max_samples)
+    hs, ys, fs = np.array(hs), np.array(ys), np.array(fs)
+    times, points = _dense_output(np.array(ts), hs, ys,
+                                  _hermite_midpoint(hs, ys, fs), centers,
+                                  chord_tol, cfg.max_samples)
     times[-1] = t1
     return times, points, attempts, rejects
+
+
+def _taylor_grid_reference(f, x0, t0, t1, cfg, centers):
+    """The grid of the matrix-backed kinds written out plainly.  The
+    step from t0 + j h, h = min(max_step, t1 - t0, 1 / (2 |M|_inf)), is
+    found one at a time, by the stepping loop's landing rule.  Each node
+    but the last is the one before plus P (hM y + hb), with P = I + hM/2
+    (I + hM/3 (... (I + hM/(Q+1)))), built afresh for every step.  Each
+    midpoint a fraction s of h past a node y is y + s (w0 + s/2 (w1 +
+    s/3 (...))), w_q = (hM)^q (hM y + hb), point by point, and so is the
+    last node, at s = hs[-1] / h.  The w_q of all nodes are the same
+    batched products as in the code, whose rows a one-row product may
+    round differently."""
+    dim, deg = f.dim, flow._TAYLOR_DEGREE
+    m = np.zeros((dim, dim)) if f.matrix is None else f.matrix
+    b = np.zeros(dim) if f.offset is None else f.offset
+    chord_tol = cfg.abs_tol if cfg.chord_tol is None else float(cfg.chord_tol)
+    norm = float(np.max(np.sum(np.abs(m), axis=1)))
+    span = t1 - t0
+    h_min = 1e-14 * span
+    h = min(cfg.max_step, span, 0.5 / norm if norm else math.inf)
+    ts, hs, j = [], [], 0
+    while True:
+        ts.append(t0 + j * h)
+        if t1 - (t0 + (j + 1) * h) < h_min:
+            hs.append(t1 - ts[-1])
+            break
+        hs.append(h)
+        j += 1
+    ys = [np.asarray(x0, dtype=np.float64)]
+    for step in hs[:-1]:
+        a = step * m
+        p = np.eye(dim)
+        for q in range(deg + 1, 1, -1):
+            p = np.eye(dim) + np.dot(a, p) / q
+        ys.append(ys[-1] + (np.dot(np.dot(p, a), ys[-1])
+                            + np.dot(p, step * b)))
+    ts, hs, ys = np.array(ts), np.array(hs), np.array(ys)
+    at = (h * m).T
+    w = [np.dot(ys, at) + h * b]
+    for _ in range(deg):
+        w.append(np.dot(w[-1], at))
+
+    def midpoint(steps, thetas):
+        out = []
+        for j, theta in zip(steps, thetas):
+            s = theta * (hs[j] / h)
+            acc = w[deg][j]
+            for q in range(deg - 1, -1, -1):
+                acc = w[q][j] + s / (q + 2) * acc
+            out.append(ys[j] + s * acc)
+        return np.array(out)
+
+    ys = np.concatenate([ys, midpoint([len(hs) - 1], [1.0])])
+    times, points = _dense_output(ts, hs, ys, midpoint, centers, chord_tol,
+                                  cfg.max_samples)
+    times[-1] = t1
+    return times, points
 
 
 def _stepping_cases():
@@ -488,6 +540,10 @@ def _stepping_cases():
          [np.zeros(3)]),
         ("sink-no-centers", tr.linear(SINK_MATRIX), [0.3, -1.0, 0.7], 2.0,
          sink_cfg, []),
+        # eight steps of max_step leave 5e-15 < h_min to go: the last one
+        # is stretched to t1
+        ("sink-stretched", tr.linear(SINK_MATRIX), [0.3, -1.0, 0.7], 1.0,
+         dataclasses.replace(sink_cfg, max_step=(1.0 - 5e-15) / 8), []),
         ("affine", tr.affine(m / np.linalg.norm(m, 2), [0.5, -1.0, 0.2]),
          rng.standard_normal(3), 2.0,
          tr.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11, chord_tol=1e-4),
@@ -508,140 +564,103 @@ def _stepping_cases():
 @pytest.mark.parametrize("case", _stepping_cases(), ids=lambda c: c[0])
 def test_stepping_matches_reference_loop(case, monkeypatch):
     _, f, x0, T, cfg, centers = case
-    want_t, want_x, attempts, rejects = _stepping_reference(
-        f, x0, 0.0, T, cfg, centers)
     calls = []
 
-    def counting(formula_for):
-        def counted_formula(spec):
-            v = formula_for(spec)
+    def counted_formula(spec):
+        v = _point_formula(spec)
 
-            def counted(*p):
-                calls.append(None)
-                return v(*p)
-            return counted
-        return counted_formula
+        def counted(*p):
+            calls.append(None)
+            return v(*p)
+        return counted
 
-    # both functions that hand a stepper its field formula
-    monkeypatch.setattr(flow, "field_evaluator", counting(field_evaluator))
-    monkeypatch.setattr(flow, "_point_formula", counting(_point_formula))
+    # the function that hands the stepping loop its field formula
+    monkeypatch.setattr(flow, "_point_formula", counted_formula)
     c = tr.integrate_trajectory(f, x0, 0.0, T, cfg, obs_centers=centers)
-    assert np.array_equal(c.t, want_t) and np.array_equal(c.x, want_x)
     if f.kind in ("spiral2d", "twist3d"):
+        want_t, want_x, attempts, _ = _stepping_reference(
+            f, x0, 0.0, T, cfg, centers)
         assert len(calls) == 1 + 6 * attempts
-    else:  # one evaluation per accepted step
-        assert len(calls) == 1 + attempts - rejects
+    else:  # the exact grid never enters the stepping loop
+        want_t, want_x = _taylor_grid_reference(f, x0, 0.0, T, cfg, centers)
+        assert not calls
+    assert np.array_equal(c.t, want_t) and np.array_equal(c.x, want_x)
 
 
 def test_stepping_reference_cases_reject_steps():
     # the bitwise comparison covers the rejection branch too
     rejects = [_stepping_reference(f, x0, 0.0, T, cfg, centers)[3]
-               for _, f, x0, T, cfg, centers in _stepping_cases()]
+               for _, f, x0, T, cfg, centers in _stepping_cases()
+               if f.kind in ("spiral2d", "twist3d")]
     assert max(rejects) > 0
 
 
-def _exact(x):
-    """The small rational whose nearest double the tableau holds."""
-    r = Fraction(x).limit_denominator(10**6)
-    assert float(r) == x
-    return r
+def test_taylor_degree_is_the_smallest_below_half_an_ulp():
+    # at |hM|_inf = 1/2 the sum to degree Q leaves out of h f the terms
+    # t_q = 2^-q / (q+1)!, q > Q, whose ratios t_(q+1) / t_q = 1/(2(q+2))
+    # are at most 1/(2(Q+3)): the tail is at most t_(Q+1) / (1 - that)
+    half_ulp = Fraction(1, 2 ** 53)
+
+    def term(q):
+        return Fraction(1, 2 ** q * math.factorial(q + 1))
+
+    deg = flow._TAYLOR_DEGREE
+    assert term(deg + 1) / (1 - Fraction(1, 2 * (deg + 3))) < half_ulp
+    # one degree less leaves out t_Q alone, already above eps/2
+    assert term(deg) >= half_ulp
 
 
-def test_polynomial_coefficients_match_tableau():
-    a = [[_exact(x) for x in row] for row in _A.tolist()]
-    e = [_exact(x) for x in _E.tolist()]
-    # f(y + d) = f(y) + M d, so stage i is k_i = sum_q alpha[i][q] (hM)^q f(y)
-    alpha = []
-    for i in range(7):
-        coef = [Fraction(1)] + [Fraction(0)] * 7
-        for j in range(i):
-            for q in range(7):
-                coef[q + 1] += a[i][j] * alpha[j][q]
-        alpha.append(coef)
-    inc = [sum(a[6][i] * alpha[i][q] for i in range(7)) for q in range(8)]
-    err = [sum(e[i] * alpha[i][q] for i in range(7)) for q in range(8)]
-    # seven coefficients hold both; the error of a 5(4) pair starts at h^5
-    assert inc[6:] == [0, 0] and err[7] == 0
-    assert err[:4] == [0, 0, 0, 0]
-    assert inc[:6] == [Fraction(1, n) for n in (1, 2, 6, 24, 120, 600)]
-    assert err[4:7] == [Fraction(-97, 120000), Fraction(13, 40000),
-                        Fraction(-1, 24000)]
-    assert [float(c) for c in inc[:7]] == _POLY[0].tolist()
-    assert [float(c) for c in err[:7]] == _POLY[1].tolist()
-
-
-def _stage_error_bound(m, b, y, h):
-    """Running forward-error bound of one stage step: the rounding of
-    the increment and of the error vector ``h (_E . k)``.
-
-    Each stage point is y plus at most 6 products ``(h A[i, j]) k_j``
-    added one at a time: each term takes at most 9 roundings (the
-    weight, the product and 6 additions, and a tableau entry within
-    half an ulp of its rational), and each slope is a dot product of
-    ``dim`` terms plus the offset; an error in an earlier slope reaches
-    a point through ``h |A|``, and an error in a point reaches its slope
-    through ``|M|``."""
-    eps, dim = np.finfo(np.float64).eps, len(y)
-    am, ab = np.abs(m), np.abs(b)
-    k, e_k = np.zeros((7, dim)), np.zeros((7, dim))
-    for i in range(7):
-        point = y + h * np.dot(_A[i, :i], k[:i])
-        size = np.abs(y) + h * np.dot(np.abs(_A[i, :i]), np.abs(k[:i]))
-        e_pt = 9 * eps * size + h * np.dot(np.abs(_A[i, :i]), e_k[:i])
-        k[i] = np.dot(m, point) + b
-        e_k[i] = (dim + 2) * eps * (am @ np.abs(point) + ab) + am @ e_pt
-    ae = np.abs(_E)
-    e_err = h * (9 * eps * np.dot(ae, np.abs(k)) + np.dot(ae, e_k))
-    return e_pt, e_err + eps * np.abs(h * np.dot(_E, k))
-
-
-def _poly_error_bound(m, b, y, h):
-    """Rounding bound of one polynomial step, per row: the powers of N by
-    at most 6 dot products of ``dim`` terms, one more for the slope
-    block, at most 7 roundings in each power ``h (hs)^q`` and 8 in the
-    final dot product of 7 terms, plus half an ulp in each ``_POLY``
-    entry; the increment also rounds once when added to ``y``."""
-    eps, dim = np.finfo(np.float64).eps, len(y)
-    an = np.abs(m)
-    f = np.abs(np.dot(m, y) + b)
-    terms = np.zeros((2, dim))
-    vec = f
-    for q in range(7):
-        terms += np.abs(_POLY[:, q])[:, None] * h ** (q + 1) * vec
-        vec = an @ vec
-    bound = (7 * dim + 17) * eps * terms
-    bound[0] += eps * (np.abs(y) + terms[0])
-    return bound
-
-
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("hm", [0.01, 0.3, 1.5])
-def test_one_polynomial_step_matches_stages(seed, hm):
-    # the two forms of one step from the same (y, h) agree to the sum of
-    # their rounding bounds, fixed above from eps and the summed terms
+# every sample of a matrix-backed kind lies within a bound fixed from eps,
+# the node count n and the growth G = e^(max(mu, 0) T), mu the log-norm
+# of M: with X = G (|x0| + T |b|) bounding |x| on the window, a step
+# rounds to within a few dim eps X of the exact flow (the Taylor sum's
+# truncation is below eps/2 |h f|, and P is summed with |hM| <= 1/2),
+# each of at most n such errors grows by at most G, and 64 dim covers the
+# count per step with room; sample times round by up to 8 eps (|t0| + T),
+# which moves a point by that times |x'| <= |M| X + |b|
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["linear", "affine", "constant"]),
+       dim=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1),
+       norm=st.floats(0.1, 1.5), t0=st.floats(-10.0, 10.0),
+       span=st.floats(1e-3, 3.0),
+       max_step=st.one_of(st.none(), st.floats(0.01, 1.0)),
+       chord_tol=st.sampled_from([1e-4, 1e-2, 0.5]))
+def test_matrix_samples_on_exact_flow(kind, dim, seed, norm, t0, span,
+                                      max_step, chord_tol):
     rng = np.random.default_rng(seed)
-    m, b, y = (rng.standard_normal((3, 3)), rng.standard_normal(3),
-               rng.standard_normal(3))
-    f = tr.affine(m, b)
-    h = hm / np.linalg.norm(m, np.inf)
-    v = field_evaluator(f)
-    _, stage_attempt, _ = flow._stage_stepper(
-        lambda *p: v(np.array(p)).tolist(), y.tolist())
-    _, poly_attempt, _ = flow._matrix_stepper(f, v, y)
-    y_stage, e_stage = stage_attempt(h)
-    y_poly, e_poly = poly_attempt(h)
-    y_stage, y_poly = np.array(y_stage), np.array(y_poly)
-    e_pt, e_err = _stage_error_bound(m, b, y, h)
-    bound = _poly_error_bound(m, b, y, h)
-    assert np.all(np.abs(y_stage - y_poly) <= e_pt + bound[0])
-    assert np.all(np.abs(np.subtract(e_stage, e_poly)) <= e_err + bound[1])
+    m = rng.standard_normal((dim, dim))
+    m = (np.zeros((dim, dim)) if kind == "constant"
+         else norm * m / np.linalg.norm(m, 2))
+    b = np.zeros(dim) if kind == "linear" else rng.standard_normal(dim)
+    f = {"linear": lambda: tr.linear(m), "affine": lambda: tr.affine(m, b),
+         "constant": lambda: tr.constant(b)}[kind]()
+    x0 = rng.standard_normal(dim)
+    cfg = tr.IntegratorConfig(chord_tol=chord_tol, max_step=(
+        math.inf if max_step is None else max_step))
+    c = tr.integrate_trajectory(f, x0, t0, t0 + span, cfg)
+    aug = np.zeros((dim + 1, dim + 1))
+    aug[:dim, :dim], aug[:dim, dim] = m, b
+    want = (scipy.linalg.expm((c.t - t0)[:, None, None] * aug)
+            @ np.append(x0, 1.0))[:, :dim]
+    inf_norm = float(np.max(np.sum(np.abs(m), axis=1)))
+    n = span / min(cfg.max_step, span, 0.5 / inf_norm if inf_norm
+                   else math.inf) + 2
+    mu = float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1])
+    growth = math.exp(max(mu, 0.0) * span)
+    x_max = growth * (np.linalg.norm(x0) + span * np.linalg.norm(b))
+    v_max = np.linalg.norm(m, 2) * x_max + np.linalg.norm(b)
+    eps = np.finfo(np.float64).eps
+    bound = eps * (64 * dim * n * growth * x_max
+                   + 8 * (abs(t0) + span) * v_max)
+    assert np.all(np.linalg.norm(c.x - want, axis=1) <= bound)
 
 
 @pytest.mark.parametrize("k", [-600, 0, 300, 600])
 @pytest.mark.parametrize("kind", ["linear", "affine"])
 def test_polynomial_steps_are_scale_invariant(k, kind):
-    # 2^k M over T / 2^k: every scaling is by a power of two, so the same
-    # steps are taken and the points agree bit for bit
+    # 2^k M over T / 2^k: every scaling is by a power of two, and the
+    # Taylor steps are written in hM and hb, so the same grid is taken
+    # and the points agree bit for bit
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     m = q @ np.array([[-1.2, 0.0, 0.0], [0.0, -0.4, -3.0],
