@@ -27,6 +27,20 @@ their own length get their exact distance; a chunk whose nearest corner
 lies beyond the largest reach skips that test, which rounding's
 monotonicity makes exact.
 
+Most of a grid is far from any close pair, and there the cells need not
+be evaluated one by one.  Solid angle is additive, so a tile of the grid
+sums to the solid angle of the surface its cells tile, and where all its
+corners lie in one open half-space that is exactly the fan of triangles
+from an apex in that half-space over the tile's boundary edges: ``4B``
+triangles for ``B^2`` cells.  The pass cuts the grid into tiles of at
+most ``_TILE`` segments a side and sums a tile by its fan when its two
+vertex runs lie farther apart than any pair of it could be flagged (so
+the guard could not fire there), when the fan is at most as
+ill-conditioned as the cells it replaces, and, in absolute mode, when
+every pair's numerator has one certified sign.  Every other tile goes
+through the direct pass, run by run, and the roundoff term keeps its
+value (:func:`_pair_solid_angles`).
+
 Windows ``[t0, t]`` of two fixed curves with one shared start ``t0`` (the
 nested log-sink shells) need no pass of their own: each window's
 polyline is the longest window's up to its own last sample, plus one
@@ -63,6 +77,10 @@ _PAIR_BUDGET = 1_000_000_000
 # condition number.  Against 40-digit evaluations of the same formula the
 # worst observed factor was about 4.
 _ROUNDOFF_ULPS = 32.0
+# Most segments per side of a tile of the grid, which may be summed by
+# its boundary fan (see _pair_solid_angles).  On the sink shells' grids,
+# 64 took the least time of 24 to 128.
+_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -118,6 +136,14 @@ class _Polyline:
         self.length = np.linalg.norm(self.d, axis=1)
         self.a = np.cross(x[:-1], self.d)
         self.a_norm = np.linalg.norm(self.a, axis=1)
+
+    def run(self, i0, i1):
+        """Segments ``i0 <= i < i1`` as a polyline of their own, sliced."""
+        s = _Polyline.__new__(_Polyline)
+        s.x, s.y = self.x[i0:i1 + 1], self.y[:, i0:i1 + 1]
+        s.d, s.length, s.a, s.a_norm = (v[i0:i1] for v in (
+            self.d, self.length, self.a, self.a_norm))
+        return s
 
 
 def _chunk_angles(s1, s2, guard):
@@ -221,16 +247,215 @@ def _chunk_angles(s1, s2, guard):
         yield i0, vals, i, j, conds
 
 
+def _tiles(s, edges):
+    """One side of the tiled grid: tile edges that cut the gap between
+    each two consecutive ``edges`` (and 0) into near-equal runs of at most
+    ``_TILE`` segments, and per run the bounding ball of its vertices
+    (the box center and the largest distance from it), its longest
+    segment and the largest norm of a segment's first vertex."""
+    cut = [0]
+    for e in sorted(edges):
+        start, span = cut[-1], e - cut[-1]
+        parts = -(-span // _TILE)
+        cut += [start + span * q // parts for q in range(1, parts + 1)]
+    cut = np.array(cut)
+    first, last = cut[:-1], cut[1:]
+    x = s.x
+    center = 0.5 * (np.minimum(np.minimum.reduceat(x, first), x[last])
+                    + np.maximum(np.maximum.reduceat(x, first), x[last]))
+    own = np.linalg.norm(x[:-1] - np.repeat(center, np.diff(cut), axis=0),
+                         axis=1)
+    radius = np.maximum(np.maximum.reduceat(own, first),
+                        np.linalg.norm(x[last] - center, axis=1))
+    return (cut, center, radius, np.maximum.reduceat(s.length, first),
+            np.maximum.reduceat(np.linalg.norm(x[:-1], axis=1), first))
+
+
+def _fan_sides(c, p, e):
+    """Fan triangles ``(p, u, v)`` over consecutive corners ``u, v``
+    along the last axis of ``c`` (coordinates first, the other side's
+    tile edges second) from the unit apexes ``p`` of the tiles: their
+    half solid angles ``atan2(N, D)`` summed over each run between the
+    edges ``e``, at each tile's far edge less at its near edge.
+
+    In unit corners ``N = <p, u x v>`` and ``D = 1 + <u, v> + <p, u + v>``
+    (Van Oosterom-Strackee over ``|p| |u| |v|``), so only ``<p, u + v>``
+    and ``N`` differ between the two tiles that meet at an edge."""
+    # a corner of a tile that goes direct may vanish
+    r = np.sqrt(np.einsum("kij,kij->ij", c, c))
+    c = c / np.where(r > 0.0, r, 1.0)
+    u, v = c[..., :-1], c[..., 1:]
+    base = np.einsum("kij,kij->ij", u, v)
+    base += 1.0
+    x = np.empty(u.shape)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(u[j], v[k], out=x[i])
+        x[i] -= u[k] * v[j]
+    u = u + v
+    p = np.repeat(p, np.diff(e), axis=2)
+    sides = []
+    for k in (slice(None, -1), slice(1, None)):
+        den = np.einsum("kij,kij->ij", p, u[:, k])
+        den += base[k]
+        sides.append(np.arctan2(np.einsum("kij,kij->ij", p, x[:, k]), den,
+                                out=den))
+    return np.add.reduceat(sides[1] - sides[0], e[:-1] - e[0], axis=1)
+
+
+def _fans(s1, s2, e1, e2, apex):
+    """Cell sums of the tiles between the row edges ``e1`` and the column
+    edges ``e2`` of the grid, by their boundary fans from the unit
+    ``apex`` directions (one per tile, coordinates last).
+
+    A cell ``r00 -> r10 -> r11 -> r01`` holds minus the half solid angle
+    of that loop, so a tile holds minus the fan of its boundary in the
+    same order: along ``x1`` at its first column, along ``x2`` at its last
+    row, and back along the other two sides.  The two tiles that meet at
+    a side share its corners, their norms and dot products.
+    """
+    p = np.moveaxis(apex, 2, 0)
+    i0, i1, j0, j1 = e1[0], e1[-1], e2[0], e2[-1]
+    along1 = _fan_sides(s1.y[:, None, i0:i1 + 1] - s2.y[:, e2, None],
+                        p.transpose(0, 2, 1), e1)
+    along2 = _fan_sides(s1.y[:, e1, None] - s2.y[:, None, j0:j1 + 1], p, e2)
+    return along1.T - along2
+
+
+def _tiled_angles(s1, s2, absolute, guard, rows, cols):
+    """Solid angles of the grid of segment pairs of two centered
+    polylines by tiles (see :func:`_pair_solid_angles`), yielded one block
+    at a time as ``(i0, j0, vals, i, j, conds)``: the values ``vals`` of
+    the grid from row ``i0`` and column ``j0`` on (absolute in absolute
+    mode), the flagged pairs ``(i, j)`` relative to ``(i0, j0)`` and
+    their condition numbers.
+
+    Tile edges include ``rows`` and ``cols``, so every tile lies inside or
+    outside each block a cut sums.  The fan-summed tiles of a tile row
+    come as one row of values that holds each one's sum at its first
+    column; every other run of adjacent tiles of a tile row goes through
+    :func:`_chunk_angles`, and a grid without a tile to sum by its fan
+    goes through it whole.  The fans are evaluated for groups of tile rows
+    whose planes hold about an eighth of ``_CHUNK_PAIRS`` values, so their
+    temporaries stay within the size of a chunk's workspace.
+    """
+    e1, c1, rho1, l1, far1 = _tiles(s1, rows)
+    e2, c2, rho2, l2, far2 = _tiles(s2, cols)
+    h, w = np.diff(e1)[:, None], np.diff(e2)
+    apex = c1[:, None] - c2
+    dist = np.linalg.norm(apex, axis=2)
+    rho = rho1[:, None] + rho2
+    gap = dist - rho
+    reach = 2.0 * l1[:, None] + max(guard, 0.0) + 2.0 * l2
+    # (a), the fan's conditioning, and sides of at least half a tile
+    fan = ((gap > reach * (1.0 + 1e-12) + 1e-12 * (dist + rho))
+           & ((h + w) * (gap + 2.0 * rho) ** 2 <= h * w * gap * (gap + rho))
+           & (2 * np.minimum(h, w) >= _TILE))
+    if not fan.any():
+        for i0, vals, i, j, conds in _chunk_angles(s1, s2, guard):
+            if absolute:
+                np.abs(vals, out=vals)
+            yield i0, 0, vals, i, j, conds
+        return
+    unit = apex / np.where(fan, dist, 1.0)[..., None]
+    n2 = len(s2.d)
+    if absolute:
+        tol = 16.0 * np.finfo(float).eps * (l1[:, None] * l2
+                                            * (far1[:, None] + far2))
+        # N = <p1 x d1, d2> + <d1, p2 x d2> as one matmul
+        left = np.hstack([s1.a, s1.d])
+        right = np.vstack([s2.d.T, s2.a.T])
+        numer = np.empty((h.max(), n2))
+    group = max(1, _CHUNK_PAIRS // (8 * _TILE * len(e2)))
+    for r, (i0, i1) in enumerate(zip(e1[:-1], e1[1:])):
+        if r % group == 0:
+            g = slice(r, r + group)
+            sums = _fans(s1, s2, e1[r:r + group + 1], e2, unit[g]) \
+                if fan[g].any() else None
+        take, sign = fan[r], 1.0
+        if absolute and take.any():
+            nr = np.matmul(left[i0:i1], right, out=numer[:i1 - i0])
+            lo = np.minimum.reduceat(nr.min(axis=0), e2[:-1])
+            hi = np.maximum.reduceat(nr.max(axis=0), e2[:-1])
+            sign = (lo > tol[r]) * 1.0 - (hi < -tol[r])
+            take = take & (sign != 0.0)
+            sign = sign[take]
+        if take.any():
+            row = np.zeros((1, n2))
+            row[0, e2[:-1][take]] = sign * sums[r % group, take]
+            none = np.empty(0, dtype=np.intp)
+            yield i0, 0, row, none, none, []
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], ~take, [0]))))
+        for t0, t1 in zip(edges[::2], edges[1::2]):
+            j0 = e2[t0]
+            for k0, vals, i, j, conds in _chunk_angles(
+                    s1.run(i0, i1), s2.run(j0, e2[t1]), guard):
+                if absolute:
+                    np.abs(vals, out=vals)
+                yield i0 + k0, j0, vals, i, j, conds
+
+
 def _pair_solid_angles(x1, x2, absolute, guard, cuts):
     """Exact Gauss double integral of pairs of polylines cut from ``x1``
     and ``x2``, times 4 pi, each with a bound on its roundoff (radians).
 
     A cut ``((p1, e1), (p2, e2))`` is the pair ``x1[:p1]``, ``x2[:p2]``,
     each followed by its own end vertex ``e`` unless that is None.  One
-    chunked pass over the grid of prefix segments serves every cut: each
-    cut sums its own block of the grid, and the pairs on its own end
-    segments are added as two thin strips.  The guard is checked on every
-    evaluated pair; a guard of ``-inf`` flags no pair and checks nothing.
+    pass over the grid of prefix segments serves every cut: each cut sums
+    its own block of the grid, and the pairs on its own end segments are
+    added as two thin strips.  The guard is checked on every evaluated
+    pair; a guard of ``-inf`` flags no pair and checks nothing.
+
+    The block pass is tiled (:func:`_tiled_angles`).  Solid angle is
+    additive, so the cells of a tile sum to the solid angle of the
+    surface they tile.  Where every corner ``r`` of the tile has
+    ``<r, P> > 0`` for one apex ``P``, that is exactly the fan of the
+    triangles ``(P, u, v)`` over the tile's ``2(h + w)`` boundary edges:
+    in that open half-space the gnomonic projection makes solid angle a
+    signed area with a positive density, and the interior edges cancel.
+    A tile with both sides at least ``_TILE / 2`` (so each fan triangle
+    replaces at least ``_TILE / 8`` cells) is summed by its fan when
+
+    (a) the bounding balls of its two vertex runs, centers ``c1``, ``c2``
+        and radii summing to ``rho``, have a gap ``|c1 - c2| - rho``
+        beyond the largest reach ``2 l1 + guard + 2 l2`` over the tile
+        (guard 0 for ``-inf``), with a relative margin of 1e-12 that
+        covers the rounding of the distances on both sides.  Then the
+        direct pass would flag no pair of the tile and its guard could
+        not fire there, and ``P = c1 - c2`` gives the half-space:
+        ``<r, P> >= |P| gap`` at every corner.
+    (b) in absolute mode, its numerators ``N = <p1 x d1, d2> + <d1, p2 x
+        d2>`` all have one certified sign.  They come as one 6-term
+        matmul of the direct kernel's ``a = p x d`` and ``d``.  The
+        computed ``d`` is within ``eps/2 |d|`` of the exact difference,
+        ``a`` within ``5 eps/2 |p| |d|`` of the exact ``p x d``, and the
+        6-term sum adds at most ``3 eps`` of ``(|p1| + |p2|) l1 l2``, so
+        the computed ``N`` is within ``6 eps (|p1| + |p2|) l1 l2`` of the
+        exact one, to first order.  The screen asks every ``|N|`` of the
+        tile to exceed ``16 eps max(|p1| + |p2|) max l1 max l2``, with
+        one sign.  ``|Omega_ij|`` has the sign of ``N_ij``, so the tile's
+        absolute sum is its fan times that sign.
+
+    Every other tile goes direct, so flagging, the guard and the
+    conditioning of flagged pairs are those of one direct pass.
+
+    Roundoff.  Each telescoped cell still counts condition number 1, as
+    the direct pass counts every unflagged pair, so the roundoff term
+    keeps its value.  Every corner lies within ``gap + 2 rho`` of the
+    origin and at least ``gap`` along ``P``, so its angle to ``P`` has
+    cosine at least ``c = gap / (gap + 2 rho)``.  Each of the four terms
+    of a fan triangle's denominator is then at least its share of ``D >=
+    2 c (1 + c) |P| |u| |v|``, and the triangle's condition number
+    ``(|P| |u| |v| + |N|_size |D| / |(N, D)|) / |(N, D)|``, with
+    ``|N|_size <= |P| |u| |v|``, is at most ``1 / (c (1 + c))``.  The fan
+    works in unit vectors, which adds an ulp or two to each corner and
+    so stays within that count.  A tile is summed by its fan only where
+    the fan's condition numbers, ``2 (h + w) / (c (1 + c))`` in all,
+    stay within the ``h w`` its cells count.  So at the same rate of
+    ``_ROUNDOFF_ULPS`` per unit, the fan errs by no more than the cells
+    it replaces may.  A full tile needs ``c`` above about ``4 / _TILE``
+    for this, while (a) alone leaves ``c`` as low as ``1 / (_TILE + 1)``
+    (a ball holds a run of ``_TILE`` segments within ``_TILE`` lengths).
     """
     # translation leaves N unchanged; centering keeps p1 x d1 small
     center = 0.5 * (x1.mean(axis=0) + x2.mean(axis=0))
@@ -239,16 +464,16 @@ def _pair_solid_angles(x1, x2, absolute, guard, cuts):
     blocks = [(p1 - 1, p2 - 1) for (p1, _), (p2, _) in cuts]
     partials = [[] for _ in cuts]
     conditioning = [float(a * b) for a, b in blocks]
-    for i0, vals, i, j, conds in _chunk_angles(s1, s2, guard):
-        if absolute:
-            np.abs(vals, out=vals)
+    tiles = (_tiled_angles(s1, s2, absolute, guard, *map(set, zip(*blocks)))
+             if len(s1.d) and len(s2.d) else ())
+    for i0, j0, vals, i, j, conds in tiles:
         for k, (a, b) in enumerate(blocks):
-            if a <= i0:
+            if a <= i0 or b <= j0:
                 continue
-            inside = (i < a - i0) & (j < b)
+            inside = (i < a - i0) & (j < b - j0)
             for cond in conds:
                 conditioning[k] += float(np.sum(cond[inside]))
-            partials[k].append(float(np.sum(vals[:a - i0, :b])))
+            partials[k].append(float(np.sum(vals[:a - i0, :b - j0])))
 
     def cut(s, p, e):
         return s.x[:p] if e is None else np.vstack([s.x[:p], e - center])

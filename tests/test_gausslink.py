@@ -11,7 +11,7 @@ from trajrot import gausslink
 
 from conftest import (SINK_BETA, SINK_MATRIX, X_AXIS, Z_AXIS, axis_segment,
                       circle3d, helix_curve, kernel_passes, random_rotation,
-                      ray_shortfall, transform, translate)
+                      ray_shortfall, sink_closed_form, transform, translate)
 
 
 def hopf_pair(n=801):
@@ -694,3 +694,235 @@ def test_chunked_values_match_one_chunk(chunk):
         (v1, ro1), (v, ro) = one[0], many[0]
         assert abs(v - v1) <= 1e-15 * abs(v1)
         assert ro == pytest.approx(ro1, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# tiles summed by their boundary fans
+
+
+def _helices(seed, n1, n2):
+    """Two helices about parallel axes 2.5 apart, with random lengths,
+    phase and offset along the axes."""
+    rng = np.random.default_rng(seed)
+    s1 = np.linspace(0.0, rng.uniform(2.0, 12.0), n1 + 1)
+    s2 = np.linspace(0.0, rng.uniform(2.0, 12.0), n2 + 1)
+    phase, lift = rng.uniform(0.0, 2 * math.pi), rng.uniform(-1.0, 1.0)
+    x1 = np.stack([np.cos(s1), np.sin(s1), 0.15 * s1], axis=1)
+    x2 = np.stack([2.5 + np.cos(s2 + phase), np.sin(s2 + phase),
+                   0.15 * s2 + lift], axis=1)
+    return x1, x2
+
+
+def _sink_windows(seed, n1, n2):
+    """Two disjoint time windows of one trajectory of the reference sink."""
+    rng = np.random.default_rng(seed)
+    a, b, c, d = np.cumsum(rng.uniform([0.0, 0.2, 0.05, 0.2],
+                                       [1.0, 1.5, 0.5, 1.5]))
+    x0 = rng.normal(size=3)
+    return (sink_closed_form(x0, np.linspace(a, b, n1 + 1)),
+            sink_closed_form(x0, np.linspace(c, d, n2 + 1)))
+
+
+def _arc(seed, n1, n2):
+    """A segment of the x-axis against a circle arc in the plane x = 10,
+    centered 3 above the axis: the numerator <p1 - p2, d1 x d2> is
+    proportional to 1 + 3 sin(theta), so it changes sign along the arc."""
+    rng = np.random.default_rng(seed)
+    s = np.linspace(-1.0, 1.0, n1 + 1)
+    th = np.linspace(0.0, 2 * math.pi, n2 + 1) + rng.uniform(0.0, 1.0)
+    x1 = np.stack([s, 0 * s, 0 * s], axis=1)
+    x2 = np.stack([10.0 + 0 * th, np.cos(th), 3.0 + np.sin(th)], axis=1)
+    return x1, x2
+
+
+def _walk_pair(seed, n1, n2):
+    return _walks(seed, n1, n2, np.random.default_rng(seed).uniform(-3, 3, 3))
+
+
+_TILE_INPUTS = {"walks": _walk_pair, "helices": _helices,
+                "sink": _sink_windows, "arc": _arc}
+
+
+def _nested_cuts(x1, x2, ends):
+    """Cuts of ``x1`` and ``x2`` ending at the fractions ``ends`` of their
+    parameter: on a sample, or inside a segment with an interpolated end
+    vertex."""
+    def cut(x, q):
+        pos = q * (len(x) - 1)
+        p = int(pos) + 1
+        f = pos - (p - 1)
+        if f == 0.0 or p == len(x):
+            return max(p, 2), None
+        return p, x[p - 1] + f * (x[p] - x[p - 1])
+
+    return [(cut(x1, a), cut(x2, b)) for a, b in ends]
+
+
+def _tiled_and_direct(x1, x2, absolute, guard, cuts, tile):
+    """``_pair_solid_angles`` with tiles of at most ``tile`` segments and
+    all direct (tiles far above twice the grid), each a list of (value,
+    roundoff) or the error it raised; and the number of pairs the tiled
+    call evaluated directly."""
+    chunk = gausslink._chunk_angles
+    direct = [0]
+
+    def counting(s1, s2, g):
+        for item in chunk(s1, s2, g):
+            direct[0] += item[1].size
+            yield item
+
+    out = []
+    for t, probe in ((tile, counting), (10**9, chunk)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gausslink, "_TILE", t)
+            mp.setattr(gausslink, "_chunk_angles", probe)
+            try:
+                out.append(gausslink._pair_solid_angles(x1, x2, absolute,
+                                                        guard, cuts))
+            except tr.CurvesTooClose as exc:
+                out.append(exc)
+    return out[0], out[1], direct[0]
+
+
+@given(kind=st.sampled_from(sorted(_TILE_INPUTS)),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n1=st.integers(min_value=1, max_value=40),
+       n2=st.integers(min_value=1, max_value=40),
+       ends=st.lists(st.tuples(st.floats(0.02, 1.0), st.floats(0.02, 1.0)),
+                     min_size=1, max_size=3),
+       tile=st.integers(min_value=2, max_value=8),
+       absolute=st.booleans(),
+       guard=st.sampled_from([-math.inf, 1e-9, 0.5, 2.0]))
+@settings(max_examples=150, deadline=None)
+# the arc's sign change falls inside a tile of 8 and one of 4
+@example(kind="arc", seed=0, n1=8, n2=32, ends=[(1.0, 1.0)], tile=8,
+         absolute=True, guard=1e-9)
+@example(kind="arc", seed=1, n1=6, n2=40, ends=[(1.0, 1.0), (0.5, 0.77)],
+         tile=4, absolute=True, guard=1e-9)
+def test_tiled_pass_matches_direct_pass(kind, seed, n1, n2, ends, tile,
+                                        absolute, guard):
+    """A tile summed by its fan changes the value by less than the call's
+    roundoff term, and neither that term nor the guard's verdict moves:
+    with a wide guard, tiles the fan could sum hold flagged pairs."""
+    x1, x2 = _TILE_INPUTS[kind](seed, n1, n2)
+    cuts = _nested_cuts(x1, x2, ends)
+    tiled, direct, _ = _tiled_and_direct(x1, x2, absolute, guard, cuts, tile)
+    if isinstance(direct, Exception):
+        assert isinstance(tiled, tr.CurvesTooClose)
+        return
+    assert not isinstance(tiled, Exception)
+    for (v, ro), (v_ref, ro_ref) in zip(tiled, direct):
+        assert abs(v - v_ref) <= ro
+        assert ro == pytest.approx(ro_ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(_TILE_INPUTS))
+def test_tiles_are_summed_by_fans(kind):
+    """Each kind of input of the test above has tiles summed by fans,
+    signed and, except the random walks (whose N changes sign from pair to
+    pair), absolute; the arc keeps the tiles where N changes sign direct
+    in absolute mode only."""
+    x1, x2 = _TILE_INPUTS[kind](4, 40, 40)
+    cuts = _nested_cuts(x1, x2, [(1.0, 1.0), (0.61, 0.47)])
+    n_direct = {}
+    for absolute in (False, True):
+        tiled, direct, n_direct[absolute] = _tiled_and_direct(
+            x1, x2, absolute, 1e-9, cuts, 4)
+        for (v, ro), (v_ref, ro_ref) in zip(tiled, direct):
+            assert abs(v - v_ref) <= ro
+            assert ro == pytest.approx(ro_ref, rel=1e-12)
+    # the second cut's end strips hold 19 + 24 pairs
+    assert n_direct[False] < 40 * 40
+    if kind != "walks":
+        assert n_direct[True] < 40 * 40
+    if kind == "arc":
+        assert n_direct[False] == 19 + 24 < n_direct[True]
+
+
+def test_tiled_pass_raises_on_the_same_close_pair():
+    # c2 passes 1e-9 over c1 inside one tile of a grid of many tiles
+    t = np.linspace(0.0, 10.0, 41)
+    x1 = np.stack([t, 0 * t, 0 * t], axis=1)
+    x2 = np.stack([0 * t + 5.1, t - 5.0, 0 * t + 1e-9], axis=1)
+    cuts = [((41, None), (41, None))]
+    for absolute in (False, True):
+        tiled, direct, _ = _tiled_and_direct(x1, x2, absolute, 1e-7, cuts, 4)
+        assert isinstance(tiled, tr.CurvesTooClose)
+        assert isinstance(direct, tr.CurvesTooClose)
+        clear, _, n_direct = _tiled_and_direct(x1, x2 + [0, 0, 1.0],
+                                               absolute, 1e-7, cuts, 4)
+        assert not isinstance(clear, Exception) and n_direct < 40 * 40
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+def test_wide_guard_keeps_flagged_pairs_direct(absolute):
+    """Two skew lines 1 apart in segments of about 0.05, guard 0.9: the
+    nearest pairs lie within the guard plus their own length, so they are
+    flagged (their distance is checked and their condition numbers enter
+    the roundoff term), though the fans of their 8 x 8 tiles would be
+    well conditioned.  Only tiles beyond the reach are summed by fans."""
+    s = np.linspace(0.0, 2.0, 41)
+    x1 = np.stack([s, 0 * s, 0 * s], axis=1)
+    x2 = np.stack([s + 1.2, 0 * s + 1.0, 0.3 * (s - 0.8)], axis=1)
+    cuts = [((41, None), (41, None))]
+    tiled, direct, n_direct = _tiled_and_direct(x1, x2, absolute, 0.9, cuts,
+                                                8)
+    (v, ro), (v_ref, ro_ref) = tiled[0], direct[0]
+    assert abs(v - v_ref) <= ro
+    assert ro == pytest.approx(ro_ref, rel=1e-12)
+    assert ro > 32 * math.ulp(1.0) * 40 * 40  # flagged pairs count more
+    assert 0 < n_direct < 40 * 40
+
+
+def test_fan_matches_cell_sum_at_40_digits():
+    """On one 8 x 8 tile whose corners lie in the half-space of its apex,
+    the cells' 40-digit sum equals the 40-digit boundary fan, and the
+    float fan lies within the cells' roundoff budget of it."""
+    x1, x2 = _sink_windows(5, 8, 8)
+    center = 0.5 * (x1.mean(axis=0) + x2.mean(axis=0))
+    s1, s2 = gausslink._Polyline(x1 - center), gausslink._Polyline(x2 - center)
+    e1, c1, rho1, *_ = gausslink._tiles(s1, {8})
+    e2, c2, rho2, *_ = gausslink._tiles(s2, {8})
+    assert list(e1) == list(e2) == [0, 8]
+    apex = c1[0] - c2[0]
+    assert np.linalg.norm(apex) > rho1[0] + rho2[0]
+    unit = apex / np.linalg.norm(apex)
+    got = float(gausslink._fans(s1, s2, e1, e2, unit[None, None])[0, 0])
+
+    with mpmath.workdps(40):
+        def vec(v):
+            return mpmath.matrix([mpmath.mpf(float(c)) for c in v])
+
+        y1, y2, p = [vec(v) for v in s1.x], [vec(v) for v in s2.x], vec(unit)
+
+        def dot(a, b):
+            return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+        def cross(a, b):
+            return mpmath.matrix([a[1] * b[2] - a[2] * b[1],
+                                  a[2] * b[0] - a[0] * b[2],
+                                  a[0] * b[1] - a[1] * b[0]])
+
+        def half_angle(a, b, c):
+            na, nb, nc = (mpmath.sqrt(dot(v, v)) for v in (a, b, c))
+            den = (na * nb * nc + dot(a, b) * nc + dot(a, c) * nb
+                   + dot(b, c) * na)
+            return mpmath.atan2(dot(a, cross(b, c)), den)
+
+        def r(i, j):
+            return y1[i] - y2[j]
+
+        # a cell is minus the half solid angle of r00 -> r10 -> r11 -> r01
+        cells = -mpmath.fsum(half_angle(r(i, j), r(i + 1, j), r(i + 1, j + 1))
+                             + half_angle(r(i, j), r(i + 1, j + 1),
+                                          r(i, j + 1))
+                             for i in range(8) for j in range(8))
+        loop = ([(i, 0) for i in range(8)] + [(8, j) for j in range(8)]
+                + [(i, 8) for i in range(8, 0, -1)]
+                + [(0, j) for j in range(8, 0, -1)])
+        assert all(dot(r(*k), p) > 0 for k in loop)
+        fan = -mpmath.fsum(half_angle(p, r(*a), r(*b))
+                           for a, b in zip(loop, loop[1:] + loop[:1]))
+        assert abs(cells - fan) < mpmath.mpf(10) ** -35
+        budget = gausslink._ROUNDOFF_ULPS * math.ulp(1.0) * 8 * 8
+        assert abs(got - float(fan)) <= budget
