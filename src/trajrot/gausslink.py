@@ -18,15 +18,6 @@ sum of the pairs' unsigned solid angles.  The error estimate therefore
 carries no quadrature term, only how far the polylines may sit from the
 curves they sample (a decimation comparison) plus roundoff.
 
-A pass walks the grid of segment pairs in row chunks of about
-``_CHUNK_PAIRS`` pairs.  It costs memory traffic more than arithmetic,
-so it allocates one workspace and every chunk writes into it in place:
-the corner vectors as one stacked plane, their norms and dot products as
-one ``einsum`` each.  Pairs that may sit closer than the guard or than
-their own length get their exact distance; a chunk whose nearest corner
-lies beyond the largest reach skips that test, which rounding's
-monotonicity makes exact.
-
 Most of a grid is far from any close pair, and there the cells need not
 be evaluated one by one.  Solid angle is additive, so a tile of the grid
 sums to the solid angle of the surface its cells tile, and where all its
@@ -37,9 +28,22 @@ most ``_TILE`` segments a side and sums a tile by its fan when its two
 vertex runs lie farther apart than any pair of it could be flagged (so
 the guard could not fire there), when the fan is at most as
 ill-conditioned as the cells it replaces, and, in absolute mode, when
-every pair's numerator has one certified sign.  Every other tile goes
-through the direct pass, run by run, and the roundoff term keeps its
-value (:func:`_pair_solid_angles`).
+every pair's numerator has one certified sign.  A tile that fails is
+split into halves on each side, down to ``_MIN_TILE`` segments, and
+each half is tested the same way.  The fans share each tile edge between
+the two tiles on its sides, and only the edges of summed tiles are
+evaluated.
+
+The tiles left over, and the thin strips below, go through one direct
+kernel cell by cell, a stack of equal-shape tiles at a time: the corner
+vectors as one plane per coordinate, their norms and dot products as one
+``einsum`` each, all written in place into one workspace of about
+``_CHUNK_PAIRS`` pairs, since the pass costs memory traffic more than
+arithmetic.  Pairs that may sit closer than the guard or than their own
+length get their exact distance; a stack whose nearest corner lies
+beyond the largest reach skips that test, which rounding's monotonicity
+makes exact.  Every summed cell still counts as one pair of the direct
+pass, so the roundoff term keeps its value (:func:`_pair_solid_angles`).
 
 Windows ``[t0, t]`` of two fixed curves with one shared start ``t0`` (the
 nested log-sink shells) need no pass of their own: each window's
@@ -68,8 +72,8 @@ from .errors import (CurvesTooClose, DimensionMismatch, NonTransversal,
                      SampleBudgetExceeded)
 from .rotation import signed_winding_plane
 
-# Segment pairs per row chunk of the vertex grid; keeps the workspace
-# planes near cache size.
+# Segment pairs per stack of tiles of the direct kernel; keeps the
+# workspace planes near cache size.
 _CHUNK_PAIRS = 50_000
 # Most segment pairs one call may evaluate (about a minute of work).
 _PAIR_BUDGET = 1_000_000_000
@@ -79,8 +83,12 @@ _PAIR_BUDGET = 1_000_000_000
 _ROUNDOFF_ULPS = 32.0
 # Most segments per side of a tile of the grid, which may be summed by
 # its boundary fan (see _pair_solid_angles).  On the sink shells' grids,
-# 64 took the least time of 24 to 128.
+# 64 took the least time of 24 to 128 without halving, and of 64, 96 and
+# 128 with it.
 _TILE = 64
+# A tile that fails its fan test is halved on each side while the halves
+# have at most _TILE >> level and at least _MIN_TILE segments a side.
+_MIN_TILE = 16
 
 
 @dataclass(frozen=True)
@@ -125,33 +133,34 @@ def _segment_distances(p1, d1, p2, d2):
 class _Polyline:
     """Centered polyline vertices ``x`` (and ``y``, their transpose) with
     the per-segment terms the kernel reuses: directions ``d``, their
-    lengths, and ``a = p x d`` for each segment's first vertex ``p``."""
+    lengths, ``a = p x d`` for each segment's first vertex ``p`` and the
+    norm of ``a``.  ``ad`` stacks ``(a, d)`` by rows and ``da`` ``(d, a)``
+    by columns, so that ``N = <p1 x d1, d2> + <d1, p2 x d2>`` is the
+    product of a row of one polyline's ``ad`` and a column of the other's
+    ``da``."""
 
-    __slots__ = ("x", "y", "d", "length", "a", "a_norm")
+    __slots__ = ("x", "y", "d", "length", "a_norm", "ad", "da")
 
     def __init__(self, x):
         self.x = x
         self.y = x.T.copy()
         self.d = np.diff(x, axis=0)
         self.length = np.linalg.norm(self.d, axis=1)
-        self.a = np.cross(x[:-1], self.d)
-        self.a_norm = np.linalg.norm(self.a, axis=1)
-
-    def run(self, i0, i1):
-        """Segments ``i0 <= i < i1`` as a polyline of their own, sliced."""
-        s = _Polyline.__new__(_Polyline)
-        s.x, s.y = self.x[i0:i1 + 1], self.y[:, i0:i1 + 1]
-        s.d, s.length, s.a, s.a_norm = (v[i0:i1] for v in (
-            self.d, self.length, self.a, self.a_norm))
-        return s
+        a = np.cross(x[:-1], self.d)
+        self.a_norm = np.linalg.norm(a, axis=1)
+        self.ad = np.hstack([a, self.d])
+        self.da = np.vstack([self.d.T, a.T])
 
 
-def _chunk_angles(s1, s2, guard):
-    """Solid angles of all segment pairs (i, j) of two centered polylines,
-    yielded one row chunk ``i0 <= i < i1`` at a time as
-    ``(i0, vals, i, j, conds)``: the grid ``vals[i - i0, j]``, the pairs
-    flagged as close ``(i - i0, j)`` and each triangle's condition number
-    on them.
+def _direct_angles(s1, s2, absolute, guard, tiles):
+    """Solid angles of the segment pairs of ``tiles`` of the grid of two
+    centered polylines, cell by cell.  ``tiles`` holds the arrays ``(i0,
+    i1, j0, j1)``, one entry per tile of the pairs ``i0 <= i < i1``, ``j0
+    <= j < j1``.  The tiles come back one stack at a time as ``(k, sums,
+    excess, i, j)``: the stack's tile indices ``k``, the sums of their
+    cells' values (of their absolute values in absolute mode), the sums of
+    the condition numbers of their flagged pairs, and the flagged pairs
+    ``(i, j)`` of the grid.
 
     Segment pair (i, j) has corners ``r_ab = x1[i+a] - x2[j+b]``.  Its
     value is ``atan2(N, D1) + atan2(N, D2)`` with the common numerator
@@ -161,44 +170,63 @@ def _chunk_angles(s1, s2, guard):
     within its own length ``l1 + l2`` gets its exact segment distance:
     the guard is checked against it, and it sets the pair's conditioning.
 
-    The pass is bound by memory traffic, not arithmetic, so each call
-    allocates one workspace of ``min(rows, n1)`` chunk rows (a thin strip
-    gets a thin one) and every chunk writes into it in place.  ``vals``
-    is a view of that workspace: it holds until the next chunk is drawn.
+    A stack holds tiles of about one shape (see :func:`_stacks`), each
+    padded to the stack's longest sides by repeating its last vertices,
+    and the tiles run along the last axis of every plane.  Padded cells
+    are masked out of the sums and the flags.  The pass is bound by memory
+    traffic, not arithmetic, so each call allocates one workspace of at
+    most ``_CHUNK_PAIRS`` corners a plane (or one tile's) and every stack
+    writes into it in place.
     """
-    n1, n2 = len(s1.d), len(s2.d)
-    rows = max(1, _CHUNK_PAIRS // n2)
+    i0, i1, j0, j1 = tiles
+    h, w = i1 - i0, j1 - j0
+    # a quarter of _CHUNK_PAIRS corners a stack keeps the workspace of
+    # small tiles small; tiles of side _TILE keep a long last axis
+    stacks = list(_stacks(h, w, lambda H, W: min(4 * (H + 1) * (W + 1),
+                                                 (_TILE + 1) ** 2)))
+    size = max(len(k) * (H + 1) * (W + 1) for k, H, W in stacks)
+    cells = max(len(k) * H * W for k, H, W in stacks)
     reach1 = 2.0 * s1.length + guard
     reach2 = 2.0 * s2.length
-    reach2_max = reach2.max()
-    m = min(rows, n1)
-    # corner vectors (one plane per coordinate), corner distances, the
-    # dot products of corners along an edge of the grid cell, and the
-    # (m, n2) planes of one chunk's pairs, allocated one by one like the
-    # temporaries they replace (one 6-plane block, once freed, raises
-    # glibc's mmap and trim thresholds for the rest of the process)
-    corners = np.empty((3, m + 1, n2 + 1))
-    norms = np.empty((m + 1, n2 + 1))
-    edges1, edges2 = np.empty((m, n2 + 1)), np.empty((m + 1, n2))
-    planes = [np.empty((m, n2)) for _ in range(6)]
-    for i0 in range(0, n1, rows):
-        i1 = min(i0 + rows, n1)
-        h = i1 - i0
-        c = corners[:, :h + 1]
-        np.subtract(s1.y[:, i0:i1 + 1, None], s2.y[:, None], out=c)
-        R = np.einsum("kij,kij->ij", c, c, out=norms[:h + 1])
+    # corner vectors (one plane per coordinate, later the numerators and
+    # denominators), corner distances, the dot products of corners along
+    # an edge of the grid cell, and the planes of one stack's pairs,
+    # allocated one by one like the temporaries they replace (one block
+    # of planes, once freed, raises glibc's mmap and trim thresholds for
+    # the rest of the process)
+    corners = np.empty(3 * size)
+    norms, edges1, edges2 = np.empty(size), np.empty(size), np.empty(size)
+    planes = [np.empty(cells) for _ in range(3)]
+    for k, H, W in stacks:
+        K, a0, b0, hk, wk = len(k), i0[k], j0[k], h[k], w[k]
+        rows, cols = np.arange(H + 1)[:, None], np.arange(W + 1)[:, None]
+        # vertex and segment indices, padded by repeating the last ones
+        I, J = a0 + np.minimum(rows, hk), b0 + np.minimum(cols, wk)
+        Is = a0 + np.minimum(rows[:-1], hk - 1)
+        Js = b0 + np.minimum(cols[:-1], wk - 1)
+        c = corners[:3 * (H + 1) * (W + 1) * K].reshape(3, H + 1, W + 1, K)
+        # -r = x2 - x1: only norms and dot products of corners enter
+        np.copyto(c, s2.y[:, J][:, None])
+        c -= s1.y[:, I][:, :, None]
+        R = np.einsum("xijk,xijk->ijk", c, c,
+                      out=norms[:c[0].size].reshape(c[0].shape))
         np.sqrt(R, out=R)
-        e1 = np.einsum("kij,kij->ij", c[:, :-1], c[:, 1:], out=edges1[:h])
-        e2 = np.einsum("kij,kij->ij", c[:, :, :-1], c[:, :, 1:],
-                       out=edges2[:h + 1])
-        dg, numer, den1, den2, vals, tmp = (p[:h] for p in planes)
-        np.einsum("kij,kij->ij", c[:, :-1, :-1], c[:, 1:, 1:], out=dg)
-        r00, r10, r01, r11 = (R[:-1, :-1], R[1:, :-1], R[:-1, 1:],
-                              R[1:, 1:])
+        e1 = np.einsum("xijk,xijk->ijk", c[:, :-1], c[:, 1:],
+                       out=edges1[:H * (W + 1) * K].reshape(H, W + 1, K))
+        e2 = np.einsum("xijk,xijk->ijk", c[:, :, :-1], c[:, :, 1:],
+                       out=edges2[:(H + 1) * W * K].reshape(H + 1, W, K))
+        m = H * W * K
+        dg, vals, tmp = (p[:m].reshape(H, W, K) for p in planes)
+        np.einsum("xijk,xijk->ijk", c[:, :-1, :-1], c[:, 1:, 1:], out=dg)
+        r00, r10, r01, r11 = R[:-1, :-1], R[1:, :-1], R[:-1, 1:], R[1:, 1:]
+        numer, den1, den2 = (corners[q * m:(q + 1) * m].reshape(H, W, K)
+                             for q in range(3))
 
-        # N = <p1 x d1, d2> + <d1, p2 x d2>: two small matmuls
-        np.matmul(s1.a[i0:i1], s2.d.T, out=numer)
-        numer += np.matmul(s1.d[i0:i1], s2.a.T, out=tmp)
+        # N = <p1 x d1, d2> + <d1, p2 x d2>: one 6-term matmul per tile
+        np.matmul(np.take(s1.ad, Is.T, axis=0),
+                  np.take(s2.da, Js.T, axis=1).transpose(1, 0, 2),
+                  out=planes[1][:m].reshape(K, H, W))
+        np.copyto(numer, planes[1][:m].reshape(K, H, W).transpose(1, 2, 0))
         # D1 = (r00 r10 + e1) r11 + dg r10 + e2 r00, left to right
         np.multiply(r00, r10, out=den1)
         den1 += e1[:, :-1]
@@ -213,6 +241,14 @@ def _chunk_angles(s1, s2, guard):
         den2 += np.multiply(e1[:, 1:], r00, out=tmp)
         np.arctan2(numer, den1, out=vals)
         vals += np.arctan2(numer, den2, out=tmp)
+        if absolute:
+            np.abs(vals, out=vals)
+        # padded rows and columns weigh 0; their cells are finite, since
+        # their corners are the tile's own
+        in_row = (rows[:-1] < hk).astype(float)
+        in_col = (cols[:-1] < wk).astype(float)
+        sums = np.einsum("ik,ik->k", np.einsum("ijk,jk->ik", vals, in_col),
+                         in_row)
 
         # distance >= r00 - (l1 + l2): unflagged pairs lie farther apart
         # than the guard and than their own length, and their condition
@@ -220,179 +256,384 @@ def _chunk_angles(s1, s2, guard):
         # (R1 R2 R3 + |N|_size |D| / |(N, D)|) / |(N, D)|, where |N|_size
         # is the size of the two summands that make up N.  Rounding is
         # monotone, so no pair's sum of reaches exceeds the rounded sum of
-        # the largest ones: a chunk whose nearest corner lies beyond that
-        # flags no pair.  A NaN fails the screen and takes the mask.
-        if r00.min() > reach1[i0:i1].max() + reach2_max:
-            i = j = np.empty(0, dtype=np.intp)
+        # the stack's largest ones: a stack whose nearest corner (padded
+        # ones are its tiles' own) lies beyond that flags no pair.  A NaN
+        # fails the screen and takes the mask.
+        excess = np.zeros(K)
+        rs1, rs2 = reach1[Is], reach2[Js]
+        if R.min() > rs1.max() + rs2.max():
+            a = b = t = np.empty(0, dtype=np.intp)
         else:
-            i, j = np.nonzero(
-                r00 <= np.add(reach1[i0:i1, None], reach2, out=tmp))
-        conds = []
-        if len(i):
-            k = i + i0
-            dist = _segment_distances(s1.x[k], s1.d[k], s2.x[j], s2.d[j])
+            a, b, t = np.nonzero(r00 <= np.add(rs1[:, None], rs2, out=tmp))
+            real = (a < hk[t]) & (b < wk[t])
+            a, b, t = a[real], b[real], t[real]
+        i, j = a0[t] + a, b0[t] + b
+        if len(t):
+            dist = _segment_distances(s1.x[i], s1.d[i], s2.x[j], s2.d[j])
             closest = float(np.min(dist))
             if closest <= guard:
                 raise CurvesTooClose(
                     f"curves approach within {closest:.3g} "
                     f"(guard {guard:.3g})")
-            n = numer[i, j]
-            n_size = (s1.a_norm[k] * s2.length[j]
-                      + s1.length[k] * s2.a_norm[j])
-            for den, far in ((den1[i, j], r10[i, j]),
-                             (den2[i, j], r01[i, j])):
-                size = np.hypot(n, den)
-                conds.append((r00[i, j] * r11[i, j] * far
-                              + n_size * np.abs(den) / size) / size)
-        yield i0, vals, i, j, conds
+            n = numer[a, b, t]
+            n_size = (s1.a_norm[i] * s2.length[j]
+                      + s1.length[i] * s2.a_norm[j])
+            cond = 0.0
+            for den, far in ((den1[a, b, t], R[a + 1, b, t]),
+                             (den2[a, b, t], R[a, b + 1, t])):
+                mag = np.hypot(n, den)
+                cond = cond + (R[a, b, t] * R[a + 1, b + 1, t] * far
+                               + n_size * np.abs(den) / mag) / mag
+            excess = np.bincount(t, weights=cond, minlength=K)
+        yield k, sums, excess, i, j
 
 
-def _tiles(s, edges):
-    """One side of the tiled grid: tile edges that cut the gap between
-    each two consecutive ``edges`` (and 0) into near-equal runs of at most
-    ``_TILE`` segments, and per run the bounding ball of its vertices
-    (the box center and the largest distance from it), its longest
-    segment and the largest norm of a segment's first vertex."""
+def _split(edges):
+    """Tile edges that cut the gap between each two consecutive ``edges``
+    (and 0) into near-equal runs of at most ``_TILE`` segments."""
     cut = [0]
     for e in sorted(edges):
         start, span = cut[-1], e - cut[-1]
         parts = -(-span // _TILE)
         cut += [start + span * q // parts for q in range(1, parts + 1)]
-    cut = np.array(cut)
-    first, last = cut[:-1], cut[1:]
-    x = s.x
-    center = 0.5 * (np.minimum(np.minimum.reduceat(x, first), x[last])
-                    + np.maximum(np.maximum.reduceat(x, first), x[last]))
-    own = np.linalg.norm(x[:-1] - np.repeat(center, np.diff(cut), axis=0),
-                         axis=1)
-    radius = np.maximum(np.maximum.reduceat(own, first),
-                        np.linalg.norm(x[last] - center, axis=1))
-    return (cut, center, radius, np.maximum.reduceat(s.length, first),
-            np.maximum.reduceat(np.linalg.norm(x[:-1], axis=1), first))
+    return np.array(cut)
 
 
-def _fan_sides(c, p, e):
-    """Fan triangles ``(p, u, v)`` over consecutive corners ``u, v``
-    along the last axis of ``c`` (coordinates first, the other side's
-    tile edges second) from the unit apexes ``p`` of the tiles: their
-    half solid angles ``atan2(N, D)`` summed over each run between the
-    edges ``e``, at each tile's far edge less at its near edge.
-
-    In unit corners ``N = <p, u x v>`` and ``D = 1 + <u, v> + <p, u + v>``
-    (Van Oosterom-Strackee over ``|p| |u| |v|``), so only ``<p, u + v>``
-    and ``N`` differ between the two tiles that meet at an edge."""
-    # a corner of a tile that goes direct may vanish
-    r = np.sqrt(np.einsum("kij,kij->ij", c, c))
-    c = c / np.where(r > 0.0, r, 1.0)
-    u, v = c[..., :-1], c[..., 1:]
-    base = np.einsum("kij,kij->ij", u, v)
-    base += 1.0
-    x = np.empty(u.shape)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        np.multiply(u[j], v[k], out=x[i])
-        x[i] -= u[k] * v[j]
-    u = u + v
-    p = np.repeat(p, np.diff(e), axis=2)
-    sides = []
-    for k in (slice(None, -1), slice(1, None)):
-        den = np.einsum("kij,kij->ij", p, u[:, k])
-        den += base[k]
-        sides.append(np.arctan2(np.einsum("kij,kij->ij", p, x[:, k]), den,
-                                out=den))
-    return np.add.reduceat(sides[1] - sides[0], e[:-1] - e[0], axis=1)
+def _level_cuts(edges):
+    """Tile edges of one side of the grid at each level: level 0 is
+    :func:`_split`, and each level ``l`` after it halves every run longer
+    than ``_TILE >> l``, while that is at least ``_MIN_TILE``.  Every
+    level's edges hold those of the levels above."""
+    cuts = [_split(edges)]
+    while _TILE >> len(cuts) >= _MIN_TILE:
+        side = _TILE >> len(cuts)
+        c = cuts[-1]
+        n = c[1:] - c[:-1]
+        long = n > side
+        cuts.append(np.sort(np.concatenate([c, c[:-1][long]
+                                            + n[long] // 2])))
+    return cuts
 
 
-def _fans(s1, s2, e1, e2, apex):
-    """Cell sums of the tiles between the row edges ``e1`` and the column
-    edges ``e2`` of the grid, by their boundary fans from the unit
-    ``apex`` directions (one per tile, coordinates last).
+def _runs(s, cut):
+    """Per run of segments between consecutive ``cut`` edges: the bounding
+    ball of its vertices (the box center and the largest distance from
+    it), its longest segment and the largest norm of a segment's first
+    vertex."""
+    first, last = cut[:-1] - cut[0], cut[1:] - cut[0]
+    y = s.y[:, cut[0]:cut[-1] + 1]
+    center = 0.5 * (np.minimum(np.minimum.reduceat(y, first, axis=1),
+                               y[:, last])
+                    + np.maximum(np.maximum.reduceat(y, first, axis=1),
+                                 y[:, last]))
+    own = y[:, :-1] - np.repeat(center, last - first, axis=1)
+    end = y[:, last] - center
+    radius = np.maximum(
+        np.maximum.reduceat(np.einsum("xi,xi->i", own, own), first),
+        np.einsum("xi,xi->i", end, end))
+    far = np.einsum("xi,xi->i", y[:, :-1], y[:, :-1])
+    return (center.T, np.sqrt(radius),
+            np.maximum.reduceat(s.length[cut[0]:cut[-1]], first),
+            np.sqrt(np.maximum.reduceat(far, first)))
+
+
+def _fan_sides(s1, s2, i0, n1, j0, n2, p):
+    """Fan triangles ``(p, u, v)`` over the consecutive corners ``u, v``
+    of edges of the tile grid, summed over each edge.  Edge ``e`` has the
+    corners ``x1[i0 + min(t, n1)] - x2[j0 + min(t, n2)]``, ``t = 0 ...
+    max(n1, n2)``, with one of ``n1[e]``, ``n2[e]`` zero; ``p[e]`` holds
+    the unit apexes of the two tiles that meet at it, ``(edges, 2, 3)``.
+
+    In unit corners ``N = <p, u x v>`` and ``D = 1 + <u, v> + <p, u +
+    v>`` (Van Oosterom-Strackee over ``|p| |u| |v|``), so the two tiles
+    share all but ``<p, u>`` and ``N``.  The edges go in stacks of one
+    length class (see :func:`_stacks`), along the last axis, each padded
+    by repeating its last corner: ``u x u = 0`` and ``D > 0`` there, so
+    the padding adds exactly 0.
+    """
+    n = n1 + n2
+    out = np.empty((len(n), 2))
+    for k, L, _ in _stacks(n, np.ones_like(n), lambda L, _: 8 * (L + 1)):
+        t = np.arange(L + 1)[:, None]
+        i = i0[k] + np.minimum(t, n1[k])
+        j = j0[k] + np.minimum(t, n2[k])
+        c = np.empty((3,) + i.shape)
+        for q in range(3):
+            np.subtract(s1.y[q].take(i), s2.y[q].take(j), out=c[q])
+        c /= np.sqrt(np.einsum("xnk,xnk->nk", c, c))
+        u, v = c[:, :-1], c[:, 1:]
+        base = np.einsum("xnk,xnk->nk", u, v)
+        base += 1.0
+        x = np.empty(u.shape)
+        for q in range(3):
+            a, b = (q + 1) % 3, (q + 2) % 3
+            np.multiply(u[a], v[b], out=x[q])
+            x[q] -= u[b] * v[a]
+        pc, num = np.empty(c.shape[1:]), np.empty(x.shape[1:])
+        for side in (0, 1):
+            pk = p[k, side].T
+            np.multiply(c[0], pk[0], out=pc)
+            pc += c[1] * pk[1]
+            pc += c[2] * pk[2]
+            np.multiply(x[0], pk[0], out=num)
+            num += x[1] * pk[1]
+            num += x[2] * pk[2]
+            den = pc[:-1] + pc[1:]
+            den += base
+            out[k, side] = np.arctan2(num, den, out=den).sum(axis=0)
+    return out
+
+
+def _fans(s1, s2, e1, e2, fan, unit):
+    """Cell sums of the tiles ``fan`` (a mask over the tiles between the
+    row edges ``e1`` and the column edges ``e2``, in its ``nonzero``
+    order) by their boundary fans from the unit apexes ``unit[r, c]``.
 
     A cell ``r00 -> r10 -> r11 -> r01`` holds minus the half solid angle
     of that loop, so a tile holds minus the fan of its boundary in the
     same order: along ``x1`` at its first column, along ``x2`` at its last
-    row, and back along the other two sides.  The two tiles that meet at
-    a side share its corners, their norms and dot products.
+    row, and back along the other two sides.  Each side is an edge of the
+    tile grid, evaluated once, in increasing order, for the tiles on both
+    sides of it; going back along an edge negates its sum exactly.  Only
+    the edges of fan tiles are evaluated.  Those tiles passed (a), so
+    every corner lies at least their gap > 0 from the origin and none
+    vanishes.
     """
-    p = np.moveaxis(apex, 2, 0)
-    i0, i1, j0, j1 = e1[0], e1[-1], e2[0], e2[-1]
-    along1 = _fan_sides(s1.y[:, None, i0:i1 + 1] - s2.y[:, e2, None],
-                        p.transpose(0, 2, 1), e1)
-    along2 = _fan_sides(s1.y[:, e1, None] - s2.y[:, None, j0:j1 + 1], p, e2)
-    return along1.T - along2
+    R, C = fan.shape
+    edges, grids = [], []
+    # the sides along x1 lie on column edges (axis 1), those along x2 on
+    # row edges (axis 0); the fan tiles after and before each edge
+    for axis in (1, 0):
+        after = np.zeros((R + 1 - axis, C + axis), dtype=bool)
+        before = np.zeros_like(after)
+        after[:R, :C] = fan
+        before[-R:, -C:] = fan
+        r, c = np.nonzero(after | before)
+        ra, ca, rb, cb = (
+            (r, np.minimum(c, C - 1), r, np.maximum(c - 1, 0)) if axis
+            else (np.minimum(r, R - 1), c, np.maximum(r - 1, 0), c))
+        pa = np.where(after[r, c, None], unit[ra, ca], unit[rb, cb])
+        pb = np.where(before[r, c, None], unit[rb, cb], pa)
+        none = np.zeros_like(r)
+        edges.append((e1[r], e1[ra + 1] - e1[ra] if axis else none,
+                      e2[c], none if axis else e2[ca + 1] - e2[ca],
+                      np.stack([pa, pb], axis=1)))
+        grids.append((r, c, after.shape))
+    sums = _fan_sides(s1, s2, *map(np.concatenate, zip(*edges)))
+    sides, at = [], 0
+    for r, c, shape in grids:
+        sides.append(np.zeros((2,) + shape))
+        sides[-1][:, r, c] = sums[at:at + len(r)].T
+        at += len(r)
+    (v_after, v_before), (h_after, h_before) = sides
+    return -(v_after[:, :-1] - v_before[:, 1:]
+             + h_before[1:] - h_after[:-1])[fan]
 
 
-def _tiled_angles(s1, s2, absolute, guard, rows, cols):
-    """Solid angles of the grid of segment pairs of two centered
-    polylines by tiles (see :func:`_pair_solid_angles`), yielded one block
-    at a time as ``(i0, j0, vals, i, j, conds)``: the values ``vals`` of
-    the grid from row ``i0`` and column ``j0`` on (absolute in absolute
-    mode), the flagged pairs ``(i, j)`` relative to ``(i0, j0)`` and
-    their condition numbers.
+def _stacks(h, w, size):
+    """Stacks ``(k, H, W)`` of the tiles with sides ``h`` and ``w``: the
+    indices ``k`` of tiles of one shape class (each side rounded up to a
+    power of two or 1.5 times one, largest first), their longest sides
+    ``H`` and ``W``, and at most ``_CHUNK_PAIRS / size(H, W)`` tiles (at
+    least one) a stack."""
+    def rank(n):
+        e = np.frexp(n - 1)[1].astype(np.int64)
+        return 2 * e - ((3 << e) >= 4 * n)
+
+    kh, kw = rank(h), rank(w)
+    order = np.lexsort((-kw, -kh))
+    ends = np.flatnonzero(np.diff(kh[order]) | np.diff(kw[order])) + 1
+    for group in np.split(order, ends)[:len(order)]:
+        H, W = int(h[group].max()), int(w[group].max())
+        per = max(1, _CHUNK_PAIRS // size(H, W))
+        for q in range(0, len(group), per):
+            yield group[q:q + per], H, W
+
+
+def _down(grid, e1, e2, f1, f2):
+    """Each tile between the edges ``f1``, ``f2`` of a lower level takes the
+    entry of ``grid`` of the tile between ``e1``, ``e2`` that holds it."""
+    return grid[np.searchsorted(e1, f1[:-1], "right") - 1][
+        :, np.searchsorted(e2, f2[:-1], "right") - 1]
+
+
+def _up(red, grid, f1, f2, e1, e2):
+    """``red`` of the entries of ``grid`` (tiles between the edges ``f1``,
+    ``f2``) over each tile between the edges ``e1``, ``e2`` of a higher
+    level."""
+    return red.reduceat(red.reduceat(grid, np.searchsorted(f1, e1[:-1])),
+                        np.searchsorted(f2, e2[:-1]), axis=1)
+
+
+def _tile_sums(s1, s2, absolute, rows, cols, guard):
+    """The tiles of the grid of the first ``max(rows)`` by ``max(cols)``
+    segments of two centered polylines (see :func:`_pair_solid_angles`)
+    that are summed by their fans, as ``(tiles, values, leaves)``: those
+    tiles ``(i0, i1, j0, j1)``, their cell sums (absolute in absolute
+    mode), and the leaves, every other tile of the grid.
 
     Tile edges include ``rows`` and ``cols``, so every tile lies inside or
-    outside each block a cut sums.  The fan-summed tiles of a tile row
-    come as one row of values that holds each one's sum at its first
-    column; every other run of adjacent tiles of a tile row goes through
-    :func:`_chunk_angles`, and a grid without a tile to sum by its fan
-    goes through it whole.  The fans are evaluated for groups of tile rows
-    whose planes hold about an eighth of ``_CHUNK_PAIRS`` values, so their
-    temporaries stay within the size of a chunk's workspace.
+    outside each block a cut sums.  Every tile of a lower level lies in
+    one tile row of level 0, so the grid is tested in groups of tile rows
+    of level 0 that hold about a quarter of ``_CHUNK_PAIRS`` tiles of the
+    finest level, which bounds the memory of the tests
+    (:func:`_tile_group`).
     """
-    e1, c1, rho1, l1, far1 = _tiles(s1, rows)
-    e2, c2, rho2, l2, far2 = _tiles(s2, cols)
-    h, w = np.diff(e1)[:, None], np.diff(e2)
+    cuts1, cuts2 = _level_cuts(rows), _level_cuts(cols)
+    e1 = cuts1[0]
+    if 2 * min(e1[-1], cuts2[0][-1]) < _TILE >> (len(cuts1) - 1):
+        # no side long enough for a fan at any level
+        r, c = (v.ravel() for v in np.indices((len(e1) - 1,
+                                               len(cuts2[0]) - 1)))
+        none = np.empty(0, dtype=np.intp)
+        return ((none,) * 4, np.empty(0),
+                (e1[r], e1[r + 1], cuts2[0][c], cuts2[0][c + 1]))
+    per = max(1, _CHUNK_PAIRS // 4 * (len(e1) - 1)
+              // ((len(cuts1[-1]) - 1) * (len(cuts2[-1]) - 1)))
+    ends = np.append(e1[:-1:per], e1[-1])
+    groups = [_tile_group(s1, s2, absolute,
+                          [c[(c >= lo) & (c <= hi)] for c in cuts1], cuts2,
+                          guard)
+              for lo, hi in zip(ends[:-1], ends[1:])]
+    tiles, values, leaves = zip(*groups)
+    return (tuple(map(np.concatenate, zip(*tiles))), np.concatenate(values),
+            tuple(map(np.concatenate, zip(*leaves))))
+
+
+def _tile_group(s1, s2, absolute, cuts1, cuts2, guard):
+    """:func:`_tile_sums` of the tile rows between the first and last row
+    edges of ``cuts1`` (one array of edges per level, like ``cuts2``).
+
+    Each level's tiles are tested at once: level 0 whole, the levels below
+    it only under the tiles of level 0 that fail, and only if one does.  A
+    tile that passes is summed by its fan; one that fails is split into
+    the tiles of the next level it holds, as long as one of those, or of
+    the levels below them, passes.  A tile that fails with no passing tile
+    below it is a leaf, which goes direct whole.
+    """
+    none = np.empty(0, dtype=np.intp)
+    r, c = (v.ravel() for v in np.indices((len(cuts1[0]) - 1,
+                                           len(cuts2[0]) - 1)))
+    grid = (cuts1[0][r], cuts1[0][r + 1], cuts2[0][c], cuts2[0][c + 1])
+    ok, unit, tol = _tests(s1, s2, cuts1[0], cuts2[0], 0, guard, True,
+                           absolute)
+    sign = 1.0
+    if absolute:
+        # tile rows of level 0 without a candidate of their own whose
+        # lower levels hold one need their numerators too
+        bare = np.broadcast_to(~ok.any(axis=1, keepdims=True), ok.shape)
+        extra = np.zeros(len(ok), dtype=bool)
+        for side, (f1, f2) in enumerate(zip(cuts1[1:], cuts2[1:]), 1):
+            if not bare.any():
+                break
+            held, *_ = _tests(s1, s2, f1, f2, side, guard,
+                              _down(bare, cuts1[0], cuts2[0], f1, f2), False)
+            extra |= _up(np.logical_or, held, f1, f2, cuts1[0],
+                         cuts2[0]).any(axis=1)
+        sign, lo, hi = _signs(s1, s2, cuts1, cuts2, ok, tol, extra)
+        ok &= sign != 0.0
+    levels = [(cuts1[0], cuts2[0], ok, unit, sign)]
+    fail = ~ok
+    for side, (f1, f2) in enumerate(zip(cuts1[1:], cuts2[1:]), 1):
+        if not fail.any():
+            break
+        ok, unit, tol = _tests(s1, s2, f1, f2, side, guard,
+                               _down(fail, cuts1[0], cuts2[0], f1, f2),
+                               absolute)
+        sign = 1.0
+        if absolute:
+            # (b) from the bounds of the finest tiles below
+            sign = 0.0
+            if ok.any():
+                fine = cuts1[-1], cuts2[-1], f1, f2
+                sign = ((_up(np.minimum, lo, *fine) > tol) * 1.0
+                        - (_up(np.maximum, hi, *fine) < -tol))
+            ok &= sign != 0.0
+        levels.append((f1, f2, ok, unit, sign))
+    if not any(ok.any() for _, _, ok, *_ in levels):
+        return (none,) * 4, np.empty(0), grid
+    # below[l]: a tile of level l holds a passing tile of a level below it
+    below = [np.zeros_like(levels[-1][2])]
+    for (e1, e2, *_), (f1, f2, ok, *_) in zip(levels[-2::-1],
+                                               levels[:0:-1]):
+        below.insert(0, _up(np.logical_or, ok | below[0], f1, f2, e1, e2))
+    tiles, fans, leaves = [], [], []
+    active = True
+    for side, ((e1, e2, ok, unit, _), deeper) in enumerate(zip(levels,
+                                                               below)):
+        fan, live = active & ok, active & ~ok
+        for part, mask in ((tiles, fan), (leaves, live & ~deeper)):
+            r, c = np.nonzero(mask)
+            part.append((e1[r], e1[r + 1], e2[c], e2[c + 1]))
+        fans.append((e1, e2, fan, unit))
+        if side + 1 < len(levels):
+            active = _down(live & deeper, e1, e2, *levels[side + 1][:2])
+    values = [np.empty(0)]
+    for (e1, e2, fan, unit), (*_, sign) in zip(fans, levels):
+        if fan.any():
+            values.append(_fans(s1, s2, e1, e2, fan, unit)
+                          * (sign[fan] if absolute else 1.0))
+    return (tuple(map(np.concatenate, zip(*tiles))), np.concatenate(values),
+            tuple(map(np.concatenate, zip(*leaves))))
+
+
+def _tests(s1, s2, e1, e2, side, guard, active, absolute):
+    """The tests of the tiles ``active`` between the row edges ``e1`` and
+    the column edges ``e2`` of level ``side`` that need none of their
+    numerators: sides of at least half the level's tile side, (a) and the
+    fan's conditioning (see :func:`_pair_solid_angles`).  Returns the
+    tiles that pass, their unit apexes and, in absolute mode, the
+    tolerance of (b)."""
+    h, w = (e1[1:] - e1[:-1])[:, None], e2[1:] - e2[:-1]
+    ok = active & (2 * np.minimum(h, w) >= _TILE >> side)
+    if not ok.any():
+        return ok, None, None
+    (c1, rho1, l1, far1), (c2, rho2, l2, far2) = _runs(s1, e1), _runs(s2, e2)
     apex = c1[:, None] - c2
-    dist = np.linalg.norm(apex, axis=2)
+    dist = np.sqrt(np.einsum("ijx,ijx->ij", apex, apex))
     rho = rho1[:, None] + rho2
     gap = dist - rho
     reach = 2.0 * l1[:, None] + max(guard, 0.0) + 2.0 * l2
-    # (a), the fan's conditioning, and sides of at least half a tile
-    fan = ((gap > reach * (1.0 + 1e-12) + 1e-12 * (dist + rho))
-           & ((h + w) * (gap + 2.0 * rho) ** 2 <= h * w * gap * (gap + rho))
-           & (2 * np.minimum(h, w) >= _TILE))
-    if not fan.any():
-        for i0, vals, i, j, conds in _chunk_angles(s1, s2, guard):
-            if absolute:
-                np.abs(vals, out=vals)
-            yield i0, 0, vals, i, j, conds
-        return
-    unit = apex / np.where(fan, dist, 1.0)[..., None]
-    n2 = len(s2.d)
-    if absolute:
-        tol = 16.0 * np.finfo(float).eps * (l1[:, None] * l2
-                                            * (far1[:, None] + far2))
-        # N = <p1 x d1, d2> + <d1, p2 x d2> as one matmul
-        left = np.hstack([s1.a, s1.d])
-        right = np.vstack([s2.d.T, s2.a.T])
-        numer = np.empty((h.max(), n2))
-    group = max(1, _CHUNK_PAIRS // (8 * _TILE * len(e2)))
-    for r, (i0, i1) in enumerate(zip(e1[:-1], e1[1:])):
-        if r % group == 0:
-            g = slice(r, r + group)
-            sums = _fans(s1, s2, e1[r:r + group + 1], e2, unit[g]) \
-                if fan[g].any() else None
-        take, sign = fan[r], 1.0
-        if absolute and take.any():
-            nr = np.matmul(left[i0:i1], right, out=numer[:i1 - i0])
-            lo = np.minimum.reduceat(nr.min(axis=0), e2[:-1])
-            hi = np.maximum.reduceat(nr.max(axis=0), e2[:-1])
-            sign = (lo > tol[r]) * 1.0 - (hi < -tol[r])
-            take = take & (sign != 0.0)
-            sign = sign[take]
-        if take.any():
-            row = np.zeros((1, n2))
-            row[0, e2[:-1][take]] = sign * sums[r % group, take]
-            none = np.empty(0, dtype=np.intp)
-            yield i0, 0, row, none, none, []
-        edges = np.flatnonzero(np.diff(np.concatenate(([0], ~take, [0]))))
-        for t0, t1 in zip(edges[::2], edges[1::2]):
-            j0 = e2[t0]
-            for k0, vals, i, j, conds in _chunk_angles(
-                    s1.run(i0, i1), s2.run(j0, e2[t1]), guard):
-                if absolute:
-                    np.abs(vals, out=vals)
-                yield i0 + k0, j0, vals, i, j, conds
+    ok &= ((gap > reach * (1.0 + 1e-12) + 1e-12 * (dist + rho))
+           & ((h + w) * (gap + 2.0 * rho) ** 2 <= h * w * gap * (gap + rho)))
+    tol = 16.0 * np.finfo(float).eps * (l1[:, None] * l2
+                                        * (far1[:, None] + far2)) \
+        if absolute else None
+    return ok, apex / np.where(ok, dist, 1.0)[..., None], tol
+
+
+def _signs(s1, s2, cuts1, cuts2, test, tol, extra):
+    """(b) on the tiles ``test`` of level 0: +1 or -1 where every
+    numerator of the tile has that sign beyond ``tol``, 0 elsewhere; and
+    the least and largest numerator of each finest tile in the tile rows
+    of level 0 that hold a tile that fails or are ``extra`` (-inf and inf
+    elsewhere), for the levels below.  Both come from one 6-term matmul of
+    the direct kernel's ``a = p x d`` and ``d`` per tile row of level 0
+    that needs them, reduced over the finest rows first."""
+    (e1, f1), (e2, f2) = (cuts1[0], cuts1[-1]), (cuts2[0], cuts2[-1])
+    g1 = np.searchsorted(f1, e1)
+    sign = np.zeros(test.shape)
+    lo_f = np.full((len(f1) - 1, len(f2) - 1), -np.inf)
+    hi_f = np.full_like(lo_f, np.inf)
+    n = e2[-1]
+    right = s2.da[:, :n]
+    numer = np.empty((np.max(e1[1:] - e1[:-1]), n))
+    lo_c, hi_c = np.empty((2, np.max(g1[1:] - g1[:-1]), n))
+    for r in np.flatnonzero(test.any(axis=1) | extra):
+        i0, i1, q0, q1 = e1[r], e1[r + 1], g1[r], g1[r + 1]
+        nr = np.matmul(s1.ad[i0:i1], right, out=numer[:i1 - i0])
+        for cols, red in ((lo_c, np.minimum), (hi_c, np.maximum)):
+            for q in range(q0, q1):
+                red.reduce(nr[f1[q] - i0:f1[q + 1] - i0], axis=0,
+                           out=cols[q - q0])
+        if test[r].any():
+            lo = np.minimum.reduceat(lo_c[:q1 - q0].min(axis=0), e2[:-1])
+            hi = np.maximum.reduceat(hi_c[:q1 - q0].max(axis=0), e2[:-1])
+            sign[r] = ((lo > tol[r]) * 1.0 - (hi < -tol[r])) * test[r]
+        if len(cuts1) > 1 and not sign[r].all():
+            lo_f[q0:q1] = np.minimum.reduceat(lo_c[:q1 - q0], f2[:-1], axis=1)
+            hi_f[q0:q1] = np.maximum.reduceat(hi_c[:q1 - q0], f2[:-1], axis=1)
+    return sign, lo_f, hi_f
 
 
 def _pair_solid_angles(x1, x2, absolute, guard, cuts):
@@ -402,19 +643,28 @@ def _pair_solid_angles(x1, x2, absolute, guard, cuts):
     A cut ``((p1, e1), (p2, e2))`` is the pair ``x1[:p1]``, ``x2[:p2]``,
     each followed by its own end vertex ``e`` unless that is None.  One
     pass over the grid of prefix segments serves every cut: each cut sums
-    its own block of the grid, and the pairs on its own end segments are
-    added as two thin strips.  The guard is checked on every evaluated
-    pair; a guard of ``-inf`` flags no pair and checks nothing.
+    the tiles of its own block of the grid, and the pairs on its own end
+    segments are added as two thin strips.  Tile edges include the
+    blocks' edges, so every tile lies inside or outside each block.  The
+    strips are tiles too: each cut's end segments follow the prefix in the
+    two polylines, and the strips go through the one direct kernel call
+    (:func:`_direct_angles`) with the tiles that are not summed by fans.
+    The guard is checked on every evaluated pair; a guard of ``-inf``
+    flags no pair and checks nothing.
 
-    The block pass is tiled (:func:`_tiled_angles`).  Solid angle is
+    The block pass is tiled (:func:`_tile_sums`).  Solid angle is
     additive, so the cells of a tile sum to the solid angle of the
     surface they tile.  Where every corner ``r`` of the tile has
     ``<r, P> > 0`` for one apex ``P``, that is exactly the fan of the
     triangles ``(P, u, v)`` over the tile's ``2(h + w)`` boundary edges:
     in that open half-space the gnomonic projection makes solid angle a
     signed area with a positive density, and the interior edges cancel.
-    A tile with both sides at least ``_TILE / 2`` (so each fan triangle
-    replaces at least ``_TILE / 8`` cells) is summed by its fan when
+
+    Tiles come in levels.  Level 0 has sides of at most ``_TILE``
+    segments; level ``l`` halves every side longer than ``S = _TILE >>
+    l``, down to ``S = _MIN_TILE``.  A tile of level ``l`` with both
+    sides at least ``S / 2`` (so each fan triangle replaces at least ``S
+    / 8`` cells) is summed by its fan when
 
     (a) the bounding balls of its two vertex runs, centers ``c1``, ``c2``
         and radii summing to ``rho``, have a gap ``|c1 - c2| - rho``
@@ -426,7 +676,9 @@ def _pair_solid_angles(x1, x2, absolute, guard, cuts):
         ``<r, P> >= |P| gap`` at every corner.
     (b) in absolute mode, its numerators ``N = <p1 x d1, d2> + <d1, p2 x
         d2>`` all have one certified sign.  They come as one 6-term
-        matmul of the direct kernel's ``a = p x d`` and ``d``.  The
+        matmul of the direct kernel's ``a = p x d`` and ``d`` per tile
+        row of level 0, reduced to the bounds of the finest tiles, from
+        which every level takes its own tiles' bounds.  The
         computed ``d`` is within ``eps/2 |d|`` of the exact difference,
         ``a`` within ``5 eps/2 |p| |d|`` of the exact ``p x d``, and the
         6-term sum adds at most ``3 eps`` of ``(|p1| + |p2|) l1 l2``, so
@@ -436,7 +688,9 @@ def _pair_solid_angles(x1, x2, absolute, guard, cuts):
         one sign.  ``|Omega_ij|`` has the sign of ``N_ij``, so the tile's
         absolute sum is its fan times that sign.
 
-    Every other tile goes direct, so flagging, the guard and the
+    A tile that fails is split into its tiles of the next level; a tile
+    that fails with no passing tile at any level below it goes direct
+    whole, with the other leaves, so flagging, the guard and the
     conditioning of flagged pairs are those of one direct pass.
 
     Roundoff.  Each telescoped cell still counts condition number 1, as
@@ -451,48 +705,72 @@ def _pair_solid_angles(x1, x2, absolute, guard, cuts):
     works in unit vectors, which adds an ulp or two to each corner and
     so stays within that count.  A tile is summed by its fan only where
     the fan's condition numbers, ``2 (h + w) / (c (1 + c))`` in all,
-    stay within the ``h w`` its cells count.  So at the same rate of
-    ``_ROUNDOFF_ULPS`` per unit, the fan errs by no more than the cells
-    it replaces may.  A full tile needs ``c`` above about ``4 / _TILE``
-    for this, while (a) alone leaves ``c`` as low as ``1 / (_TILE + 1)``
-    (a ball holds a run of ``_TILE`` segments within ``_TILE`` lengths).
+    stay within the ``h w`` its cells count, at every level alike.  So at
+    the same rate of ``_ROUNDOFF_ULPS`` per unit, the fan errs by no more
+    than the cells it replaces may.  A square tile of side ``S`` needs
+    ``c (1 + c) >= 4 / S``: ``c`` above about ``4 / S`` for large ``S``,
+    and above 0.207 at ``S = 16``, while (a) alone leaves ``c`` as low
+    as ``1 / (S + 1)`` (a ball holds a run of ``S`` segments within ``S``
+    lengths).
     """
     # translation leaves N unchanged; centering keeps p1 x d1 small
     center = 0.5 * (x1.mean(axis=0) + x2.mean(axis=0))
-    s1 = _Polyline(x1[:max(c1[0] for c1, _ in cuts)] - center)
-    s2 = _Polyline(x2[:max(c2[0] for _, c2 in cuts)] - center)
     blocks = [(p1 - 1, p2 - 1) for (p1, _), (p2, _) in cuts]
-    partials = [[] for _ in cuts]
-    conditioning = [float(a * b) for a, b in blocks]
-    tiles = (_tiled_angles(s1, s2, absolute, guard, *map(set, zip(*blocks)))
-             if len(s1.d) and len(s2.d) else ())
-    for i0, j0, vals, i, j, conds in tiles:
-        for k, (a, b) in enumerate(blocks):
-            if a <= i0 or b <= j0:
-                continue
-            inside = (i < a - i0) & (j < b - j0)
-            for cond in conds:
-                conditioning[k] += float(np.sum(cond[inside]))
-            partials[k].append(float(np.sum(vals[:a - i0, :b - j0])))
-
-    def cut(s, p, e):
-        return s.x[:p] if e is None else np.vstack([s.x[:p], e - center])
-
+    rows, cols = map(set, zip(*blocks))
+    n1, n2 = max(rows), max(cols)
+    # each cut's own end segment follows the grid's prefix on its side,
+    # after a segment that no tile holds
+    prefix1, prefix2, ends1, ends2 = [x1[:n1 + 1]], [x2[:n2 + 1]], {}, {}
     for k, ((p1, e1), (p2, e2)) in enumerate(cuts):
-        y1, y2 = cut(s1, p1, e1), cut(s2, p2, e2)
-        # strips: c1's end segment against all of c2, then c1's prefix
-        # against c2's end segment (each empty without its own end vertex)
-        for z1, z2 in ((y1[p1 - 1:], y2), (y1[:p1], y2[p2 - 1:])):
-            if len(z1) < 2 or len(z2) < 2:
-                continue
-            for _, vals, _, _, conds in _chunk_angles(
-                    _Polyline(z1), _Polyline(z2), guard):
-                conditioning[k] += vals.size + sum(float(np.sum(c))
-                                                   for c in conds)
-                partials[k].append(float(np.sum(np.abs(vals) if absolute
-                                                else vals)))
-    return [(2.0 * math.fsum(p), _ROUNDOFF_ULPS * math.ulp(1.0) * c)
-            for p, c in zip(partials, conditioning)]
+        for x, p, e, prefix, ends in ((x1, p1, e1, prefix1, ends1),
+                                      (x2, p2, e2, prefix2, ends2)):
+            if e is not None:
+                ends[k] = sum(map(len, prefix))
+                prefix += [x[p - 1:p], e[None]]
+    s1 = _Polyline(np.concatenate(prefix1) - center)
+    s2 = _Polyline(np.concatenate(prefix2) - center)
+    none = np.empty(0, dtype=np.intp)
+    tiles, values, leaves = ((none,) * 4, np.empty(0), (none,) * 4) \
+        if n1 == 0 or n2 == 0 else _tile_sums(s1, s2, absolute, rows, cols,
+                                              guard)
+    # the strips: c1's end segment against c2 (its prefix, then its end
+    # segment), and c1's prefix against c2's end segment
+    strips = [leaves]
+    owner = [np.full(len(leaves[0]), -1)]
+    for k, (a, b) in enumerate(blocks):
+        i, j = ends1.get(k), ends2.get(k)
+        parts = []
+        if i is not None:
+            e = _split({b})
+            parts.append((i, i + 1, e[:-1], e[1:]))
+            if j is not None:
+                parts.append((i, i + 1, j, j + 1))
+        if j is not None:
+            e = _split({a})
+            parts.append((e[:-1], e[1:], j, j + 1))
+        for part in parts:
+            part = np.broadcast_arrays(*map(np.atleast_1d, part))
+            strips.append(part)
+            owner.append(np.full(len(part[0]), k))
+    strips = tuple(map(np.concatenate, zip(*strips)))
+    owner = np.concatenate(owner)
+    direct, excess = np.empty(len(owner)), np.empty(len(owner))
+    if len(owner):
+        for k, sums, ex, _, _ in _direct_angles(s1, s2, absolute, guard,
+                                                strips):
+            direct[k], excess[k] = sums, ex
+    cells = (strips[1] - strips[0]) * (strips[3] - strips[2])
+    results = []
+    for k, (a, b) in enumerate(blocks):
+        fan = (tiles[1] <= a) & (tiles[3] <= b)
+        own = (owner == k) | ((owner < 0) & (strips[1] <= a)
+                              & (strips[3] <= b))
+        total = math.fsum(values[fan].tolist() + direct[own].tolist())
+        conditioning = (a * b + float(np.sum(cells[owner == k]))
+                        + float(np.sum(excess[own])))
+        results.append((2.0 * total,
+                        _ROUNDOFF_ULPS * math.ulp(1.0) * conditioning))
+    return results
 
 
 def _cut(base, x):

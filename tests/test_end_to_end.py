@@ -117,3 +117,31 @@ def test_sink_pair_gauss_matches_exact_flow(windows, mode):
               for e1, e2 in zip(*exact))
     true = (4.0 * v8 - v4) / 3.0
     assert abs(rr.value - true) <= rr.error_estimate
+
+
+def test_sink_shell_gauss_matches_exact_flow():
+    """thm3_10_log's mutual rotation across paper-repro's sink shells 1
+    and 2 (r = e^-1, e^-2, R = 1) against the exact flow.  The shells'
+    curves are captured from the nested pass; the true value of each is
+    Richardson's extrapolation of exact-node (``expm``) polylines over the
+    same time windows at 4x and 8x the measured density."""
+    captured = []
+    nested = tr.bounds.gauss_rotation_nested
+
+    def recording(pairs, mode="signed", guard=None):
+        captured.append(list(pairs))
+        return nested(captured[-1], mode, guard)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr.bounds, "gauss_rotation_nested", recording)
+        reports = tr.check_log_sink_shells(SINK_MATRIX, SINK_START_PAIR, 1.0,
+                                           (math.exp(-1.0), math.exp(-2.0)))
+    (shells,) = captured
+    for (c1, c2), rep in zip(shells, reports):
+        v4, v8 = (tr.gauss_rotation_pair(
+            *(_exact_sink_polyline(x0, c.t[0], c.t[-1],
+                                   k * (c.n_samples - 1) + 1)
+              for x0, c in zip(SINK_START_PAIR, (c1, c2))),
+            "absolute").value for k in (4, 8))
+        true = (4.0 * v8 - v4) / 3.0
+        assert abs(rep.measured - true) <= rep.error_estimates["rotation"]

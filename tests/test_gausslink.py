@@ -626,17 +626,20 @@ def test_nested_guard_raises_as_the_largest_pair():
 
 def test_guard_raises_on_a_close_pair_in_the_last_chunk(monkeypatch):
     # c1 runs along the x-axis and its last segment passes 1e-9 under c2;
-    # with 2 rows per chunk that segment is the last chunk's only row
+    # in tiles of 2 rows, one tile a stack, that segment is the last
+    # stack's only row
     monkeypatch.setattr(gausslink, "_CHUNK_PAIRS", 8)
     t = np.arange(12, dtype=float)
     c1 = tr.Curve(t, np.stack([t, 0 * t, 0 * t], axis=1))
     y = np.linspace(-1.0, 1.0, 5)
     c2 = tr.Curve(y, np.stack([0 * y + 10.5, y, 0 * y + 1e-9], axis=1))
     s1, s2 = gausslink._Polyline(c1.x), gausslink._Polyline(c2.x)
+    i0 = np.arange(0, 11, 2)
+    tiles = (i0, np.minimum(i0 + 2, 11), 0 * i0, 0 * i0 + 4)
     starts = []
     with pytest.raises(tr.CurvesTooClose):
-        for i0, *_ in gausslink._chunk_angles(s1, s2, 1e-7):
-            starts.append(i0)
+        for k, *_ in gausslink._direct_angles(s1, s2, False, 1e-7, tiles):
+            starts += i0[k].tolist()
     assert starts == [0, 2, 4, 6, 8]
     for mode in ("signed", "absolute"):
         with pytest.raises(tr.CurvesTooClose):
@@ -660,9 +663,10 @@ def _walks(seed, n1, n2, offset):
 @settings(max_examples=150, deadline=None)
 def test_chunked_close_pairs_match_the_whole_grid(seed, n1, n2, offset,
                                                   chunk):
-    """The pairs each chunk flags are those of the whole-grid test
-    ``r00 <= reach1 + reach2``, chunks the screen skips included, so the
-    roundoff term is that of one chunk over the whole grid."""
+    """The pairs each stack of tiles flags are those of the whole-grid
+    test ``r00 <= reach1 + reach2``, tiles the screen skips and padded
+    tiles included, so the roundoff term is that of one stack over the
+    whole grid."""
     x1, x2 = _walks(seed, n1, n2, offset)
     guard = 1e-9
     s1, s2 = gausslink._Polyline(x1), gausslink._Polyline(x2)
@@ -673,11 +677,19 @@ def test_chunked_close_pairs_match_the_whole_grid(seed, n1, n2, offset,
     cut = [((n1 + 1, None), (n2 + 1, None))]
     whole = gausslink._pair_solid_angles(x1, x2, False, guard, cut)
     with pytest.MonkeyPatch.context() as mp:
+        # runs of 3 and 4 segments, padded to 4 in a stack
+        mp.setattr(gausslink, "_TILE", 4)
+        e1, e2 = gausslink._split({n1}), gausslink._split({n2})
+        r, q = (v.ravel() for v in np.indices((len(e1) - 1, len(e2) - 1)))
+        tiles = (e1[r], e1[r + 1], e2[q], e2[q + 1])
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gausslink, "_CHUNK_PAIRS", chunk)
-        flagged = [(i + i0, j) for i0, _, i, j, _
-                   in gausslink._chunk_angles(s1, s2, guard)]
+        flagged = [(i, j) for *_, i, j
+                   in gausslink._direct_angles(s1, s2, False, guard, tiles)]
         chunked = gausslink._pair_solid_angles(x1, x2, False, guard, cut)
-    for got, ref in zip(map(np.concatenate, zip(*flagged)), want):
+    i, j = map(np.concatenate, zip(*flagged))
+    order = np.lexsort((j, i))
+    for got, ref in zip((i[order], j[order]), want):
         assert np.array_equal(got, ref)
     assert chunked[0][1] == pytest.approx(whole[0][1], rel=1e-12)
 
@@ -758,24 +770,41 @@ def _nested_cuts(x1, x2, ends):
     return [(cut(x1, a), cut(x2, b)) for a, b in ends]
 
 
-def _tiled_and_direct(x1, x2, absolute, guard, cuts, tile):
-    """``_pair_solid_angles`` with tiles of at most ``tile`` segments and
-    all direct (tiles far above twice the grid), each a list of (value,
+def _tiled_and_direct(x1, x2, absolute, guard, cuts, tile, min_tile=None,
+                      levels=None, chunk=None):
+    """``_pair_solid_angles`` with tiles of at most ``tile`` segments
+    halved down to ``min_tile`` (by default the module's), and all direct
+    (one level of tiles far above twice the grid), each a list of (value,
     roundoff) or the error it raised; and the number of pairs the tiled
-    call evaluated directly."""
-    chunk = gausslink._chunk_angles
+    call evaluated directly.  ``levels``, when given, receives the number
+    of fan-summed tiles of each level of the tiled call, by the longest
+    side of the level's tile rows; ``chunk`` sets ``_CHUNK_PAIRS`` for it
+    (so the tile rows are tested in groups)."""
+    kernel, fans = gausslink._direct_angles, gausslink._fans
     direct = [0]
 
-    def counting(s1, s2, g):
-        for item in chunk(s1, s2, g):
-            direct[0] += item[1].size
-            yield item
+    def counting(s1, s2, absolute, guard, tiles):
+        i0, i1, j0, j1 = tiles
+        direct[0] += int(np.sum((i1 - i0) * (j1 - j0)))
+        return kernel(s1, s2, absolute, guard, tiles)
+
+    def fans_by_level(s1, s2, e1, e2, fan, unit):
+        if levels is not None:
+            side = int(np.max(e1[1:] - e1[:-1]))
+            levels[side] = levels.get(side, 0) + int(fan.sum())
+        return fans(s1, s2, e1, e2, fan, unit)
 
     out = []
-    for t, probe in ((tile, counting), (10**9, chunk)):
+    for t, m, probe, fan_probe, c in (
+            (tile, min_tile or gausslink._MIN_TILE, counting, fans_by_level,
+             chunk or gausslink._CHUNK_PAIRS),
+            (10**9, 10**9, kernel, fans, gausslink._CHUNK_PAIRS)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gausslink, "_TILE", t)
-            mp.setattr(gausslink, "_chunk_angles", probe)
+            mp.setattr(gausslink, "_MIN_TILE", m)
+            mp.setattr(gausslink, "_CHUNK_PAIRS", c)
+            mp.setattr(gausslink, "_direct_angles", probe)
+            mp.setattr(gausslink, "_fans", fan_probe)
             try:
                 out.append(gausslink._pair_solid_angles(x1, x2, absolute,
                                                         guard, cuts))
@@ -790,23 +819,35 @@ def _tiled_and_direct(x1, x2, absolute, guard, cuts, tile):
        n2=st.integers(min_value=1, max_value=40),
        ends=st.lists(st.tuples(st.floats(0.02, 1.0), st.floats(0.02, 1.0)),
                      min_size=1, max_size=3),
-       tile=st.integers(min_value=2, max_value=8),
+       tile=st.integers(min_value=2, max_value=16),
+       min_tile=st.integers(min_value=1, max_value=2),
        absolute=st.booleans(),
-       guard=st.sampled_from([-math.inf, 1e-9, 0.5, 2.0]))
+       guard=st.sampled_from([-math.inf, 1e-9, 0.5, 2.0]),
+       chunk=st.sampled_from([50_000, 300, 1]))
 @settings(max_examples=150, deadline=None)
 # the arc's sign change falls inside a tile of 8 and one of 4
 @example(kind="arc", seed=0, n1=8, n2=32, ends=[(1.0, 1.0)], tile=8,
-         absolute=True, guard=1e-9)
+         min_tile=2, absolute=True, guard=1e-9, chunk=50_000)
 @example(kind="arc", seed=1, n1=6, n2=40, ends=[(1.0, 1.0), (0.5, 0.77)],
-         tile=4, absolute=True, guard=1e-9)
+         tile=4, min_tile=2, absolute=True, guard=1e-9, chunk=50_000)
+# sub-tiles of 8 and 4 summed by fans, next to the arc's sign change in
+# absolute mode
+@example(kind="sink", seed=0, n1=40, n2=40, ends=[(1.0, 1.0), (0.6, 0.45)],
+         tile=16, min_tile=2, absolute=True, guard=1e-9, chunk=50_000)
+@example(kind="arc", seed=1, n1=40, n2=40, ends=[(1.0, 1.0), (0.6, 0.45)],
+         tile=16, min_tile=2, absolute=True, guard=1e-9, chunk=50_000)
+# tile rows tested one group at a time
+@example(kind="sink", seed=0, n1=40, n2=40, ends=[(1.0, 1.0), (0.6, 0.45)],
+         tile=8, min_tile=2, absolute=True, guard=1e-9, chunk=1)
 def test_tiled_pass_matches_direct_pass(kind, seed, n1, n2, ends, tile,
-                                        absolute, guard):
+                                        min_tile, absolute, guard, chunk):
     """A tile summed by its fan changes the value by less than the call's
     roundoff term, and neither that term nor the guard's verdict moves:
     with a wide guard, tiles the fan could sum hold flagged pairs."""
     x1, x2 = _TILE_INPUTS[kind](seed, n1, n2)
     cuts = _nested_cuts(x1, x2, ends)
-    tiled, direct, _ = _tiled_and_direct(x1, x2, absolute, guard, cuts, tile)
+    tiled, direct, _ = _tiled_and_direct(x1, x2, absolute, guard, cuts, tile,
+                                         min_tile, chunk=chunk)
     if isinstance(direct, Exception):
         assert isinstance(tiled, tr.CurvesTooClose)
         return
@@ -837,6 +878,57 @@ def test_tiles_are_summed_by_fans(kind):
         assert n_direct[True] < 40 * 40
     if kind == "arc":
         assert n_direct[False] == 19 + 24 < n_direct[True]
+
+
+@pytest.mark.parametrize("kind, seed, absolute", [
+    ("sink", 0, False), ("sink", 0, True), ("helices", 0, False),
+    ("helices", 0, True), ("arc", 1, True), ("walks", 1, False)])
+def test_sub_tiles_are_summed_by_fans(kind, seed, absolute):
+    """Tiles of 16 halved down to 4: tiles of both refinement levels (8
+    and 4 segments a side) are summed by fans, within the roundoff term
+    of the all-direct pass."""
+    x1, x2 = _TILE_INPUTS[kind](seed, 40, 40)
+    cuts = _nested_cuts(x1, x2, [(1.0, 1.0), (0.6, 0.45)])
+    levels = {}
+    tiled, direct, n_direct = _tiled_and_direct(x1, x2, absolute, 1e-9, cuts,
+                                                16, 4, levels)
+    for (v, ro), (v_ref, ro_ref) in zip(tiled, direct):
+        assert abs(v - v_ref) <= ro
+        assert ro == pytest.approx(ro_ref, rel=1e-12)
+    assert levels.get(8, 0) > 0 and levels.get(4, 0) > 0
+    assert n_direct < 40 * 40
+
+
+def test_direct_share_of_the_sink_pair_grid():
+    """verify's sink-pair scenario measures thm3_8 on a 578 x 578 grid in
+    absolute mode, and its decimated copy on 289 x 289.  Counted through
+    the direct kernel, not timed: at most 8% and 15% of their pairs are
+    evaluated cell by cell (with tiles of 64 summed by fans but none
+    refined, 24.1% and 44.0%), so a regression in the certification of
+    sub-tiles fails here."""
+    from trajrot.cli import SINK_START_PAIR, _sink_curves
+
+    _, (t1, t2) = _sink_curves(SINK_START_PAIR)
+    assert t1.n_samples == t2.n_samples == 579
+    kernel, passes = gausslink._direct_angles, gausslink._pair_solid_angles
+    counts = []
+
+    def counting(s1, s2, absolute, guard, tiles):
+        i0, i1, j0, j1 = tiles
+        counts[-1] += int(np.sum((i1 - i0) * (j1 - j0)))
+        return kernel(s1, s2, absolute, guard, tiles)
+
+    def per_pass(*args):
+        counts.append(0)
+        return passes(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gausslink, "_direct_angles", counting)
+        mp.setattr(gausslink, "_pair_solid_angles", per_pass)
+        tr.gauss_rotation_pair(t1, t2, "absolute")
+    full, decimated = counts
+    assert full <= 0.08 * 578 ** 2
+    assert decimated <= 0.15 * 289 ** 2
 
 
 def test_tiled_pass_raises_on_the_same_close_pair():
@@ -874,20 +966,51 @@ def test_wide_guard_keeps_flagged_pairs_direct(absolute):
     assert 0 < n_direct < 40 * 40
 
 
+def _near_threshold_tiles():
+    """Two runs of 16 segments of the reference sink, the second moved
+    along the line through the centers of their balls until ``c = gap /
+    (gap + 2 rho)`` lies a factor 1 + 1e-3 above the least ``c`` of a 16 x
+    16 tile's fan, ``c (1 + c) = 1/4``."""
+    x1, x2 = _sink_windows(5, 16, 16)
+    e = gausslink._split({16})
+    (c1, rho1, *_), (c2, rho2, *_) = (
+        gausslink._runs(gausslink._Polyline(x), e) for x in (x1, x2))
+    rho = rho1[0] + rho2[0]
+    c = (math.sqrt(2.0) - 1.0) / 2.0 * (1.0 + 1e-3)
+    apex = c1[0] - c2[0]
+    dist = float(np.linalg.norm(apex))
+    return x1, x2 - apex / dist * (rho + 2.0 * rho * c / (1.0 - c) - dist)
+
+
 def test_fan_matches_cell_sum_at_40_digits():
-    """On one 8 x 8 tile whose corners lie in the half-space of its apex,
-    the cells' 40-digit sum equals the 40-digit boundary fan, and the
-    float fan lies within the cells' roundoff budget of it."""
-    x1, x2 = _sink_windows(5, 8, 8)
+    """On one tile whose corners lie in the half-space of its apex, the
+    cells' 40-digit sum equals the 40-digit boundary fan, and the float
+    fan lies within the cells' roundoff budget of it: an 8 x 8 tile of two
+    sink windows, and a 16 x 16 tile just inside the fan's conditioning
+    test, which the pass sums by its fan as a tile of the first
+    refinement level."""
+    _check_fan_at_40_digits(8, *_sink_windows(5, 8, 8))
+    _check_fan_at_40_digits(16, *_near_threshold_tiles())
+
+
+def _check_fan_at_40_digits(n, x1, x2):
     center = 0.5 * (x1.mean(axis=0) + x2.mean(axis=0))
     s1, s2 = gausslink._Polyline(x1 - center), gausslink._Polyline(x2 - center)
-    e1, c1, rho1, *_ = gausslink._tiles(s1, {8})
-    e2, c2, rho2, *_ = gausslink._tiles(s2, {8})
-    assert list(e1) == list(e2) == [0, 8]
+    e = gausslink._split({n})
+    assert list(e) == [0, n]
+    (c1, rho1, *_), (c2, rho2, *_) = (gausslink._runs(s, e) for s in (s1, s2))
     apex = c1[0] - c2[0]
-    assert np.linalg.norm(apex) > rho1[0] + rho2[0]
+    dist, rho = np.linalg.norm(apex), rho1[0] + rho2[0]
+    assert dist > rho
+    if n == 16:
+        c = (dist - rho) / (dist + rho)
+        assert 1.0 < c * (1.0 + c) * 4.0 < 1.0 + 3e-3
+        tiles, _, leaves = gausslink._tile_sums(s1, s2, False, {n}, {n}, 0.0)
+        assert [list(v) for v in tiles] == [[0], [n], [0], [n]]
+        assert len(leaves[0]) == 0
     unit = apex / np.linalg.norm(apex)
-    got = float(gausslink._fans(s1, s2, e1, e2, unit[None, None])[0, 0])
+    got = float(gausslink._fans(s1, s2, e, e, np.ones((1, 1), dtype=bool),
+                                unit[None, None])[0])
 
     with mpmath.workdps(40):
         def vec(v):
@@ -916,13 +1039,13 @@ def test_fan_matches_cell_sum_at_40_digits():
         cells = -mpmath.fsum(half_angle(r(i, j), r(i + 1, j), r(i + 1, j + 1))
                              + half_angle(r(i, j), r(i + 1, j + 1),
                                           r(i, j + 1))
-                             for i in range(8) for j in range(8))
-        loop = ([(i, 0) for i in range(8)] + [(8, j) for j in range(8)]
-                + [(i, 8) for i in range(8, 0, -1)]
-                + [(0, j) for j in range(8, 0, -1)])
+                             for i in range(n) for j in range(n))
+        loop = ([(i, 0) for i in range(n)] + [(n, j) for j in range(n)]
+                + [(i, n) for i in range(n, 0, -1)]
+                + [(0, j) for j in range(n, 0, -1)])
         assert all(dot(r(*k), p) > 0 for k in loop)
         fan = -mpmath.fsum(half_angle(p, r(*a), r(*b))
                            for a, b in zip(loop, loop[1:] + loop[:1]))
         assert abs(cells - fan) < mpmath.mpf(10) ** -35
-        budget = gausslink._ROUNDOFF_ULPS * math.ulp(1.0) * 8 * 8
-        assert abs(got - float(fan)) <= budget
+        budget = gausslink._ROUNDOFF_ULPS * math.ulp(1.0) * n * n
+        assert abs(got - float(cells)) <= budget
