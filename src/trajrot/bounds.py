@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import AffineSubspace, Curve, slice_time
+from .curves import AffineSubspace, Curve, _check_clearance, slice_time
 from .errors import (EigenvalueSignError, NotInvariant, NotStationary,
                      NumericalError)
 from .fields import (FieldSpec, enclosing_ball, estimate_lipschitz,
@@ -163,24 +163,22 @@ def check_pair_bound(traj1: Curve, traj2: Curve, *, K: float) -> BoundReport:
     return _pair_reports(traj1, traj2, ("thm3_8",), K=K)[0]
 
 
-def _max_point_rotation(c: Curve, grid_points, K, T):
-    """``(R, error, fallbacks)``: R is the largest absolute rotation of
-    ``c`` around the grid points, where a point too close to the curve
-    counts as the universal 4 + K*T (thm3_4's cap, a bound with no
-    error of its own), all from one call of the stacked kernel.
-    R's error is that of the entry that sets R, widened to cover every
-    measured ``value + error``, so a runner-up with a wider error bar
-    stays covered; it does not depend on the order of the grid."""
+def _max_point_rotation(c: Curve, grid_points):
+    """``(R, error)``: R is the largest absolute rotation of ``c`` around
+    the grid points, all from one call of the stacked kernel; a grid point
+    within the curve's default guard raises
+    :class:`~trajrot.errors.DistanceTooSmall`.  R's error is that of the
+    entry that sets R, widened to cover every measured ``value + error``,
+    so a runner-up with a wider error bar stays covered; it does not
+    depend on the order of the grid."""
     value, err, rmin = _absolute_rotations(c, grid_points)
-    far = rmin > c.default_guard()
-    v, e = value[far], err[far]
-    fallbacks = len(value) - len(v)
-    best = max(np.max(v, initial=0.0), 4.0 + K * T if fallbacks else 0.0)
-    best_err = np.max(e[v == best], initial=0.0)
-    top = np.max(v + e, initial=0.0)
+    _check_clearance(np.min(rmin), c.default_guard())
+    best = np.max(value)
+    best_err = np.max(err[value == best])
+    top = np.max(value + err)
     if top > best + best_err:
         best_err = top - best
-    return float(best), float(best_err), fallbacks
+    return float(best), float(best_err)
 
 
 def check_pair_bound_refined(traj1: Curve, traj2: Curve, *,
@@ -188,14 +186,13 @@ def check_pair_bound_refined(traj1: Curve, traj2: Curve, *,
     """Refined mutual-rotation bound (K/4pi) min(R1 T2, R2 T1), where R_i
     is the largest rotation of trajectory i around ``_R_GRID`` evenly
     spaced samples of the other one, measured in one stacked-kernel call
-    per side (with the 4 + K*T_i fallback at too-close grid points).  A
-    fallback carries error 0; R_i's error is that of the entry that sets
-    it, widened to reach every measured value + error.  With the fallback
-    in R1, T2 <= T1 and R1 T2 <= R2 T1 (as when R2 falls back too) the
-    bound is thm3_8's: (K/4pi)(4 + K T1) T2 = (K/pi) T2 + (K^2/4pi) T1 T2.
-    The pair measurement guards with the larger default guard of the
-    two, so curves that bring a grid point within a fallback's guard
-    raise :class:`~trajrot.errors.CurvesTooClose` first."""
+    per side.  R_i's error is that of the entry that sets it, widened to
+    reach every measured value + error.  R_i raises
+    :class:`~trajrot.errors.DistanceTooSmall` when a grid point lies
+    within trajectory i's default guard of it, but the pair measurement,
+    which comes first, guards with the larger default guard of the two:
+    curves that bring a grid point that close raise
+    :class:`~trajrot.errors.CurvesTooClose` there."""
     return _pair_reports(traj1, traj2, ("cor3_10",), K=K)[0]
 
 
@@ -217,11 +214,11 @@ def _pair_reports(c1: Curve, c2: Curve, theorem_ids, *, K: float) -> list:
             idx = np.linspace(0, c.n_samples - 1, _R_GRID).round().astype(int)
             return c.x.astype(np.float64, copy=False)[np.unique(idx)]
 
-        r1, e1, f1 = _max_point_rotation(c1, grid_of(c2), K, t1)
-        r2, e2, f2 = _max_point_rotation(c2, grid_of(c1), K, t2)
+        r1, e1 = _max_point_rotation(c1, grid_of(c2))
+        r2, e2 = _max_point_rotation(c2, grid_of(c1))
         bound = (K / (4 * math.pi)) * min(r1 * t2, r2 * t1)
         inputs = {"K": K, "T1": t1, "T2": t2, "R1": r1, "R2": r2,
-                  "R_grid": _R_GRID, "R_fallbacks": f1 + f2}
+                  "R_grid": _R_GRID}
         return _report("cor3_10", rr.value, bound, inputs,
                        {"rotation": rr.error_estimate,
                         "R1": e1 * (K / (4 * math.pi)) * t2,

@@ -30,9 +30,10 @@ the guard could not fire there), when the fan is at most as
 ill-conditioned as the cells it replaces, and, in absolute mode, when
 every pair's numerator has one certified sign.  A tile that fails is
 split into halves on each side, down to ``_MIN_TILE`` segments, and
-each half is tested the same way.  The fans share each tile edge between
-the two tiles on its sides, and only the edges of summed tiles are
-evaluated.
+each half is tested the same way: every level takes its signs from the
+least and largest numerators of the finest tiles.  The fans share each
+tile edge between the two tiles on its sides, and only the edges of
+summed tiles are evaluated.
 
 The tiles left over, and the thin strips below, go through one direct
 kernel cell by cell, a stack of equal-shape tiles at a time: the corner
@@ -504,136 +505,92 @@ def _tile_group(s1, s2, absolute, cuts1, cuts2, guard):
     """:func:`_tile_sums` of the tile rows between the first and last row
     edges of ``cuts1`` (one array of edges per level, like ``cuts2``).
 
-    Each level's tiles are tested at once: level 0 whole, the levels below
-    it only under the tiles of level 0 that fail, and only if one does.  A
-    tile that passes is summed by its fan; one that fails is split into
-    the tiles of the next level it holds, as long as one of those, or of
-    the levels below them, passes.  A tile that fails with no passing tile
-    below it is a leaf, which goes direct whole.
+    Every level is tested whole, the same way, one after another, and a
+    level only if a tile of the level above it fails.  In absolute mode
+    each level takes its signs from the numerator bounds of the finest
+    tiles (:func:`_bounds`), computed once, at the first level with a
+    candidate.  A tile that passes is summed by its fan; one that fails is
+    split into the tiles of the next level it holds, as long as one of
+    those, or of the levels below them, passes.  A tile that fails with no
+    passing tile below it is a leaf, which goes direct whole.
     """
-    none = np.empty(0, dtype=np.intp)
-    r, c = (v.ravel() for v in np.indices((len(cuts1[0]) - 1,
-                                           len(cuts2[0]) - 1)))
-    grid = (cuts1[0][r], cuts1[0][r + 1], cuts2[0][c], cuts2[0][c + 1])
-    ok, unit, tol = _tests(s1, s2, cuts1[0], cuts2[0], 0, guard, True,
-                           absolute)
-    sign = 1.0
-    if absolute:
-        # tile rows of level 0 without a candidate of their own whose
-        # lower levels hold one need their numerators too
-        bare = np.broadcast_to(~ok.any(axis=1, keepdims=True), ok.shape)
-        extra = np.zeros(len(ok), dtype=bool)
-        for side, (f1, f2) in enumerate(zip(cuts1[1:], cuts2[1:]), 1):
-            if not bare.any():
-                break
-            held, *_ = _tests(s1, s2, f1, f2, side, guard,
-                              _down(bare, cuts1[0], cuts2[0], f1, f2), False)
-            extra |= _up(np.logical_or, held, f1, f2, cuts1[0],
-                         cuts2[0]).any(axis=1)
-        sign, lo, hi = _signs(s1, s2, cuts1, cuts2, ok, tol, extra)
-        ok &= sign != 0.0
-    levels = [(cuts1[0], cuts2[0], ok, unit, sign)]
-    fail = ~ok
-    for side, (f1, f2) in enumerate(zip(cuts1[1:], cuts2[1:]), 1):
-        if not fail.any():
-            break
-        ok, unit, tol = _tests(s1, s2, f1, f2, side, guard,
-                               _down(fail, cuts1[0], cuts2[0], f1, f2),
-                               absolute)
-        sign = 1.0
-        if absolute:
-            # (b) from the bounds of the finest tiles below
-            sign = 0.0
-            if ok.any():
-                fine = cuts1[-1], cuts2[-1], f1, f2
-                sign = ((_up(np.minimum, lo, *fine) > tol) * 1.0
-                        - (_up(np.maximum, hi, *fine) < -tol))
+    levels, bounds = [], None
+    for side, (e1, e2) in enumerate(zip(cuts1, cuts2)):
+        ok, unit, tol = _tests(s1, s2, e1, e2, side, guard)
+        sign = np.ones(ok.shape)
+        if absolute and ok.any():
+            # (b) from the bounds of the finest tiles
+            if bounds is None:
+                bounds = _bounds(s1, s2, cuts1, cuts2)
+            lo, hi = (_up(red, b, cuts1[-1], cuts2[-1], e1, e2)
+                      for red, b in zip((np.minimum, np.maximum), bounds))
+            sign = (lo > tol) * 1.0 - (hi < -tol)
             ok &= sign != 0.0
-        levels.append((f1, f2, ok, unit, sign))
-    if not any(ok.any() for _, _, ok, *_ in levels):
-        return (none,) * 4, np.empty(0), grid
+        levels.append((e1, e2, ok, unit, sign))
+        if ok.all():
+            break
     # below[l]: a tile of level l holds a passing tile of a level below it
     below = [np.zeros_like(levels[-1][2])]
     for (e1, e2, *_), (f1, f2, ok, *_) in zip(levels[-2::-1],
                                                levels[:0:-1]):
         below.insert(0, _up(np.logical_or, ok | below[0], f1, f2, e1, e2))
-    tiles, fans, leaves = [], [], []
+    tiles, values, leaves = [], [np.empty(0)], []
     active = True
-    for side, ((e1, e2, ok, unit, _), deeper) in enumerate(zip(levels,
-                                                               below)):
+    for side, ((e1, e2, ok, unit, sign), deeper) in enumerate(zip(levels,
+                                                                  below)):
         fan, live = active & ok, active & ~ok
         for part, mask in ((tiles, fan), (leaves, live & ~deeper)):
             r, c = np.nonzero(mask)
             part.append((e1[r], e1[r + 1], e2[c], e2[c + 1]))
-        fans.append((e1, e2, fan, unit))
+        if fan.any():
+            values.append(_fans(s1, s2, e1, e2, fan, unit) * sign[fan])
         if side + 1 < len(levels):
             active = _down(live & deeper, e1, e2, *levels[side + 1][:2])
-    values = [np.empty(0)]
-    for (e1, e2, fan, unit), (*_, sign) in zip(fans, levels):
-        if fan.any():
-            values.append(_fans(s1, s2, e1, e2, fan, unit)
-                          * (sign[fan] if absolute else 1.0))
     return (tuple(map(np.concatenate, zip(*tiles))), np.concatenate(values),
             tuple(map(np.concatenate, zip(*leaves))))
 
 
-def _tests(s1, s2, e1, e2, side, guard, active, absolute):
-    """The tests of the tiles ``active`` between the row edges ``e1`` and
-    the column edges ``e2`` of level ``side`` that need none of their
-    numerators: sides of at least half the level's tile side, (a) and the
-    fan's conditioning (see :func:`_pair_solid_angles`).  Returns the
-    tiles that pass, their unit apexes and, in absolute mode, the
-    tolerance of (b)."""
+def _tests(s1, s2, e1, e2, side, guard):
+    """The tests of the tiles between the row edges ``e1`` and the column
+    edges ``e2`` of level ``side`` that need none of their numerators:
+    sides of at least half the level's tile side, (a) and the fan's
+    conditioning (see :func:`_pair_solid_angles`).  Returns the tiles that
+    pass, their unit apexes and the tolerance of (b)."""
     h, w = (e1[1:] - e1[:-1])[:, None], e2[1:] - e2[:-1]
-    ok = active & (2 * np.minimum(h, w) >= _TILE >> side)
-    if not ok.any():
-        return ok, None, None
     (c1, rho1, l1, far1), (c2, rho2, l2, far2) = _runs(s1, e1), _runs(s2, e2)
     apex = c1[:, None] - c2
     dist = np.sqrt(np.einsum("ijx,ijx->ij", apex, apex))
     rho = rho1[:, None] + rho2
     gap = dist - rho
     reach = 2.0 * l1[:, None] + max(guard, 0.0) + 2.0 * l2
-    ok &= ((gap > reach * (1.0 + 1e-12) + 1e-12 * (dist + rho))
-           & ((h + w) * (gap + 2.0 * rho) ** 2 <= h * w * gap * (gap + rho)))
+    ok = ((2 * np.minimum(h, w) >= _TILE >> side)
+          & (gap > reach * (1.0 + 1e-12) + 1e-12 * (dist + rho))
+          & ((h + w) * (gap + 2.0 * rho) ** 2 <= h * w * gap * (gap + rho)))
     tol = 16.0 * np.finfo(float).eps * (l1[:, None] * l2
-                                        * (far1[:, None] + far2)) \
-        if absolute else None
+                                        * (far1[:, None] + far2))
     return ok, apex / np.where(ok, dist, 1.0)[..., None], tol
 
 
-def _signs(s1, s2, cuts1, cuts2, test, tol, extra):
-    """(b) on the tiles ``test`` of level 0: +1 or -1 where every
-    numerator of the tile has that sign beyond ``tol``, 0 elsewhere; and
-    the least and largest numerator of each finest tile in the tile rows
-    of level 0 that hold a tile that fails or are ``extra`` (-inf and inf
-    elsewhere), for the levels below.  Both come from one 6-term matmul of
-    the direct kernel's ``a = p x d`` and ``d`` per tile row of level 0
-    that needs them, reduced over the finest rows first."""
-    (e1, f1), (e2, f2) = (cuts1[0], cuts1[-1]), (cuts2[0], cuts2[-1])
+def _bounds(s1, s2, cuts1, cuts2):
+    """The least and largest numerator ``N`` of every tile of the finest
+    level, ``cuts1[-1]`` by ``cuts2[-1]``: one 6-term matmul of the direct
+    kernel's ``a = p x d`` and ``d`` per tile row of level 0, reduced over
+    each finest row run, then over the finest column runs."""
+    e1, f1, f2 = cuts1[0], cuts1[-1], cuts2[-1]
     g1 = np.searchsorted(f1, e1)
-    sign = np.zeros(test.shape)
-    lo_f = np.full((len(f1) - 1, len(f2) - 1), -np.inf)
-    hi_f = np.full_like(lo_f, np.inf)
-    n = e2[-1]
-    right = s2.da[:, :n]
-    numer = np.empty((np.max(e1[1:] - e1[:-1]), n))
-    lo_c, hi_c = np.empty((2, np.max(g1[1:] - g1[:-1]), n))
-    for r in np.flatnonzero(test.any(axis=1) | extra):
+    right = s2.da[:, :f2[-1]]
+    numer = np.empty((np.max(e1[1:] - e1[:-1]), f2[-1]))
+    runs = np.empty((np.max(g1[1:] - g1[:-1]), f2[-1]))
+    bounds = np.empty((2, len(f1) - 1, len(f2) - 1))
+    for r in range(len(e1) - 1):
         i0, i1, q0, q1 = e1[r], e1[r + 1], g1[r], g1[r + 1]
         nr = np.matmul(s1.ad[i0:i1], right, out=numer[:i1 - i0])
-        for cols, red in ((lo_c, np.minimum), (hi_c, np.maximum)):
+        for out, red in zip(bounds, (np.minimum, np.maximum)):
             for q in range(q0, q1):
                 red.reduce(nr[f1[q] - i0:f1[q + 1] - i0], axis=0,
-                           out=cols[q - q0])
-        if test[r].any():
-            lo = np.minimum.reduceat(lo_c[:q1 - q0].min(axis=0), e2[:-1])
-            hi = np.maximum.reduceat(hi_c[:q1 - q0].max(axis=0), e2[:-1])
-            sign[r] = ((lo > tol[r]) * 1.0 - (hi < -tol[r])) * test[r]
-        if len(cuts1) > 1 and not sign[r].all():
-            lo_f[q0:q1] = np.minimum.reduceat(lo_c[:q1 - q0], f2[:-1], axis=1)
-            hi_f[q0:q1] = np.maximum.reduceat(hi_c[:q1 - q0], f2[:-1], axis=1)
-    return sign, lo_f, hi_f
+                           out=runs[q - q0])
+            out[q0:q1] = red.reduceat(runs[:q1 - q0], f2[:-1], axis=1)
+    return bounds
 
 
 def _pair_solid_angles(x1, x2, absolute, guard, cuts):
@@ -677,8 +634,9 @@ def _pair_solid_angles(x1, x2, absolute, guard, cuts):
     (b) in absolute mode, its numerators ``N = <p1 x d1, d2> + <d1, p2 x
         d2>`` all have one certified sign.  They come as one 6-term
         matmul of the direct kernel's ``a = p x d`` and ``d`` per tile
-        row of level 0, reduced to the bounds of the finest tiles, from
-        which every level takes its own tiles' bounds.  The
+        row of level 0, reduced to the least and largest ``N`` of every
+        tile of the finest level (:func:`_bounds`), from which every
+        level, level 0 included, takes its own tiles' bounds.  The
         computed ``d`` is within ``eps/2 |d|`` of the exact difference,
         ``a`` within ``5 eps/2 |p| |d|`` of the exact ``p x d``, and the
         6-term sum adds at most ``3 eps`` of ``(|p1| + |p2|) l1 l2``, so
@@ -688,10 +646,11 @@ def _pair_solid_angles(x1, x2, absolute, guard, cuts):
         one sign.  ``|Omega_ij|`` has the sign of ``N_ij``, so the tile's
         absolute sum is its fan times that sign.
 
-    A tile that fails is split into its tiles of the next level; a tile
-    that fails with no passing tile at any level below it goes direct
-    whole, with the other leaves, so flagging, the guard and the
-    conditioning of flagged pairs are those of one direct pass.
+    Every level is tested this one way.  A tile that fails is split into
+    its tiles of the next level; a tile that fails with no passing tile
+    at any level below it goes direct whole, with the other leaves, so
+    flagging, the guard and the conditioning of flagged pairs are those of
+    one direct pass.
 
     Roundoff.  Each telescoped cell still counts condition number 1, as
     the direct pass counts every unflagged pair, so the roundoff term

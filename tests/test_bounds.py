@@ -154,65 +154,36 @@ def test_pair_bound_refined(sink_pair):
     assert rep.inputs["R1"] <= 4.0 + k * 3.0 + 1e-6
 
 
-def test_refined_with_fallback_matches_direct_bound(monkeypatch):
+def test_refined_raises_on_a_grid_point_on_the_curve(monkeypatch):
     """Two curves that meet at one point, the last sample of one and the
-    first of the other, which is on both cor3_10 grids: both R take the
-    4 + K*T fallback, after measured points on one side.  With
-    T2 <= T1 the refined bound is then thm3_8's,
-    (K/4pi)(4 + K T1) T2 = (K/pi) T2 + (K^2/4pi) T1 T2.  The Gauss pass
-    rejects curves that meet, and neither bound reads its value, so a
-    stand-in measures the pair."""
+    first of the other, which is on both cor3_10 grids.  The Gauss pass
+    rejects them first; with a stand-in that measures the pair, the R
+    grid raises DistanceTooSmall instead of bounding R by 4 + K*T."""
     c1 = helix_curve(turns=1.0, n=400)
     s = np.linspace(0.0, 1.0, 50)
     c2 = tr.Curve(2.0 * s, c1.x[0] + np.outer(1.0 - s, [0.0, 0.0, -1.0]))
     with pytest.raises(tr.CurvesTooClose):
-        tr.gauss_rotation_pair(c1, c2, "absolute")
+        tr.check_pair_bound_refined(c1, c2, K=0.7)
     monkeypatch.setattr(bounds, "gauss_rotation_pair", lambda a, b, mode:
                         tr.RotationResult(0.0, 0.0, "gauss_turns"))
-    k = 0.7
-    t1, t2 = c1.duration, c2.duration
-    assert t2 <= t1
-    refined = tr.check_pair_bound_refined(c1, c2, K=k)
-    direct = tr.check_pair_bound(c1, c2, K=k)
-    assert refined.inputs["R_fallbacks"] == 2
-    assert refined.inputs["R1"] == 4.0 + k * t1
-    assert refined.inputs["R2"] == 4.0 + k * t2
-    assert refined.error_estimates["R1"] == refined.error_estimates["R2"] == 0
-    assert abs(refined.bound - direct.bound) < 1e-12
+    with pytest.raises(tr.DistanceTooSmall):
+        tr.check_pair_bound_refined(c1, c2, K=0.7)
 
 
-def test_max_point_rotation_fallback_error_is_zero_in_either_order():
-    """A 4 + K*T fallback that sets R carries error 0, whichever grid
-    point comes first; the far point's own error bar lies below R."""
-    c = helix_curve()
-    far, on = np.array([0.0, 0.0, 10.0]), c.x[300]
-    rr = tr.absolute_rotation_point(c, far)
-    assert rr.value + rr.error_estimate < 34.0 and rr.error_estimate > 0
-    for grid in ([far, on], [on, far]):
-        assert _max_point_rotation(c, np.array(grid), 10.0, 3.0) \
-            == (34.0, 0.0, 1)
-
-
-@pytest.mark.parametrize("fallback, want", [
-    (4.5, (5.0, (4.9 + 0.5) - 5.0)),   # a runner-up's wider bar
-    (5.2, (5.2, (4.9 + 0.5) - 5.2)),   # the fallback leads, error 0 widened
-    (6.0, (6.0, 0.0)),                  # the fallback covers every bar
-])
-def test_max_point_rotation_error_covers_every_point(monkeypatch, fallback,
-                                                     want):
+def test_max_point_rotation_error_covers_every_point(monkeypatch):
     """R's error is that of the entry that sets R, widened to reach every
-    measured value + error, in every grid order (the third point is on
-    the curve and falls back to 4 + K*T = ``fallback``)."""
+    measured value + error (here a runner-up's wider bar), in every grid
+    order."""
     value = np.array([5.0, 4.9, 3.0])
     err = np.array([1e-6, 0.5, 0.1])
-    rmin = np.array([1.0, 1.0, 0.0])
+    rmin = np.ones(3)
     c = helix_curve()
     for order in itertools.permutations(range(3)):
         order = list(order)
         monkeypatch.setattr(bounds, "_absolute_rotations", lambda c, g:
                             (value[order], err[order], rmin[order]))
-        got = _max_point_rotation(c, np.zeros((3, 3)), 1.0, fallback - 4.0)
-        assert got == (*want, 1)
+        assert _max_point_rotation(c, np.zeros((3, 3))) \
+            == (5.0, (4.9 + 0.5) - 5.0)
 
 
 def test_max_point_rotation_is_the_largest_of_single_rotations():
@@ -222,8 +193,8 @@ def test_max_point_rotation_is_the_largest_of_single_rotations():
     single = [tr.absolute_rotation_point(c, q) for q in grid]
     best = max(single, key=lambda rr: rr.value)
     for order in itertools.permutations(range(len(grid))):
-        r, e, fallbacks = _max_point_rotation(c, grid[list(order)], 1.0, 1.0)
-        assert (r, e, fallbacks) == (best.value, best.error_estimate, 0)
+        r, e = _max_point_rotation(c, grid[list(order)])
+        assert (r, e) == (best.value, best.error_estimate)
     assert all(rr.value + rr.error_estimate <= r + e for rr in single)
 
 

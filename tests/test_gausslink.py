@@ -899,6 +899,67 @@ def test_sub_tiles_are_summed_by_fans(kind, seed, absolute):
     assert n_direct < 40 * 40
 
 
+def test_bare_tile_row_sums_its_sub_tiles_by_fans():
+    """Absolute mode on one tile row of 16 x 16 segments (two
+    perpendicular lines 2.5 apart, so every numerator has one sign) whose
+    tile fails the fan's conditioning while its four 8 x 8 sub-tiles
+    pass: the sub-tiles take their signs from the numerator bounds though
+    the row has no candidate of its own, and are summed by their fans
+    within the all-direct pass's roundoff term."""
+    s = np.linspace(-1.0, 1.0, 17)
+    x1 = np.stack([s, 0 * s, 0 * s], axis=1)
+    x2 = np.stack([0 * s, s, 0 * s + 2.5], axis=1)
+    cuts = [((17, None), (17, None))]
+    levels = {}
+    tiled, direct, n_direct = _tiled_and_direct(x1, x2, True, 1e-9, cuts,
+                                                16, 8, levels)
+    assert levels == {8: 4} and n_direct == 0
+    (v, ro), (v_ref, ro_ref) = tiled[0], direct[0]
+    assert abs(v - v_ref) <= ro
+    assert ro == pytest.approx(ro_ref, rel=1e-12)
+
+
+@given(kind=st.sampled_from(sorted(_TILE_INPUTS)),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n1=st.integers(min_value=1, max_value=60),
+       n2=st.integers(min_value=1, max_value=60),
+       ends=st.lists(st.tuples(st.floats(0.02, 1.0), st.floats(0.02, 1.0)),
+                     max_size=3),
+       tile=st.integers(min_value=8, max_value=16),
+       min_tile=st.integers(min_value=2, max_value=4),
+       per=st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_bounds_match_the_cells(kind, seed, n1, n2, ends, tile, min_tile,
+                                per):
+    """Each finest tile's numerator bounds are the least and largest
+    ``N = s1.ad @ s2.da`` over its cells, up to the rounding of one 6-term
+    sum, on grids cut into levels and into groups of ``per`` tile rows of
+    level 0, as :func:`_tile_sums` cuts them."""
+    x1, x2 = _TILE_INPUTS[kind](seed, n1, n2)
+    s1, s2 = gausslink._Polyline(x1), gausslink._Polyline(x2)
+    rows = {n1} | {math.ceil(a * n1) for a, _ in ends}
+    cols = {n2} | {math.ceil(b * n2) for _, b in ends}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gausslink, "_TILE", tile)
+        mp.setattr(gausslink, "_MIN_TILE", min_tile)
+        cuts1, cuts2 = gausslink._level_cuts(rows), gausslink._level_cuts(cols)
+    numer = s1.ad[:n1] @ s2.da[:, :n2]
+    size = np.abs(s1.ad[:n1]) @ np.abs(s2.da[:, :n2])
+    e1, f2 = cuts1[0], cuts2[-1]
+    starts = np.append(e1[:-1:per], e1[-1])
+    for first, last in zip(starts[:-1], starts[1:]):
+        group = [c[(c >= first) & (c <= last)] for c in cuts1]
+        lo, hi = gausslink._bounds(s1, s2, group, cuts2)
+        f1 = group[-1]
+        assert lo.shape == hi.shape == (len(f1) - 1, len(f2) - 1)
+        for a in range(len(f1) - 1):
+            for b in range(len(f2) - 1):
+                cells = np.s_[f1[a]:f1[a + 1], f2[b]:f2[b + 1]]
+                tol = 8.0 * np.finfo(float).eps * size[cells].max()
+                assert abs(lo[a, b] - numer[cells].min()) <= tol
+                assert abs(hi[a, b] - numer[cells].max()) <= tol
+
+
 def test_direct_share_of_the_sink_pair_grid():
     """verify's sink-pair scenario measures thm3_8 on a 578 x 578 grid in
     absolute mode, and its decimated copy on 289 x 289.  Counted through
