@@ -124,16 +124,13 @@ def check_invariant_subspace_bound(f: FieldSpec, sub: AffineSubspace,
     """
     ball = enclosing_ball(trajectory.x)
     rng = np.random.default_rng(seed)
-    if sub.dim == 0:
-        probe = np.repeat(sub.base_point[None, :], 2, axis=0)
-    else:
-        # sample the patch of the subspace nearest the trajectory's region
-        center_coords = (ball.center - sub.base_point) @ sub.basis.T
-        coeffs = center_coords + rng.uniform(
-            -ball.radius, ball.radius, (_INVARIANCE_SAMPLES, sub.dim))
-        probe = sub.base_point + coeffs @ sub.basis
+    # sample the patch of the subspace nearest the trajectory's region
+    center_coords = (ball.center - sub.base_point) @ sub.basis.T
+    coeffs = center_coords + rng.uniform(
+        -ball.radius, ball.radius, (_INVARIANCE_SAMPLES, sub.dim))
+    probe = sub.base_point + coeffs @ sub.basis
     vals = field_values(f, probe)
-    ortho = vals - (vals @ sub.basis.T) @ sub.basis if sub.dim else vals
+    ortho = vals - (vals @ sub.basis.T) @ sub.basis
     worst = float(np.max(np.linalg.norm(ortho, axis=1)))
     if not worst < _INVARIANT_TOL:  # a NaN residual (overflow) fails too
         raise NotInvariant(
@@ -326,8 +323,7 @@ def check_log_sink_shells(L_matrix, x0_pair, R: float, radii) -> ShellReports:
     mu = float(np.linalg.eigvalsh(0.5 * (L + L.T))[-1])
     log_in = math.log(max(norms) / min(radii))
     t_end = (log_in + 0.1) / -mu if mu < 0 else (log_in + 4.0) / abs(ell)
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12,
-                           max_step=min(0.02 / max(norm_l, 1e-6), t_end / 50),
+    cfg = IntegratorConfig(max_step=min(0.02 / max(norm_l, 1e-6), t_end / 50),
                            chord_tol=1e-6)
 
     r_min = float(min(radii))

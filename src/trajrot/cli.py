@@ -199,8 +199,7 @@ SCENARIO_THEOREMS = {
 def _sink_curves(starts):
     """The sink field and its trajectories over [0, 3] from ``starts``."""
     f = linear(SINK_MATRIX)
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=0.01,
-                           chord_tol=1e-5)
+    cfg = IntegratorConfig(max_step=0.01, chord_tol=1e-5)
     return f, [integrate_trajectory(f, x0, 0.0, 3.0, cfg) for x0 in starts]
 
 

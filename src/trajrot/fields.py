@@ -172,63 +172,39 @@ def _twist3d(x1, x2, x3):
     return 1.0, 0.0, 0.0
 
 
-def _spiral2d_values(p):
-    out = np.empty_like(p)
-    out[..., 0], out[..., 1] = _spiral2d(p[..., 0], p[..., 1])
-    return out
-
-
-def _twist3d_values(p):
-    x1 = p[..., 0]
-    out = np.zeros_like(p)
-    out[..., 0] = 1.0
-    mask = x1 > TWIST_SMALL_X1
-    if np.any(mask):
-        d1, d2 = _twist_profile_derivatives(x1[mask])
-        out[mask, 1] = d1
-        out[mask, 2] = d2
-    return out
-
-
-def field_evaluator(f: FieldSpec):
-    """The field's formula as a function of a ``(..., dim)`` array.
-
-    Kind dispatch happens once, here; the returned function does no
-    validation, so hot loops build it once and call it directly.  It
-    returns a new array on every call, which the caller may keep.
-    """
-    if f.kind == "constant":
-        offset = f.offset
-        return lambda p: np.broadcast_to(offset, p.shape).copy()
-    # np.dot is the same BLAS call as p @ mt, with less dispatch overhead
-    if f.kind == "linear":
-        mt = f.matrix.T
-        return lambda p: np.dot(p, mt)
-    if f.kind == "affine":
-        mt, offset = f.matrix.T, f.offset
-        return lambda p: np.dot(p, mt) + offset
-    if f.kind == "spiral2d":
-        return _spiral2d_values
-    return _twist3d_values
-
-
 def _point_formula(f: FieldSpec):
     """The formula of a closed-form kind (``spiral2d``, ``twist3d``) on
     one point's coordinates, passed as separate floats; it returns the
     components as a tuple of floats.  The same IEEE operations in the
-    same order as :func:`field_evaluator`'s, so the same bits, without
-    the overhead of numpy calls on a single point."""
+    same order as :func:`field_values`'s, so the same bits, without the
+    overhead of numpy calls on a single point."""
     return _spiral2d if f.kind == "spiral2d" else _twist3d
 
 
 def field_values(f: FieldSpec, points) -> np.ndarray:
-    """Evaluate the field on an (m, dim) batch of points."""
+    """Evaluate the field on an (m, dim) batch of points, or on one
+    point, as a new array that the caller may keep."""
     pts = np.asarray(points, dtype=np.float64)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.shape[1] != f.dim:
         raise DimensionMismatch(f"points have dim {pts.shape[1]}, field has {f.dim}")
-    out = field_evaluator(f)(pts)
+    if f.kind == "constant":
+        out = np.broadcast_to(f.offset, pts.shape).copy()
+    elif f.matrix is not None:
+        # np.dot is the same BLAS call as pts @ matrix.T, with less
+        # dispatch overhead
+        out = np.dot(pts, f.matrix.T)
+        if f.offset is not None:
+            out += f.offset
+    elif f.kind == "spiral2d":
+        out = np.empty_like(pts)
+        out[..., 0], out[..., 1] = _spiral2d(pts[..., 0], pts[..., 1])
+    else:
+        out = np.zeros_like(pts)
+        out[..., 0] = 1.0
+        mask = pts[..., 0] > TWIST_SMALL_X1
+        out[mask, 1], out[mask, 2] = _twist_profile_derivatives(pts[mask, 0])
     return out[0] if single else out
 
 

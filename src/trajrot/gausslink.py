@@ -688,10 +688,7 @@ def _pair_solid_angles(x1, x2, absolute, guard, cuts):
                 prefix += [x[p - 1:p], e[None]]
     s1 = _Polyline(np.concatenate(prefix1) - center)
     s2 = _Polyline(np.concatenate(prefix2) - center)
-    none = np.empty(0, dtype=np.intp)
-    tiles, values, leaves = ((none,) * 4, np.empty(0), (none,) * 4) \
-        if n1 == 0 or n2 == 0 else _tile_sums(s1, s2, absolute, rows, cols,
-                                              guard)
+    tiles, values, leaves = _tile_sums(s1, s2, absolute, rows, cols, guard)
     # the strips: c1's end segment against c2 (its prefix, then its end
     # segment), and c1's prefix against c2's end segment
     strips = [leaves]

@@ -78,6 +78,24 @@ def test_overflowing_field_not_invariant():
         tr.check_invariant_subspace_bound(f, X_AXIS, c)
 
 
+def test_invariant_point_matches_stationary_point(spiral_traj):
+    # a 0-dimensional subspace is a point: at the spiral's stationary
+    # origin, prop3_2 measures and bounds what prop3_1 does
+    f = tr.spiral2d()
+    point = tr.AffineSubspace(np.zeros(2))
+    sub = tr.check_invariant_subspace_bound(f, point, spiral_traj, seed=3)
+    stat = tr.check_stationary_point_bound(f, np.zeros(2), spiral_traj,
+                                           seed=3)
+    assert sub.theorem_id == "prop3_2" and sub.satisfied
+    assert sub.inputs["invariance_residual"] == 0.0
+    assert (sub.measured, sub.bound, sub.inputs["K"], sub.error_estimates) \
+        == (stat.measured, stat.bound, stat.inputs["K"],
+            stat.error_estimates)
+    with pytest.raises(tr.NotInvariant):
+        tr.check_invariant_subspace_bound(
+            f, tr.AffineSubspace(np.array([0.1, 0.0])), spiral_traj)
+
+
 def test_twist_axis_not_invariant():
     cfg = tr.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, chord_tol=1e-6)
     c = tr.integrate_trajectory(tr.twist3d(), np.array([0.1, 0.5, 0.0]),

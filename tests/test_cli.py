@@ -443,6 +443,31 @@ def test_verify_rerun_byte_identical(capsys):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("scenario, want", [
+    ("spiral-point", 0), ("sink-line", 0), ("twist-line", 2),
+    ("sink-pair", 0), ("sink-log", 0)])
+def test_verify_every_scenario(capsys, scenario, want):
+    # each scenario with every theorem it covers, as CI's console-script
+    # step runs it; the twist is not invariant around its axis
+    from trajrot.cli import SCENARIO_THEOREMS
+
+    theorems = SCENARIO_THEOREMS[scenario]
+    argv = ["verify", "--scenario", scenario]
+    for th in theorems:
+        argv += ["--theorem", th]
+    runs = [run_cli(capsys, *argv) for _ in range(2)]
+    code, out, err = runs[0]
+    assert code == want, err
+    if want:
+        assert out == "" and "NotInvariant" in err
+    else:
+        payload = json.loads(out)
+        reports = payload if len(theorems) > 1 else [payload]
+        assert [r["theorem_id"] for r in reports] == list(theorems)
+        assert all(r["satisfied"] is True for r in reports)
+    assert runs[0] == runs[1]
+
+
 def test_roundtrip_matches_library(tmp_path, capsys):
     out = tmp_path / "sp.csv"
     run_cli(capsys, "integrate", "--field", "spiral2d", "--x0", "0.5,0",

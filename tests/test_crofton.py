@@ -565,6 +565,32 @@ def test_equator_search_lets_a_circle_miss_surface(monkeypatch):
         tr.find_equator_witness(eq, 5.0, trials=4)
 
 
+def test_equator_search_falls_back_to_a_haar_plane(monkeypatch):
+    # 60 loops of the equator, then a meridian out to the pole and back:
+    # the principal plane is the xy-plane, whose pole the curve hits, so
+    # the search must skip it and find the witness on a Haar plane
+    t = np.linspace(0.0, 120 * math.pi, 6001)
+    loops = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+    m = np.linspace(0.0, math.pi / 2, 101)
+    out = np.stack([np.cos(m), np.zeros_like(m), np.sin(m)], axis=1)
+    x = np.concatenate([loops, out[1:], out[-2::-1]])
+    s = tr.SphericalCurve(tr.Curve(np.linspace(0.0, 1.0, len(x)), x))
+    with pytest.raises(tr.WitnessNotFound):
+        tr.find_equator_witness(s, 5.0, trials=1)
+    calls = []
+    search = crofton.find_circle_witness
+
+    def counted(c, theta):
+        calls.append(theta)
+        return search(c, theta)
+
+    monkeypatch.setattr(crofton, "find_circle_witness", counted)
+    w = tr.find_equator_witness(s, 5.0, trials=16, seed=0)
+    assert len(calls) == 1  # the first Haar plane
+    assert not np.allclose(w.plane, crofton.principal_plane(x))
+    assert w.achieved >= w.threshold
+
+
 @pytest.mark.parametrize("search", ["circle", "equator", "euclidean"])
 def test_witness_rejects_nan_theta(search):
     with pytest.raises(ValueError, match="theta"):

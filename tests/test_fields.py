@@ -26,25 +26,6 @@ def test_spiral_formula_generic_point():
     assert np.allclose(v, [(r2 - 1) * x - y, (r2 - 1) * y + x])
 
 
-@pytest.mark.parametrize("f", [
-    tr.spiral2d(), tr.twist3d(), tr.constant([1.0, -2.0, 0.5]),
-    tr.linear([[0.0, 1.0], [-2.0, 0.3]]),
-    tr.affine([[0.0, 1.0], [-2.0, 0.3]], [0.5, 1.0])], ids=lambda f: f.kind)
-def test_field_evaluator_matches_field_values(f):
-    from trajrot.fields import field_evaluator
-
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(-1.0, 1.0, (4, 6, f.dim))
-    pts[0, 0, 0] = 0.0       # twist3d: the identity branch
-    pts[0, 1, 0] = 1e-3      # and its edge
-    got = field_evaluator(f)(pts)
-    assert got.shape == pts.shape
-    assert np.array_equal(got.reshape(-1, f.dim),
-                          tr.field_values(f, pts.reshape(-1, f.dim)))
-    assert np.array_equal(field_evaluator(f)(pts[1, 2]),
-                          tr.eval_field(f, pts[1, 2]))
-
-
 _COORD = st.floats(-1e3, 1e3)
 # both sides of the twist's identity-branch cutoff, and the cutoff itself
 _TWIST_X1 = st.one_of(
@@ -79,11 +60,8 @@ def field_and_point(draw, kind):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_single_point_matches_batched_row_bitwise(kind, data):
-    from trajrot.fields import field_evaluator
-
     f, p = data.draw(field_and_point(kind))
-    v = field_evaluator(f)
-    one, batch = v(p), v(p[None])
+    one, batch = tr.field_values(f, p), tr.field_values(f, p[None])
     assert one.dtype == batch.dtype == np.float64
     assert one.shape == p.shape and batch.shape == (1,) + p.shape
     assert one.tobytes() == batch[0].tobytes()

@@ -13,8 +13,7 @@ from scipy.integrate import solve_ivp
 import trajrot as tr
 from trajrot import flow
 from trajrot.curves import segment_angles
-from trajrot.fields import (TWIST_SMALL_X1, _point_formula, field_evaluator,
-                            twist_profile)
+from trajrot.fields import TWIST_SMALL_X1, _point_formula, twist_profile
 from trajrot.flow import _A, _E, _dense_output, _hermite
 
 from conftest import SINK_MATRIX, negated, sink_closed_form
@@ -415,13 +414,12 @@ def _stepping_reference(f, x0, t0, t1, cfg, centers):
     y = np.asarray(x0, dtype=np.float64).copy()
     chord_tol = cfg.abs_tol if cfg.chord_tol is None else float(cfg.chord_tol)
     rel_tol, abs_tol, dim = cfg.rel_tol, cfg.abs_tol, f.dim
-    v = field_evaluator(f)
     span = t1 - t0
     h_min = 1e-14 * span
     h = min(cfg.max_step, span / 100.0)
     t = t0
     k = np.empty((7, dim))
-    k[0] = v(y)
+    k[0] = tr.field_values(f, y)
     ts, hs, ys, fs = [], [], [y], [k[0].copy()]
     attempts = rejects = 0
     while t < t1:
@@ -437,7 +435,7 @@ def _stepping_reference(f, x0, t0, t1, cfg, centers):
                     w = h * float(_A[i, j])
                     point = [p + w * d for p, d in zip(point, k[j])]
             y_new = np.array(point)
-            k[i] = v(y_new)
+            k[i] = tr.field_values(f, y_new)
         terms = [[float(e) * d for d in k[j]] for j, e in enumerate(_E) if e]
         errs = terms[0]
         for term in terms[1:]:
