@@ -13,7 +13,7 @@ import numpy as np
 
 import trajrot as tr
 
-cfg = tr.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, chord_tol=1e-5)
+cfg = tr.IntegratorConfig(chord_tol=1e-5)
 
 print("== spiral trajectory, rotation around the stationary point ==")
 for T in (2.0, 5.0, 10.0):

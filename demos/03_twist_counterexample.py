@@ -31,7 +31,7 @@ for a in (0.1, 0.05, 0.025):
 
 print()
 print("== yet two off-axis trajectories do not wind around each other ==")
-cfg = tr.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, chord_tol=1e-6)
+cfg = tr.IntegratorConfig(chord_tol=1e-6)
 w1 = tr.integrate_trajectory(tr.twist3d(), np.array([0.05, 0.5, 0.0]),
                              0.0, 0.15, cfg)
 w2 = tr.integrate_trajectory(tr.twist3d(), np.array([0.05, 0.0, 0.7]),

@@ -36,7 +36,7 @@ def show(label, rep):
 
 
 print("== spiral field around its stationary point ==")
-cfg = tr.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, chord_tol=1e-5)
+cfg = tr.IntegratorConfig(chord_tol=1e-5)
 spiral = tr.integrate_trajectory(tr.spiral2d(), np.array([0.5, 0.0]),
                                  0.0, 10.0, cfg, obs_centers=[np.zeros(2)])
 show("spiral, T=10, around the origin",
@@ -48,8 +48,7 @@ show("spiral, T=10, around the non-stationary point (0.9, 0)",
 print()
 print("== linear sink: invariant axis and trajectory pairs ==")
 sink = tr.linear(SINK)
-cfg2 = tr.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=0.01,
-                           chord_tol=1e-5)
+cfg2 = tr.IntegratorConfig(max_step=0.01, chord_tol=1e-5)
 t1 = tr.integrate_trajectory(sink, np.array([1.0, 1.0, 0.0]), 0.0, 3.0, cfg2)
 t2 = tr.integrate_trajectory(sink, np.array([1.0, -1.0, 0.0]), 0.0, 3.0, cfg2)
 show("rotation around the invariant x1-axis, T=3",

@@ -209,7 +209,7 @@ def _scenario_reports(name, theorems, seed):
     reports = []
     if name == "spiral-point":
         f = spiral2d()
-        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, chord_tol=1e-5)
+        cfg = IntegratorConfig(chord_tol=1e-5)
         traj = integrate_trajectory(f, np.array([0.5, 0.0]), 0.0, 10.0, cfg,
                                     obs_centers=[np.zeros(2)])
         for th in theorems:
@@ -227,7 +227,7 @@ def _scenario_reports(name, theorems, seed):
             f, x_axis, t1, seed=seed) for _ in theorems]
     elif name == "twist-line":
         f = twist3d()
-        cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, chord_tol=1e-6)
+        cfg = IntegratorConfig(chord_tol=1e-6)
         traj = integrate_trajectory(f, np.array([0.1, 0.5, 0.0]), 0.0, 0.4,
                                     cfg)
         reports = [bounds_mod.check_invariant_subspace_bound(
@@ -270,7 +270,7 @@ def _cmd_paper_repro(args) -> int:
         circle, segment, "signed")
 
     # 2. planar spiral: rotation grows at unit rate around the sink
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, chord_tol=1e-5)
+    cfg = IntegratorConfig(chord_tol=1e-5)
     rows = []
     for T in (2.0, 5.0, 10.0):
         traj = integrate_trajectory(spiral2d(), np.array([0.5, 0.0]), 0.0, T,
@@ -297,7 +297,7 @@ def _cmd_paper_repro(args) -> int:
     summary["twist_blowup_rows"] = rows
 
     # 4. zero mutual rotation of two off-axis trajectories of the same field
-    cfg2 = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, chord_tol=1e-6)
+    cfg2 = IntegratorConfig(chord_tol=1e-6)
     w1 = integrate_trajectory(twist3d(), np.array([0.05, 0.5, 0.0]), 0.0,
                               0.15, cfg2)
     w2 = integrate_trajectory(twist3d(), np.array([0.05, 0.0, 0.7]), 0.0,
@@ -346,9 +346,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t1", type=float, required=True)
     # one flag per IntegratorConfig field: --rel-tol sets rel_tol
     hints = typing.get_type_hints(IntegratorConfig)
-    helps = {"rel_tol": "relative step tolerance (spiral2d, twist3d only)",
-             "abs_tol": "absolute step tolerance (spiral2d, twist3d only) "
-                        "and the default --chord-tol"}
+    helps = {"rel_tol": "no effect: every field kind follows its exact "
+                        "flow, with no step tolerance",
+             "abs_tol": "the default --chord-tol; no other effect"}
     for fld in dataclasses.fields(IntegratorConfig):
         sp.add_argument("--" + fld.name.replace("_", "-"), dest=fld.name,
                         type=int if hints[fld.name] is int else float,

@@ -64,7 +64,8 @@ class PreconditionLength(PreconditionError):
 
 
 class StepUnderflow(NumericalError):
-    """The adaptive integrator was forced below the minimal step size."""
+    """An integrator step fell below the minimal step size or below the
+    float spacing of the times."""
 
 
 class SampleBudgetExceeded(NumericalError):

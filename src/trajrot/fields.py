@@ -147,7 +147,7 @@ def parse_field_spec(text: str) -> FieldSpec:
 
 
 def _twist_profile_derivatives(x1):
-    """(w1', w2') for x1 > TWIST_SMALL_X1, on arrays or scalars alike."""
+    """(w1', w2') for x1 > TWIST_SMALL_X1."""
     inv = 1.0 / x1
     inv2 = inv * inv
     amp = np.exp(-inv2)
@@ -159,26 +159,9 @@ def _twist_profile_derivatives(x1):
 
 
 def _spiral2d(x, y):
-    """The spiral's formula on coordinates: floats or arrays alike."""
+    """The spiral's formula on coordinate arrays."""
     r2m1 = x * x + y * y - 1.0
     return r2m1 * x - y, r2m1 * y + x
-
-
-def _twist3d(x1, x2, x3):
-    """The twist's formula on one point's coordinates, as floats."""
-    if x1 > TWIST_SMALL_X1:
-        d1, d2 = _twist_profile_derivatives(x1)
-        return 1.0, float(d1), float(d2)
-    return 1.0, 0.0, 0.0
-
-
-def _point_formula(f: FieldSpec):
-    """The formula of a closed-form kind (``spiral2d``, ``twist3d``) on
-    one point's coordinates, passed as separate floats; it returns the
-    components as a tuple of floats.  The same IEEE operations in the
-    same order as :func:`field_values`'s, so the same bits, without the
-    overhead of numpy calls on a single point."""
-    return _spiral2d if f.kind == "spiral2d" else _twist3d
 
 
 def field_values(f: FieldSpec, points) -> np.ndarray:

@@ -1,19 +1,18 @@
 """Trajectory integration.
 
-The matrix-backed kinds (``linear``, ``affine``, ``constant``) follow
-the exact flow of ``y' = My + b``, sampled on the grid ``t0 + j h``,
-``h = min(max_step, 1 / (2 |M|_inf))``, by a Taylor sum exact to half an
-ulp (:func:`_matrix_grid`).  The closed-form kinds (``spiral2d``,
-``twist3d``) take adaptive Dormand-Prince 5(4) steps with fixed
-coefficients, reproducible bit for bit given the configuration, their
-seven stages on Python floats (:func:`_stage_stepper`).  One vectorized
-pass afterwards subdivides all steps together, level by level on a
-dyadic grid, by the same Taylor sum or by cubic Hermite interpolation,
-until (a) each output segment's midpoint lies within the chord
-tolerance of its chord and (b) no segment subtends more than
-``MAX_SEGMENT_ANGLE`` at any declared observation center -- downstream
-rotation quadrature is sampling-limited, so the integrator is where
-angular resolution is enforced.
+Every field kind has a closed-form flow, so no step is adaptive.  The
+matrix-backed kinds (``linear``, ``affine``, ``constant``) follow the
+flow of ``y' = My + b`` on the grid ``t0 + j h``, ``h = min(max_step,
+1 / (2 |M|_inf))``, by a Taylor sum exact to half an ulp
+(:func:`_matrix_grid`).  ``spiral2d`` and ``twist3d`` evaluate their
+flows' formulas at the nodes of the grid ``h = min(max_step, (t1 - t0)
+/ 100)`` (:func:`_closed_form_grid`).  One vectorized pass afterwards
+subdivides all steps together, level by level on a dyadic grid, each new
+sample on the same flow, until (a) each output segment's midpoint lies
+within the chord tolerance of its chord and (b) no segment subtends more
+than ``MAX_SEGMENT_ANGLE`` at any declared observation center --
+downstream rotation quadrature is sampling-limited, so the integrator is
+where angular resolution is enforced.
 """
 
 from __future__ import annotations
@@ -25,30 +24,7 @@ import numpy as np
 
 from .curves import MAX_SEGMENT_ANGLE, Curve, segment_angles
 from .errors import NumericalError, SampleBudgetExceeded, StepUnderflow
-from .fields import FieldSpec, _point_formula
-
-# Dormand-Prince 5(4) tableau (seven stages, FSAL): row i of _A holds the
-# stage-i weights; the last row is also the fifth-order solution, so
-# stage 7 is evaluated at the new point.
-_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0,
-     0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-# fifth-order minus embedded fourth-order weights
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-               22 / 525, -1 / 40])
-# the same weights as Python floats for the unrolled stages; _A[6, 1]
-# and _E[1] are 0, so k1 is left out of the new point and of the error
-((_A10,), (_A20, _A21), (_A30, _A31, _A32), (_A40, _A41, _A42, _A43),
- (_A50, _A51, _A52, _A53, _A54), (_A60, _, _A62, _A63, _A64, _A65)) = [
-    row[:i] for i, row in enumerate(_A.tolist()) if i]
-_E0, _, _E2, _E3, _E4, _E5, _E6 = _E.tolist()
+from .fields import TWIST_SMALL_X1, FieldSpec, twist_profile
 
 # On the matrix grid |hM|_inf <= 1/2, so the terms (hM)^q h f / (q+1)!,
 # q > Q, that a sum to degree Q leaves out of a step are at most sum_{q>Q}
@@ -61,14 +37,14 @@ _MAX_SPLIT_DEPTH = 24
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and budgets for :func:`integrate_trajectory`.
+    """Output resolution and budgets for :func:`integrate_trajectory`.
 
-    ``rel_tol`` and ``abs_tol`` act only on the adaptive steps of the
-    closed-form kinds.  ``chord_tol`` controls output granularity
-    (estimated deviation of the true solution from each output chord);
-    ``None`` reuses ``abs_tol``.  Loosen it explicitly when only
-    step-level accuracy matters and dense output would be wastefully
-    large.
+    ``chord_tol`` bounds how far each output chord's midpoint lies from
+    the flow's point halfway along it; ``None`` reuses ``abs_tol``.
+    ``max_step`` caps the grid's steps and ``max_samples`` the output.
+    Every kind follows its exact flow, so ``rel_tol`` acts on nothing and
+    ``abs_tol`` only as the default ``chord_tol``; both are still
+    validated.
     """
 
     rel_tol: float = 1e-9
@@ -111,10 +87,11 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
     exceed ``cfg.max_step`` by less than that.
 
     Raises :class:`StepUnderflow` when a step must fall below
-    ``1e-14 * (t1 - t0)`` (stiffness or a singularity on the path, or
-    ``|M|_inf (t1 - t0) > 5e13``) or when a step or a sample falls below
-    the float spacing of the times (``spiral2d`` over ``[1e15, 1e15 +
-    1]``), :class:`NumericalError` when a matrix-backed flow overflows
+    ``1e-14 * (t1 - t0)`` (``|M|_inf (t1 - t0) > 5e13``, or a tiny
+    ``max_step``) or when a step or a sample falls below the float
+    spacing of the times (``spiral2d`` over ``[1e15, 1e15 + 1]``),
+    :class:`NumericalError` when the flow blows up or overflows on the
+    window (a ``spiral2d`` start outside the unit circle, ``e^1000``)
     and :class:`SampleBudgetExceeded` when the output would exceed
     ``cfg.max_samples``.
     """
@@ -135,7 +112,7 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
     chord_tol = cfg.abs_tol if cfg.chord_tol is None else float(cfg.chord_tol)
     h_min = _MIN_STEP_FRACTION * (t1 - t0)
     grid = f.kind in ("linear", "affine", "constant")
-    ts, hs, ys, midpoint = (_matrix_grid if grid else _stepped)(
+    ts, hs, ys, midpoint = (_matrix_grid if grid else _closed_form_grid)(
         f, y, t0, t1, h_min, cfg)
     times, points = _dense_output(ts, hs, ys, midpoint, centers, chord_tol,
                                   cfg.max_samples)
@@ -149,30 +126,36 @@ def integrate_trajectory(f: FieldSpec, x0, t0: float, t1: float,
     return Curve(times, points, closed=False)
 
 
+def _grid(t0, t1, h, h_min, max_samples):
+    """The start times and lengths of steps ``h`` from ``t0`` to ``t1``.
+    Their count is the first ``n`` with ``t1 - (t0 + n h) < h_min``, found
+    from its estimate, and the last step takes what is left to ``t1``."""
+    _check_step(t0, h, h_min)
+    n = max(1, math.floor((t1 - t0 - h_min) / h) + 1)
+    while n > 1 and t1 - (t0 + (n - 1) * h) < h_min:
+        n -= 1
+    while t1 - (t0 + n * h) >= h_min:
+        n += 1
+    _budget(n + 1, max_samples)
+    ts = t0 + np.arange(n) * h
+    hs = np.full(n, h)
+    hs[-1] = t1 - ts[-1]
+    return ts, hs
+
+
 def _matrix_grid(f, y, t0, t1, h_min, cfg):
     """The steps, nodes and midpoint function of ``y' = My + b`` from
-    ``y``, as :func:`_stepped` returns them.  A point a fraction ``s`` of
-    ``h`` past a node ``y`` is ``y + sum_q s^(q+1) w_q / (q+1)!``, ``w_q =
+    ``y``, for :func:`_dense_output`.  A point a fraction ``s`` of ``h``
+    past a node ``y`` is ``y + sum_q s^(q+1) w_q / (q+1)!``, ``w_q =
     (hM)^q (hM y + hb)``.  All is in ``hM`` and ``hb``, so ``2^k M``,
     ``2^k b`` over ``2^-k`` times the window gives the same points."""
     dim = f.dim
     m = np.zeros((dim, dim)) if f.matrix is None else f.matrix
     b = np.zeros(dim) if f.offset is None else f.offset
     norm = float(np.max(np.sum(np.abs(m), axis=1)))  # may overflow to inf
-    span = t1 - t0
-    h = min(cfg.max_step, span, 0.5 / norm if norm else math.inf)
-    _check_step(t0, h, h_min)
-    # the stepping loop's landing rule: the first n with t1 - (t0 + n h)
-    # < h_min, from its estimate
-    n = max(1, math.floor((span - h_min) / h) + 1)
-    while n > 1 and t1 - (t0 + (n - 1) * h) < h_min:
-        n -= 1
-    while t1 - (t0 + n * h) >= h_min:
-        n += 1
-    _budget(n + 1, cfg.max_samples)
-    ts = t0 + np.arange(n) * h
-    hs = np.full(n, h)
-    hs[-1] = t1 - ts[-1]
+    h = min(cfg.max_step, t1 - t0, 0.5 / norm if norm else math.inf)
+    ts, hs = _grid(t0, t1, h, h_min, cfg.max_samples)
+    n = len(hs)
     # y -> y + P (hM y + hb), P = sum_q (hM)^q / (q+1)! by Horner
     a = h * m
     p = eye = np.eye(dim)
@@ -203,114 +186,75 @@ def _matrix_grid(f, y, t0, t1, h_min, cfg):
     return ts, hs, ys, midpoint
 
 
-def _stepped(f, y, t0, t1, h_min, cfg):
-    """Adaptive Dormand-Prince steps of a closed-form kind from ``y``: the
-    steps, nodes and cubic Hermite midpoints for :func:`_dense_output`."""
-    rel_tol, abs_tol, dim = cfg.rel_tol, cfg.abs_tol, f.dim
-    max_step, max_samples = cfg.max_step, cfg.max_samples
-    y = y.tolist()
-    f_new, attempt, accept = _stage_stepper(_point_formula(f), y)
-    h = min(max_step, (t1 - t0) / 100.0)
-    t = t0
-    # accepted step j runs from ts[j] over hs[j], from (ys[j], fs[j]) to
-    # (ys[j+1], fs[j+1]); each one emits at least one sample
-    ts, hs, ys, fs = [], [], [y], [f_new]
-    while t < t1:
-        h = min(h, max_step)
-        # the last step lands on t1 exactly: t + (t1 - t) can round off
-        # it, and a leftover below h_min could not be stepped
-        last = t1 - (t + h) < h_min
-        if last:
-            h = t1 - t
-        _check_step(t, h, h_min)
-        y_new, errs = attempt(h)
-        err2 = 0.0
-        for e, a, b in zip(errs, y, y_new):
-            q = e / (abs_tol + rel_tol * max(abs(a), abs(b)))
-            err2 += q * q  # float ** raises on overflow; * gives inf
-        err = math.sqrt(err2 / dim)
-        if err <= 1.0:
-            _budget(len(ys) + 1, max_samples)
-            ts.append(t)
-            hs.append(h)
-            ys.append(y_new)
-            fs.append(accept())
-            t, y = t1 if last else t + h, y_new
-        if err > 0:
-            factor = 0.9 * (err ** -0.2)
-        elif err == 0:
-            factor = 5.0
-        else:  # NaN: the field overflowed on the step, which is rejected
-            factor = 0.2
-        h *= min(5.0, max(0.2, factor))
-    hs, ys, fs = np.array(hs), np.array(ys), np.array(fs)
-    return np.array(ts), hs, ys, lambda step, theta: _hermite(
-        ys[step], fs[step], ys[step + 1], fs[step + 1], hs[step], theta)
+def _closed_form_grid(f, y, t0, t1, h_min, cfg):
+    """The steps, nodes and midpoint function of ``spiral2d`` or
+    ``twist3d`` from ``y``, for :func:`_dense_output`: steps of
+    ``min(max_step, (t1 - t0) / 100)``, and every point the flow's
+    formula at its elapsed time ``s = ts[step] - t0 + theta hs[step]``."""
+    flow = (_spiral_flow(y, t0, t1) if f.kind == "spiral2d"
+            else _twist_flow(y))
+    ts, hs = _grid(t0, t1, min(cfg.max_step, (t1 - t0) / 100.0), h_min,
+                   cfg.max_samples)
+
+    def midpoint(step, theta):
+        return flow(ts[step] - t0 + theta * hs[step])
+
+    ys = np.concatenate([y[None], midpoint(np.arange(len(hs)),
+                                           np.ones(len(hs)))])
+    if not np.isfinite(ys).all():
+        raise NumericalError(f"the flow overflows on [{t0:.6g}, {t1:.6g}]")
+    return ts, hs, ys, midpoint
 
 
-def _stage_stepper(v, y):
-    """Dormand-Prince steps by their seven stages, for a field with the
-    point formula ``v`` (see :func:`~trajrot.fields._point_formula`),
-    from the point ``y``, a list of floats.
+def _spiral_flow(y, t0, t1):
+    """The spiral's flow from ``y`` as a function of the elapsed times
+    ``s``.  It turns at unit angular speed, and ``r' = (r^2 - 1) r`` gives
+    ``r(s) / r0 = 1 / sqrt(1 + c expm1(2s))``, ``c = 1 - r0^2``, which
+    holds at ``r0 = 0`` too.  For ``r0 > 1`` the radius blows up at ``s* =
+    log1p(-1/c) / 2``; a window that reaches it raises
+    :class:`NumericalError`."""
+    a, b = float(y[0]), float(y[1])
+    c = 1.0 - (a * a + b * b)
+    if c < 0:
+        s_star = 0.5 * math.log1p(-1.0 / c)
+        if t1 - t0 >= s_star:
+            raise NumericalError(
+                f"the spiral from |x0| = {math.hypot(a, b):.6g} blows up "
+                f"{s_star:.6g} after t0, inside [{t0:.6g}, {t1:.6g}]")
 
-    Returns the slope at ``y`` and two functions: ``attempt(h)`` gives
-    the fifth-order point and the components of the error ``h (_E . k)``
-    as lists of floats; ``accept()`` moves to the last attempted point
-    and returns its slope.  Every stage point is ``y + sum_j (h A[i, j])
-    k_j`` and every error component ``h (sum_j _E[j] k_j)``, each sum
-    taken left to right with plain ``+`` (``sum()`` compensates float
-    sums from Python 3.12 on), so the sums round the same way on every
-    Python version, with no BLAS kernel to choose whether to fuse a
-    multiply and an add.
-    """
-    k0 = v(*y)
-    y_new = k6 = None
+    def at(s):
+        ratio = 1.0  # c = 0, the unit circle, where 0 * inf would be NaN
+        if c:
+            # for c > 0, expm1(2s) = inf past s = 354 sends the point to
+            # 0; for c < 0, a node that rounds onto s* is not finite
+            with np.errstate(all="ignore"):
+                ratio = 1.0 / np.sqrt(1.0 + c * np.expm1(2.0 * s))
+        cos, sin = np.cos(s), np.sin(s)
+        return np.stack([ratio * (a * cos - b * sin),
+                         ratio * (a * sin + b * cos)], axis=1)
 
-    def attempt(h):
-        nonlocal y_new, k6
-        a0 = h * _A10
-        k1 = v(*[p + a0 * d0 for p, d0 in zip(y, k0)])
-        a0, a1 = h * _A20, h * _A21
-        k2 = v(*[p + a0 * d0 + a1 * d1 for p, d0, d1 in zip(y, k0, k1)])
-        a0, a1, a2 = h * _A30, h * _A31, h * _A32
-        k3 = v(*[p + a0 * d0 + a1 * d1 + a2 * d2
-                 for p, d0, d1, d2 in zip(y, k0, k1, k2)])
-        a0, a1, a2, a3 = h * _A40, h * _A41, h * _A42, h * _A43
-        k4 = v(*[p + a0 * d0 + a1 * d1 + a2 * d2 + a3 * d3
-                 for p, d0, d1, d2, d3 in zip(y, k0, k1, k2, k3)])
-        a0, a1, a2, a3, a4 = (h * _A50, h * _A51, h * _A52, h * _A53,
-                              h * _A54)
-        k5 = v(*[p + a0 * d0 + a1 * d1 + a2 * d2 + a3 * d3 + a4 * d4
-                 for p, d0, d1, d2, d3, d4 in zip(y, k0, k1, k2, k3, k4)])
-        # the last stage point is the fifth-order solution
-        a0, a2, a3, a4, a5 = (h * _A60, h * _A62, h * _A63, h * _A64,
-                              h * _A65)
-        y_new = [p + a0 * d0 + a2 * d2 + a3 * d3 + a4 * d4 + a5 * d5
-                 for p, d0, d2, d3, d4, d5 in zip(y, k0, k2, k3, k4, k5)]
-        k6 = v(*y_new)
-        return y_new, [
-            h * (_E0 * d0 + _E2 * d2 + _E3 * d3 + _E4 * d4 + _E5 * d5
-                 + _E6 * d6)
-            for d0, d2, d3, d4, d5, d6 in zip(k0, k2, k3, k4, k5, k6)]
-
-    def accept():
-        nonlocal y, k0
-        y, k0 = y_new, k6
-        return k6
-
-    return k0, attempt, accept
+    return at
 
 
-def _hermite(y0, f0, y1, f1, h, theta):
-    """Cubic Hermite interpolant on accepted steps, row-wise: ``y0``..``f1``
-    are (n, dim), ``h`` and ``theta`` in [0, 1] are (n,)."""
-    t2 = theta * theta
-    h00 = 2 * t2 * theta - 3 * t2 + 1
-    h10 = t2 * theta - 2 * t2 + theta
-    h01 = -2 * t2 * theta + 3 * t2
-    h11 = t2 * theta - t2
-    return (h00[:, None] * y0 + (h10 * h)[:, None] * f0 + h01[:, None] * y1
-            + (h11 * h)[:, None] * f1)
+def _twist_flow(y):
+    """The twist's flow from ``y`` as a function of the elapsed times
+    ``s``: ``x1`` grows at unit speed and ``(x2, x3)`` moves by ``w(x1) -
+    w(x1(0))``, ``w`` the profile :func:`~trajrot.fields.twist_profile`.
+    Below ``TWIST_SMALL_X1`` the profile's amplitude ``exp(-1/x1^2)`` is
+    0 in any float format, and ``1/x1`` could overflow, so ``x1`` is
+    taken as 0 there."""
+    def profile(x1):
+        return np.stack(twist_profile(np.where(x1 > TWIST_SMALL_X1, x1, 0.0)),
+                        axis=-1)
+
+    x1, rest = float(y[0]), y[1:]
+    w0 = profile(np.float64(x1))
+
+    def at(s):
+        x = x1 + s
+        return np.concatenate([x[:, None], rest + (profile(x) - w0)], axis=1)
+
+    return at
 
 
 def _dense_output(ts, hs, ys, midpoint, centers, chord_tol, max_samples):

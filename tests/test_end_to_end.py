@@ -32,9 +32,6 @@ def test_spiral_rotation_is_elapsed_time():
     assert abs(rr.value - T) <= rr.error_estimate
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the spiral's integrator phase "
-                   "error, 1.17e-5, is 4.2x the error estimate at the "
-                   "default tolerances")
 def test_readme_cli_spiral_rotation_is_elapsed_time(tmp_path, capsys):
     # the README's CLI example: default integrator settings and no
     # observation center, so the bar must also cover the node errors

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trajrot as tr
-from trajrot.fields import TWIST_SMALL_X1, _point_formula, twist_profile
+from trajrot.fields import TWIST_SMALL_X1, twist_profile
 
 from conftest import negated
 
@@ -65,10 +65,6 @@ def test_single_point_matches_batched_row_bitwise(kind, data):
     assert one.dtype == batch.dtype == np.float64
     assert one.shape == p.shape and batch.shape == (1,) + p.shape
     assert one.tobytes() == batch[0].tobytes()
-    if kind in ("spiral2d", "twist3d"):  # the integrator's formula on floats
-        floats = _point_formula(f)(*p.tolist())
-        assert all(type(c) is float for c in floats)
-        assert np.array(floats).tobytes() == batch[0].tobytes()
 
 
 def test_twist_identity_branch():
