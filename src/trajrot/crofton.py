@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,9 +28,14 @@ from .errors import PreconditionLength, WitnessNotFound
 from .fields import enclosing_ball
 
 _WITNESS_SLACK = 1e-9
-# Samples x draws per block of crofton_length_estimate; keeps the
-# (samples, draws) planes near cache size.
+# Samples x draws per block of crofton_length_estimate, as 8-byte
+# products: one reused workspace holds a block's products and its signs
+# (9 bytes per entry) in at most _BLOCK_ENTRIES * 8 bytes, near cache
+# size.  Blocks take the Gaussian stream in order, so the size changes no
+# bit.
 _BLOCK_ENTRIES = 1 << 18
+# Rows of sign changes summed at once into uint8, which cannot wrap.
+_CHUNK_ROWS = 255
 
 
 @dataclass(frozen=True)
@@ -84,24 +90,47 @@ def crofton_length_estimate(s: SphericalCurve, m: int = 10_000,
     functional counts.  The mean count times pi estimates the geodesic
     length.  The standard error carries a 1/m variance floor so that
     zero-variance counts (every subsphere hits the curve equally often)
-    still report the discreteness-limited uncertainty.  Draws run in
-    blocks of about ``_BLOCK_ENTRIES`` samples x draws, which take the
-    Gaussian stream in the same order, so the block size changes no bit.
+    still report the discreteness-limited uncertainty.
+
+    Draws run in blocks of ``(8 * _BLOCK_ENTRIES // 9) // samples`` draws,
+    which take the Gaussian stream in the same order, so the block size
+    changes no bit.  Every block works in one contiguous workspace
+    allocated once per call: its (samples, draws) products, their signs,
+    and the sign changes between consecutive samples, written over the
+    products' bytes.  The changes are summed ``_CHUNK_ROWS`` (255) rows
+    at a time into uint8, which cannot wrap, and added into the counts.
     """
+    if isinstance(m, bool):
+        raise TypeError("m must be an integer")
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise TypeError("m must be an integer") from None
     if m < 100:
         raise ValueError("m must be >= 100")
     rng = np.random.default_rng(seed)
     x = s.curve.x.astype(np.float64, copy=False)
-    n = x.shape[1]
-    counts = np.empty(m, dtype=np.int64)
-    done = 0
-    block = max(1, min(m, _BLOCK_ENTRIES // max(x.shape[0], 1)))
-    while done < m:
+    n_pts, n = x.shape
+    block = max(1, min(m, (8 * _BLOCK_ENTRIES // 9) // n_pts))
+    # every out= below is a contiguous view: numpy 2.4.6's signbit writes
+    # wrong values through a strided bool out=
+    work = np.empty(9 * n_pts * block, dtype=np.uint8)
+    prods = work[:8 * n_pts * block].view(np.float64)
+    signs = work[8 * n_pts * block:].view(np.bool_)
+    part = np.empty(block, dtype=np.uint8)
+    counts = np.zeros(m, dtype=np.int64)
+    for done in range(0, m, block):
         k = min(block, m - done)
         u = rng.standard_normal((k, n, n))[:, :, 0]   # unnormalized normal
-        s = np.signbit(x @ u.T)                        # (samples, k)
-        counts[done:done + k] = np.count_nonzero(s[:-1] != s[1:], axis=0)
-        done += k
+        f = np.matmul(x, u.T, out=prods[:n_pts * k].reshape(n_pts, k))
+        sg = np.signbit(f, out=signs[:n_pts * k].reshape(n_pts, k))
+        changes = np.not_equal(
+            sg[:-1], sg[1:],
+            out=work[:(n_pts - 1) * k].view(np.bool_).reshape(n_pts - 1, k))
+        for i in range(0, n_pts - 1, _CHUNK_ROWS):
+            np.add.reduce(changes[i:i + _CHUNK_ROWS], axis=0,
+                          dtype=np.uint8, out=part[:k])
+            counts[done:done + k] += part[:k]
     mean = float(np.mean(counts))
     var = float(np.var(counts, ddof=1))
     value = math.pi * mean

@@ -131,18 +131,50 @@ def test_crofton_matches_qr_reference(curve, m, seeds):
         assert got == crofton_qr_reference(s, m, seed)
 
 
-@pytest.mark.parametrize("entries", [1, 3 * 401, 10 * 401 + 7])
-def test_crofton_blocks_change_no_bit(entries, monkeypatch):
-    # one draw per block, blocks of 3 and of 10 draws against one block,
-    # on a random walk whose crossing counts vary from draw to draw
-    walk = np.cumsum(np.random.default_rng(12).normal(size=(401, 3)), axis=0)
+@pytest.mark.parametrize("entries, dim", [
+    (1, 3), (3 * 401, 3), (10 * 401 + 7, 3), (7 * 401, 3), (7 * 401, 2),
+], ids=["1", "1203", "4017", "2807", "2807-planar"])
+def test_crofton_blocks_change_no_bit(entries, dim, monkeypatch):
+    # (8 * entries // 9) // 401 draws per block: one, 2, 8, and 6 (the
+    # last block of 4), against one block of all 1000 draws, on a random
+    # walk whose crossing counts vary from draw to draw
+    walk = np.cumsum(np.random.default_rng(12).normal(size=(401, dim)),
+                     axis=0)
     walk /= np.linalg.norm(walk, axis=1)[:, None]
     s = tr.SphericalCurve(tr.Curve(np.linspace(0.0, 1.0, 401), walk))
-    monkeypatch.setattr(crofton, "_BLOCK_ENTRIES", 401 * 1_000)
+    monkeypatch.setattr(crofton, "_BLOCK_ENTRIES", 2 ** 40)
     whole = tr.crofton_length_estimate(s, m=1_000, seed=12)
     assert whole.stderr > 0.1
     monkeypatch.setattr(crofton, "_BLOCK_ENTRIES", entries)
     assert tr.crofton_length_estimate(s, m=1_000, seed=12) == whole
+
+
+@pytest.mark.parametrize("v", [(2 / 7, 3 / 7, 6 / 7), (0.6, 0.8)],
+                         ids=["3d", "2d"])
+@pytest.mark.parametrize("n_pts", [255, 256, 257, 600, 5_000])
+def test_crofton_alternating_curve_crosses_every_circle(v, n_pts):
+    # v, -v, v, ...: the products of v and -v are exact negatives, so
+    # every segment crosses every great subsphere and every count is
+    # n_pts - 1; a chunk of 256 rows or a wrapping uint8 sum fails here
+    x = np.where(np.arange(n_pts)[:, None] % 2 == 0, 1.0, -1.0) * v
+    s = tr.SphericalCurve(tr.Curve(np.arange(float(n_pts)), x))
+    est = tr.crofton_length_estimate(s, m=100, seed=3)
+    assert est.value == math.pi * (n_pts - 1)
+    assert est.stderr == math.pi / 100
+
+
+@pytest.mark.parametrize("m", [2000.0, float("nan"), True, "2000"])
+def test_crofton_rejects_non_integer_m(m):
+    with pytest.raises(TypeError, match="m must be an integer"):
+        tr.crofton_length_estimate(great_circle(n=17), m=m)
+
+
+def test_crofton_m_takes_integer_types_and_a_floor():
+    s = great_circle(n=17)
+    assert (tr.crofton_length_estimate(s, m=np.int64(100), seed=1)
+            == tr.crofton_length_estimate(s, m=100, seed=1))
+    with pytest.raises(ValueError, match="m must be >= 100"):
+        tr.crofton_length_estimate(s, m=99)
 
 
 def test_haar_isotropy():
