@@ -287,11 +287,13 @@ def _cmd_paper_repro(args) -> int:
         b = 0.2
         if a >= b:
             rows.append({"a": a, "b": b, "rotation_rad": 0.0,
-                         "expected_rad": 0.0, "elapsed_time": 0.0})
+                         "error_estimate": 0.0, "expected_rad": 0.0,
+                         "elapsed_time": 0.0})
             continue
         curve = twist_invariant_curve(a, b)
         rot = rotation_around_subspace(curve, axis, "absolute", guard=0.0)
         rows.append({"a": a, "b": b, "rotation_rad": rot.value,
+                     "error_estimate": rot.error_estimate,
                      "expected_rad": 1.0 / a - 1.0 / b,
                      "elapsed_time": b - a})
     summary["twist_blowup_rows"] = rows
@@ -312,7 +314,8 @@ def _cmd_paper_repro(args) -> int:
     reps = bounds_mod.check_log_sink_shells(
         SINK_MATRIX, SINK_START_PAIR, R=1.0, radii=[math.exp(-k) for k in ks])
     summary["sink_log_growth_rows"] = [
-        {"k": k, "measured_turns": rep.measured, "bound": rep.bound,
+        {"k": k, "measured_turns": rep.measured,
+         "error_estimate": rep.error_estimates["rotation"], "bound": rep.bound,
          "implied_C": rep.inputs["implied_C"], "satisfied": rep.satisfied}
         for k, rep in zip(ks, reps)]
 

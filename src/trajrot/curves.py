@@ -29,8 +29,8 @@ from .errors import CodimensionError, DimensionMismatch, DistanceTooSmall
 GUARD_DIAMETER_FACTOR = 1e-7
 # Endpoint gap below this fraction of the diameter counts as closed.
 CLOSE_DIAMETER_FACTOR = 1e-6
-# Largest angle a single output segment may subtend at any observation
-# center before rotation quadrature is considered under-resolved.
+# Largest angle an integrated segment may subtend at an observation center:
+# keeps the polyline close to the curve, as rotation's decimation term needs.
 MAX_SEGMENT_ANGLE = 0.05
 
 

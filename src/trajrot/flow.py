@@ -10,9 +10,9 @@ flows' formulas at the nodes of the grid ``h = min(max_step, (t1 - t0)
 subdivides all steps together, level by level on a dyadic grid, each new
 sample on the same flow, until (a) each output segment's midpoint lies
 within the chord tolerance of its chord and (b) no segment subtends more
-than ``MAX_SEGMENT_ANGLE`` at any declared observation center --
-downstream rotation quadrature is sampling-limited, so the integrator is
-where angular resolution is enforced.
+than ``MAX_SEGMENT_ANGLE`` at any declared observation center, which
+keeps the polyline close to the curve for the decimation estimate of the
+rotation's error there (the polyline's own blow-up length is exact).
 """
 
 from __future__ import annotations

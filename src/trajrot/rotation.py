@@ -4,12 +4,11 @@ Both kernels start from the unit directions of
 :func:`~trajrot.curves.center_directions`, normalized once per sample.
 
 Absolute rotation is the length of the spherical blow-up.  Each polyline
-segment blows up to a great-circle arc of the angle it subtends,
+segment blows up to a great-circle arc of exactly the angle it subtends,
 ``theta = 2 atan2(s, p)`` from the half-angle norms ``s = |u - v|`` and
 ``p = |u + v|`` of its two directions that the distance guard already
-holds, so its chord sums have a closed form (nodes at equal subtended
-angles, chords of ``2 sin(phi/2)``); sums at two resolutions give a
-Richardson value and error estimate, with no subdivision and no cap.
+holds, so the value is ``sum(theta)`` in closed form, with a decimation
+and a roundoff term as its error estimate (:func:`absolute_rotation_point`).
 One kernel measures a curve around a whole stack of centers, in blocks
 of at most ``_BLOCK_ROWS`` center x sample rows; every operation is
 elementwise or runs along one center's row, so each center's value,
@@ -30,45 +29,27 @@ import math
 
 import numpy as np
 
-from .curves import (AffineSubspace, Curve, MAX_SEGMENT_ANGLE, RotationResult,
-                     _check_clearance, _decimated, _resolved_guard,
-                     _stacked_directions, center_directions,
-                     planar_angle_increments, project_to_complement,
-                     unit_angles)
+from .curves import (AffineSubspace, Curve, RotationResult, _check_clearance,
+                     _decimated, _resolved_guard, _stacked_directions,
+                     center_directions, planar_angle_increments,
+                     project_to_complement, unit_angles)
 from .errors import CodimensionError, DimensionMismatch
 
 # Most center x sample rows one block of the stacked kernel holds (one
 # center at least): the blocks' temporaries stay near the size of one
 # long curve's, so stacking adds nothing to the process's peak memory.
 _BLOCK_ROWS = 2 ** 14
-
-
-def _blowup_length(theta):
-    """Chord-sum length of the spherical blow-ups whose segments subtend
-    the angles ``theta`` (one row per blow-up), with their Richardson
-    values, error terms and fine node counts.
-
-    A segment's blow-up is a great-circle arc of its subtended angle
-    theta.  It is cut into ``k = ceil(theta / MAX_SEGMENT_ANGLE)`` arcs of
-    equal angle, whose chords are ``2 sin(theta / 2k)`` in closed form,
-    and the sum is compared against the same sum on ``2k`` arcs.  The
-    angles are taken in float64 (a longdouble curve's too).
-    """
-    theta = theta.astype(np.float64, copy=False)
-    k = np.maximum(np.ceil(theta / MAX_SEGMENT_ANGLE), 1.0)
-    a1 = np.sum(2.0 * k * np.sin(theta / (2.0 * k)), axis=-1)
-    a2 = np.sum(4.0 * k * np.sin(theta / (4.0 * k)), axis=-1)
-    n_fine = 2.0 * np.sum(k, axis=-1) + 1.0
-    return a2 + (a2 - a1) / 3.0, np.abs(a2 - a1), n_fine
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _absolute_rotations(c: Curve, centers):
     """Absolute rotation of ``c`` around each row of ``centers``, as the
     arrays ``(value, error_estimate, rmin)``; ``rmin`` is each center's
     exact distance to the polyline, and a center that does not clear the
-    caller's guard has a meaningless value.  One block of centers is one
-    pass of :func:`_stacked_directions` and of :func:`_blowup_length`;
-    see :func:`absolute_rotation_point` for the error estimate.
+    caller's guard has a meaningless value.  The value is the sum of the
+    angles ``2 atan2(s, p)`` the segments subtend, from one pass of
+    :func:`_stacked_directions` per block of centers; see
+    :func:`absolute_rotation_point` for the error estimate.
     """
     centers = np.asarray(centers).astype(c.x.dtype)
     n, k = c.n_samples, len(centers)
@@ -78,14 +59,13 @@ def _absolute_rotations(c: Curve, centers):
     for i in range(0, k, step):
         block = slice(i, i + step)
         u, s, p, rmin[block] = _stacked_directions(c.x, centers[block])
-        v, quad_err, n_fine = _blowup_length(2.0 * np.arctan2(s, p))
-        sampling_err = 0.0
+        theta = (2.0 * np.arctan2(s, p)).astype(np.float64, copy=False)
+        value[block] = v = np.sum(theta, axis=-1)
+        err[block] = n * (2e-15 + _EPS * v)
         if n >= 5:
             ud = _decimated(u)
-            sampling_err = np.abs(
-                v - _blowup_length(unit_angles(ud[:, :-1], ud[:, 1:]))[0])
-        value[block] = np.maximum(v, 0.0)
-        err[block] = quad_err + sampling_err + 1e-15 * (1.0 + n_fine)
+            dec = unit_angles(ud[:, :-1], ud[:, 1:])
+            err[block] += np.abs(v - np.sum(dec.astype(np.float64), axis=-1))
     return value, err, rmin
 
 
@@ -93,15 +73,27 @@ def absolute_rotation_point(c: Curve, x0, guard: float | None = None) -> Rotatio
     """Length (radians) of the spherical blow-up of ``c`` centered at ``x0``.
 
     The blow-up of the polyline consists of great-circle arcs, one per
-    segment, of exactly the angle the segment subtends at ``x0``.  Chord
-    sums over equal-angle nodes at two resolutions (no arc wider than
-    ``MAX_SEGMENT_ANGLE``) give a Richardson-extrapolated value and error
-    bar.  The error bar also carries a decimation-based term estimating
-    how far the polyline itself may sit from the curve it samples, so
-    monotone resampling stays within the combined estimates.  ``guard``
-    is checked against the exact distance from ``x0`` to the polyline;
-    the decimated copy needs none, since a chord of it that passes
-    through ``x0`` only subtends pi and shows up in the decimation term.
+    segment, of exactly the angle ``theta_i`` the segment subtends at
+    ``x0``, so the value is ``sum(theta_i)``.  The error estimate adds
+    two terms:
+
+    * decimation: ``|sum(theta) - sum(theta')|``, ``theta'`` the angles
+      of the polyline through every other sample (n >= 5), estimates how
+      far the polyline may sit from the curve it samples, so monotone
+      resampling stays within the combined estimates;
+    * roundoff: ``n (2e-15 + eps value)``, eps = 2.2e-16 that of
+      float64.  Rounding leaves the unit directions, and so ``s`` and
+      ``p``, within a few eps of exact; as ``s^2 + p^2 = 4``, ``theta``
+      moves by ``(p ds - s dp) / 2 <= sqrt(2) max(|ds|, |dp|)``, and
+      ``atan2`` and the float64 cast add at most 4 eps, so each angle
+      stays within about 8 eps < 2e-15.  Summing ``n - 1`` angles in
+      [0, pi] in float64, in any order, is off by at most
+      ``(n - 2) eps / 2`` times their sum.
+
+    ``guard`` is checked against the exact distance from ``x0`` to the
+    polyline; the decimated copy needs none, since a chord of it that
+    passes through ``x0`` only subtends pi and shows up in the
+    decimation term.
     """
     x0 = np.asarray(x0)
     if x0.shape != (c.dim,):

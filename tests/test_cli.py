@@ -611,6 +611,9 @@ def test_paper_repro_artifacts(tmp_path, capsys):
     rows = {r["a"]: r for r in summary["twist_blowup_rows"]}
     assert abs(rows[0.05]["rotation_rad"] - 15.0) / 15.0 < 0.01
     assert abs(rows[0.025]["rotation_rad"] - 35.0) / 35.0 < 0.01
+    for r in summary["twist_blowup_rows"]:
+        want = 1.0 / r["a"] - 1.0 / r["b"] if r["a"] < r["b"] else 0.0
+        assert abs(r["rotation_rad"] - want) <= r["error_estimate"]
     assert all(r["elapsed_time"] < 0.2 for r in summary["twist_blowup_rows"])
     assert abs(summary["twist_pair_mutual_turns"]["signed"]["value"]) < 1e-4
     growth = [r["measured_turns"] for r in summary["sink_log_growth_rows"]]

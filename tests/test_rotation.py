@@ -147,6 +147,11 @@ def _angle_sum(x, center):
         return total
 
 
+def _roundoff(n, value):
+    """The roundoff term of an ``n``-sample absolute rotation."""
+    return n * (2e-15 + np.finfo(np.float64).eps * value)
+
+
 def test_decimated_chord_through_center_enters_error_estimate():
     # samples 0, 2 and 4 survive decimation; the chord from sample 0 to
     # sample 2 runs through the origin, while the polyline stays 0.159 away
@@ -170,7 +175,7 @@ def test_zigzag_of_close_flybys():
                                     np.zeros(2))
     with mp.workdps(40):
         want = float(40_000 * 2 * mp.atan(1000))
-    assert abs(rr.value - want) <= 1e-8 * want
+    assert abs(rr.value - want) <= _roundoff(n, rr.value)
 
 
 @st.composite
@@ -189,7 +194,9 @@ def test_absolute_rotation_matches_angle_sum(case):
         rr = tr.absolute_rotation_point(c, np.array(center))
     except tr.DistanceTooSmall:
         assume(False)
-    assert abs(rr.value - float(_angle_sum(x, center))) <= rr.error_estimate
+    miss = abs(rr.value - float(_angle_sum(x, center)))
+    assert miss <= rr.error_estimate
+    assert miss <= _roundoff(len(x), rr.value)
 
 
 def test_line_crosscheck_guard_between_samples():
@@ -211,13 +218,16 @@ def test_helix_around_axis():
 
 
 def test_twist_blowup_window():
-    # at a = 0.012 the winding radii reach exp(-1/a^2) ~ 1e-3016: only
-    # longdouble holds them, and the guard's distances must not underflow
-    for a in (0.05, 0.012):
+    # from a = 0.025 on the winding radii exp(-1/a^2) (1e-3016 at 0.012)
+    # need longdouble, and the guard's distances must not underflow; the
+    # samples are uniform in the winding angle 1/x1, so the polyline's
+    # angles sum to 1/a - 1/b up to roundoff
+    for a in (0.05, 0.025, 0.012):
         c = tr.twist_invariant_curve(a, 0.2)
         rr = tr.rotation_around_subspace(c, X_AXIS, "absolute", guard=0.0)
         want = 1.0 / a - 1.0 / 0.2
         assert abs(rr.value - want) / want < 0.01
+        assert abs(rr.value - want) <= _roundoff(c.n_samples, rr.value)
 
 
 def test_sink_rotation_rate_around_axis():
