@@ -215,10 +215,9 @@ def _scenario_reports(name, theorems, seed):
         for th in theorems:
             if th == "prop3_1":
                 reports.append(bounds_mod.check_stationary_point_bound(
-                    f, np.zeros(2), traj, seed=seed))
+                    f, np.zeros(2), traj))
             else:
-                k, _ = bounds_mod.lipschitz_for(f, traj.x, [np.zeros(2)],
-                                                seed=seed)
+                k, _ = bounds_mod.lipschitz_for(f, traj.x, [np.zeros(2)])
                 reports.append(bounds_mod.check_any_point_bound(
                     traj, np.zeros(2), K=k))
     elif name == "sink-line":
@@ -234,7 +233,7 @@ def _scenario_reports(name, theorems, seed):
             f, x_axis, traj, seed=seed) for _ in theorems]
     elif name == "sink-pair":
         f, (t1, t2) = _sink_curves(SINK_START_PAIR)
-        k, _ = bounds_mod.lipschitz_for(f, t1.x, seed=seed)
+        k, _ = bounds_mod.lipschitz_for(f, t1.x)
         reports = bounds_mod._pair_reports(t1, t2, theorems, K=k)
     elif name == "sink-log":
         reports = [bounds_mod.check_log_sink_shells(

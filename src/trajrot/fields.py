@@ -1,4 +1,4 @@
-"""Vector field catalog and Lipschitz constant estimation.
+"""Vector field catalog and exact Lipschitz constants.
 
 The catalog covers two hand-built fields with interesting rotation
 behavior plus arbitrary constant/linear/affine fields:
@@ -16,7 +16,9 @@ behavior plus arbitrary constant/linear/affine fields:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -239,73 +241,153 @@ def twist_invariant_curve(a: float, b: float,
 
 
 # ---------------------------------------------------------------------------
-# Lipschitz estimation
+# Lipschitz constants
+
+# u* = 1/x1 where the twist's |w''| peaks: the positive root of
+# 16z^4 - 88z^3 + 133z^2 - 62z - 6 at z = u*^2 (see estimate_lipschitz)
+_TWIST_U_STAR = 1.8438507478294369
 
 
 @dataclass(frozen=True)
 class LipschitzEstimate:
     """K such that |v(x)-v(y)| <= K|x-y| over the region.
 
-    Sampled estimates are lower bounds of the true supremum and are
-    reported as such via ``method``; bound verification applies a safety
-    factor on top (see the bounds module).
+    K is the exact Lipschitz constant over the ball, the sup of the
+    Jacobian's spectral norm there (``method`` is always ``"analytic"``):
+    ||M||_2 for matrix kinds and 0 for ``constant``; for ``spiral2d`` the
+    larger of rho + hypot(2 rho - 1, 1) at the two ends of the ball's
+    range of rho = |x|^2; for ``twist3d`` the profile's |w''| = g(1/x1) at
+    the point of the ball's x1 range nearest to the peak of g.  The two
+    catalog values are rounded up.  :func:`estimate_lipschitz` derives
+    both closed forms and their rounding.
     """
 
     K: float
     region: Ball
-    method: str  # "analytic" | "sampled"
-    sample_count: int
-
-
-def sample_ball(rng: np.random.Generator, ball: Ball, count: int) -> np.ndarray:
-    """Uniform draws in a ball: Gaussian direction, radius^(1/dim) correction."""
-    dim = ball.center.shape[0]
-    g = rng.standard_normal((count, dim))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    r = ball.radius * rng.random(count) ** (1.0 / dim)
-    return ball.center + g * r[:, None]
+    method: str  # "analytic"
 
 
 def operator_norm(matrix) -> float:
     return float(np.linalg.norm(np.asarray(matrix, dtype=np.float64), 2))
 
 
-def estimate_lipschitz(f: FieldSpec, region: Ball, n: int = 4096,
-                       seed: int = 0, method: str = "auto") -> LipschitzEstimate:
-    """Estimate the Lipschitz constant of ``f`` over ``region``.
+def _spiral_jacobian_norm(rho: float) -> float:
+    """||J||_2 of ``spiral2d`` on the circle |x|^2 = rho."""
+    return rho + math.hypot(2.0 * rho - 1.0, 1.0)
 
-    Linear/affine/constant kinds are exact (operator norm of the matrix);
-    pass ``method="sampled"`` to force pair sampling for them too.
-    The sampled estimate is the max difference quotient over ``n`` random
-    point pairs, deterministic given ``seed`` -- a lower bound of the
-    true constant that works for non-differentiable fields too.  Raises
-    :class:`NumericalError` when no pair is usable or the largest
-    quotient is not finite: such a K would measure nothing.
+
+def _spiral_lipschitz(ball: Ball) -> float:
+    a = math.hypot(*ball.center.tolist())
+    radius = float(ball.radius)
+    lo, hi = max(0.0, a - radius), a + radius
+    k_hi = _spiral_jacobian_norm(hi * hi)
+    if not math.isfinite(k_hi):
+        raise NumericalError(f"spiral2d Jacobian norm is {k_hi} on the "
+                             f"ball of radius {radius!r}")
+    return max(_spiral_jacobian_norm(lo * lo), k_hi)
+
+
+def _twist_lipschitz(ball: Ball) -> float:
+    c1, radius = float(ball.center[0]), float(ball.radius)
+    if not (math.isfinite(c1) and math.isfinite(radius)):
+        raise NumericalError(f"twist3d region x1 = {c1!r} +- {radius!r} "
+                             "is not finite")
+    small, c1, radius = map(Fraction, (TWIST_SMALL_X1, c1, radius))
+    x_lo, x_hi = c1 - radius, c1 + radius
+    if x_hi <= small:
+        return 0.0
+    # z = u^2 at u = clip(u*, 1/x_hi, 1/x_lo), exactly
+    z = max(Fraction(_TWIST_U_STAR) ** 2, 1 / (x_hi * x_hi))
+    if x_lo > small:
+        z = min(z, 1 / (x_lo * x_lo))
+    m2 = z ** 3 * (16 * z ** 3 - 40 * z ** 2 + 33 * z + 4)
+    z_down = float(z)
+    if z_down > z:
+        z_down = math.nextafter(z_down, 0.0)
+    # e^(-z) in two normal halves: only the last product may underflow
+    half = math.exp(-0.5 * z_down)
+    return math.sqrt(float(m2)) * half * half
+
+
+def estimate_lipschitz(f: FieldSpec, region: Ball) -> LipschitzEstimate:
+    """The Lipschitz constant of ``f`` over ``region``, rounded up.
+
+    On a convex region the Lipschitz constant of a C^1 field is the sup
+    of the spectral norm of its Jacobian J there (the mean-value
+    inequality gives <=, difference quotients near the sup give >=).
+    Every kind has that sup in closed form:
+
+    * ``linear`` and ``affine``: ||M||_2; ``constant``: 0.
+    * ``spiral2d``: v = (rho - 1)x + Rx with rho = |x|^2 and R the quarter
+      turn, so J = (rho - 1)I + 2xx^T + R, which in the orthonormal frame
+      (x/|x|, Rx/|x|) reads [[3rho - 1, -1], [1, rho - 1]].  Its squared
+      Frobenius norm is F = 10rho^2 - 8rho + 4 and its determinant
+      D = 3rho^2 - 4rho + 2, so ||J||_2^2 = F/2 + sqrt(F^2/4 - D^2) =
+      f(rho) = 5rho^2 - 4rho + 2 + 2rho sqrt(4rho^2 - 4rho + 2)
+      = (rho + sqrt(q))^2 with
+      q = (2rho - 1)^2 + 1.  So ||J||_2 = sigma(rho) = rho
+      + hypot(2rho - 1, 1), a linear function plus the norm of an affine
+      map of rho: convex.  (Equivalently, with s = 2rho - 1,
+      f'' = 10 + 4p(s), p = (2s^3 + 3s + 1)/(s^2 + 1)^(3/2).  As
+      p' = 3(1 - s)/(s^2 + 1)^(5/2), p is least on s >= -1 at s = -1 or
+      s -> inf, min(-sqrt 2, 2), so f'' >= 10 - 4 sqrt(2) > 0 for rho >= 0.)
+      Over the ball |x| fills [max(0, |c| - R), |c| + R], so the sup is
+      sigma at one end of [rho_lo, rho_hi].  A ball on which it is not
+      finite raises :class:`NumericalError`.
+    * ``twist3d``: v = (1, w'(x1)) with w = w1 + i w2 = exp(phi),
+      phi = -u^2 + iu, u = 1/x1.  J has one nonzero column,
+      (0, w1'', w2'')(x1), so ||J||_2 = |w''| = |phi'' + phi'^2| |w|
+      = |4u^6 - 7u^4 + i(2u^3 - 4u^5)| e^(-u^2), that is
+      g(u) = u^2 e^(-u^2) sqrt(16u^8 - 40u^6 + 33u^4 + 4u^2)
+      = e^(-z) sqrt(M2(z)), M2 = z^3 (16z^3 - 40z^2 + 33z + 4), z = u^2.
+      d(log g^2)/dz = M2'/M2 - 2 = -2z^2 (16z^4 - 88z^3 + 133z^2 - 62z
+      - 6)/M2 has the sign of minus that quartic, whose only positive root is
+      z* = u*^2 (its other roots are -0.082 and a complex pair): g rises
+      on (0, u*) and falls after, with g(u*) = 3.5176480944520838.  Over
+      x1 in [c1 - R, c1 + R] the sup is g(clip(u*, 1/x_hi, 1/x_lo)).  The
+      field is (1, 0, 0) for x1 <= ``TWIST_SMALL_X1``, so 1/x_lo = inf
+      when x_lo <= ``TWIST_SMALL_X1``, and K = 0 when x_hi <=
+      ``TWIST_SMALL_X1`` too.  A ball that is not finite raises
+      :class:`NumericalError`.
+
+    **Rounding.**  Let u = 2^-53 and eps = 2u; sqrt, hypot and exp are
+    taken to be within 1 ulp (2u relative).
+
+    * ``spiral2d``: hypot gives |c| within 2u, |c| + R within 3u, and
+      rho_hi within 7u, so rho_lo is within 7u rho_hi absolutely.  As
+      |sigma'| < 3 and sigma > rho, the rho_hi error is 21u of
+      sigma(rho_hi).  The rho_lo end sets the sup only when
+      sigma(rho_hi) < sigma(0) = sqrt(2), that is rho_hi < (4 - 2 sqrt 2)/3
+      < 0.4, where 21u rho_hi is below 7u of sigma >= (1 + sqrt 3)/2.
+      Evaluating sigma at a float rho adds 4u (2rho - 1 within u, hypot
+      2u, the sum u).  So sigma is within 26u = 13 eps.
+    * ``twist3d``: the ends of the x1 range and z are exact rationals.
+      float(M2) and sqrt lose 1.5u.  z rounds down to a float z_f <= z,
+      and g = (sqrt(M2) e) e with e = exp(-z_f / 2), a normal float for
+      z < 1416: e^2 >= e^(-z)(1 - 4u) and exceeds it by at most e^(2uz).
+      The two products lose 2u.  (u* is within an ulp of the root, where
+      g' = 0, so it costs a relative 1e-31.)  So g is at most 7.5u low,
+      and at most 41u + 2uz < 1.7e-13 high (with the widening below)
+      while it is a normal float (z < 730).  Where g underflows, only the
+      last product and the widening round to a subnormal, so K falls short
+      of the true sup by less than twice the float minimum 2^-1074; beyond
+      z = 1416 the sup is below 1e-600.
+
+    The closed form times (1 + 16 eps), rounded, is therefore at least the
+    sup (but for that underflow), and within 2e-13 of it (relative).
+    Matrix kinds take numpy's 2-norm as it is.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if method not in ("auto", "sampled"):
-        raise ValueError("method must be 'auto' or 'sampled'")
     if region.center.shape[0] != f.dim:
         raise DimensionMismatch("region center must match field dimension")
-    if method == "auto":
-        if f.kind in ("linear", "affine"):
-            return LipschitzEstimate(operator_norm(f.matrix), region,
-                                     "analytic", 0)
-        if f.kind == "constant":
-            return LipschitzEstimate(0.0, region, "analytic", 0)
-    rng = np.random.default_rng(seed)
-    xs = sample_ball(rng, region, n)
-    ys = sample_ball(rng, region, n)
-    sep = np.linalg.norm(xs - ys, axis=1)
-    ok = sep > 1e-12 * region.radius
-    if not np.any(ok):
-        raise NumericalError("no usable sample pair for the Lipschitz estimate")
-    dv = np.linalg.norm(field_values(f, xs[ok]) - field_values(f, ys[ok]), axis=1)
-    k = float(np.max(dv / sep[ok]))
-    if not np.isfinite(k):
-        raise NumericalError(f"sampled Lipschitz quotient is {k}")
-    return LipschitzEstimate(k, region, "sampled", int(np.sum(ok)))
+    if f.kind == "constant":
+        k = 0.0
+    elif f.matrix is not None:
+        k = operator_norm(f.matrix)
+    else:
+        closed_form = (_spiral_lipschitz if f.kind == "spiral2d"
+                       else _twist_lipschitz)
+        k = closed_form(region) * (1.0 + 16 * math.ulp(1.0))
+    return LipschitzEstimate(k, region, "analytic")
 
 
 def enclosing_ball(points, *extra_points) -> Ball:

@@ -73,7 +73,9 @@ def test_04_spiral_unit_rate_and_point_bound():
         rot = tr.absolute_rotation_point(traj, np.zeros(2))
         assert abs(rot.value - 10.0) / 10.0 < 1e-3
         k, inputs = tr.lipschitz_for(tr.spiral2d(), traj.x, [np.zeros(2)])
-        assert inputs["K_method"] == "sampled"
+        # the exact constant, |J| = sqrt(2) at the sink, rounded up
+        assert inputs["K_method"] == "analytic"
+        assert math.sqrt(2) <= k < math.sqrt(2) * (1 + 1e-12)
         rep = tr.check_any_point_bound(traj, np.zeros(2), K=k, guard=1e-9)
         assert rep.satisfied
 

@@ -25,7 +25,34 @@ def test_stationary_spiral(spiral_traj):
     assert rep.satisfied
     assert abs(rep.measured - 10.0) < 0.01
     assert rep.inputs["K"] >= 1.0  # unit angular speed needs K >= 1
-    assert rep.inputs["K_method"] == "sampled"
+    # the exact constant, |J| = sqrt(2) at the sink, rounded up
+    assert rep.inputs["K_method"] == "analytic"
+    assert math.sqrt(2) <= rep.inputs["K"] < math.sqrt(2) * (1 + 1e-12)
+    assert rep.bound == rep.inputs["K"] * rep.inputs["T"]
+
+
+def test_spiral_k_is_at_least_the_largest_jacobian_norm():
+    # numpy's SVD of the explicit Jacobian on a dense polar grid of the
+    # enclosing ball, boundary included and one ray through its center's
+    # direction, reads 2.2260774628483047; a sampled estimate, even times
+    # 1.1, read 2.10-2.21 at seeds 0-4
+    cfg = tr.IntegratorConfig(chord_tol=1e-5)
+    traj = tr.integrate_trajectory(tr.spiral2d(), np.array([0.86, 0.0]),
+                                   0.0, 4.375, cfg)
+    k, inputs = tr.lipschitz_for(tr.spiral2d(), traj.x, [np.zeros(2)])
+    ball = tr.enclosing_ball(traj.x, np.zeros((1, 2)))
+    r = np.linspace(0.0, ball.radius, 301)
+    phi = math.atan2(ball.center[1], ball.center[0]) + np.linspace(
+        0.0, 2 * math.pi, 721)
+    x = (ball.center + np.stack([np.outer(r, np.cos(phi)).ravel(),
+                                 np.outer(r, np.sin(phi)).ravel()], axis=1))
+    rho = np.sum(x * x, axis=1)
+    jac = ((rho - 1.0)[:, None, None] * np.eye(2)
+           + 2.0 * x[:, :, None] * x[:, None, :] + [[0.0, -1.0], [1.0, 0.0]])
+    largest = float(np.max(np.linalg.norm(jac, 2, axis=(1, 2))))
+    assert largest == pytest.approx(2.2260774628483047, rel=1e-12)
+    assert largest <= k < largest * (1 + 1e-12)
+    assert inputs["K_method"] == "analytic"
 
 
 def test_stationary_requires_zero_field():
@@ -102,6 +129,38 @@ def test_twist_axis_not_invariant():
                                 0.0, 0.4, cfg)
     with pytest.raises(tr.NotInvariant):
         tr.check_invariant_subspace_bound(tr.twist3d(), X_AXIS, c)
+
+
+@st.composite
+def _rotating_sinks(draw):
+    """q diag(-lam, [[alpha, -beta], [beta, alpha]]) q^T with q orthogonal,
+    a start off the invariant axis q e1, and a time span."""
+    q, _ = np.linalg.qr(np.array(draw(st.lists(
+        st.floats(-1.0, 1.0), min_size=9, max_size=9))).reshape(3, 3)
+        + 3.0 * np.eye(3))
+    lam, alpha = draw(st.floats(0.1, 2.0)), draw(st.floats(-1.0, -0.05))
+    beta = draw(st.floats(0.2, 3.0))
+    m = q @ np.array([[-lam, 0.0, 0.0], [0.0, alpha, -beta],
+                      [0.0, beta, alpha]]) @ q.T
+    along = draw(st.floats(-2.0, 2.0))
+    phase, off = draw(st.floats(0.0, 2 * math.pi)), draw(st.floats(0.2, 2.0))
+    x0 = q @ np.array([along, off * math.cos(phase), off * math.sin(phase)])
+    return m, q[:, 0], beta, x0, draw(st.floats(0.5, 3.0))
+
+
+@given(_rotating_sinks())
+@settings(max_examples=60, deadline=None)
+def test_invariant_line_rotation_is_beta_t(case):
+    # the projection off the axis turns at exactly beta, and every node
+    # lies on the exact flow, so the angle sum is beta T up to rounding
+    m, axis, beta, x0, span = case
+    f = tr.linear(m)
+    traj = tr.integrate_trajectory(f, x0, 0.0, span,
+                                   tr.IntegratorConfig(chord_tol=1e-6))
+    rep = tr.check_invariant_subspace_bound(
+        f, tr.AffineSubspace(np.zeros(3), [axis]), traj)
+    assert abs(rep.measured - beta * span) <= rep.error_estimates["rotation"]
+    assert rep.satisfied and rep.inputs["K_method"] == "analytic"
 
 
 def test_any_point_flyby():
