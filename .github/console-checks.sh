@@ -13,11 +13,13 @@
 #   its center: 2 pi within an error estimate below 1e-9 (the exact angle
 #   sum and its roundoff term);
 # - the paper-repro artifacts;
-# - an affine trajectory, and a 578 x 578 Gauss pair of two sink
-#   trajectories (Taylor nodes) in both modes: tiles summed by their
-#   boundary fans (reduceat, einsum over views), halved down to 16
-#   segments, the rest in stacks of the direct kernel (take, batched
-#   matmul with out=);
+# - an affine trajectory and two sink trajectories (nodes by doubled
+#   Taylor propagators, midpoints by one sub-step propagator per level),
+#   every sample within 1e-12 of scipy.linalg.expm of the augmented
+#   matrix at its time, and a 578 x 578 Gauss pair of the sinks in both
+#   modes: tiles summed by their boundary fans (reduceat, einsum over
+#   views), halved down to 16 segments, the rest in stacks of the direct
+#   kernel (take, batched matmul with out=);
 # - last the README's CLI example, the spiral's closed-form flow (expm1),
 #   whose rotation must be 10 within its error estimate.
 # Every verify report, the Crofton estimate and the artifacts are written
@@ -57,6 +59,20 @@ diff -r "$out/repro" "$out/repro2"
 trajrot integrate --field affine:-1,-2,2,-1,0.5,0 --x0 1,0 --t1 5 --chord-tol 1e-6 --out "$out/affine.csv"
 trajrot integrate --field linear:-1,0,0,0,-1,-2,0,2,-1 --x0 1,1,0 --t1 3 --max-step 0.02 --chord-tol 1e-5 --out "$out/sink1.csv"
 trajrot integrate --field linear:-1,0,0,0,-1,-2,0,2,-1 --x0 1,-1,0 --t1 3 --max-step 0.02 --chord-tol 1e-5 --out "$out/sink2.csv"
+python -c '
+import sys, numpy as np, scipy.linalg
+sink = np.zeros((4, 4))
+sink[:3, :3] = [[-1, 0, 0], [0, -1, -2], [0, 2, -1]]
+affine = np.array([[-1, -2, 0.5], [2, -1, 0], [0, 0, 0.0]])
+errs = []
+for path, aug, x0 in [(sys.argv[1], affine, [1, 0, 1]),
+                      (sys.argv[2], sink, [1, 1, 0, 1]),
+                      (sys.argv[3], sink, [1, -1, 0, 1])]:
+    d = np.loadtxt(path, delimiter=",", skiprows=1)
+    want = (scipy.linalg.expm(d[:, 0, None, None] * aug) @ x0)[:, :-1]
+    errs.append(float(np.max(np.linalg.norm(d[:, 1:] - want, axis=1))))
+print(errs)
+sys.exit(not max(errs) <= 1e-12)' "$out/affine.csv" "$out/sink1.csv" "$out/sink2.csv"
 trajrot link --curve1 "$out/sink1.csv" --curve2 "$out/sink2.csv" --mode signed
 trajrot link --curve1 "$out/sink1.csv" --curve2 "$out/sink2.csv" --mode absolute
 trajrot integrate --field spiral2d --x0 0.5,0 --t1 10 --out "$out/spiral.csv"

@@ -3,16 +3,20 @@
 Every field kind has a closed-form flow, so no step is adaptive.  The
 matrix-backed kinds (``linear``, ``affine``, ``constant``) follow the
 flow of ``y' = My + b`` on the grid ``t0 + j h``, ``h = min(max_step,
-1 / (2 |M|_inf))``, by a Taylor sum exact to half an ulp
-(:func:`_matrix_grid`).  ``spiral2d`` and ``twist3d`` evaluate their
-flows' formulas at the nodes of the grid ``h = min(max_step, (t1 - t0)
-/ 100)`` (:func:`_closed_form_grid`).  One vectorized pass afterwards
-subdivides all steps together, level by level on a dyadic grid, each new
-sample on the same flow, until (a) each output segment's midpoint lies
-within the chord tolerance of its chord and (b) no segment subtends more
-than ``MAX_SEGMENT_ANGLE`` at any declared observation center, which
-keeps the polyline close to the curve for the decimation estimate of the
-rotation's error there (the polyline's own blow-up length is exact).
+1 / (2 |M|_inf))``, by propagators ``y -> y + (G y + c)``: the step's is
+a Taylor sum exact to half an ulp, each node comes from ``k`` steps back
+by its doubling to ``k`` steps (capped where it stops being finite), and
+each level of midpoints from its segments' left ends by one sub-step
+Taylor propagator (:func:`_matrix_grid`).  ``spiral2d`` and ``twist3d``
+evaluate their flows' formulas at the nodes of the grid ``h =
+min(max_step, (t1 - t0) / 100)`` (:func:`_closed_form_grid`).  One
+vectorized pass afterwards subdivides all steps together, level by level
+on a dyadic grid, each new sample on the same flow, until (a) each output
+segment's midpoint lies within the chord tolerance of its chord and (b)
+no segment subtends more than ``MAX_SEGMENT_ANGLE`` at any declared
+observation center, which keeps the polyline close to the curve for the
+decimation estimate of the rotation's error there (the polyline's own
+blow-up length is exact).
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ from .curves import MAX_SEGMENT_ANGLE, Curve, segment_angles
 from .errors import NumericalError, SampleBudgetExceeded, StepUnderflow
 from .fields import TWIST_SMALL_X1, FieldSpec, twist_profile
 
-# On the matrix grid |hM|_inf <= 1/2, so the terms (hM)^q h f / (q+1)!,
-# q > Q, that a sum to degree Q leaves out of a step are at most sum_{q>Q}
-# 2^-q / (q+1)! of |h f|_inf: 4.8e-17 for Q = 13, below eps/2 = 1.1e-16
-# with room for the rounding of h and the h_min stretch; 1.4e-15 for 12.
+# A matrix propagator spans at most one step of the grid, where |hM|_inf
+# <= 1/2, so the terms (sM)^q s f / (q+1)!, q > Q, that a sum to degree Q
+# leaves out of a length s <= h are at most sum_{q>Q} 2^-q / (q+1)! of
+# |s f|_inf: 4.8e-17 for Q = 13, below eps/2 = 1.1e-16 with room for the
+# rounding of h and the h_min stretch; 1.4e-15 for 12.
 _TAYLOR_DEGREE = 13
 _MIN_STEP_FRACTION = 1e-14
 _MAX_SPLIT_DEPTH = 24
@@ -143,11 +148,29 @@ def _grid(t0, t1, h, h_min, max_samples):
     return ts, hs
 
 
+def _advance(rows, g, c):
+    """``rows + (G y + c)`` for each row ``y``.  ``G y`` is summed column
+    by column, so every row rounds alike whatever rows stand beside it
+    (a BLAS product's rows need not)."""
+    gy = rows[:, :1] * g[:, 0]
+    for k in range(1, rows.shape[1]):
+        gy += rows[:, k:k + 1] * g[:, k]
+    return rows + (gy + c)
+
+
 def _matrix_grid(f, y, t0, t1, h_min, cfg):
     """The steps, nodes and midpoint function of ``y' = My + b`` from
-    ``y``, for :func:`_dense_output`.  A point a fraction ``s`` of ``h``
-    past a node ``y`` is ``y + sum_q s^(q+1) w_q / (q+1)!``, ``w_q =
-    (hM)^q (hM y + hb)``.  All is in ``hM`` and ``hb``, so ``2^k M``,
+    ``y``, for :func:`_dense_output`.  The flow over a length ``s`` is
+    the propagator ``y -> y + (G y + c)``, ``(G, c) = (P sM, P sb)``, ``P
+    = sum_q (sM)^q / (q+1)!`` to ``_TAYLOR_DEGREE``.  The nodes come by
+    doubling: ``(G, c)`` over ``2k`` steps is ``(2G + G^2, 2c + Gc)`` over
+    ``k``, and each round fills ``k`` rows from the ``k`` before them.  A
+    doubling that is not finite (a fast-growing mode the start lacks) is
+    not taken, and the rows go on in blocks of the last finite ``k``.
+    The last node is the last step's propagator from the one before.  A
+    midpoint of a segment spanning ``2 half`` of a step is its left end
+    advanced by ``half`` of the step, one propagator per length, built
+    for the levels reached.  All is in ``sM`` and ``sb``, so ``2^k M``,
     ``2^k b`` over ``2^-k`` times the window gives the same points."""
     dim = f.dim
     m = np.zeros((dim, dim)) if f.matrix is None else f.matrix
@@ -156,31 +179,39 @@ def _matrix_grid(f, y, t0, t1, h_min, cfg):
     h = min(cfg.max_step, t1 - t0, 0.5 / norm if norm else math.inf)
     ts, hs = _grid(t0, t1, h, h_min, cfg.max_samples)
     n = len(hs)
-    # y -> y + P (hM y + hb), P = sum_q (hM)^q / (q+1)! by Horner
-    a = h * m
-    p = eye = np.eye(dim)
-    for q in range(_TAYLOR_DEGREE + 1, 1, -1):
-        p = eye + np.dot(a, p) / q
-    g, c = np.dot(p, a), np.dot(p, h * b)
+    props = {}
+
+    def propagator(length):
+        # P (sM), P sb with P = I + sM/2 (I + sM/3 (...)) by Horner
+        if length not in props:
+            a = length * m
+            p = eye = np.eye(dim)
+            for q in range(_TAYLOR_DEGREE + 1, 1, -1):
+                p = eye + np.dot(a, p) / q
+            props[length] = np.dot(p, a), np.dot(p, length * b)
+        return props[length]
+
+    def midpoint(step, theta, ya, half):
+        ym = _advance(ya, *propagator(half * h))
+        last = step == n - 1
+        if hs[-1] != h and last.any():
+            ym[last] = _advance(ya[last], *propagator(half * hs[-1]))
+        return ym
+
     ys = np.empty((n + 1, dim))
     ys[0] = y
-    ratio = hs / h  # 1 on every step but the last
-
-    def midpoint(step, theta):
-        s = (theta * ratio[step])[:, None]
-        acc = w[-1][step]
-        for q in range(_TAYLOR_DEGREE - 1, -1, -1):
-            acc = w[q][step] + s / (q + 2) * acc
-        return ys[step] + s * acc
-
+    g, c = propagator(h)
+    j = k = 1  # rows [0, j) are filled; (g, c) spans k steps
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, n):
-            y = ys[j] = y + (np.dot(g, y) + c)
-        w = [np.dot(ys[:-1], a.T) + h * b]
-        for _ in range(_TAYLOR_DEGREE):
-            w.append(np.dot(w[-1], a.T))
-        # the last step, of length hs[-1], as a midpoint at theta = 1
-        ys[n] = midpoint(np.array([n - 1]), np.ones(1))[0]
+        while j < n:
+            if j == 2 * k:
+                g2, c2 = 2 * g + np.dot(g, g), 2 * c + np.dot(g, c)
+                if np.isfinite(g2).all() and np.isfinite(c2).all():
+                    g, c, k = g2, c2, j
+            r = min(k, n - j)
+            ys[j:j + r] = _advance(ys[j - k:j - k + r], g, c)
+            j += r
+        ys[n] = _advance(ys[n - 1:n], *propagator(hs[-1]))[0]
     if not np.isfinite(ys).all():
         raise NumericalError(f"the flow overflows on [{t0:.6g}, {t1:.6g}]")
     return ts, hs, ys, midpoint
@@ -196,7 +227,8 @@ def _closed_form_grid(f, y, t0, t1, h_min, cfg):
     ts, hs = _grid(t0, t1, min(cfg.max_step, (t1 - t0) / 100.0), h_min,
                    cfg.max_samples)
 
-    def midpoint(step, theta):
+    def midpoint(step, theta, ya=None, half=None):
+        # each point comes from the formula, not from its left end ya
         return flow(ts[step] - t0 + theta * hs[step])
 
     ys = np.concatenate([y[None], midpoint(np.arange(len(hs)),
@@ -261,7 +293,10 @@ def _dense_output(ts, hs, ys, midpoint, centers, chord_tol, max_samples):
     """Subdivide every step until the chord and angle criteria hold,
     breadth first: each level halves, at once, all segments that fail a
     criterion, until ``_MAX_SPLIT_DEPTH`` levels.  ``midpoint(step,
-    theta)`` is the points at ``theta`` in the steps ``step``.  A segment
+    theta, ya, half)`` is the points at ``theta`` in the steps ``step``,
+    the middles of segments that start at ``ya`` and span ``2 half`` of
+    their steps: at depth ``d``, ``half = 2^-(d+1)`` for every segment, so
+    a matrix flow advances all left ends by one propagator.  A segment
     emits its right endpoint; samples come back in time order."""
     n = len(hs)
     # one row per pending segment: its step, the right end of its theta
@@ -273,8 +308,9 @@ def _dense_output(ts, hs, ys, midpoint, centers, chord_tol, max_samples):
     for depth in range(_MAX_SPLIT_DEPTH + 1):
         split = np.zeros(len(step), dtype=bool)
         if depth < _MAX_SPLIT_DEPTH:
-            mid = hi - 0.5 ** (depth + 1)
-            ym = midpoint(step, mid)
+            half = 0.5 ** (depth + 1)
+            mid = hi - half
+            ym = midpoint(step, mid, ya, half)
             d = ym - 0.5 * (ya + yb)
             split |= np.sqrt(np.einsum("ij,ij->i", d, d)) > chord_tol
             # an endpoint exactly on a center has no direction (NaN angle)

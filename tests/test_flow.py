@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -474,9 +474,16 @@ def _hermite(y0, f0, y1, f1, h, theta):
 
 
 def _hermite_midpoint(hs, ys, fs):
-    """Cubic Hermite midpoints from the step ends and slopes."""
-    return lambda step, theta: _hermite(ys[step], fs[step], ys[step + 1],
-                                        fs[step + 1], hs[step], theta)
+    """Midpoints in increment form, as the matrix flows take them: the
+    left end ``ya`` plus the cubic Hermite interpolant's change over the
+    ``half`` of a step before ``theta``.  They use both of the callback's
+    extra arguments and still lie off the exact flow."""
+    def at(step, theta):
+        return _hermite(ys[step], fs[step], ys[step + 1], fs[step + 1],
+                        hs[step], theta)
+
+    return lambda step, theta, ya, half: ya + (at(step, theta)
+                                               - at(step, theta - half))
 
 
 def _dense_output_reference(ts, hs, ys, fs, centers, chord_tol):
@@ -485,13 +492,17 @@ def _dense_output_reference(ts, hs, ys, fs, centers, chord_tol):
     times, points = [ts[0]], [ys[0]]
     for j, (t, h) in enumerate(zip(ts, hs)):
         rows = (ys[j:j + 1], fs[j:j + 1], ys[j + 1:j + 2], fs[j + 1:j + 2])
+
+        def at(theta):
+            return _hermite(*rows, np.array([h]), np.array([theta]))[0]
+
         stack = [(0.0, ys[j], 1.0, ys[j + 1], 0)]
         while stack:
             ta, ya, tb, yb, depth = stack.pop()
             split = False
             if depth < 24:
                 tm = 0.5 * (ta + tb)
-                ym = _hermite(*rows, np.array([h]), np.array([tm]))[0]
+                ym = ya + (at(tm) - at(ta))
                 d = (ym - 0.5 * (ya + yb))[None]
                 split = np.sqrt(np.einsum("ij,ij->i", d, d))[0] > chord_tol
                 split |= any(segment_angles(ya[None], yb[None], c)[0] > 0.05
@@ -536,15 +547,17 @@ def _reference_grid(t0, t1, h):
 
 
 def _taylor_grid_reference(f, x0, t0, t1, cfg, centers):
-    """The grid of the matrix-backed kinds written out plainly.  The
-    steps of h = min(max_step, t1 - t0, 1 / (2 |M|_inf)) are found one at
-    a time, as in :func:`_reference_grid`.  Each node but the last is the
-    one before plus P (hM y + hb), with P = I + hM/2 (I + hM/3 (... (I +
-    hM/(Q+1)))), built afresh for every step.  Each midpoint a fraction s
-    of h past a node y is y + s (w0 + s/2 (w1 + s/3 (...))), w_q = (hM)^q
-    (hM y + hb), point by point, and so is the last node, at s = hs[-1] /
-    h.  The w_q of all nodes are the same batched products as in the
-    code, whose rows a one-row product may round differently."""
+    """The grid of the matrix-backed kinds written out plainly, row by
+    row.  The steps of h = min(max_step, t1 - t0, 1 / (2 |M|_inf)) are
+    found one at a time, as in :func:`_reference_grid`.  The propagator
+    over a length s takes y to y + (G y + c), with G = P sM, c = P sb and
+    P = I + sM/2 (I + sM/3 (... (I + sM/(Q+1)))), built afresh for every
+    use; G y is summed column by column, as in the code.  Node j is node
+    j - k plus the propagator over k steps, with k the largest power of
+    two up to j whose doublings (G, c) -> (2G + G^2, 2c + Gc) from one
+    step are all finite.  The last node is the one before plus the
+    propagator over the last step.  The midpoint of a segment spanning 2
+    half of step j is its left end plus the propagator over half hs[j]."""
     dim, deg = f.dim, flow._TAYLOR_DEGREE
     m = np.zeros((dim, dim)) if f.matrix is None else f.matrix
     b = np.zeros(dim) if f.offset is None else f.offset
@@ -552,31 +565,42 @@ def _taylor_grid_reference(f, x0, t0, t1, cfg, centers):
     norm = float(np.max(np.sum(np.abs(m), axis=1)))
     h = min(cfg.max_step, t1 - t0, 0.5 / norm if norm else math.inf)
     ts, hs = _reference_grid(t0, t1, h)
-    ys = [np.asarray(x0, dtype=np.float64)]
-    for step in hs[:-1]:
-        a = step * m
+
+    def propagator(s):
+        a = s * m
         p = np.eye(dim)
         for q in range(deg + 1, 1, -1):
             p = np.eye(dim) + np.dot(a, p) / q
-        ys.append(ys[-1] + (np.dot(np.dot(p, a), ys[-1])
-                            + np.dot(p, step * b)))
+        return np.dot(p, a), np.dot(p, s * b)
+
+    def advance(y, g, c):
+        gy = g[:, 0] * y[0]
+        for k in range(1, dim):
+            gy = gy + g[:, k] * y[k]
+        return y + (gy + c)
+
+    doublings = [propagator(h)]  # over 1, 2, 4, ... steps while finite
+    capped = False
+    ys = [np.asarray(x0, dtype=np.float64)]
+    for j in range(1, len(hs)):
+        i = j.bit_length() - 1  # k = 2^i <= j < 2^(i+1)
+        if len(doublings) <= i and not capped:
+            g, c = doublings[-1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                g, c = 2 * g + np.dot(g, g), 2 * c + np.dot(g, c)
+            if np.isfinite(g).all() and np.isfinite(c).all():
+                doublings.append((g, c))
+            else:
+                capped = True
+        i = min(i, len(doublings) - 1)
+        ys.append(advance(ys[j - 2 ** i], *doublings[i]))
+    ys.append(advance(ys[-1], *propagator(hs[-1])))
     ts, hs, ys = np.array(ts), np.array(hs), np.array(ys)
-    at = (h * m).T
-    w = [np.dot(ys, at) + h * b]
-    for _ in range(deg):
-        w.append(np.dot(w[-1], at))
 
-    def midpoint(steps, thetas):
-        out = []
-        for j, theta in zip(steps, thetas):
-            s = theta * (hs[j] / h)
-            acc = w[deg][j]
-            for q in range(deg - 1, -1, -1):
-                acc = w[q][j] + s / (q + 2) * acc
-            out.append(ys[j] + s * acc)
-        return np.array(out)
+    def midpoint(steps, thetas, yas, half):
+        return np.array([advance(ya, *propagator(half * hs[j]))
+                         for j, ya in zip(steps, yas)])
 
-    ys = np.concatenate([ys, midpoint([len(hs) - 1], [1.0])])
     times, points = _dense_output(ts, hs, ys, midpoint, centers, chord_tol,
                                   cfg.max_samples)
     times[-1] = t1
@@ -617,7 +641,7 @@ def _exact_flow_reference(f, x0, t0, t1, cfg, centers):
         (w1, w2), (v1, v2) = twist_w(x0[0] + s), twist_w(x0[0])
         return [x0[0] + s, x0[1] + (w1 - v1), x0[2] + (w2 - v2)]
 
-    def midpoint(steps, thetas):
+    def midpoint(steps, thetas, yas=None, half=None):
         return np.array([point(ts[j] - t0 + theta * hs[j])
                          for j, theta in zip(steps, thetas)])
 
@@ -661,6 +685,10 @@ def _stepping_cases():
         ("twist3d", tr.twist3d(), [-0.05, 0.5, 0.0], 0.0, 0.6,
          tr.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, chord_tol=1e-6),
          [np.array([0.1, 0.5, 0.0])]),
+        # the doubling stops at 1024 steps, where e^(600 k h) would
+        # overflow, and the nodes go on in blocks of 1024
+        ("capped", tr.linear(np.diag([-1.0, 600.0])), [1.0, 0.0], 0.0, 3.0,
+         tr.IntegratorConfig(chord_tol=1e-8), []),
     ]
 
 
@@ -675,9 +703,12 @@ def test_stepping_matches_reference_loop(case):
 
 
 def test_taylor_degree_is_the_smallest_below_half_an_ulp():
-    # at |hM|_inf = 1/2 the sum to degree Q leaves out of h f the terms
-    # t_q = 2^-q / (q+1)!, q > Q, whose ratios t_(q+1) / t_q = 1/(2(q+2))
-    # are at most 1/(2(Q+3)): the tail is at most t_(Q+1) / (1 - that)
+    # every propagator spans at most one step, so |sM|_inf <= 1/2; at 1/2
+    # the sum to degree Q leaves out of s f the terms t_q = 2^-q / (q+1)!,
+    # q > Q, whose ratios t_(q+1) / t_q = 1/(2(q+2)) are at most
+    # 1/(2(Q+3)): the tail is at most t_(Q+1) / (1 - that).  A doubled
+    # propagator is exact algebra on the one-step sum, so adds no
+    # truncation
     half_ulp = Fraction(1, 2 ** 53)
 
     def term(q):
@@ -697,13 +728,32 @@ def test_taylor_degree_is_the_smallest_below_half_an_ulp():
 # each of at most n such errors grows by at most G, and 64 dim covers the
 # count per step with room; sample times round by up to 8 eps (|t0| + T),
 # which moves a point by that times |x'| <= |M| X + |b|
+def _rounding_bound(m, b, x0, t0, span, n):
+    dim = len(x0)
+    mu = float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1])
+    growth = math.exp(max(mu, 0.0) * span)
+    x_max = growth * (np.linalg.norm(x0) + span * np.linalg.norm(b))
+    v_max = np.linalg.norm(m, 2) * x_max + np.linalg.norm(b)
+    eps = np.finfo(np.float64).eps
+    return eps * (64 * dim * n * growth * x_max
+                  + 8 * (abs(t0) + span) * v_max)
+
+
+# on long windows, max_step 0.002 takes the grid past 1 000 nodes and
+# chord_tol 1e-8 the midpoints past 8 levels, where the rounding of the
+# doubled and sub-step propagators would compound; on every run the two
+# examples take 1 500 nodes with 6 levels, and 15 nodes with 12 levels
+@example(kind="affine", dim=3, seed=0, norm=1.5, t0=-10.0, span=3.0,
+         max_step=0.002, chord_tol=1e-8)
+@example(kind="linear", dim=3, seed=0, norm=1.5, t0=10.0, span=3.0,
+         max_step=None, chord_tol=1e-8)
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["linear", "affine", "constant"]),
        dim=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1),
        norm=st.floats(0.1, 1.5), t0=st.floats(-10.0, 10.0),
        span=st.floats(1e-3, 3.0),
-       max_step=st.one_of(st.none(), st.floats(0.01, 1.0)),
-       chord_tol=st.sampled_from([1e-4, 1e-2, 0.5]))
+       max_step=st.one_of(st.none(), st.just(0.002), st.floats(0.01, 1.0)),
+       chord_tol=st.sampled_from([1e-8, 1e-4, 1e-2, 0.5]))
 def test_matrix_samples_on_exact_flow(kind, dim, seed, norm, t0, span,
                                       max_step, chord_tol):
     rng = np.random.default_rng(seed)
@@ -724,14 +774,24 @@ def test_matrix_samples_on_exact_flow(kind, dim, seed, norm, t0, span,
     inf_norm = float(np.max(np.sum(np.abs(m), axis=1)))
     n = span / min(cfg.max_step, span, 0.5 / inf_norm if inf_norm
                    else math.inf) + 2
-    mu = float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1])
-    growth = math.exp(max(mu, 0.0) * span)
-    x_max = growth * (np.linalg.norm(x0) + span * np.linalg.norm(b))
-    v_max = np.linalg.norm(m, 2) * x_max + np.linalg.norm(b)
-    eps = np.finfo(np.float64).eps
-    bound = eps * (64 * dim * n * growth * x_max
-                   + 8 * (abs(t0) + span) * v_max)
+    bound = _rounding_bound(m, b, x0, t0, span, n)
     assert np.all(np.linalg.norm(c.x - want, axis=1) <= bound)
+
+
+def test_doubling_stops_where_it_overflows():
+    # e^(600 k h) - 1, h = 1/1200, overflows past k = 1024 steps, and a
+    # doubling without a cap multiplies that inf by the start's 0 (NaN);
+    # with the cap the curve is the 3 600-step grid, as before doubling.
+    # The growing mode never enters, so the rounding bound is that of the
+    # decaying block, with the grid's node count
+    f = tr.linear(np.diag([-1.0, 600.0]))
+    c = tr.integrate_trajectory(f, [1.0, 0.0], 0.0, 3.0,
+                                tr.IntegratorConfig(chord_tol=1e-3))
+    assert c.n_samples == 3601 and np.all(c.x[:, 1] == 0.0)
+    want = scipy.linalg.expm(-c.t[:, None, None] * np.ones((1, 1)))[:, 0, 0]
+    bound = _rounding_bound(-np.ones((1, 1)), np.zeros(1), [1.0], 0.0, 3.0,
+                            3600 + 2)
+    assert np.all(np.abs(c.x[:, 0] - want) <= bound)
 
 
 @pytest.mark.parametrize("k", [-600, 0, 300, 600])
