@@ -5,9 +5,10 @@ matrix-backed kinds (``linear``, ``affine``, ``constant``) follow the
 flow of ``y' = My + b`` on the grid ``t0 + j h``, ``h = min(max_step,
 1 / (2 |M|_inf))``, by propagators ``y -> y + (G y + c)``: the step's is
 a Taylor sum exact to half an ulp, each node comes from ``k`` steps back
-by its doubling to ``k`` steps (capped where it stops being finite), and
-each level of midpoints from its segments' left ends by one sub-step
-Taylor propagator (:func:`_matrix_grid`).  ``spiral2d`` and ``twist3d``
+by its doubling to ``k`` steps (the full ``y -> F y + c`` past ``k h
+|M|_inf = 1``, capped where it stops being finite), and each level of
+midpoints from its segments' left ends by one sub-step Taylor
+propagator (:func:`_matrix_grid`).  ``spiral2d`` and ``twist3d``
 evaluate their flows' formulas at the nodes of the grid ``h =
 min(max_step, (t1 - t0) / 100)`` (:func:`_closed_form_grid`).  One
 vectorized pass afterwards subdivides all steps together, level by level
@@ -38,6 +39,7 @@ from .fields import TWIST_SMALL_X1, FieldSpec, twist_profile
 _TAYLOR_DEGREE = 13
 _MIN_STEP_FRACTION = 1e-14
 _MAX_SPLIT_DEPTH = 24
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -148,14 +150,14 @@ def _grid(t0, t1, h, h_min, max_samples):
     return ts, hs
 
 
-def _advance(rows, g, c):
-    """``rows + (G y + c)`` for each row ``y``.  ``G y`` is summed column
-    by column, so every row rounds alike whatever rows stand beside it
-    (a BLAS product's rows need not)."""
+def _advance(rows, g, c, full):
+    """``G y + c`` for each row ``y`` if ``full``, else ``y + (G y + c)``.
+    ``G y`` is summed column by column, so every row rounds alike whatever
+    rows stand beside it (a BLAS product's rows need not)."""
     gy = rows[:, :1] * g[:, 0]
     for k in range(1, rows.shape[1]):
         gy += rows[:, k:k + 1] * g[:, k]
-    return rows + (gy + c)
+    return gy + c if full else rows + (gy + c)
 
 
 def _matrix_grid(f, y, t0, t1, h_min, cfg):
@@ -163,14 +165,19 @@ def _matrix_grid(f, y, t0, t1, h_min, cfg):
     ``y``, for :func:`_dense_output`.  The flow over a length ``s`` is
     the propagator ``y -> y + (G y + c)``, ``(G, c) = (P sM, P sb)``, ``P
     = sum_q (sM)^q / (q+1)!`` to ``_TAYLOR_DEGREE``.  The nodes come by
-    doubling: ``(G, c)`` over ``2k`` steps is ``(2G + G^2, 2c + Gc)`` over
-    ``k``, and each round fills ``k`` rows from the ``k`` before them.  A
-    doubling that is not finite (a fast-growing mode the start lacks) is
-    not taken, and the rows go on in blocks of the last finite ``k``.
-    The last node is the last step's propagator from the one before.  A
-    midpoint of a segment spanning ``2 half`` of a step is its left end
-    advanced by ``half`` of the step, one propagator per length, built
-    for the levels reached.  All is in ``sM`` and ``sb``, so ``2^k M``,
+    doubling, and each round fills ``k`` rows from the ``k`` before them.
+    While ``2k h |M|_inf <= 1`` the propagator over ``2k`` steps is ``(2G
+    + G^2, 2c + Gc)`` from the one over ``k``, in increment form, which
+    keeps the low bits of a small ``G``.  Past that it is ``(F^2, Fc +
+    c)``, ``F = I + G``, the full propagator ``y -> F y + c``: on a
+    decaying flow ``G`` tends to ``-I`` and ``y + G y`` would cancel,
+    while ``F y`` stays accurate relative to the node's own size.  A
+    doubling that is not finite (a fast-growing mode the start lacks) or
+    whose ``F`` has no normal entry is not taken, and the rows go on in
+    blocks of the last ``k``.  The last node is the last step's
+    propagator from the one before.  A midpoint of a segment spanning ``2
+    half`` of a step is its left end advanced by ``half`` of the step, one
+    propagator per level.  All is in ``sM`` and ``sb``, so ``2^k M``,
     ``2^k b`` over ``2^-k`` times the window gives the same points."""
     dim = f.dim
     m = np.zeros((dim, dim)) if f.matrix is None else f.matrix
@@ -179,39 +186,46 @@ def _matrix_grid(f, y, t0, t1, h_min, cfg):
     h = min(cfg.max_step, t1 - t0, 0.5 / norm if norm else math.inf)
     ts, hs = _grid(t0, t1, h, h_min, cfg.max_samples)
     n = len(hs)
-    props = {}
+    eye = np.eye(dim)
 
     def propagator(length):
         # P (sM), P sb with P = I + sM/2 (I + sM/3 (...)) by Horner
-        if length not in props:
-            a = length * m
-            p = eye = np.eye(dim)
-            for q in range(_TAYLOR_DEGREE + 1, 1, -1):
-                p = eye + np.dot(a, p) / q
-            props[length] = np.dot(p, a), np.dot(p, length * b)
-        return props[length]
+        a = length * m
+        p = eye
+        for q in range(_TAYLOR_DEGREE + 1, 1, -1):
+            p = eye + np.dot(a, p) / q
+        return np.dot(p, a), np.dot(p, length * b)
 
     def midpoint(step, theta, ya, half):
-        ym = _advance(ya, *propagator(half * h))
+        ym = _advance(ya, *propagator(half * h), False)
         last = step == n - 1
         if hs[-1] != h and last.any():
-            ym[last] = _advance(ya[last], *propagator(half * hs[-1]))
+            ym[last] = _advance(ya[last], *propagator(half * hs[-1]), False)
         return ym
 
     ys = np.empty((n + 1, dim))
     ys[0] = y
     g, c = propagator(h)
+    full = False  # whether g is G or the full propagator F = I + G
     j = k = 1  # rows [0, j) are filled; (g, c) spans k steps
     with np.errstate(over="ignore", invalid="ignore"):
         while j < n:
             if j == 2 * k:
-                g2, c2 = 2 * g + np.dot(g, g), 2 * c + np.dot(g, c)
-                if np.isfinite(g2).all() and np.isfinite(c2).all():
-                    g, c, k = g2, c2, j
+                wide = j * h * norm > 1
+                if wide:
+                    p = g if full else g + eye
+                    g2, c2 = np.dot(p, p), np.dot(p, c) + c
+                else:
+                    g2, c2 = 2 * g + np.dot(g, g), 2 * c + np.dot(g, c)
+                # with a normal largest entry, F's subnormal entries round
+                # by less than eps/2 of it
+                if (np.isfinite(g2).all() and np.isfinite(c2).all() and not (
+                        wide and np.abs(g2).max() < _SMALLEST_NORMAL)):
+                    g, c, k, full = g2, c2, j, wide
             r = min(k, n - j)
-            ys[j:j + r] = _advance(ys[j - k:j - k + r], g, c)
+            ys[j:j + r] = _advance(ys[j - k:j - k + r], g, c, full)
             j += r
-        ys[n] = _advance(ys[n - 1:n], *propagator(hs[-1]))[0]
+        ys[n] = _advance(ys[n - 1:n], *propagator(hs[-1]), False)[0]
     if not np.isfinite(ys).all():
         raise NumericalError(f"the flow overflows on [{t0:.6g}, {t1:.6g}]")
     return ts, hs, ys, midpoint
@@ -227,12 +241,11 @@ def _closed_form_grid(f, y, t0, t1, h_min, cfg):
     ts, hs = _grid(t0, t1, min(cfg.max_step, (t1 - t0) / 100.0), h_min,
                    cfg.max_samples)
 
-    def midpoint(step, theta, ya=None, half=None):
+    def midpoint(step, theta, ya, half):
         # each point comes from the formula, not from its left end ya
         return flow(ts[step] - t0 + theta * hs[step])
 
-    ys = np.concatenate([y[None], midpoint(np.arange(len(hs)),
-                                           np.ones(len(hs)))])
+    ys = np.concatenate([y[None], flow(ts - t0 + hs)])
     if not np.isfinite(ys).all():
         raise NumericalError(f"the flow overflows on [{t0:.6g}, {t1:.6g}]")
     return ts, hs, ys, midpoint

@@ -553,11 +553,15 @@ def _taylor_grid_reference(f, x0, t0, t1, cfg, centers):
     over a length s takes y to y + (G y + c), with G = P sM, c = P sb and
     P = I + sM/2 (I + sM/3 (... (I + sM/(Q+1)))), built afresh for every
     use; G y is summed column by column, as in the code.  Node j is node
-    j - k plus the propagator over k steps, with k the largest power of
-    two up to j whose doublings (G, c) -> (2G + G^2, 2c + Gc) from one
-    step are all finite.  The last node is the one before plus the
-    propagator over the last step.  The midpoint of a segment spanning 2
-    half of step j is its left end plus the propagator over half hs[j]."""
+    j - k advanced by the propagator over k steps, with k the largest
+    power of two up to j whose doublings from one step were all taken.
+    The doubling to 2k steps is (G, c) -> (2G + G^2, 2c + Gc) while 2k h
+    |M|_inf <= 1, and (F, c) -> (F^2, Fc + c) past that, F = I + G the
+    full propagator, y -> F y + c; it is taken if finite and, for an F,
+    if its largest entry is a normal float.  The last node is the one
+    before plus the propagator over the last step.  The midpoint of a
+    segment spanning 2 half of step j is its left end plus the
+    propagator over half hs[j]."""
     dim, deg = f.dim, flow._TAYLOR_DEGREE
     m = np.zeros((dim, dim)) if f.matrix is None else f.matrix
     b = np.zeros(dim) if f.offset is None else f.offset
@@ -573,23 +577,30 @@ def _taylor_grid_reference(f, x0, t0, t1, cfg, centers):
             p = np.eye(dim) + np.dot(a, p) / q
         return np.dot(p, a), np.dot(p, s * b)
 
-    def advance(y, g, c):
+    def advance(y, g, c, full=False):
         gy = g[:, 0] * y[0]
         for k in range(1, dim):
             gy = gy + g[:, k] * y[k]
-        return y + (gy + c)
+        return gy + c if full else y + (gy + c)
 
-    doublings = [propagator(h)]  # over 1, 2, 4, ... steps while finite
+    # (G or F, c, full) over 1, 2, 4, ... steps while each doubling is taken
+    doublings = [(*propagator(h), False)]
     capped = False
     ys = [np.asarray(x0, dtype=np.float64)]
     for j in range(1, len(hs)):
         i = j.bit_length() - 1  # k = 2^i <= j < 2^(i+1)
         if len(doublings) <= i and not capped:
-            g, c = doublings[-1]
+            g, c, full = doublings[-1]
+            wide = 2 ** i * h * norm > 1
             with np.errstate(over="ignore", invalid="ignore"):
-                g, c = 2 * g + np.dot(g, g), 2 * c + np.dot(g, c)
-            if np.isfinite(g).all() and np.isfinite(c).all():
-                doublings.append((g, c))
+                if wide:
+                    p = g if full else g + np.eye(dim)
+                    g, c = np.dot(p, p), np.dot(p, c) + c
+                else:
+                    g, c = 2 * g + np.dot(g, g), 2 * c + np.dot(g, c)
+            if (np.isfinite(g).all() and np.isfinite(c).all()
+                    and not (wide and np.abs(g).max() < np.finfo(float).tiny)):
+                doublings.append((g, c, wide))
             else:
                 capped = True
         i = min(i, len(doublings) - 1)
@@ -641,11 +652,12 @@ def _exact_flow_reference(f, x0, t0, t1, cfg, centers):
         (w1, w2), (v1, v2) = twist_w(x0[0] + s), twist_w(x0[0])
         return [x0[0] + s, x0[1] + (w1 - v1), x0[2] + (w2 - v2)]
 
-    def midpoint(steps, thetas, yas=None, half=None):
+    def midpoint(steps, thetas, yas, half):
         return np.array([point(ts[j] - t0 + theta * hs[j])
                          for j, theta in zip(steps, thetas)])
 
-    ys = np.concatenate([[x0], midpoint(range(len(hs)), [1.0] * len(hs))])
+    ys = np.concatenate([[x0], [point(ts[j] - t0 + hs[j])
+                                for j in range(len(hs))]])
     times, points = _dense_output(np.array(ts), np.array(hs), ys, midpoint,
                                   centers, chord_tol, cfg.max_samples)
     times[-1] = t1
@@ -689,6 +701,11 @@ def _stepping_cases():
         # overflow, and the nodes go on in blocks of 1024
         ("capped", tr.linear(np.diag([-1.0, 600.0])), [1.0, 0.0], 0.0, 3.0,
          tr.IntegratorConfig(chord_tol=1e-8), []),
+        # the doubling to 2048 steps, e^-731, would be subnormal: the
+        # nodes go on in blocks of 1024
+        ("floored", tr.linear([[-1.0, -0.4], [0.4, -1.0]]), [2.0 ** 500, 0.0],
+         0.0, 760.0, tr.IntegratorConfig(chord_tol=2.0 ** 500),
+         [np.zeros(2)]),
     ]
 
 
@@ -792,6 +809,37 @@ def test_doubling_stops_where_it_overflows():
     bound = _rounding_bound(-np.ones((1, 1)), np.zeros(1), [1.0], 0.0, 3.0,
                             3600 + 2)
     assert np.all(np.abs(c.x[:, 0] - want) <= bound)
+
+
+# a sink's samples stay accurate relative to their own size |x(t)| =
+# e^-t |x0|, where the flow turns at omega about the origin: each of the
+# n steps rounds by a few eps |x|, and the times by up to 8 eps T, which
+# moves a point by |M|_2 |x| times that.  Doubling in increment form, y +
+# G y with G near -I, left an absolute error near eps |x0|: node 256 of
+# [0, 60] came out at 1e-16 against its true 3e-19.  On the last window
+# the doubled propagator over 2048 steps, e^-731, is subnormal, so it is
+# not taken
+@pytest.mark.parametrize("omega, x0, span, max_step", [
+    (2.0, 1.0, 40.0, math.inf), (2.0, 1.0, 60.0, math.inf),
+    (2.0, 1.0, 60.0, 0.002), (0.4, 2.0 ** 500, 760.0, math.inf)])
+def test_sink_samples_accurate_relative_to_their_size(omega, x0, span,
+                                                       max_step):
+    m = np.array([[-1.0, -omega], [omega, -1.0]])
+    # the angle criterion at the sink splits every step; the chord one
+    # never does
+    c = tr.integrate_trajectory(
+        tr.linear(m), [x0, 0.0], 0.0, span,
+        tr.IntegratorConfig(max_step=max_step, chord_tol=x0),
+        obs_centers=[np.zeros(2)])
+    size = np.square(np.exp(-c.t / 2) * math.sqrt(x0))
+    want = size[:, None] * np.stack([np.cos(omega * c.t),
+                                     np.sin(omega * c.t)], axis=1)
+    n = span / min(max_step, 0.5 / (1.0 + omega)) + 2
+    eps = np.finfo(np.float64).eps
+    bound = eps * (8 * n + 8 * span * math.hypot(1.0, omega))
+    # divided first, as the squares of the last points' errors underflow
+    assert np.all(np.linalg.norm((c.x - want) / size[:, None], axis=1)
+                  <= bound)
 
 
 @pytest.mark.parametrize("k", [-600, 0, 300, 600])
